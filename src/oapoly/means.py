@@ -47,6 +47,10 @@ __all__ = [
     "weighted_geometric_mean",
     "harmonic_mean_via_infimum",
     "wgm_via_infimum",
+    "root_mean_power_stack",
+    "geometric_mean_stack",
+    "harmonic_mean_stack",
+    "weighted_geometric_mean_stack",
 ]
 
 _GRID_POINT_LIMIT = 5_000_000
@@ -73,6 +77,38 @@ def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False) -> tuple[n
     return X, exact
 
 
+# -- closed forms over stacks ----------------------------------------------------
+#
+# Each takes float arguments stacked along axis -2, shape (..., k, n): one
+# tuple (k, n) or a block of tuples (T, k, n), and returns shape (..., n).
+# The single-tuple means below call them on their (k, n) stack, so a block
+# row equals the mean of that row's tuple bit for bit.
+
+
+def root_mean_power_stack(s: int, X: np.ndarray) -> np.ndarray:
+    """Coordinatewise (sum_k x_k^s)^(1/s)."""
+    return np.sum(X**s, axis=-2) ** (1.0 / s)
+
+
+def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
+    """Coordinatewise (prod_k x_k)^(1/k) over the k stacked arguments."""
+    return np.prod(X, axis=-2) ** (1.0 / X.shape[-2])
+
+
+def harmonic_mean_stack(X: np.ndarray) -> np.ndarray:
+    """Coordinatewise k / sum_k (1/x_k), accumulated in extended precision;
+    0 where some argument vanishes."""
+    with np.errstate(divide="ignore"):
+        recip = 1.0 / X.astype(np.longdouble)
+    # vanished coordinates propagate as inf -> k/inf -> 0, exactly the 0 branch
+    return (np.longdouble(X.shape[-2]) / np.sum(recip, axis=-2)).astype(float)
+
+
+def weighted_geometric_mean_stack(t: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Coordinatewise prod_k x_k^(t_k) for float weights t of shape (k,)."""
+    return np.prod(X ** t[:, None], axis=-2)
+
+
 def root_mean_power(s: int, fs: Sequence[PositiveVector]) -> PositiveVector:
     """The s-th root mean power: coordinatewise (sum_k x_k^s)^(1/s).
 
@@ -81,14 +117,13 @@ def root_mean_power(s: int, fs: Sequence[PositiveVector]) -> PositiveVector:
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"power must be a positive integer, got {s!r}")
     X, _ = _stack(fs)
-    return PositiveVector(np.sum(X**s, axis=0) ** (1.0 / s))
+    return PositiveVector(root_mean_power_stack(s, X))
 
 
 def geometric_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
     """The s-th geometric mean of s vectors: coordinatewise (prod_k x_k)^(1/s)."""
     X, _ = _stack(fs)
-    s = X.shape[0]
-    return PositiveVector(np.prod(X, axis=0) ** (1.0 / s))
+    return PositiveVector(geometric_mean_stack(X))
 
 
 def harmonic_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
@@ -114,11 +149,7 @@ def harmonic_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
             else:
                 out.append(Fraction(s) / sum(Fraction(1) / v for v in col))
         return PositiveVector(out, exact=True)
-    with np.errstate(divide="ignore"):
-        recip = 1.0 / X.astype(np.longdouble)
-    # vanished coordinates propagate as inf -> s/inf -> 0, exactly the 0 branch
-    value = (np.longdouble(s) / np.sum(recip, axis=0)).astype(float)
-    return PositiveVector(value)
+    return PositiveVector(harmonic_mean_stack(X))
 
 
 def _weight_floats(weights: WeightVector | Sequence) -> np.ndarray:
@@ -148,7 +179,7 @@ def weighted_geometric_mean(
     X, _ = _stack(fs)
     if X.shape[0] != t.size:
         raise ValueError(f"got {X.shape[0]} vectors for {t.size} weights")
-    return PositiveVector(np.prod(X ** t[:, None], axis=0))
+    return PositiveVector(weighted_geometric_mean_stack(t, X))
 
 
 # -- infimum-of-tangents evaluators -------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -74,7 +75,11 @@ def _coerce_coeff(value, d: int) -> np.ndarray:
 
 
 class HomogeneousPolynomial:
-    """Degree-s homogeneous polynomial R^n -> R^d with sparse coefficients."""
+    """Degree-s homogeneous polynomial R^n -> R^d with sparse coefficients.
+
+    ``terms`` is a read-only mapping from canonical keys to read-only
+    coefficient arrays: a polynomial cannot change after construction.
+    """
 
     __slots__ = ("degree", "domain_dim", "codomain_dim", "terms")
 
@@ -101,7 +106,11 @@ class HomogeneousPolynomial:
             if key in canon:
                 arr = canon[key] + arr
             canon[key] = arr
-        self.terms = {k: v for k, v in sorted(canon.items()) if np.any(v != 0)}
+        for arr in canon.values():
+            arr.flags.writeable = False
+        self.terms = MappingProxyType(
+            {k: v for k, v in sorted(canon.items()) if np.any(v != 0)}
+        )
 
     @classmethod
     def diagonal(cls, coeffs: Sequence, degree: int) -> "HomogeneousPolynomial":
@@ -333,35 +342,51 @@ def polynomial_to_json(P: HomogeneousPolynomial) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """An integral JSON number; booleans, strings and fractional values are rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
-    """Parse the term-map format, or the shortcut {"s": ..., "diagonal": [[...], ...]}."""
+    """Parse the term-map format, or the shortcut {"s": ..., "diagonal": [[...], ...]}.
+
+    Degrees, dimensions and key entries must be integral numbers; anything
+    else raises ValueError naming the field, never a silent truncation.
+    """
     if not isinstance(payload, dict):
         raise ValueError("polynomial payload must be a JSON object")
-    try:
-        s = int(payload["s"])
-    except KeyError as exc:
-        raise ValueError("polynomial payload is missing field 's'") from exc
+    if "s" not in payload:
+        raise ValueError("polynomial payload is missing field 's'")
+    s = _json_int(payload["s"], "s")
     if "diagonal" in payload:
         rows = payload["diagonal"]
         if not isinstance(rows, list) or not rows:
             raise ValueError("field 'diagonal' must be a nonempty array of coefficient rows")
-        return HomogeneousPolynomial.diagonal([_parse_row(r) for r in rows], s)
+        return HomogeneousPolynomial.diagonal([_parse_row(r, "diagonal") for r in rows], s)
     try:
-        n, d, raw_terms = int(payload["n"]), int(payload["d"]), payload["terms"]
+        n, d, raw_terms = payload["n"], payload["d"], payload["terms"]
     except KeyError as exc:
         raise ValueError(f"polynomial payload is missing field {exc.args[0]!r}") from exc
+    n, d = _json_int(n, "n"), _json_int(d, "d")
     terms = {}
     for item in raw_terms:
         try:
             key, coeff = item["key"], item["coeff"]
         except (TypeError, KeyError):
             raise ValueError("each term needs fields 'key' and 'coeff'") from None
-        terms[tuple(int(i) for i in key)] = _parse_row(coeff)
+        if not isinstance(key, list):
+            raise ValueError(f"field 'key' must be an array of integers, got {key!r}")
+        terms[tuple(_json_int(i, "key") for i in key)] = _parse_row(coeff, "coeff")
     return HomogeneousPolynomial(s, n, d, terms)
 
 
-def _parse_row(row) -> np.ndarray:
+def _parse_row(row, field: str) -> np.ndarray:
     values = row if isinstance(row, list) else [row]
+    if any(isinstance(v, bool) for v in values):
+        raise ValueError(f"field {field!r} must hold numbers, got {row!r}")
     if any(isinstance(v, str) for v in values):
         return np.array([Fraction(v) for v in values], dtype=object)
     return np.array([float(v) for v in values])

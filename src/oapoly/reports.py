@@ -10,6 +10,7 @@ meaningful across all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from typing import Any
@@ -20,6 +21,9 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
     "residual",
+    "row_residuals",
+    "identity_payload",
+    "cross_payload",
     "VerificationReport",
     "CLAIM_IDS",
 ]
@@ -79,32 +83,85 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-def residual(lhs, rhs, *, switch: float = DEFAULT_TOLERANCES.relative_switch):
-    """Scalar residual between two values (scalars, arrays or exact Fractions).
+def row_residuals(lhs: np.ndarray, rhs: np.ndarray, *,
+                  switch: float = DEFAULT_TOLERANCES.relative_switch) -> np.ndarray:
+    """Residual of each row of two stacked sides of shape (rows, ...).
 
     Componentwise |lhs - rhs|, divided by max(|lhs|, |rhs|) where that scale
-    exceeds ``switch``; the maximum over components is returned. Exact
-    Fraction inputs flow through unconverted, so a zero residual is exact.
+    exceeds ``switch``; each row reduces to the maximum over its components.
+    A row with a non-finite component on either side gets residual ``inf``.
+    Object arrays of exact Fractions flow through unconverted, so a zero
+    residual is exact.
     """
-    L = np.atleast_1d(np.asarray(lhs))
-    R = np.atleast_1d(np.asarray(rhs))
-    if L.shape != R.shape:
-        raise ValueError(f"shape mismatch: {L.shape} vs {R.shape}")
-    diff = np.abs(L - R)
-    scale = np.maximum(np.abs(L), np.abs(R))
-    out = diff[0] - diff[0]  # zero of the right scalar type
-    for d, sc in zip(diff.ravel(), scale.ravel()):
-        r = d / sc if sc > switch else d
-        if r > out:
-            out = r
+    if lhs.shape != rhs.shape:
+        raise ValueError(f"shape mismatch: {lhs.shape[1:]} vs {rhs.shape[1:]}")
+    diff = np.abs(lhs - rhs)
+    if diff.dtype.kind in "iu":
+        diff = diff.astype(float)
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    np.divide(diff, scale, out=diff, where=scale > switch)
+    out = np.maximum.reduce(diff.reshape(len(diff), -1), axis=1)
+    if out.dtype != object:
+        # a non-finite side leaves NaN in its component, which max propagates
+        out[np.isnan(out)] = np.inf
     return out
+
+
+def residual(lhs, rhs, *, switch: float = DEFAULT_TOLERANCES.relative_switch):
+    """Scalar residual between two values (scalars, arrays or exact Fractions):
+    the one-row case of `row_residuals`."""
+    return row_residuals(np.atleast_1d(lhs)[None], np.atleast_1d(rhs)[None], switch=switch)[0]
+
+
+def _has_nonfinite(*values) -> bool:
+    """True iff some float component of the given values is inf or NaN."""
+    for value in values:
+        arr = np.asarray(value)
+        if arr.dtype != object and not np.all(np.isfinite(arr)):
+            return True
+    return False
+
+
+def identity_payload(inputs, lhs, rhs, extra=None) -> dict:
+    """Counterexample of a failed identity check; tagged ``nonfinite`` when a
+    side holds inf or NaN."""
+    counterexample = {"inputs": inputs, "lhs": lhs, "rhs": rhs}
+    if extra:
+        counterexample.update(extra)
+    if _has_nonfinite(lhs, rhs):
+        counterexample["nonfinite"] = True
+    return counterexample
+
+
+def cross_payload(inputs, mixed_worst, recon_res, mixed_witness, total, recon) -> dict:
+    """Counterexample of a failed cross-term check."""
+    counterexample = {
+        "inputs": inputs,
+        "mixed_max": mixed_worst,
+        "binomial_residual": recon_res,
+    }
+    if mixed_witness:
+        counterexample.update(mixed_witness)
+    if _has_nonfinite(total, recon):
+        counterexample["nonfinite"] = True
+    return counterexample
+
+
+def _json_float(value: float) -> float | str:
+    if math.isfinite(value):
+        return value
+    return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
 
 
 def _json_safe(value: Any) -> Any:
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float):
+        return _json_float(value)
     if isinstance(value, np.ndarray):
         return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -135,6 +192,7 @@ class VerificationReport:
     inconclusive: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))
         if self.kind not in ("check", "falsify"):
             raise ValueError(f"unknown report kind {self.kind!r}")
         if self.trials < 0:
@@ -152,7 +210,8 @@ class VerificationReport:
                 raise ValueError("a report cannot both pass and be inconclusive")
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (Fractions become "p/q" strings)."""
+        """JSON-ready representation: Fractions become "p/q" strings and
+        non-finite floats the strings "inf", "-inf" and "nan"."""
         return _json_safe(asdict(self))
 
     def csv_row(self) -> list:

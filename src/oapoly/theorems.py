@@ -30,14 +30,22 @@ from typing import Sequence
 import numpy as np
 
 from . import sampling
-from .lattice import LatticeVector, PositiveVector, inf, is_disjoint
+from .lattice import DimensionMismatchError, LatticeVector, PositiveVector, inf, is_disjoint
 from .means import geometric_mean, harmonic_mean, root_mean_power, weighted_geometric_mean
 from .partitions import CompletePartition, enumerate_complete, weights
 from .polynomials import (
     HomogeneousPolynomial,
     is_positively_orthogonally_additive,
 )
-from .reports import DEFAULT_TOLERANCES, ToleranceConfig, VerificationReport, residual
+from .reports import (
+    CLAIM_IDS,
+    DEFAULT_TOLERANCES,
+    ToleranceConfig,
+    VerificationReport,
+    cross_payload,
+    identity_payload,
+    residual,
+)
 
 __all__ = [
     "PreconditionError",
@@ -71,9 +79,7 @@ def _identity_report(claim_id, fs, lhs, rhs, tol, cfg, extra=None) -> Verificati
     passed = res <= tol
     counterexample = None
     if not passed:
-        counterexample = {"inputs": _vector_payload(fs), "lhs": lhs, "rhs": rhs}
-        if extra:
-            counterexample.update(extra)
+        counterexample = identity_payload(_vector_payload(fs), lhs, rhs, extra)
     return VerificationReport(
         claim_id=claim_id,
         trials=1,
@@ -299,7 +305,9 @@ def check_cross_terms(
         term = val * math.comb(s, k)
         recon = term if recon is None else recon + term
         if 1 <= k <= s - 1:
-            mag = float(max(abs(v) for v in np.atleast_1d(val)))
+            mag = float(np.max(np.abs(val)))
+            if math.isnan(mag):
+                mag = math.inf
             if mag > mixed_worst:
                 mixed_worst = mag
                 if mag > cfg.mixed_abs:
@@ -309,13 +317,9 @@ def check_cross_terms(
     passed = mixed_worst <= cfg.mixed_abs and recon_res <= cfg.identity_rel
     counterexample = None
     if not passed:
-        counterexample = {
-            "inputs": _vector_payload([f, g]),
-            "mixed_max": mixed_worst,
-            "binomial_residual": recon_res,
-        }
-        if mixed_witness:
-            counterexample.update(mixed_witness)
+        counterexample = cross_payload(
+            _vector_payload([f, g]), mixed_worst, recon_res, mixed_witness, total, recon
+        )
     return VerificationReport(
         claim_id="CROSS_TERMS",
         trials=1,
@@ -466,19 +470,70 @@ def falsify(
 
 # -- randomized sweep runners ----------------------------------------------------
 
+BLOCK_TRIALS = 1024
+"""Trials drawn and evaluated together; bounds memory whatever the trial count."""
 
-def _aggregate(claim_id, reports, tolerance) -> VerificationReport:
-    worst = max((r.max_residual for r in reports), default=0.0)
-    counterexample = next((r.counterexample for r in reports if not r.passed), None)
-    passed = all(r.passed for r in reports)
-    return VerificationReport(
-        claim_id=claim_id,
-        trials=len(reports),
-        max_residual=worst,
-        tolerance=tolerance,
-        passed=passed,
-        counterexample=counterexample,
-    )
+POLY_CLAIMS = ("RMP", "GM", "HM", "WGM", "CROSS_TERMS")
+
+
+def _tolerance(claim_id: str, cfg: ToleranceConfig) -> float:
+    return {
+        "SCHUR": float(cfg.ulp_slack),
+        "ORTHO": 0.0,
+        "GEOS": cfg.geos_rel,
+        "CROSS_TERMS": cfg.mixed_abs,
+    }.get(claim_id, cfg.identity_rel)
+
+
+def _check_claim_inputs(claim_id, poly, s, n, d, partition) -> None:
+    """Raise what the claim's check_* raises on the first trial."""
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    if claim_id not in POLY_CLAIMS:
+        return
+    degree = s if poly is None else poly.degree
+    if claim_id == "HM":
+        if degree < 2:
+            raise PreconditionError("the harmonic-mean identity needs degree >= 2")
+        if s != degree:
+            raise PreconditionError(f"the identity needs exactly {degree} vectors")
+    elif claim_id == "GM" and s != degree:
+        raise PreconditionError(f"the geometric-mean identity needs exactly {degree} vectors")
+    elif claim_id == "WGM":
+        target = s if partition is None else partition.target
+        if target != degree:
+            raise PreconditionError(
+                f"partition target {target} does not match polynomial degree {degree}"
+            )
+    if poly is None and d < 1:
+        raise ValueError(f"codomain dimension d must be >= 1, got {d}")
+    if poly is not None and poly.domain_dim != n:
+        raise DimensionMismatchError(
+            f"vector dimension {n} does not match domain {poly.domain_dim}"
+        )
+
+
+def _checked_rows(claim_id, draws, P, cfg, partition_of):
+    """Each trial through its check_* function: the path for exact polynomials."""
+    reports = []
+    for t, k in enumerate(draws.counts.tolist()):
+        fs = [PositiveVector(v) for v in draws.vectors[t, :k]]
+        if claim_id == "RMP":
+            rep = check_rmp(P, fs, cfg)
+        elif claim_id == "GM":
+            rep = check_gm(P, fs, cfg)
+        elif claim_id == "HM":
+            rep = check_hm_identity(P, fs, cfg)
+        elif claim_id == "WGM":
+            pick = None if draws.picks is None else draws.picks[t]
+            rep = check_wgm_identity(P, partition_of(pick), fs, cfg)
+        else:
+            f, g = (PositiveVector(v) for v in draws.pairs[t])
+            rep = check_cross_terms(P, f, g, cfg)
+        reports.append(rep)
+    residuals = np.array([r.max_residual for r in reports])
+    passed = np.array([r.passed for r in reports])
+    return residuals, passed, lambda t: reports[t].counterexample
 
 
 def verify_claim(
@@ -499,50 +554,58 @@ def verify_claim(
     diagonal ones per trial (the additive family the forward statements
     quantify over). The aggregate keeps the worst residual and the first
     counterexample. Identical seeds give identical reports.
+
+    Trials run in array blocks of up to `BLOCK_TRIALS`. A block draws its
+    trials one after another with the generator calls of the per-trial
+    sampling helpers, then evaluates both sides of the claim for every trial
+    at once on (T, k, n) stacks, in the arithmetic order of the claim's
+    check_* function. Reports are the same, bit for bit, as checking each
+    trial with its check_* function; an exact-rational ``poly`` takes that
+    per-trial route.
     """
+    # imported here, so that only sweeps pay to compile the block kernels
+    # (about 5 ms at every start-up of a command that never sweeps)
+    from . import blocks
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if s < 2 and claim_id in ("HM", "GM", "WGM", "RMP", "CROSS_TERMS"):
+    if s < 2 and claim_id in POLY_CLAIMS:
         raise ValueError(f"claim {claim_id} needs degree s >= 2")
+    if claim_id not in CLAIM_IDS:
+        raise ValueError(f"unknown claim {claim_id!r}")
+    _check_claim_inputs(claim_id, poly, s, n, d, partition)
+    pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
+
+    def partition_of(key):
+        return partition or CompletePartition(pool[key], s)
+
+    if claim_id not in POLY_CLAIMS:
+        poly = None
+    random_poly = claim_id in POLY_CLAIMS and poly is None
+    exact = poly is not None and poly.is_exact
+    shared = None if poly is None or exact else blocks.TermStack.of(poly)
     rng = np.random.default_rng(seed)
-    partitions_pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
-    reports = []
-    for _ in range(trials):
-        P = poly
-        if P is None and claim_id in ("RMP", "GM", "HM", "WGM", "CROSS_TERMS"):
-            P = sampling.diagonal_polynomial(rng, s, n, d)
-        if claim_id == "RMP":
-            r = int(rng.integers(2, 5))
-            rep = check_rmp(P, sampling.positive_tuple(rng, r, n), cfg)
-        elif claim_id == "GM":
-            rep = check_gm(P, sampling.positive_tuple(rng, s, n), cfg)
-        elif claim_id == "SCHUR":
-            arity = int(rng.integers(1, s + 1))
-            rep = check_schur_bounds(sampling.positive_tuple(rng, arity, n), cfg)
-        elif claim_id == "ORTHO":
-            arity = int(rng.integers(2, max(3, s + 1)))
-            rep = check_eta_disjoint(sampling.tuple_with_disjoint_pair(rng, arity, n), cfg)
-        elif claim_id == "HM":
-            rep = check_hm_identity(P, sampling.positive_tuple(rng, s, n), cfg)
-        elif claim_id == "GEOS":
-            cp = partition or CompletePartition(
-                partitions_pool[int(rng.integers(0, len(partitions_pool)))], s
-            )
-            rep = check_geos_lemma(cp, sampling.positive_tuple(rng, len(cp.parts), n), cfg)
-        elif claim_id == "WGM":
-            cp = partition or CompletePartition(
-                partitions_pool[int(rng.integers(0, len(partitions_pool)))], s
-            )
-            rep = check_wgm_identity(
-                P, cp, sampling.positive_tuple(rng, len(cp.parts), n), cfg
-            )
-        elif claim_id == "CROSS_TERMS":
-            f, g = sampling.disjoint_pair(rng, n)
-            rep = check_cross_terms(P, f, g, cfg)
+    worst, passed, counterexample = 0.0, True, None
+    for start in range(0, trials, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, trials - start)
+        draws = blocks.draw(claim_id, rng, size, s, n, d if random_poly else None, pool, partition)
+        if exact:
+            res, ok, payload = _checked_rows(claim_id, draws, poly, cfg, partition_of)
         else:
-            raise ValueError(f"unknown claim {claim_id!r}")
-        reports.append(rep)
-    return _aggregate(claim_id, reports, reports[0].tolerance)
+            P = blocks.TermStack.diagonal(draws.coeffs, s) if random_poly else shared
+            res, ok, payload = blocks.rows(claim_id, draws, P, cfg, partition_of)
+        worst = max(worst, float(res.max()))
+        if passed and not ok.all():
+            passed = False
+            counterexample = payload(int(np.argmin(ok)))
+    return VerificationReport(
+        claim_id=claim_id,
+        trials=trials,
+        max_residual=worst,
+        tolerance=_tolerance(claim_id, cfg),
+        passed=passed,
+        counterexample=counterexample,
+    )
 
 
 def verify_all(

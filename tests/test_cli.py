@@ -1,5 +1,6 @@
 """CLI surface: output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,21 @@ class TestPoly:
                                "--trials", "32", "--seed", "1", "--exhaustive")
         assert code == 1 and json.loads(out)["passed"] is False
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"s": 2.7, "n": 2, "d": 1, "terms": [{"key": [0, 0], "coeff": [1.0]}]}, "'s'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0.5, 1], "coeff": [1.0]}]}, "'key'"),
+        ({"s": 2, "n": True, "d": 1, "terms": [{"key": [0, 1], "coeff": [1.0]}]}, "'n'"),
+    ])
+    def test_non_integral_poly_is_usage_error(self, capsys, tmp_path, payload, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "poly", "oa-check", "--poly", str(path),
+                               "--trials", "8", "--seed", "0")
+        assert code == 2 and field in err
+        code, _, err = run_cli(capsys, "verify", "hm", "--s", "2", "--n", "2",
+                               "--trials", "5", "--poly", str(path))
+        assert code == 2 and field in err
+
     def test_malformed_poly_names_field(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"n": 2, "d": 1, "terms": []}))
@@ -191,6 +207,20 @@ class TestVerify:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    # sha256 of `verify all --format json` stdout, recorded before trials ran as
+    # array blocks; a deliberate change of the random stream updates them
+    @pytest.mark.parametrize("s, n, d, trials, seed, digest", [
+        (2, 3, 1, 50, 1, "491aae4b8c2fb8b30c315eacc4628cbd4d2b6c1383b813a8a80b81dad4554adb"),
+        (3, 4, 2, 100, 7, "c4edd3d119ab1f93bd77fb1ab18cf3e9c1fb2fe9f8a938c06a87c81025e3d850"),
+        (5, 6, 3, 40, 2024, "b71123ec71f005ac9d540aecb8ab21d76fd2bad609b60b1f4f71c67e6eb72611"),
+    ])
+    def test_golden_digest(self, capsys, s, n, d, trials, seed, digest):
+        code, out, _ = run_cli(capsys, "verify", "all", "--s", str(s), "--n", str(n),
+                               "--d", str(d), "--trials", str(trials), "--seed", str(seed),
+                               "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_failing_poly_exit_one(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"

@@ -19,6 +19,7 @@ from oapoly import (
     polynomial_to_json,
 )
 from oapoly.lattice import DimensionMismatchError
+from oapoly.blocks import TermStack
 from oapoly.sampling import sparse_polynomial
 
 
@@ -246,3 +247,77 @@ class TestJson:
             polynomial_from_json({"n": 2})
         with pytest.raises(ValueError, match="'terms'"):
             polynomial_from_json({"s": 2, "n": 2, "d": 1})
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"s": 2.7, "diagonal": [[1.0], [1.0]]}, "'s'"),
+        ({"s": True, "diagonal": [[1.0]]}, "'s'"),
+        ({"s": "2", "diagonal": [[1.0]]}, "'s'"),
+        ({"s": 2, "n": 2.5, "d": 1, "terms": []}, "'n'"),
+        ({"s": 2, "n": 2, "d": False, "terms": []}, "'d'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0.5, 1], "coeff": [1.0]}]}, "'key'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [True, 1], "coeff": [1.0]}]}, "'key'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": 1, "coeff": [1.0]}]}, "'key'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1], "coeff": [True]}]}, "'coeff'"),
+    ])
+    def test_non_integral_fields_rejected(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            polynomial_from_json(payload)
+
+    def test_integral_floats_accepted(self):
+        P = polynomial_from_json(
+            {"s": 2.0, "n": 2, "d": 1, "terms": [{"key": [0.0, 1], "coeff": [1.0]}]}
+        )
+        assert P.degree == 2 and list(P.terms) == [(0, 1)]
+
+
+class TestImmutability:
+    def test_terms_cannot_change(self):
+        coeff = np.array([1.0])
+        Q = HomogeneousPolynomial(2, 2, 1, {(0, 0): coeff})
+        with pytest.raises(TypeError):
+            Q.terms[(0, 1)] = np.array([1.0])
+        with pytest.raises(ValueError):
+            Q.terms[(0, 0)][0] = 5.0
+        coeff[0] = 5.0  # the caller's array is not shared
+        assert Q(vec(1.0, 0.0))[0] == 1.0
+
+    def test_coefficient_returns_a_writable_copy(self):
+        Q = make_diagonal([1.0, 2.0], 2)
+        c = Q.coefficient((1, 1))
+        c[0] = 7.0
+        assert Q.coefficient((1, 1))[0] == 2.0
+
+
+class TestTermStack:
+    """Stacked evaluation repeats the scalar arithmetic bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.integers(1, 3), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_rows_equal_scalar_evaluation(self, s, n, d, T, seed):
+        rng = np.random.default_rng(seed)
+        if s > 1 and n > 1:
+            P = sparse_polynomial(rng, s, n, d, mixed_terms=4, mixed_mass=0.5)
+        else:
+            P = make_diagonal(rng.uniform(-2, 2, (n, d)), s)
+        X = np.exp(rng.uniform(-5, 5, (T, s, n)))
+        stack = TermStack.of(P)
+        values = stack(X[:, 0])
+        forms = stack.form([X[:, k] for k in range(s)])
+        for t in range(T):
+            fs = [PositiveVector(X[t, k]) for k in range(s)]
+            assert np.array_equal(values[t], P(fs[0]))
+            assert np.array_equal(forms[t], P.multilinear(*fs))
+
+    def test_diagonal_stack_rows_are_separate_polynomials(self):
+        coeffs = np.array([[[1.0], [2.0]], [[-1.0], [0.5]]])  # (T=2, n=2, d=1)
+        stack = TermStack.diagonal(coeffs, 3)
+        X = np.array([[1.0, 2.0], [3.0, 1.0]])
+        assert stack(X).ravel().tolist() == [1.0 + 2.0 * 8, -27.0 + 0.5]
+        assert stack.take(np.array([1]))(X[1:]).ravel().tolist() == [-27.0 + 0.5]
+
+    def test_zero_polynomial(self):
+        stack = TermStack.of(HomogeneousPolynomial(2, 2, 3, {}))
+        X = np.ones((4, 2))
+        assert np.array_equal(stack(X), np.zeros((4, 3)))
+        assert np.array_equal(stack.form([X, X]), np.zeros((4, 3)))

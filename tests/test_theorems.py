@@ -1,10 +1,13 @@
 """Identity checks and falsification, including exact-rational replication."""
 
+import json
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oapoly import (
     CompletePartition,
@@ -20,13 +23,23 @@ from oapoly import (
     check_rmp,
     check_schur_bounds,
     check_wgm_identity,
+    enumerate_complete,
     falsify,
     make_diagonal,
+    residual,
     verify_all,
     verify_claim,
 )
-from oapoly.reports import VerificationReport
-from oapoly.sampling import diagonal_polynomial, positive_tuple, sparse_polynomial
+from oapoly import theorems
+from oapoly.lattice import DimensionMismatchError
+from oapoly.reports import DEFAULT_TOLERANCES, VerificationReport
+from oapoly.sampling import (
+    diagonal_polynomial,
+    disjoint_pair,
+    positive_tuple,
+    sparse_polynomial,
+    tuple_with_disjoint_pair,
+)
 
 
 def pv(*entries):
@@ -407,3 +420,212 @@ class TestReportInvariants:
         rep = check_schur_bounds([pv(1.0), pv(3.0)])
         payload = rep.to_dict()
         assert payload["claim_id"] == "SCHUR" and payload["passed"] is True
+
+
+class TestNonFinite:
+    """A side that overflows or is NaN fails its check with residual inf."""
+
+    def test_residual_sees_nan_past_the_first_component(self):
+        assert residual([1.0, float("nan")], [1.0, 1.0]) == math.inf
+        assert residual([float("inf")], [float("inf")]) == math.inf
+        assert residual([1.0, 2.0], [1.0, 2.0]) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 11),
+    )
+    def test_residual_policy(self, xs, ys, bad, where):
+        k = min(len(xs), len(ys))
+        lhs, rhs = np.array(xs[:k]), np.array(ys[:k])
+        expect = 0.0
+        for a, b in zip(lhs, rhs):
+            scale = max(abs(a), abs(b))
+            expect = max(expect, abs(a - b) / scale if scale > 1.0 else abs(a - b))
+        assert residual(lhs, rhs) == expect
+        side = lhs if where % 2 else rhs
+        side[(where // 2) % k] = bad
+        assert residual(lhs, rhs) == math.inf
+
+    @pytest.mark.parametrize("check", [check_rmp, check_gm, check_hm_identity])
+    def test_overflowing_polynomial_fails(self, check):
+        # P(f) overflows to inf in the second codomain component on both sides
+        P = make_diagonal([[1.0, 1.0], [1.0, 1e300]], 2)
+        rep = check(P, [pv(1.0, 1e10), pv(2.0, 1e10)])
+        assert not rep.passed and rep.max_residual == math.inf
+        assert rep.counterexample["nonfinite"] is True
+        payload = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        assert payload["max_residual"] == "inf"
+        assert payload["counterexample"]["lhs"][1] == "inf"
+
+    def test_verify_claim_fails_on_overflow(self):
+        P = make_diagonal([[1.0, 1.0], [1.0, 1e308]], 2)
+        rep = verify_claim("RMP", s=2, n=2, trials=5, seed=0, poly=P)
+        ref = reference_verify("RMP", s=2, n=2, trials=5, seed=0, poly=P)
+        assert rep.to_dict() == ref.to_dict()
+        assert rep.max_residual == math.inf and rep.counterexample["nonfinite"] is True
+
+
+class TestJsonSafeReports:
+    def reports(self):
+        P = make_diagonal([1.0, 2.0], 2)
+        cp = CompletePartition((1, 1), 2)
+        yield check_rmp(P, [pv(1, 2), pv(3, 4)])
+        yield check_gm(P, [pv(1, 2), pv(3, 4)])
+        yield check_schur_bounds([pv(1, 2), pv(3, 4)])
+        yield check_eta_disjoint([pv(1, 0), pv(0, 4)])
+        yield check_hm_identity(P, [pv(1, 2), pv(3, 4)])
+        yield check_geos_lemma(cp, [pv(1, 2), pv(3, 4)])
+        yield check_wgm_identity(P, cp, [pv(1, 2), pv(3, 4)])
+        yield check_cross_terms(P, pv(1, 0), pv(0, 4))
+        yield check_cross_terms(square_of_sum(), pv(1, 0), pv(0, 1))
+        yield check_hm_identity(square_of_sum(), [pv(1, 0), pv(0, 1)])
+
+    def test_every_check_report_serializes(self):
+        for rep in self.reports():
+            assert type(rep.passed) is bool
+            payload = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+            assert payload["passed"] is rep.passed
+
+    def test_finite_bytes_unchanged(self):
+        rep = check_hm_identity(square_of_sum(), [pv(1, 0), pv(0, 1)])
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(
+            {"claim_id": "HM", "counterexample": {"inputs": [[1.0, 0.0], [0.0, 1.0]],
+             "lhs": [2.0], "rhs": [0.0]}, "inconclusive": False, "kind": "check",
+             "max_residual": 1.0, "passed": False, "tolerance": 1e-09, "trials": 1},
+            sort_keys=True,
+        )
+
+
+# -- block evaluation against a per-trial reference ---------------------------------
+
+
+def reference_verify(claim_id, *, s=3, n=4, d=1, trials=100, seed=0, partition=None,
+                     poly=None, cfg=DEFAULT_TOLERANCES):
+    """verify_claim as a loop over single trials: redraw each trial's inputs with
+    the sampling helpers and aggregate the check_* reports."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if s < 2 and claim_id in ("HM", "GM", "WGM", "RMP", "CROSS_TERMS"):
+        raise ValueError(f"claim {claim_id} needs degree s >= 2")
+    rng = np.random.default_rng(seed)
+    pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
+    reports = []
+    for _ in range(trials):
+        P = poly
+        if P is None and claim_id in ("RMP", "GM", "HM", "WGM", "CROSS_TERMS"):
+            P = diagonal_polynomial(rng, s, n, d)
+        if claim_id == "RMP":
+            r = int(rng.integers(2, 5))
+            rep = check_rmp(P, positive_tuple(rng, r, n), cfg)
+        elif claim_id == "GM":
+            rep = check_gm(P, positive_tuple(rng, s, n), cfg)
+        elif claim_id == "SCHUR":
+            arity = int(rng.integers(1, s + 1))
+            rep = check_schur_bounds(positive_tuple(rng, arity, n), cfg)
+        elif claim_id == "ORTHO":
+            arity = int(rng.integers(2, max(3, s + 1)))
+            rep = check_eta_disjoint(tuple_with_disjoint_pair(rng, arity, n), cfg)
+        elif claim_id == "HM":
+            rep = check_hm_identity(P, positive_tuple(rng, s, n), cfg)
+        elif claim_id in ("GEOS", "WGM"):
+            cp = partition or CompletePartition(pool[int(rng.integers(0, len(pool)))], s)
+            fs = positive_tuple(rng, len(cp.parts), n)
+            if claim_id == "GEOS":
+                rep = check_geos_lemma(cp, fs, cfg)
+            else:
+                rep = check_wgm_identity(P, cp, fs, cfg)
+        elif claim_id == "CROSS_TERMS":
+            f, g = disjoint_pair(rng, n)
+            rep = check_cross_terms(P, f, g, cfg)
+        else:
+            raise ValueError(f"unknown claim {claim_id!r}")
+        reports.append(rep)
+    return VerificationReport(
+        claim_id=claim_id,
+        trials=len(reports),
+        max_residual=max(r.max_residual for r in reports),
+        tolerance=reports[0].tolerance,
+        passed=all(r.passed for r in reports),
+        counterexample=next((r.counterexample for r in reports if not r.passed), None),
+    )
+
+
+def outcome(run, claim_id, **kwargs):
+    """A report's JSON form, or the type and message of the error raised."""
+    try:
+        return run(claim_id, **kwargs).to_dict()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+CLAIMS = ("RMP", "GM", "SCHUR", "ORTHO", "HM", "GEOS", "WGM", "CROSS_TERMS")
+
+
+def claim_polynomial(kind, rng, s, n, d):
+    if kind == "diagonal":
+        return make_diagonal(rng.uniform(-2, 2, (n, d)), s)
+    if kind == "sparse":
+        return sparse_polynomial(rng, s, max(n, 2), d, mixed_terms=3,
+                                 mixed_mass=0.3 if s > 1 else 0.0)
+    return square_of_sum() if kind == "square_of_sum" else None
+
+
+class TestBlockEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(CLAIMS),
+        st.integers(1, 5),
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, "diagonal", "sparse", "square_of_sum"]),
+        st.booleans(),
+        st.sampled_from([7, theorems.BLOCK_TRIALS]),
+    )
+    def test_block_matches_per_trial_reference(self, claim_id, s, n, d, trials, seed, kind,
+                                               use_partition, block):
+        if claim_id in theorems.POLY_CLAIMS:
+            s = max(s, 2)
+        rng = np.random.default_rng(seed)
+        kwargs = dict(s=s, n=n, d=d, trials=trials, seed=seed,
+                      poly=claim_polynomial(kind, rng, s, n, d))
+        if use_partition and claim_id in ("GEOS", "WGM"):
+            pool = enumerate_complete(s)
+            kwargs["partition"] = CompletePartition(pool[int(rng.integers(len(pool)))], s)
+        with patch.object(theorems, "BLOCK_TRIALS", block):
+            got = outcome(verify_claim, claim_id, **kwargs)
+        assert got == outcome(reference_verify, claim_id, **kwargs)
+
+    def test_exact_polynomial_takes_the_per_trial_route(self):
+        P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [Fraction(1)], (0, 1): [Fraction(1, 2)]})
+        for claim_id in theorems.POLY_CLAIMS:
+            kwargs = dict(s=2, n=2, trials=12, seed=4, poly=P)
+            assert outcome(verify_claim, claim_id, **kwargs) == outcome(
+                reference_verify, claim_id, **kwargs)
+
+    @pytest.mark.parametrize("claim_id, kwargs, error", [
+        ("RMP", dict(s=2, n=3, poly=square_of_sum()), DimensionMismatchError),
+        ("CROSS_TERMS", dict(s=2, n=1, poly=square_of_sum()), DimensionMismatchError),
+        ("HM", dict(s=3, n=2, poly=square_of_sum()), PreconditionError),
+        ("HM", dict(s=2, n=2, poly=make_diagonal([1.0], 1)), PreconditionError),
+        ("GM", dict(s=3, n=2, poly=square_of_sum()), PreconditionError),
+        ("WGM", dict(s=3, n=2, poly=square_of_sum()), PreconditionError),
+        ("WGM", dict(s=2, n=2, partition=CompletePartition((1, 1, 1), 3)), PreconditionError),
+        ("HM", dict(s=1), ValueError),
+        ("CROSS_TERMS", dict(s=0), ValueError),
+        ("SCHUR", dict(s=0), ValueError),
+        ("GEOS", dict(s=0), ValueError),
+        ("NOPE", dict(), ValueError),
+    ])
+    def test_error_parity(self, claim_id, kwargs, error):
+        with pytest.raises(error):
+            verify_claim(claim_id, trials=3, **kwargs)
+        got = outcome(verify_claim, claim_id, trials=3, **kwargs)
+        ref = outcome(reference_verify, claim_id, trials=3, **kwargs)
+        assert got[0] == ref[0] == error.__name__
+        if error is not ValueError:
+            assert got == ref
