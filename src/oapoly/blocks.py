@@ -1,10 +1,12 @@
-"""The eight claims evaluated on array blocks of trials, for `verify_claim`.
+"""The eight claims evaluated on array blocks of trials, for `verify_claim`
+and the random phase of `falsify`.
 
 `draw` makes the inputs of a block of T trials, drawn one trial after
 another with the generator calls of the per-trial sampling helpers (so the
 random stream is that of a loop over single trials), and `rows` evaluates
 both sides of a claim for every trial of the block at once, on (T, k, n)
-stacks, with polynomials held as a `TermStack`. Each kernel repeats the
+stacks, with polynomials held as a `TermStack`; `sides` gives the two sides
+of the polynomial identities that `falsify` searches. Each kernel repeats the
 arithmetic of the claim's check_* function in the same order (sequential
 products over slots, then sequential accumulation over keys), so every
 row's values are bit-identical to checking that trial alone. Where the
@@ -19,7 +21,6 @@ checks them before drawing.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import NamedTuple, Sequence
 
@@ -32,11 +33,11 @@ from .means import (
     weighted_geometric_mean_stack,
 )
 from .partitions import CompletePartition, weights
-from .polynomials import HomogeneousPolynomial, _arrangements, _multinomial
+from .polynomials import TermStack
 from .reports import cross_payload, identity_payload, row_residuals
 from .sampling import COEFF_HIGH, COEFF_LOW, LOG_HIGH, LOG_LOW, SIGNS
 
-__all__ = ["TrialDraws", "draw_trials", "draw", "TermStack", "rows"]
+__all__ = ["TrialDraws", "draw_trials", "draw", "sides", "rows"]
 
 
 # -- drawing -------------------------------------------------------------------
@@ -155,95 +156,47 @@ def draw(claim_id, rng, trials, s, n, d, pool, partition) -> TrialDraws:
     return draw_trials(rng, trials, n, d=d, **spec)
 
 
-# -- polynomials on stacked rows ------------------------------------------------
+# -- the two sides of the polynomial identities ---------------------------------
 
 
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """((0 + t_0) + t_1) + ... over axis 1 of (T, m, d) terms: the order in
-    which the scalar evaluators accumulate over keys."""
-    if terms.shape[1] == 0:
-        return np.zeros((terms.shape[0], terms.shape[2]))
-    terms[:, 0] += 0.0
-    return np.add.accumulate(terms, axis=1)[:, -1]
+def _rmp_sides(P, X, cp=None):
+    return P(root_mean_power_stack(P.degree, X)), sum(P(X[:, i]) for i in range(X.shape[1]))
 
 
-class TermStack:
-    """A stack of T float polynomials of one degree that share one key set.
+def _gm_sides(P, X, cp=None):
+    return P(geometric_mean_stack(X)), P.form([X[:, i] for i in range(X.shape[1])])
 
-    ``keys`` are canonical index multisets and ``coeffs`` has shape (T, m, d),
-    or (1, m, d) for one polynomial shared by every row. Evaluation takes
-    stacked rows and repeats, row by row, the arithmetic of
-    `HomogeneousPolynomial.__call__` and `SymmetricMultilinearView.__call__`
-    in the same order (sequential products over slots, then sequential
-    accumulation over keys), so each row's value is bit-identical to the
-    scalar evaluation of that row's polynomial.
-    """
 
-    def __init__(self, degree: int, keys: Sequence[tuple[int, ...]], coeffs: np.ndarray):
-        keys = [tuple(k) for k in keys]
-        self.coeffs = coeffs
-        self._index = np.array(keys, dtype=np.intp).reshape(len(keys), degree)
-        self._weights = np.array([_multinomial(k) for k in keys], dtype=float)
-        arrangements = [_arrangements(k) for k in keys]
-        # all arrangements of all keys, shape (sum of multinomials, s)
-        self._table = np.concatenate([np.empty((0, degree), dtype=np.intp), *arrangements])
-        bounds = np.cumsum([0] + [len(a) for a in arrangements])
-        self._starts = bounds[:-1]
-        self._sums = [(i, int(a), int(b)) for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-                      if b - a > 1]
+def _hm_sides(P, X, cp=None):
+    s = X.shape[1]
+    slots = [X[:, i] for i in range(s)]
+    eta = harmonic_mean_stack(X)
+    lhs = P.form(slots) * s
+    rhs = None
+    for j in range(s):
+        term = P.form(slots[:j] + [eta] + slots[j + 1:])
+        rhs = term if rhs is None else rhs + term
+    return lhs, rhs
 
-    @classmethod
-    def of(cls, P: HomogeneousPolynomial) -> "TermStack":
-        """One float polynomial, shared by every row."""
-        if P.is_exact:
-            raise ValueError("a term stack holds float coefficients only")
-        coeffs = np.zeros((1, len(P.terms), P.codomain_dim))
-        for i, coeff in enumerate(P.terms.values()):
-            coeffs[0, i] = coeff
-        return cls(P.degree, list(P.terms), coeffs)
 
-    @classmethod
-    def diagonal(cls, coeffs: np.ndarray, degree: int) -> "TermStack":
-        """Row t is sum_i coeffs[t, i] x_i^degree, for coeffs of shape (T, n, d)."""
-        return cls(degree, [(i,) * degree for i in range(coeffs.shape[1])], coeffs)
+def _repeats(cp: CompletePartition) -> np.ndarray:
+    """Slot k of the repeated-argument form holds argument _repeats(cp)[k]."""
+    return np.repeat(np.arange(len(cp.parts)), cp.parts)
 
-    @property
-    def degree(self) -> int:
-        return self._index.shape[1]
 
-    def take(self, rows: np.ndarray) -> "TermStack":
-        """The stack of the given rows' polynomials (itself when one is shared)."""
-        if self.coeffs.shape[0] == 1:
-            return self
-        out = copy.copy(self)
-        out.coeffs = self.coeffs[rows]
-        return out
+def _wgm_sides(P, X, cp):
+    lhs = P(weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X))
+    return lhs, P.form([X[:, i] for i in _repeats(cp)])
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        """P at each row of X (T, n); returns (T, d)."""
-        index = self._index
-        monomial = X[:, index[:, 0]]
-        for k in range(1, index.shape[1]):
-            monomial = monomial * X[:, index[:, k]]
-        return _sum_terms(self.coeffs * (self._weights * monomial)[:, :, None])
 
-    def form(self, slots: Sequence[np.ndarray]) -> np.ndarray:
-        """The symmetric form at stacked arguments: slots[k] (T, n) fills slot k."""
-        table = self._table
-        if len(slots) != table.shape[1]:
-            raise ValueError(f"the form takes exactly {table.shape[1]} vectors, got {len(slots)}")
-        products = slots[0][:, table[:, 0]]
-        for k in range(1, table.shape[1]):
-            products = products * slots[k][:, table[:, k]]
-        totals = products
-        if self._sums:
-            # C order, so that each row's sum over a key's arrangements is numpy's
-            # pairwise sum of a contiguous vector, as in the scalar form
-            products = np.ascontiguousarray(products)
-            totals = products[:, self._starts]
-            for i, a, b in self._sums:
-                totals[:, i] = products[:, a:b].sum(axis=1)
-        return _sum_terms(self.coeffs * totals[:, :, None])
+_SIDES = {"RMP": _rmp_sides, "GM": _gm_sides, "HM": _hm_sides, "WGM": _wgm_sides}
+
+
+def sides(claim_id, P: TermStack, X: np.ndarray, cp: CompletePartition | None = None):
+    """Both sides, (T, d) each, of the RMP, GM, HM or WGM identity (WGM for
+    the partition ``cp``) for the tuples X (T, k, n), in the arithmetic order
+    of the claim's check_* function."""
+    return _SIDES[claim_id](P, X, cp)
 
 
 # -- claim kernels -------------------------------------------------------------
@@ -271,25 +224,17 @@ def _identity_rows(lhs, rhs, tol, cfg, X, extra=None):
     return res, res <= tol, lambda i: identity_payload(X[i].tolist(), lhs[i], rhs[i], extra)
 
 
-def _repeats(cp: CompletePartition) -> np.ndarray:
-    """Slot k of the repeated-argument form holds argument _repeats(cp)[k]."""
-    return np.repeat(np.arange(len(cp.parts)), cp.parts)
-
-
 def _rmp_rows(draws, P, cfg, partition_of):
     def group(rows, k):
-        X, Pg = draws.vectors[rows, :k], P.take(rows)
-        lhs = Pg(root_mean_power_stack(Pg.degree, X))
-        rhs = sum(Pg(X[:, i]) for i in range(k))
-        return _identity_rows(lhs, rhs, cfg.identity_rel, cfg, X)
+        X = draws.vectors[rows, :k]
+        return _identity_rows(*_rmp_sides(P.take(rows), X), cfg.identity_rel, cfg, X)
 
     return _grouped(draws.counts, group)
 
 
 def _gm_rows(draws, P, cfg, partition_of):
     X = draws.vectors
-    slots = [X[:, i] for i in range(X.shape[1])]
-    return _identity_rows(P(geometric_mean_stack(X)), P.form(slots), cfg.identity_rel, cfg, X)
+    return _identity_rows(*_gm_sides(P, X), cfg.identity_rel, cfg, X)
 
 
 def _schur_rows(draws, P, cfg, partition_of):
@@ -329,15 +274,7 @@ def _ortho_rows(draws, P, cfg, partition_of):
 
 def _hm_rows(draws, P, cfg, partition_of):
     X = draws.vectors
-    s = X.shape[1]
-    slots = [X[:, i] for i in range(s)]
-    eta = harmonic_mean_stack(X)
-    lhs = P.form(slots) * s
-    rhs = None
-    for j in range(s):
-        term = P.form(slots[:j] + [eta] + slots[j + 1:])
-        rhs = term if rhs is None else rhs + term
-    return _identity_rows(lhs, rhs, cfg.identity_rel, cfg, X)
+    return _identity_rows(*_hm_sides(P, X), cfg.identity_rel, cfg, X)
 
 
 def _partition_keys(draws) -> np.ndarray:
@@ -358,9 +295,8 @@ def _geos_rows(draws, P, cfg, partition_of):
 def _wgm_rows(draws, P, cfg, partition_of):
     def group(rows, key):
         cp = partition_of(key)
-        X, Pg = draws.vectors[rows, :len(cp.parts)], P.take(rows)
-        lhs = Pg(weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X))
-        rhs = Pg.form([X[:, i] for i in _repeats(cp)])
+        X = draws.vectors[rows, :len(cp.parts)]
+        lhs, rhs = _wgm_sides(P.take(rows), X, cp)
         return _identity_rows(lhs, rhs, cfg.identity_rel, cfg, X, {"partition": list(cp.parts)})
 
     return _grouped(_partition_keys(draws), group)

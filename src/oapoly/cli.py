@@ -44,7 +44,7 @@ from .polynomials import (
     polynomial_from_json,
     polynomial_to_json,
 )
-from .reports import CSV_HEADER, VerificationReport
+from .reports import CSV_HEADER, VerificationReport, json_safe
 from .theorems import FALSIFIABLE_CLAIMS, PreconditionError, falsify, verify_all, verify_claim
 
 __all__ = ["main", "run"]
@@ -71,7 +71,8 @@ class UsageError(Exception):
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print strict JSON: non-finite floats as the strings "inf", "-inf", "nan"."""
+    print(json.dumps(json_safe(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -242,6 +243,8 @@ def _cmd_verify(args) -> int:
                 f"--claim must be one of "
                 f"{sorted(k for k, v in _CLAIM_FLAG_TO_ID.items() if v in FALSIFIABLE_CLAIMS)}"
             )
+        if args.budget < 1:
+            raise UsageError(f"--budget must be >= 1, got {args.budget}")
         partition = None
         if args.partition is not None:
             parts = _parse_int_list(args.partition, "--partition")

@@ -20,6 +20,7 @@ with exact coefficients stays exact.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -32,11 +33,18 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .lattice import DimensionMismatchError, LatticeVector, PositiveVector
-from .reports import DEFAULT_TOLERANCES, ToleranceConfig, VerificationReport, residual
+from .reports import (
+    DEFAULT_TOLERANCES,
+    ToleranceConfig,
+    VerificationReport,
+    residual,
+    row_residuals,
+)
 
 __all__ = [
     "HomogeneousPolynomial",
     "SymmetricMultilinearView",
+    "TermStack",
     "make_diagonal",
     "polarize_blackbox",
     "is_positively_orthogonally_additive",
@@ -45,6 +53,9 @@ __all__ = [
 ]
 
 POLARIZATION_DEGREE_CAP = 8
+
+BLOCK_TRIALS = 1024
+"""Trials drawn and evaluated together; bounds memory whatever the trial count."""
 
 
 def _multinomial(key: tuple[int, ...]) -> int:
@@ -61,6 +72,105 @@ def _arrangements(key: tuple[int, ...]) -> np.ndarray:
     arr = np.array(sorted(set(itertools.permutations(key))), dtype=np.intp)
     arr.flags.writeable = False
     return arr
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """((0 + t_0) + t_1) + ... over axis 1 of (T, m, d) terms: the order in
+    which the scalar evaluators accumulate over keys."""
+    if terms.shape[1] == 0:
+        return np.zeros((terms.shape[0], terms.shape[2]))
+    terms[:, 0] += 0.0
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+class TermStack:
+    """A stack of T float polynomials of one degree that share one key set.
+
+    ``keys`` are canonical index multisets and ``coeffs`` has shape (T, m, d),
+    or (1, m, d) for one polynomial shared by every row. Evaluation takes
+    stacked rows and repeats, row by row, the arithmetic of the scalar
+    evaluators in the same order (sequential products over slots, then
+    sequential accumulation over keys), so each row's value is bit-identical
+    to evaluating that row's polynomial at that row alone. The arrangement
+    table of the symmetric form is built on its first use.
+    """
+
+    def __init__(self, degree: int, keys: Sequence[tuple[int, ...]], coeffs: np.ndarray):
+        self._keys = [tuple(k) for k in keys]
+        self.coeffs = coeffs
+        self._index = np.array(self._keys, dtype=np.intp).reshape(len(self._keys), degree)
+        self._weights = np.array([_multinomial(k) for k in self._keys], dtype=float)
+        self._layout = None
+
+    @classmethod
+    def of(cls, P: "HomogeneousPolynomial") -> "TermStack":
+        """One float polynomial, shared by every row: P's compiled form, built
+        on first use and kept on P."""
+        if P._stack is None:
+            if P.is_exact:
+                raise ValueError("a term stack holds float coefficients only")
+            coeffs = np.zeros((1, len(P.terms), P.codomain_dim))
+            for i, coeff in enumerate(P.terms.values()):
+                coeffs[0, i] = coeff
+            coeffs.flags.writeable = False
+            P._stack = cls(P.degree, list(P.terms), coeffs)
+        return P._stack
+
+    @classmethod
+    def diagonal(cls, coeffs: np.ndarray, degree: int) -> "TermStack":
+        """Row t is sum_i coeffs[t, i] x_i^degree, for coeffs of shape (T, n, d)."""
+        return cls(degree, [(i,) * degree for i in range(coeffs.shape[1])], coeffs)
+
+    @property
+    def degree(self) -> int:
+        return self._index.shape[1]
+
+    def take(self, rows: np.ndarray) -> "TermStack":
+        """The stack of the given rows' polynomials (itself when one is shared)."""
+        if self.coeffs.shape[0] == 1:
+            return self
+        self._arrangement_layout()  # built once, shared by every row group
+        out = copy.copy(self)
+        out.coeffs = self.coeffs[rows]
+        return out
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """P at each row of X (T, n); returns (T, d)."""
+        index = self._index
+        monomial = X[:, index[:, 0]]
+        for k in range(1, index.shape[1]):
+            monomial = monomial * X[:, index[:, k]]
+        return _sum_terms(self.coeffs * (self._weights * monomial)[:, :, None])
+
+    def _arrangement_layout(self):
+        """All arrangements of all keys, shape (sum of multinomials, s), each
+        key's first row, and (key, start, stop) for the keys with several."""
+        if self._layout is None:
+            arrangements = [_arrangements(k) for k in self._keys]
+            table = np.concatenate([np.empty((0, self.degree), dtype=np.intp), *arrangements])
+            bounds = np.cumsum([0] + [len(a) for a in arrangements])
+            sums = [(i, int(a), int(b)) for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+                    if b - a > 1]
+            self._layout = table, bounds[:-1], sums
+        return self._layout
+
+    def form(self, slots: Sequence[np.ndarray]) -> np.ndarray:
+        """The symmetric form at stacked arguments: slots[k] (T, n) fills slot k."""
+        table, starts, sums = self._arrangement_layout()
+        if len(slots) != table.shape[1]:
+            raise ValueError(f"the form takes exactly {table.shape[1]} vectors, got {len(slots)}")
+        products = slots[0][:, table[:, 0]]
+        for k in range(1, table.shape[1]):
+            products = products * slots[k][:, table[:, k]]
+        totals = products
+        if sums:
+            # C order, so that each row's sum over a key's arrangements is numpy's
+            # pairwise sum of a contiguous vector, as in the scalar form
+            products = np.ascontiguousarray(products)
+            totals = products[:, starts]
+            for i, a, b in sums:
+                totals[:, i] = products[:, a:b].sum(axis=1)
+        return _sum_terms(self.coeffs * totals[:, :, None])
 
 
 def _coerce_coeff(value, d: int) -> np.ndarray:
@@ -81,7 +191,7 @@ class HomogeneousPolynomial:
     coefficient arrays: a polynomial cannot change after construction.
     """
 
-    __slots__ = ("degree", "domain_dim", "codomain_dim", "terms")
+    __slots__ = ("degree", "domain_dim", "codomain_dim", "terms", "_exact", "_stack")
 
     def __init__(
         self,
@@ -111,6 +221,8 @@ class HomogeneousPolynomial:
         self.terms = MappingProxyType(
             {k: v for k, v in sorted(canon.items()) if np.any(v != 0)}
         )
+        self._exact = any(c.dtype == object for c in self.terms.values())
+        self._stack = None  # the compiled form of a float polynomial, see TermStack.of
 
     @classmethod
     def diagonal(cls, coeffs: Sequence, degree: int) -> "HomogeneousPolynomial":
@@ -140,12 +252,14 @@ class HomogeneousPolynomial:
 
     @property
     def is_exact(self) -> bool:
-        return any(c.dtype == object for c in self.terms.values())
+        return self._exact
 
     def __call__(self, f: LatticeVector) -> np.ndarray:
         """Evaluate P(f), returning a codomain vector of shape (d,)."""
         self._check_vector(f)
         x = f.to_array()
+        if not (self._exact or f.is_exact):
+            return TermStack.of(self)(x[None])[0]
         out = self._zero(f.is_exact)
         for key, coeff in self.terms.items():
             monomial = np.prod(x[np.array(key, dtype=np.intp)])
@@ -266,6 +380,16 @@ def polarize_blackbox(
     return total / denom
 
 
+def _additivity_sides(P: HomogeneousPolynomial, f: np.ndarray, g: np.ndarray):
+    """P(f + g) and P(f) + P(g) for each row of the stacked disjoint pairs f, g
+    (T, n); both (T, d). Exact coefficients are evaluated one row at a time."""
+    if P.is_exact:
+        pairs = [(PositiveVector(a), PositiveVector(b)) for a, b in zip(f, g)]
+        return np.array([P(a + b) for a, b in pairs]), np.array([P(a) + P(b) for a, b in pairs])
+    stack = TermStack.of(P)
+    return stack(f + g), stack(f) + stack(g)
+
+
 def is_positively_orthogonally_additive(
     P: HomogeneousPolynomial,
     trials: int = 200,
@@ -276,10 +400,15 @@ def is_positively_orthogonally_additive(
 ) -> VerificationReport:
     """Randomized additivity check of P on disjoint positive pairs.
 
-    Samples support bipartitions (all 2^n of them when ``exhaustive``,
-    uniformly random otherwise), fills the two sides with log-uniform
-    positive entries, and compares P(f+g) against P(f) + P(g). Failure is a
-    report outcome carrying the first counterexample, not an exception.
+    Samples support bipartitions (all 2^n of them when ``exhaustive``, each
+    tried ceil(trials / 2^n) times in a row; uniformly random otherwise, all
+    drawn before any entry), fills the two sides with log-uniform positive
+    entries, and compares P(f+g) against P(f) + P(g). Failure is a report
+    outcome carrying the first counterexample, not an exception.
+
+    Trials run in blocks of up to `BLOCK_TRIALS`, drawn with the generator
+    calls of a loop over single trials and evaluated together on P's
+    `TermStack`, so reports do not depend on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -288,34 +417,49 @@ def is_positively_orthogonally_additive(
     if exhaustive:
         if n > 16:
             raise ValueError("exhaustive bipartitions are limited to dimension 16")
-        masks = [np.array([(m >> i) & 1 for i in range(n)], dtype=bool) for m in range(2**n)]
-        draws = max(1, -(-trials // len(masks)))
-        plan = [(mask, k) for mask in masks for k in range(draws)]
-    else:
-        plan = [(rng.integers(0, 2, n).astype(bool), 0) for _ in range(trials)]
+        draws = max(1, -(-trials // 2**n))
+        total = 2**n * draws
+        bits = np.arange(n)
 
+        def masks(start, stop):
+            # trial t tries bipartition t // draws, whose bit i puts coordinate i in f
+            return (np.arange(start, stop)[:, None] // draws >> bits) & 1 == 1
+    else:
+        total = trials
+        # every mask is drawn before any entry: skip past them here and
+        # replay them block by block from a second generator
+        replay = np.random.default_rng(seed)
+        for start in range(0, total, BLOCK_TRIALS):
+            rng.integers(0, 2, (min(BLOCK_TRIALS, total - start), n))
+
+        def masks(start, stop):
+            return replay.integers(0, 2, (stop - start, n)).astype(bool)
+
+    low, high = np.log(1e-3), np.log(1e3)
     worst = 0.0
     counterexample = None
-    for mask, _ in plan:
-        entries = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
-        entries_g = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
-        f = PositiveVector(np.where(mask, entries, 0.0))
-        g = PositiveVector(np.where(mask, 0.0, entries_g))
-        lhs = P(f + g)
-        rhs = P(f) + P(g)
-        res = float(residual(lhs, rhs, switch=tolerances.relative_switch))
-        worst = max(worst, res)
-        if res > tolerances.identity_rel and counterexample is None:
+    for start in range(0, total, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, total)
+        mask = masks(start, stop)
+        entries = np.exp(rng.uniform(low, high, (stop - start, 2, n)))
+        f = np.where(mask, entries[:, 0], 0.0)
+        g = np.where(mask, 0.0, entries[:, 1])
+        lhs, rhs = _additivity_sides(P, f, g)
+        res = row_residuals(lhs, rhs, switch=tolerances.relative_switch)
+        worst = max(worst, float(res.max()))
+        failing = np.flatnonzero(res > tolerances.identity_rel)
+        if counterexample is None and failing.size:
+            i = failing[0]
             counterexample = {
-                "f": list(f.entries),
-                "g": list(g.entries),
-                "lhs": lhs,
-                "rhs": rhs,
-                "residual": res,
+                "f": f[i].tolist(),
+                "g": g[i].tolist(),
+                "lhs": lhs[i],
+                "rhs": rhs[i],
+                "residual": float(res[i]),
             }
     return VerificationReport(
         claim_id="POA",
-        trials=len(plan),
+        trials=total,
         max_residual=worst,
         tolerance=tolerances.identity_rel,
         passed=worst <= tolerances.identity_rel and counterexample is None,
@@ -371,7 +515,7 @@ def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
     except KeyError as exc:
         raise ValueError(f"polynomial payload is missing field {exc.args[0]!r}") from exc
     n, d = _json_int(n, "n"), _json_int(d, "d")
-    terms = {}
+    terms: dict[tuple[int, ...], np.ndarray] = {}
     for item in raw_terms:
         try:
             key, coeff = item["key"], item["coeff"]
@@ -379,7 +523,11 @@ def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
             raise ValueError("each term needs fields 'key' and 'coeff'") from None
         if not isinstance(key, list):
             raise ValueError(f"field 'key' must be an array of integers, got {key!r}")
-        terms[tuple(_json_int(i, "key") for i in key)] = _parse_row(coeff, "coeff")
+        # terms on one index multiset are summed in file order, whether their
+        # key lists are identical or permuted
+        key = tuple(sorted(_json_int(i, "key") for i in key))
+        coeff = _coerce_coeff(_parse_row(coeff, "coeff"), d)
+        terms[key] = terms[key] + coeff if key in terms else coeff
     return HomogeneousPolynomial(s, n, d, terms)
 
 

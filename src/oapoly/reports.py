@@ -24,6 +24,7 @@ __all__ = [
     "row_residuals",
     "identity_payload",
     "cross_payload",
+    "json_safe",
     "VerificationReport",
     "CLAIM_IDS",
 ]
@@ -153,7 +154,9 @@ def _json_float(value: float) -> float | str:
     return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
 
 
-def _json_safe(value: Any) -> Any:
+def json_safe(value: Any) -> Any:
+    """``value`` with Fractions as "p/q" strings, numpy scalars and arrays as
+    Python values, and non-finite floats as "inf", "-inf" and "nan"."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (bool, np.bool_)):
@@ -163,11 +166,11 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, float):
         return _json_float(value)
     if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
+        return [json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     return value
 
 
@@ -212,7 +215,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         """JSON-ready representation: Fractions become "p/q" strings and
         non-finite floats the strings "inf", "-inf" and "nan"."""
-        return _json_safe(asdict(self))
+        return json_safe(asdict(self))
 
     def csv_row(self) -> list:
         return [self.claim_id, self.trials, self.max_residual, self.tolerance, self.passed]

@@ -34,7 +34,10 @@ from .lattice import DimensionMismatchError, LatticeVector, PositiveVector, inf,
 from .means import geometric_mean, harmonic_mean, root_mean_power, weighted_geometric_mean
 from .partitions import CompletePartition, enumerate_complete, weights
 from .polynomials import (
+    BLOCK_TRIALS,
     HomogeneousPolynomial,
+    TermStack,
+    _additivity_sides,
     is_positively_orthogonally_additive,
 )
 from .reports import (
@@ -45,6 +48,7 @@ from .reports import (
     cross_payload,
     identity_payload,
     residual,
+    row_residuals,
 )
 
 __all__ = [
@@ -333,42 +337,60 @@ def check_cross_terms(
 # -- falsification of the converse directions -----------------------------------
 
 
-def _claim_residual(claim_id, P, fs, cp, cfg):
+def _claim_sides(claim_id, P, fs, cp):
     if claim_id == "RMP":
-        lhs = P(root_mean_power(P.degree, fs))
-        rhs = sum(P(f) for f in fs)
-    elif claim_id == "GM":
-        lhs = P(geometric_mean(fs))
-        rhs = P.multilinear(*fs)
-    elif claim_id == "HM":
-        lhs, rhs = _hm_sides(P, fs)
-    elif claim_id == "WGM":
-        lhs, rhs = _wgm_sides(P, cp, fs)
-    elif claim_id == "CROSS_TERMS":
-        f, g = fs
-        lhs = P(f + g)
-        rhs = P(f) + P(g)
-    else:
-        raise ValueError(f"claim {claim_id!r} is not falsifiable against a polynomial")
-    return float(residual(lhs, rhs, switch=cfg.relative_switch)), lhs, rhs
+        return P(root_mean_power(P.degree, fs)), sum(P(f) for f in fs)
+    if claim_id == "GM":
+        return P(geometric_mean(fs)), P.multilinear(*fs)
+    if claim_id == "HM":
+        return _hm_sides(P, fs)
+    if claim_id == "WGM":
+        return _wgm_sides(P, cp, fs)
+    f, g = fs
+    return P(f + g), P(f) + P(g)
+
+
+def _tuple_size(claim_id, P, cp) -> int:
+    """Number of vectors in one input of ``claim_id``."""
+    if claim_id == "WGM":
+        return len(cp.parts)
+    if claim_id == "RMP":
+        return max(2, P.degree)
+    return 2 if claim_id == "CROSS_TERMS" else P.degree
 
 
 def _structured_inputs(claim_id, P, cp, i, j, a, b):
     """Disjoint two-coordinate families used by the converse arguments."""
     n = P.domain_dim
-    s = P.degree
     f = PositiveVector([a if k == i else 0.0 for k in range(n)])
     g = PositiveVector([b if k == j else 0.0 for k in range(n)])
-    if claim_id in ("RMP", "GM", "HM"):
-        count = s if claim_id != "RMP" else max(2, s)
-        for split in range(1, count):
-            yield [f] * split + [g] * (count - split)
-    elif claim_id == "WGM":
-        p = len(cp.parts)
-        for split in range(1, p):
-            yield [f] * split + [g] * (p - split)
-    elif claim_id == "CROSS_TERMS":
-        yield [f, g]
+    count = _tuple_size(claim_id, P, cp)
+    for split in range(1, count):
+        yield [f] * split + [g] * (count - split)
+
+
+_FIRST_RANDOM_BLOCK = 16
+"""Size of the random phase's first block; later blocks double up to
+`BLOCK_TRIALS`, so a witness found early pays for few rows."""
+
+
+def _random_rows(claim_id, P, cp, rng, size):
+    """One block of ``size`` random inputs (T, k, n), drawn with the generator
+    calls of the per-trial sampling helpers, and both sides for each."""
+    # imported here, so that only searches that reach the random phase pay to
+    # compile the block kernels
+    from . import blocks
+
+    n = P.domain_dim
+    if claim_id == "CROSS_TERMS":
+        X = blocks.draw_trials(rng, size, n, pair="only").pairs
+        return (X, *_additivity_sides(P, X[:, 0], X[:, 1]))
+    X = blocks.draw_trials(rng, size, n, counts=_tuple_size(claim_id, P, cp)).vectors
+    if not P.is_exact:
+        return (X, *blocks.sides(claim_id, TermStack.of(P), X, cp))
+    # exact coefficients: each row through the scalar evaluation
+    rows = [_claim_sides(claim_id, P, [PositiveVector(v) for v in x], cp) for x in X]
+    return X, np.array([lhs for lhs, _ in rows]), np.array([rhs for _, rhs in rows])
 
 
 def falsify(
@@ -388,10 +410,20 @@ def falsify(
     A structured family of disjoint two-coordinate inputs, taken from the
     converse proofs, is tried first; random positive tuples follow until the
     budget is spent. ``passed`` means a witness was found; exhausting the
-    budget yields an inconclusive report, never a pass.
+    budget yields an inconclusive report, never a pass. ``trials`` and
+    ``max_residual`` count the inputs up to and including the witness.
+
+    The random inputs are drawn and evaluated in blocks, 16 inputs first and
+    twice as many each time after, up to `BLOCK_TRIALS`; a block draws its
+    inputs one after another with the generator calls of the per-input
+    sampling helpers, and the first row over ``falsify_threshold`` is the
+    witness. Reports are those of trying one input at a time. Exact-rational
+    coefficients evaluate each row through the scalar path.
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     if not P.has_mixed_terms:
         raise PreconditionError(
             "polynomial is positively orthogonally additive; nothing to falsify"
@@ -415,21 +447,7 @@ def falsify(
     used = 0
     best = 0.0
     witness = None
-
-    def try_inputs(fs, source):
-        nonlocal used, best, witness
-        used += 1
-        res, lhs, rhs = _claim_residual(claim_id, P, fs, cp, cfg)
-        if res > best:
-            best = res
-        if res > cfg.falsify_threshold and witness is None:
-            witness = {
-                "inputs": _vector_payload(fs),
-                "lhs": lhs,
-                "rhs": rhs,
-                "residual": res,
-                "source": source,
-            }
+    threshold = cfg.falsify_threshold
 
     n = P.domain_dim
     for i in range(n):
@@ -440,20 +458,30 @@ def falsify(
                 break
             a, b = sampling.log_uniform(rng, 2, low=1.0, high=10.0)
             for fs in _structured_inputs(claim_id, P, cp, i, j, float(a), float(b)):
-                try_inputs(fs, "structured")
+                used += 1
+                lhs, rhs = _claim_sides(claim_id, P, fs, cp)
+                res = float(residual(lhs, rhs, switch=cfg.relative_switch))
+                best = max(best, res)
+                if res > threshold:
+                    witness = {"inputs": _vector_payload(fs), "lhs": lhs, "rhs": rhs,
+                               "residual": res, "source": "structured"}
                 if used >= budget or witness is not None:
                     break
 
+    size = _FIRST_RANDOM_BLOCK
     while used < budget and witness is None:
-        if claim_id == "WGM":
-            fs = sampling.positive_tuple(rng, len(cp.parts), n)
-        elif claim_id == "CROSS_TERMS":
-            fs = list(sampling.disjoint_pair(rng, n))
-        elif claim_id == "RMP":
-            fs = sampling.positive_tuple(rng, max(2, P.degree), n)
-        else:
-            fs = sampling.positive_tuple(rng, P.degree, n)
-        try_inputs(fs, "random")
+        size = min(size, BLOCK_TRIALS, budget - used)
+        X, lhs, rhs = _random_rows(claim_id, P, cp, rng, size)
+        res = row_residuals(lhs, rhs, switch=cfg.relative_switch)
+        hits = np.flatnonzero(res > threshold)
+        stop = hits[0] + 1 if hits.size else size
+        used += int(stop)
+        best = max(best, float(res[:stop].max()))
+        if hits.size:
+            t = hits[0]
+            witness = {"inputs": X[t].tolist(), "lhs": lhs[t], "rhs": rhs[t],
+                       "residual": float(res[t]), "source": "random"}
+        size *= 2
 
     found = witness is not None
     return VerificationReport(
@@ -469,9 +497,6 @@ def falsify(
 
 
 # -- randomized sweep runners ----------------------------------------------------
-
-BLOCK_TRIALS = 1024
-"""Trials drawn and evaluated together; bounds memory whatever the trial count."""
 
 POLY_CLAIMS = ("RMP", "GM", "HM", "WGM", "CROSS_TERMS")
 
@@ -583,7 +608,7 @@ def verify_claim(
         poly = None
     random_poly = claim_id in POLY_CLAIMS and poly is None
     exact = poly is not None and poly.is_exact
-    shared = None if poly is None or exact else blocks.TermStack.of(poly)
+    shared = None if poly is None or exact else TermStack.of(poly)
     rng = np.random.default_rng(seed)
     worst, passed, counterexample = 0.0, True, None
     for start in range(0, trials, BLOCK_TRIALS):
@@ -592,7 +617,7 @@ def verify_claim(
         if exact:
             res, ok, payload = _checked_rows(claim_id, draws, poly, cfg, partition_of)
         else:
-            P = blocks.TermStack.diagonal(draws.coeffs, s) if random_poly else shared
+            P = TermStack.diagonal(draws.coeffs, s) if random_poly else shared
             res, ok, payload = blocks.rows(claim_id, draws, P, cfg, partition_of)
         worst = max(worst, float(res.max()))
         if passed and not ok.all():

@@ -14,6 +14,31 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse JSON, rejecting the non-standard NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _terms(*items):
+    return [{"key": key, "coeff": coeff} for key, coeff in items]
+
+
+GOLDEN_POLYS = {
+    "threeway": {"s": 3, "n": 3, "d": 1, "terms": _terms(([0, 1, 2], [1.0]), ([0, 0, 0], [1.0]))},
+    "weak": {"s": 3, "n": 4, "d": 2, "terms": _terms(
+        ([0, 0, 0], [1.0, 0.5]), ([1, 1, 1], [2.0, -1.0]), ([2, 2, 2], [0.7, 1.5]),
+        ([3, 3, 3], [1.2, 0.3]), ([0, 1, 2], [3e-8, 1e-8]))},
+    "weaker": {"s": 3, "n": 4, "d": 2, "terms": _terms(
+        ([0, 0, 0], [1.0, 0.5]), ([1, 1, 1], [2.0, -1.0]), ([2, 2, 2], [0.7, 1.5]),
+        ([3, 3, 3], [1.2, 0.3]), ([0, 1, 2], [1e-8, 3e-9]))},
+    "wgm4": {"s": 4, "n": 5, "d": 2, "terms": _terms(
+        ([0, 0, 0, 0], [1.0, 2.0]), ([4, 4, 4, 4], [0.5, -1.0]), ([0, 1, 2, 3], [0.25, 0.125]))},
+    "diag11": {"s": 2, "diagonal": [[float(i + 1), -0.5] for i in range(11)]},
+}
+
+
 class TestPartitions:
     def test_list_s4(self, capsys):
         code, out, _ = run_cli(capsys, "partitions", "list", "--s", "4")
@@ -77,6 +102,14 @@ class TestMeans:
                                "--weights", "2,1,1", "--inputs", str(path))
         assert code == 0
         assert json.loads(out)["value"] == [pytest.approx(4.0, rel=1e-12)]
+
+    def test_non_finite_bound_is_strict_json(self, capsys, tmp_path):
+        path = tmp_path / "spread.json"
+        path.write_text(json.dumps([[1e-300], [1e300]]))
+        code, out, _ = run_cli(capsys, "means", "eval", "--mean", "wgm", "--weights", "1,1",
+                               "--method", "grid", "--resolution", "8", "--inputs", str(path))
+        assert code == 0
+        assert strict_json(out)["residual_bound"] == "inf"
 
     def test_rmp_requires_s(self, capsys, vectors_file):
         code, _, err = run_cli(capsys, "means", "eval", "--mean", "rmp",
@@ -145,6 +178,22 @@ class TestPoly:
                                "--inputs", str(vpath))
         assert code == 0
         assert json.loads(out)["value"] == [15.0]
+
+    def test_non_finite_values_are_strict_json(self, capsys, tmp_path):
+        poly, v, vs = tmp_path / "huge.json", tmp_path / "v.json", tmp_path / "vs.json"
+        poly.write_text(json.dumps({"s": 2, "diagonal": [[1e308]]}))
+        v.write_text(json.dumps([1e10]))
+        vs.write_text(json.dumps([[1e10], [1e10]]))
+        for argv in (["eval", "--input", str(v)], ["multilinear", "--inputs", str(vs)]):
+            code, out, _ = run_cli(capsys, "poly", *argv, "--poly", str(poly))
+            assert code == 0
+            assert strict_json(out) == {"value": ["inf"]}
+
+    def test_finite_bytes_unchanged(self, capsys, poly_file, tmp_path):
+        vpath = tmp_path / "v.json"
+        vpath.write_text(json.dumps([3.0, 0.5]))
+        _, out, _ = run_cli(capsys, "poly", "eval", "--poly", poly_file, "--input", str(vpath))
+        assert out == '{\n  "value": [\n    9.25\n  ]\n}\n'
 
     def test_oa_check_pass_and_fail(self, capsys, poly_file, mixed_poly_file):
         code, out, _ = run_cli(capsys, "poly", "oa-check", "--poly", poly_file,
@@ -260,6 +309,40 @@ class TestVerify:
                                "--poly", str(path), "--budget", "2", "--seed", "2")
         assert code == 3
         assert json.loads(out)["inconclusive"] is True
+
+    @pytest.mark.parametrize("budget", ["0", "-4"])
+    def test_falsify_budget_below_one_is_usage_error(self, capsys, tmp_path, budget):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(GOLDEN_POLYS["threeway"]))
+        code, out, err = run_cli(capsys, "verify", "falsify", "--claim", "hm",
+                                 "--poly", str(path), "--budget", budget)
+        assert code == 2 and out == "" and "--budget" in err
+
+    # sha256 of `verify falsify` and `poly oa-check` stdout, recorded before
+    # the searches ran as array blocks: random-phase witnesses early and late,
+    # an inconclusive search, exhaustive, random and multi-block checks
+    @pytest.mark.parametrize("poly, argv, exit_code, digest", [
+        ("threeway", "verify falsify --claim hm --budget 5000 --seed 1", 0,
+         "fa53b6b952cb2e26f87d5f73b2d3734d2cd70630a11c69f528e8c23a62a73b3f"),
+        ("weak", "verify falsify --claim cross --budget 1500 --seed 3", 0,
+         "4ad4d73184bd8ca289d6a027cebce4f6362b5b1e0153f46b3c9bd8d8d8c43991"),
+        ("weaker", "verify falsify --claim cross --budget 1500 --seed 4", 3,
+         "b55507881c24ec18f3a1829f2cfe4819f84b5c166e26a1d33c5729ffd30562ec"),
+        ("wgm4", "verify falsify --claim wgm --partition 2,1,1 --budget 3000 --seed 11", 0,
+         "f9b8920a30b111f4d85e347d2520aae6b3f5dadf83dd916e43886427f2f985d0"),
+        ("wgm4", "poly oa-check --trials 100 --seed 4 --exhaustive", 1,
+         "70180e528ace8eff3d1e90ca8d9b073b9433c92c8b94f03bd6066689349b46a6"),
+        ("weak", "poly oa-check --trials 2500 --seed 9", 1,
+         "1b9f1fd71185b496a7449ccfb3723515a06527f9bb2d1ebce0822917ffaf14b0"),
+        ("diag11", "poly oa-check --seed 2 --exhaustive", 0,
+         "1107156cbfb56a03ffe4b27baf626a23af63480941fc27634438a9de686ae1d0"),
+    ])
+    def test_search_golden_digest(self, capsys, tmp_path, poly, argv, exit_code, digest):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(GOLDEN_POLYS[poly]))
+        code, out, _ = run_cli(capsys, *argv.split(), "--poly", str(path))
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "verify", "nonsense")[0] == 2

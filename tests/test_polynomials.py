@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,30 @@ from oapoly import (
     polynomial_to_json,
 )
 from oapoly.lattice import DimensionMismatchError
-from oapoly.blocks import TermStack
+from oapoly.polynomials import TermStack
 from oapoly.sampling import sparse_polynomial
 
 
 def vec(*entries):
     return LatticeVector(entries)
+
+
+def reference_eval(P, x):
+    """P(x) key by key, as the scalar evaluator computes it: the multinomial
+    weight times np.prod of the key's entries, accumulated from zero."""
+    out = np.zeros(P.codomain_dim)
+    for key, coeff in P.terms.items():
+        weight = math.factorial(len(key))
+        for c in Counter(key).values():
+            weight //= math.factorial(c)
+        out = out + coeff * (weight * np.prod(x[np.array(key, dtype=np.intp)]))
+    return out
+
+
+def random_polynomial(rng, s, n, d):
+    if s > 1 and n > 1:
+        return sparse_polynomial(rng, s, n, d, mixed_terms=4, mixed_mass=0.5)
+    return make_diagonal(rng.uniform(-2, 2, (n, d)), s)
 
 
 def square_of_sum():
@@ -54,6 +73,20 @@ class TestEval:
         P = make_diagonal([0.0, 0.0], 2)
         assert P.terms == {}
         assert P(vec(5, 6))[0] == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_compiled_evaluation_is_bit_identical(self, s, n, d, seed):
+        rng = np.random.default_rng(seed)
+        P = random_polynomial(rng, s, n, d)
+        x = rng.uniform(-3, 3, n)
+        for x in (np.exp(x), x, np.where(x > 0, x, 0.0), np.zeros(n)):
+            # bytes, so that the sign of a zero counts
+            assert P(LatticeVector(x)).tobytes() == reference_eval(P, x).tobytes()
+
+    def test_exact_input_keeps_exact_evaluation(self):
+        P = square_of_sum()
+        assert P(LatticeVector.exact([1, Fraction(1, 2)]))[0] == Fraction(9, 4)
 
     def test_dimension_checked(self):
         P = make_diagonal([1.0, 1.0], 2)
@@ -263,6 +296,16 @@ class TestJson:
         with pytest.raises(ValueError, match=field):
             polynomial_from_json(payload)
 
+    def test_terms_on_one_multiset_are_summed_in_file_order(self):
+        def parse(*keys):
+            return polynomial_from_json({"s": 2, "n": 2, "d": 1, "terms": [
+                {"key": key, "coeff": [c]} for key, c in zip(keys, (1.0, 2.0, 4.0))]})
+
+        assert parse([0, 1], [0, 1]).coefficient((0, 1))[0] == 3.0
+        assert parse([0, 1], [1, 0]).coefficient((0, 1))[0] == 3.0
+        assert parse([0, 1], [1, 0], [0, 1]).coefficient((0, 1))[0] == 7.0
+        assert parse([0, 1], [0, 1], [1, 1]).terms.keys() == {(0, 1), (1, 1)}
+
     def test_integral_floats_accepted(self):
         P = polynomial_from_json(
             {"s": 2.0, "n": 2, "d": 1, "terms": [{"key": [0.0, 1], "coeff": [1.0]}]}
@@ -296,17 +339,14 @@ class TestTermStack:
            st.integers(0, 2**32 - 1))
     def test_rows_equal_scalar_evaluation(self, s, n, d, T, seed):
         rng = np.random.default_rng(seed)
-        if s > 1 and n > 1:
-            P = sparse_polynomial(rng, s, n, d, mixed_terms=4, mixed_mass=0.5)
-        else:
-            P = make_diagonal(rng.uniform(-2, 2, (n, d)), s)
+        P = random_polynomial(rng, s, n, d)
         X = np.exp(rng.uniform(-5, 5, (T, s, n)))
         stack = TermStack.of(P)
         values = stack(X[:, 0])
         forms = stack.form([X[:, k] for k in range(s)])
         for t in range(T):
             fs = [PositiveVector(X[t, k]) for k in range(s)]
-            assert np.array_equal(values[t], P(fs[0]))
+            assert np.array_equal(values[t], reference_eval(P, X[t, 0]))
             assert np.array_equal(forms[t], P.multilinear(*fs))
 
     def test_diagonal_stack_rows_are_separate_polynomials(self):

@@ -25,12 +25,18 @@ from oapoly import (
     check_wgm_identity,
     enumerate_complete,
     falsify,
+    geometric_mean,
+    harmonic_mean,
+    is_positively_orthogonally_additive,
     make_diagonal,
     residual,
+    root_mean_power,
     verify_all,
     verify_claim,
+    weighted_geometric_mean,
+    weights,
 )
-from oapoly import theorems
+from oapoly import polynomials, theorems
 from oapoly.lattice import DimensionMismatchError
 from oapoly.reports import DEFAULT_TOLERANCES, VerificationReport
 from oapoly.sampling import (
@@ -553,10 +559,10 @@ def reference_verify(claim_id, *, s=3, n=4, d=1, trials=100, seed=0, partition=N
     )
 
 
-def outcome(run, claim_id, **kwargs):
+def outcome(run, *args, **kwargs):
     """A report's JSON form, or the type and message of the error raised."""
     try:
-        return run(claim_id, **kwargs).to_dict()
+        return run(*args, **kwargs).to_dict()
     except ValueError as exc:
         return type(exc).__name__, str(exc)
 
@@ -629,3 +635,243 @@ class TestBlockEquivalence:
         assert got[0] == ref[0] == error.__name__
         if error is not ValueError:
             assert got == ref
+
+
+# -- falsify's random phase and the additivity check in blocks --------------------
+
+
+def reference_additivity(P, trials=200, seed=0, *, exhaustive=False, tolerances=DEFAULT_TOLERANCES):
+    """is_positively_orthogonally_additive as a loop over single trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n = P.domain_dim
+    rng = np.random.default_rng(seed)
+    if exhaustive:
+        if n > 16:
+            raise ValueError("exhaustive bipartitions are limited to dimension 16")
+        masks = [np.array([(m >> i) & 1 for i in range(n)], dtype=bool) for m in range(2**n)]
+        draws = max(1, -(-trials // len(masks)))
+        plan = [mask for mask in masks for _ in range(draws)]
+    else:
+        plan = [rng.integers(0, 2, n).astype(bool) for _ in range(trials)]
+    worst, counterexample = 0.0, None
+    for mask in plan:
+        entries = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+        entries_g = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+        f = PositiveVector(np.where(mask, entries, 0.0))
+        g = PositiveVector(np.where(mask, 0.0, entries_g))
+        lhs, rhs = P(f + g), P(f) + P(g)
+        res = float(residual(lhs, rhs, switch=tolerances.relative_switch))
+        worst = max(worst, res)
+        if res > tolerances.identity_rel and counterexample is None:
+            counterexample = {"f": list(f.entries), "g": list(g.entries),
+                              "lhs": lhs, "rhs": rhs, "residual": res}
+    return VerificationReport(
+        claim_id="POA", trials=len(plan), max_residual=worst,
+        tolerance=tolerances.identity_rel,
+        passed=worst <= tolerances.identity_rel and counterexample is None,
+        counterexample=counterexample,
+    )
+
+
+def reference_sides(claim_id, P, fs, cp):
+    if claim_id == "RMP":
+        return P(root_mean_power(P.degree, fs)), sum(P(f) for f in fs)
+    if claim_id == "GM":
+        return P(geometric_mean(fs)), P.multilinear(*fs)
+    if claim_id == "HM":
+        eta = harmonic_mean(fs)
+        lhs = P.multilinear(*fs) * P.degree
+        rhs = None
+        for j in range(P.degree):
+            term = P.multilinear(*(fs[:j] + [eta] + fs[j + 1:]))
+            rhs = term if rhs is None else rhs + term
+        return lhs, rhs
+    if claim_id == "WGM":
+        repeated = [f for r, f in zip(cp.parts, fs) for _ in range(r)]
+        return P(weighted_geometric_mean(weights(cp), fs)), P.multilinear(*repeated)
+    f, g = fs
+    return P(f + g), P(f) + P(g)
+
+
+def reference_falsify(P, claim_id, budget=10_000, seed=0, *, partition=None,
+                      cfg=DEFAULT_TOLERANCES):
+    """falsify as a loop over single inputs, each drawn with the sampling helpers."""
+    if claim_id not in theorems.FALSIFIABLE_CLAIMS:
+        raise ValueError(f"claim {claim_id!r} is not falsifiable "
+                         f"(choose from {theorems.FALSIFIABLE_CLAIMS})")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if not P.has_mixed_terms:
+        raise PreconditionError("polynomial is positively orthogonally additive; nothing to falsify")
+    if P.domain_dim <= 6 and reference_additivity(
+            P, trials=2**P.domain_dim, seed=seed, exhaustive=True, tolerances=cfg).passed:
+        raise PreconditionError(
+            "polynomial passed the exhaustive additivity check; nothing to falsify")
+    cp = partition
+    if claim_id == "WGM":
+        cp = cp or CompletePartition((1,) * P.degree, P.degree)
+        if cp.target != P.degree:
+            raise PreconditionError("partition target must equal the polynomial degree")
+    s, n = P.degree, P.domain_dim
+    count = {"WGM": len(cp.parts) if cp else 0, "RMP": max(2, s), "CROSS_TERMS": 2}.get(claim_id, s)
+    rng = np.random.default_rng(seed)
+    used, best, witness = 0, 0.0, None
+
+    def attempt(fs, source):
+        nonlocal used, best, witness
+        used += 1
+        lhs, rhs = reference_sides(claim_id, P, fs, cp)
+        res = float(residual(lhs, rhs, switch=cfg.relative_switch))
+        best = max(best, res)
+        if res > cfg.falsify_threshold and witness is None:
+            witness = {"inputs": [list(f.entries) for f in fs], "lhs": lhs, "rhs": rhs,
+                       "residual": res, "source": source}
+        return used >= budget or witness is not None
+
+    done = False
+    for i, j in ((i, j) for i in range(n) for j in range(n) if i != j):
+        if done:
+            break
+        a, b = (float(v) for v in np.exp(rng.uniform(0.0, math.log(10.0), 2)))
+        f = PositiveVector([a if k == i else 0.0 for k in range(n)])
+        g = PositiveVector([b if k == j else 0.0 for k in range(n)])
+        for split in range(1, count):
+            done = attempt([f] * split + [g] * (count - split), "structured")
+            if done:
+                break
+    while not done:
+        if claim_id == "CROSS_TERMS":
+            fs = list(disjoint_pair(rng, n))
+        else:
+            fs = positive_tuple(rng, count, n)
+        done = attempt(fs, "random")
+    return VerificationReport(
+        claim_id=claim_id, trials=used, max_residual=best, tolerance=cfg.falsify_threshold,
+        passed=witness is not None, counterexample=witness, kind="falsify",
+        inconclusive=witness is None,
+    )
+
+
+def falsify_polynomial(kind, rng, s, n, d):
+    """Polynomials whose searches end in each phase: ``strong`` ones in the
+    structured family, ``weak`` and ``wide`` ones (a small mixed key over
+    distinct indices) in the random phase or inconclusive, ``exact`` ones with
+    Fraction coefficients, ``additive`` ones at the precondition."""
+    if kind == "strong" and n > 1 and s > 1:
+        return sparse_polynomial(rng, s, n, d, mixed_terms=2, mixed_mass=0.3)
+    terms = {(i,) * s: rng.uniform(0.5, 2.0, d) for i in range(n)}
+    if kind == "exact":
+        terms = {(i,) * s: [Fraction(i + 1)] * d for i in range(n)}
+    if kind != "additive":
+        key = sorted(int(i) for i in rng.choice(n, size=min(s, n), replace=False))
+        key += [key[0]] * (s - len(key))
+        scale = {"weak": 1e-7, "wide": 1.0}.get(kind)
+        terms[tuple(key)] = [Fraction(1, 3)] * d if scale is None else rng.uniform(0.5, 2.0, d) * scale
+    return HomogeneousPolynomial(s, n, d, terms)
+
+
+class TestFalsifyBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(theorems.FALSIFIABLE_CLAIMS),
+        st.integers(2, 4),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.sampled_from(["strong", "weak", "wide", "exact", "additive"]),
+        st.sampled_from([1, 2, 3, 16, 17, 40, 113, 300]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([7, theorems.BLOCK_TRIALS]),
+    )
+    def test_blocks_match_per_input_reference(self, claim_id, s, n, d, kind, budget, seed,
+                                              use_partition, block):
+        rng = np.random.default_rng(seed)
+        P = falsify_polynomial(kind, rng, s, n, d)
+        kwargs = dict(budget=budget, seed=seed)
+        if use_partition and claim_id == "WGM":
+            pool = enumerate_complete(s)
+            kwargs["partition"] = CompletePartition(pool[int(rng.integers(len(pool)))], s)
+        with patch.object(theorems, "BLOCK_TRIALS", block):
+            got = outcome(falsify, P, claim_id, **kwargs)
+        assert got == outcome(reference_falsify, P, claim_id, **kwargs)
+
+    def test_witness_at_the_first_random_input(self):
+        # 6 ordered coordinate pairs x 2 splits of the structured family see
+        # nothing of the key {0, 1, 2}; the first random tuple does
+        P = HomogeneousPolynomial(3, 3, 1, {(0, 1, 2): [1.0], (0, 0, 0): [1.0]})
+        rep = falsify(P, "HM", budget=5000, seed=1)
+        assert rep.counterexample["source"] == "random" and rep.trials == 13
+        assert rep.to_dict() == reference_falsify(P, "HM", budget=5000, seed=1).to_dict()
+
+    @pytest.mark.parametrize("budget, block, sizes", [
+        (600, 1024, [16, 32, 64, 128, 256, 102]),
+        (5000, 100, [16, 32, 64, 100, 100]),
+        (40, 1024, [16, 22]),
+    ])
+    def test_block_schedule(self, budget, block, sizes):
+        # a mixed coefficient of 5e-7 keeps every residual on a disjoint pair
+        # under the 1e-6 witness threshold, but not under the additivity
+        # check's 1e-9; after 2 structured pairs, the random phase doubles its
+        # blocks from 16 up to BLOCK_TRIALS, capped by the budget left
+        P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (1, 1): [1.0], (0, 1): [5e-7]})
+        seen = []
+        real = theorems._random_rows
+
+        def spy(claim_id, P, cp, rng, size):
+            seen.append(size)
+            return real(claim_id, P, cp, rng, size)
+
+        with patch.object(theorems, "_random_rows", spy), \
+                patch.object(theorems, "BLOCK_TRIALS", block):
+            rep = falsify(P, "CROSS_TERMS", budget=budget, seed=3)
+        assert rep.inconclusive and rep.trials == budget
+        assert seen[:len(sizes)] == sizes and sum(seen) == budget - 2
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected_before_the_precondition(self, budget):
+        with patch.object(theorems, "is_positively_orthogonally_additive") as check:
+            with pytest.raises(ValueError, match=r"budget must be >= 1"):
+                falsify(square_of_sum(), "HM", budget=budget)
+        check.assert_not_called()
+
+
+class TestAdditivityBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 7),
+        st.integers(1, 3),
+        st.sampled_from(["strong", "weak", "wide", "exact", "additive"]),
+        st.sampled_from([1, 2, 3, 40, 130, -1, 0, 1]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([7, theorems.BLOCK_TRIALS]),
+    )
+    def test_blocks_match_per_trial_reference(self, s, n, d, kind, trials, exhaustive, seed,
+                                              block):
+        rng = np.random.default_rng(seed)
+        P = falsify_polynomial(kind, rng, s, n, d)
+        if trials <= 1:  # -1, 0, 1: just below, at and just above 2^n
+            trials = 2**n + trials
+        kwargs = dict(trials=trials, seed=seed, exhaustive=exhaustive)
+        with patch.object(polynomials, "BLOCK_TRIALS", block):
+            got = outcome(is_positively_orthogonally_additive, P, **kwargs)
+        assert got == outcome(reference_additivity, P, **kwargs)
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_blocks_bound_the_rows_in_memory(self, exhaustive):
+        P = HomogeneousPolynomial(2, 3, 1, {(0, 0): [1.0], (0, 1): [1.0]})
+        seen = []
+        real = polynomials._additivity_sides
+
+        def spy(P, f, g):
+            seen.append(len(f))
+            return real(P, f, g)
+
+        with patch.object(polynomials, "_additivity_sides", spy), \
+                patch.object(polynomials, "BLOCK_TRIALS", 7):
+            rep = is_positively_orthogonally_additive(P, trials=30, seed=2, exhaustive=exhaustive)
+        assert max(seen) == 7 and sum(seen) == rep.trials == (32 if exhaustive else 30)
+        assert rep.to_dict() == reference_additivity(
+            P, trials=30, seed=2, exhaustive=exhaustive).to_dict()
