@@ -45,7 +45,7 @@ from .polynomials import (
     polynomial_to_json,
 )
 from .reports import CSV_HEADER, VerificationReport, json_safe
-from .theorems import FALSIFIABLE_CLAIMS, PreconditionError, falsify, verify_all, verify_claim
+from .theorems import CLAIMS, PreconditionError, falsify, verify_all, verify_claim
 
 __all__ = ["main", "run"]
 
@@ -54,16 +54,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-_CLAIM_FLAG_TO_ID = {
-    "rmp": "RMP",
-    "gm": "GM",
-    "schur": "SCHUR",
-    "ortho": "ORTHO",
-    "hm": "HM",
-    "geos": "GEOS",
-    "wgm": "WGM",
-    "cross": "CROSS_TERMS",
-}
+_CLAIMS_BY_FLAG = {claim.flag: claim for claim in CLAIMS}
 
 
 class UsageError(Exception):
@@ -232,40 +223,51 @@ def _print_reports(reports: list[VerificationReport], fmt: str) -> None:
             )
 
 
+def _parse_partition(args) -> CompletePartition | None:
+    if args.partition is None:
+        return None
+    parts = _parse_int_list(args.partition, "--partition")
+    return CompletePartition(parts, sum(parts))
+
+
+def _reject_unused(args, claim, command: str) -> None:
+    """A --poly or --partition that ``claim`` (None: every claim) would
+    ignore is a usage error, not a silently dropped input."""
+    for flag, value, used in (("--poly", args.poly, claim and claim.takes_poly),
+                              ("--partition", args.partition, claim and claim.takes_partition)):
+        if value is not None and not used:
+            raise UsageError(f"{flag} does not apply to 'oapoly verify {command}'")
+
+
 def _cmd_verify(args) -> int:
     if args.claim == "falsify":
         if args.poly is None:
             raise UsageError("verify falsify requires --poly FILE.json")
         P = _load_polynomial(args.poly)
-        claim = _CLAIM_FLAG_TO_ID.get(args.falsify_claim)
-        if claim is None or claim not in FALSIFIABLE_CLAIMS:
+        claim = _CLAIMS_BY_FLAG.get(args.falsify_claim)
+        if claim is None or not claim.falsifiable:
             raise UsageError(
-                f"--claim must be one of "
-                f"{sorted(k for k, v in _CLAIM_FLAG_TO_ID.items() if v in FALSIFIABLE_CLAIMS)}"
+                f"--claim must be one of {sorted(c.flag for c in CLAIMS if c.falsifiable)}"
             )
+        _reject_unused(args, claim, f"falsify --claim {claim.flag}")
         if args.budget < 1:
             raise UsageError(f"--budget must be >= 1, got {args.budget}")
-        partition = None
-        if args.partition is not None:
-            parts = _parse_int_list(args.partition, "--partition")
-            partition = CompletePartition(parts, sum(parts))
-        report = falsify(P, claim, budget=args.budget, seed=args.seed, partition=partition)
+        report = falsify(P, claim.id, budget=args.budget, seed=args.seed,
+                         partition=_parse_partition(args))
         _emit(report.to_dict())
         return EXIT_OK if report.passed else EXIT_INCONCLUSIVE
 
-    if args.claim == "all":
+    claim = _CLAIMS_BY_FLAG.get(args.claim)
+    _reject_unused(args, claim, args.claim)
+    if claim is None:  # all
         reports = verify_all(s=args.s, n=args.n, d=args.d, trials=args.trials, seed=args.seed)
         _print_reports(reports, args.format)
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
 
-    claim = _CLAIM_FLAG_TO_ID[args.claim]
-    partition = None
-    if args.partition is not None:
-        parts = _parse_int_list(args.partition, "--partition")
-        partition = CompletePartition(parts, sum(parts))
+    partition = _parse_partition(args)
     poly = _load_polynomial(args.poly) if args.poly is not None else None
     report = verify_claim(
-        claim, s=args.s, n=args.n, d=args.d, trials=args.trials, seed=args.seed,
+        claim.id, s=args.s, n=args.n, d=args.d, trials=args.trials, seed=args.seed,
         partition=partition, poly=poly,
     )
     _emit(report.to_dict())
@@ -324,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="randomized identity checks and falsification")
     p_verify.add_argument(
         "claim",
-        choices=sorted(_CLAIM_FLAG_TO_ID) + ["all", "falsify"],
+        choices=sorted(_CLAIMS_BY_FLAG) + ["all", "falsify"],
     )
     p_verify.add_argument("--s", type=int, default=3, help="degree / mean arity")
     p_verify.add_argument("--n", type=int, default=4, help="lattice dimension")

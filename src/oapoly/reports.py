@@ -29,7 +29,12 @@ __all__ = [
     "CLAIM_IDS",
 ]
 
-CLAIM_IDS = ("RMP", "GM", "SCHUR", "ORTHO", "HM", "GEOS", "WGM", "CROSS_TERMS")
+
+def __getattr__(name: str):
+    if name != "CLAIM_IDS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .theorems import CLAIM_IDS  # from the claim table, which builds on this module
+    return CLAIM_IDS
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,7 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
+@np.errstate(invalid="ignore")  # inf - inf and inf / inf give NaN, which becomes inf below
 def row_residuals(lhs: np.ndarray, rhs: np.ndarray, *,
                   switch: float = DEFAULT_TOLERANCES.relative_switch) -> np.ndarray:
     """Residual of each row of two stacked sides of shape (rows, ...).

@@ -9,6 +9,7 @@ thresholding.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "tuple_with_disjoint_pair",
     "diagonal_polynomial",
     "sparse_polynomial",
+    "TrialDraws",
+    "draw_trials",
 ]
 
 LOG_LOW = 1e-3
@@ -130,3 +133,95 @@ def sparse_polynomial(
         for key, coeff in mixed.items():
             terms[key] = coeff * scale
     return HomogeneousPolynomial(degree, n, d, terms)
+
+
+# -- a block of trials at once -------------------------------------------------
+
+
+class TrialDraws(NamedTuple):
+    """The inputs of a block of T randomized trials, as stacked arrays.
+
+    coeffs
+        (T, n, d) diagonal coefficients, one random additive polynomial per
+        trial, or None.
+    picks
+        (T,) the integer drawn first in each trial (a tuple size or an index
+        into a table of partitions), or None.
+    counts
+        (T,) number of vectors in each trial's tuple.
+    vectors
+        (T, k_max, n) the tuples; rows at and past ``counts[t]`` are unused.
+    """
+
+    coeffs: np.ndarray | None
+    picks: np.ndarray | None
+    counts: np.ndarray
+    vectors: np.ndarray
+
+
+def draw_trials(
+    rng: np.random.Generator,
+    trials: int,
+    n: int,
+    *,
+    d: int | None = None,
+    pick: tuple[int, int] | None = None,
+    counts: Sequence[int] | int = 0,
+    pair: str | None = None,
+) -> TrialDraws:
+    """Draw the inputs of ``trials`` trials in one block.
+
+    Each trial draws, in this order and with the same generator calls as the
+    per-trial helpers above: the coefficients of `diagonal_polynomial` (when ``d``
+    is given); one ``rng.integers(*pick)`` (when ``pick`` is given), which
+    selects the tuple size ``counts[pick]``; the tuple of `positive_tuple`
+    (``counts`` vectors when it is an int); and, when ``pair`` is
+    ``"slots"``, the two slots and the pair of `tuple_with_disjoint_pair`
+    (the pair then replaces those slots of the tuple), or, when ``pair`` is
+    ``"only"``, the pair of `disjoint_pair` alone, which is then the trial's
+    tuple of two. The random stream, and so every value, is that of the
+    per-trial helpers; only the exponentials and sign products are taken
+    once per block.
+    """
+    table = None if isinstance(counts, int) else list(counts)
+    k_max = counts if table is None else max(table)
+    logs = np.zeros((trials, k_max, n))
+    sizes = np.full(trials, k_max, dtype=np.intp)
+    coeffs = signs = picks = pair_logs = mask = slots = None
+    if d is not None:
+        coeffs = np.empty((trials, n, d))
+        signs = np.empty((trials, n, d), dtype=np.intp)
+    if pick is not None:
+        picks = np.empty(trials, dtype=np.intp)
+    if pair is not None:
+        pair_logs = np.empty((trials, 2, n))
+        mask = np.empty((trials, n), dtype=bool)
+    if pair == "slots":
+        slots = np.empty((trials, 2), dtype=np.intp)
+    low, high = math.log(LOG_LOW), math.log(LOG_HIGH)
+    for t in range(trials):
+        if coeffs is not None:
+            coeffs[t] = rng.uniform(COEFF_LOW, COEFF_HIGH, (n, d))
+            signs[t] = rng.integers(0, 2, (n, d))
+        k = k_max
+        if picks is not None:
+            picks[t] = p = rng.integers(*pick)
+            sizes[t] = k = table[p]
+        if k:
+            logs[t, :k] = rng.uniform(low, high, (k, n))
+        if slots is not None:
+            slots[t] = rng.choice(int(k), size=2, replace=False)
+        if mask is not None:
+            mask[t] = rng.integers(0, 2, n)
+            pair_logs[t] = rng.uniform(low, high, (2, n))
+    vectors = np.exp(logs)
+    if pair is not None:
+        e = np.exp(pair_logs)
+        pairs = np.stack([np.where(mask, e[:, 0], 0.0), np.where(mask, 0.0, e[:, 1])], axis=1)
+        if slots is None:
+            vectors, sizes[:] = pairs, 2
+        else:
+            vectors[np.arange(trials)[:, None], slots] = pairs
+    if coeffs is not None:
+        coeffs *= SIGNS[signs]
+    return TrialDraws(coeffs, picks, sizes, vectors)

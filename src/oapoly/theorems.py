@@ -19,29 +19,46 @@ Claim identifiers:
                  the multilinear value with repeated arguments
     CROSS_TERMS  mixed multilinear values vanish on disjoint positive pairs,
                  and the binomial expansion reassembles P(f+g)
+
+Each claim is one `Claim` record of the table `CLAIMS`, which the checks,
+the sweeps, the searches and the CLI look up. A claim's mathematics is here
+twice: on single tuples of lattice vectors (the check_* functions), and on
+array blocks of trials, (T, k, n) stacks with polynomials held as a
+`TermStack`, for the sweeps and the random phase of the searches. The block
+kernels repeat the arithmetic of the claim's check_* function in the same
+order (sequential products over slots, then sequential accumulation over
+keys), so every row's values are bit-identical to checking that trial alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import sampling
 from .lattice import DimensionMismatchError, LatticeVector, PositiveVector, inf, is_disjoint
-from .means import geometric_mean, harmonic_mean, root_mean_power, weighted_geometric_mean
+from .means import (
+    geometric_mean,
+    geometric_mean_stack,
+    harmonic_mean,
+    harmonic_mean_stack,
+    root_mean_power,
+    root_mean_power_stack,
+    weighted_geometric_mean,
+    weighted_geometric_mean_stack,
+)
 from .partitions import CompletePartition, enumerate_complete, weights
 from .polynomials import (
     BLOCK_TRIALS,
     HomogeneousPolynomial,
     TermStack,
-    _additivity_sides,
     is_positively_orthogonally_additive,
 )
 from .reports import (
-    CLAIM_IDS,
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     VerificationReport,
@@ -64,10 +81,11 @@ __all__ = [
     "falsify",
     "verify_claim",
     "verify_all",
+    "Claim",
+    "CLAIMS",
+    "CLAIM_IDS",
     "FALSIFIABLE_CLAIMS",
 ]
-
-FALSIFIABLE_CLAIMS = ("RMP", "GM", "HM", "WGM", "CROSS_TERMS")
 
 
 class PreconditionError(ValueError):
@@ -78,14 +96,128 @@ def _vector_payload(fs: Sequence[LatticeVector]) -> list:
     return [list(f.entries) for f in fs]
 
 
-def _identity_report(claim_id, fs, lhs, rhs, tol, cfg, extra=None) -> VerificationReport:
+# -- preconditions, and the two sides of the identities --------------------------
+#
+# A precondition takes (degree, count, cp): the polynomial's degree (None for
+# a claim without one), the number of vectors and the partition. Sides take
+# (P, fs, cp) for one tuple fs of vectors, or (P, X, cp) for stacked tuples X
+# (T, k, n) with P a `TermStack`, and return the two values the identity
+# equates.
+
+
+def _rmp_requires(degree, count, cp) -> None:
+    if count < 2:
+        raise PreconditionError("the root-mean-power identity needs at least two vectors")
+
+
+def _gm_requires(degree, count, cp) -> None:
+    if count != degree:
+        raise PreconditionError(f"the geometric-mean identity needs exactly {degree} vectors")
+
+
+def _hm_requires(degree, count, cp) -> None:
+    if degree < 2:
+        raise PreconditionError("the harmonic-mean identity needs degree >= 2")
+    if count != degree:
+        raise PreconditionError(f"the identity needs exactly {degree} vectors")
+
+
+def _partition_requires(degree, count, cp) -> None:
+    if degree is not None and cp.target != degree:
+        raise PreconditionError(
+            f"partition target {cp.target} does not match polynomial degree {degree}"
+        )
+    if count != len(cp.parts):
+        raise PreconditionError(f"partition has {len(cp.parts)} parts, got {count} vectors")
+
+
+def _rmp_sides(P, fs, cp):
+    return P(root_mean_power(P.degree, fs)), sum(P(f) for f in fs)
+
+
+def _rmp_stack_sides(P, X, cp):
+    return P(root_mean_power_stack(P.degree, X)), sum(P(X[:, i]) for i in range(X.shape[1]))
+
+
+def _gm_sides(P, fs, cp):
+    return P(geometric_mean(fs)), P.multilinear(*fs)
+
+
+def _gm_stack_sides(P, X, cp):
+    return P(geometric_mean_stack(X)), P.form([X[:, i] for i in range(X.shape[1])])
+
+
+def _hm_sides(P, fs, cp):
+    s = P.degree
+    eta = harmonic_mean(fs)
+    form = P.multilinear
+    lhs = form(*fs) * s
+    rhs = None
+    for j in range(s):
+        term = form(*fs[:j], eta, *fs[j + 1:])
+        rhs = term if rhs is None else rhs + term
+    return lhs, rhs
+
+
+def _hm_stack_sides(P, X, cp):
+    s = X.shape[1]
+    slots = [X[:, i] for i in range(s)]
+    eta = harmonic_mean_stack(X)
+    lhs = P.form(slots) * s
+    rhs = None
+    for j in range(s):
+        term = P.form(slots[:j] + [eta] + slots[j + 1:])
+        rhs = term if rhs is None else rhs + term
+    return lhs, rhs
+
+
+def _repeats(cp: CompletePartition) -> np.ndarray:
+    """Slot k of the repeated-argument form holds argument _repeats(cp)[k]."""
+    return np.repeat(np.arange(len(cp.parts)), cp.parts)
+
+
+def _geos_sides(P, fs, cp):
+    lhs = weighted_geometric_mean(weights(cp), fs)
+    return lhs.to_array(), geometric_mean([fs[i] for i in _repeats(cp)]).to_array()
+
+
+def _geos_stack_sides(P, X, cp):
+    lhs = weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X)
+    return lhs, geometric_mean_stack(X[:, _repeats(cp)])
+
+
+def _wgm_sides(P, fs, cp):
+    lhs = P(weighted_geometric_mean(weights(cp), fs))
+    return lhs, P.multilinear(*(fs[i] for i in _repeats(cp)))
+
+
+def _wgm_stack_sides(P, X, cp):
+    lhs = P(weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X))
+    return lhs, P.form([X[:, i] for i in _repeats(cp)])
+
+
+def _pair_sides(P, fs, cp):
+    f, g = fs
+    return P(f + g), P(f) + P(g)
+
+
+def _pair_stack_sides(P, X, cp):
+    f, g = X[:, 0], X[:, 1]
+    return P(f + g), P(f) + P(g)
+
+
+def _check_identity(claim, P, fs, cp, cfg) -> VerificationReport:
+    """One trial of an identity claim: its preconditions, then its two sides
+    and their residual against its tolerance."""
+    claim.requires(None if P is None else P.degree, len(fs), cp)
+    lhs, rhs = claim.sides(P, fs, cp)
+    tol = claim.tolerance(cfg)
     res = residual(lhs, rhs, switch=cfg.relative_switch)
     passed = res <= tol
-    counterexample = None
-    if not passed:
-        counterexample = identity_payload(_vector_payload(fs), lhs, rhs, extra)
+    extra = None if cp is None else {"partition": list(cp.parts)}
+    counterexample = None if passed else identity_payload(_vector_payload(fs), lhs, rhs, extra)
     return VerificationReport(
-        claim_id=claim_id,
+        claim_id=claim.id,
         trials=1,
         max_residual=float(res),
         tolerance=tol,
@@ -108,11 +240,7 @@ def check_rmp(
     to supply one (a failure on a non-additive P is informative, not an
     error).
     """
-    if len(fs) < 2:
-        raise PreconditionError("the root-mean-power identity needs at least two vectors")
-    lhs = P(root_mean_power(P.degree, fs))
-    rhs = sum(P(f) for f in fs)
-    return _identity_report("RMP", fs, lhs, rhs, cfg.identity_rel, cfg)
+    return _check_identity(CLAIM_TABLE["RMP"], P, fs, None, cfg)
 
 
 def check_gm(
@@ -121,11 +249,7 @@ def check_gm(
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """P(geometric mean of s vectors) against the multilinear value."""
-    if len(fs) != P.degree:
-        raise PreconditionError(f"the geometric-mean identity needs exactly {P.degree} vectors")
-    lhs = P(geometric_mean(fs))
-    rhs = P.multilinear(*fs)
-    return _identity_report("GM", fs, lhs, rhs, cfg.identity_rel, cfg)
+    return _check_identity(CLAIM_TABLE["GM"], P, fs, None, cfg)
 
 
 def check_schur_bounds(
@@ -143,10 +267,9 @@ def check_schur_bounds(
     low = fs[0]
     for f in fs[1:]:
         low = inf(low, f)
-    exact = eta.is_exact
     e, lo = eta.to_array(), low.to_array()
     hi = lo * s
-    if exact:
+    if eta.is_exact:
         viol = Fraction(0)
         for lo_i, e_i, hi_i in zip(lo, e, hi):
             viol = max(viol, lo_i - e_i, e_i - hi_i)
@@ -203,20 +326,6 @@ def check_eta_disjoint(
     )
 
 
-def _hm_sides(P: HomogeneousPolynomial, fs: Sequence[PositiveVector]):
-    s = P.degree
-    eta = harmonic_mean(fs)
-    form = P.multilinear
-    lhs = form(*fs) * s
-    rhs = None
-    for j in range(s):
-        slots = list(fs)
-        slots[j] = eta
-        term = form(*slots)
-        rhs = term if rhs is None else rhs + term
-    return lhs, rhs
-
-
 def check_hm_identity(
     P: HomogeneousPolynomial,
     fs: Sequence[PositiveVector],
@@ -229,12 +338,7 @@ def check_hm_identity(
     with the harmonic mean of the whole tuple replacing slot j. Characterizes
     orthogonal additivity of P over positive tuples.
     """
-    if P.degree < 2:
-        raise PreconditionError("the harmonic-mean identity needs degree >= 2")
-    if len(fs) != P.degree:
-        raise PreconditionError(f"the identity needs exactly {P.degree} vectors")
-    lhs, rhs = _hm_sides(P, fs)
-    return _identity_report("HM", fs, lhs, rhs, cfg.identity_rel, cfg)
+    return _check_identity(CLAIM_TABLE["HM"], P, fs, None, cfg)
 
 
 def check_geos_lemma(
@@ -244,22 +348,7 @@ def check_geos_lemma(
 ) -> VerificationReport:
     """Weighted geometric mean with weights r_k/s against the plain geometric
     mean with each argument repeated r_k times."""
-    if len(fs) != len(cp.parts):
-        raise PreconditionError(f"partition has {len(cp.parts)} parts, got {len(fs)} vectors")
-    lhs = weighted_geometric_mean(weights(cp), fs)
-    repeated = [f for r, f in zip(cp.parts, fs) for _ in range(r)]
-    rhs = geometric_mean(repeated)
-    return _identity_report(
-        "GEOS", fs, lhs.to_array(), rhs.to_array(), cfg.geos_rel, cfg,
-        extra={"partition": list(cp.parts)},
-    )
-
-
-def _wgm_sides(P: HomogeneousPolynomial, cp: CompletePartition, fs: Sequence[PositiveVector]):
-    lhs = P(weighted_geometric_mean(weights(cp), fs))
-    repeated = [f for r, f in zip(cp.parts, fs) for _ in range(r)]
-    rhs = P.multilinear(*repeated)
-    return lhs, rhs
+    return _check_identity(CLAIM_TABLE["GEOS"], None, fs, cp, cfg)
 
 
 def check_wgm_identity(
@@ -270,16 +359,7 @@ def check_wgm_identity(
 ) -> VerificationReport:
     """P of the completely partitioned weighted geometric mean against the
     multilinear value with argument k repeated r_k times."""
-    if cp.target != P.degree:
-        raise PreconditionError(
-            f"partition target {cp.target} does not match polynomial degree {P.degree}"
-        )
-    if len(fs) != len(cp.parts):
-        raise PreconditionError(f"partition has {len(cp.parts)} parts, got {len(fs)} vectors")
-    lhs, rhs = _wgm_sides(P, cp, fs)
-    return _identity_report(
-        "WGM", fs, lhs, rhs, cfg.identity_rel, cfg, extra={"partition": list(cp.parts)}
-    )
+    return _check_identity(CLAIM_TABLE["WGM"], P, fs, cp, cfg)
 
 
 def check_cross_terms(
@@ -334,37 +414,195 @@ def check_cross_terms(
     )
 
 
+# -- the claims on array blocks of trials ---------------------------------------
+#
+# A kernel takes (claim, X, P, cp, cfg): the claim's record, the tuples X
+# (T, k, n) of one group of a block's rows, their polynomials (a `TermStack`,
+# None for a claim without one), the group's partition and the tolerances.
+# It returns (residuals, passed, payload): per-row residuals and pass flags,
+# and payload(t), row t's counterexample in the check_* format. Inputs are
+# assumed to meet the claim's preconditions; verify_claim checks them before
+# drawing.
+
+
+def _grouped(draws: sampling.TrialDraws, P, run):
+    """Run ``run(X, P, pick)`` on the rows of each pick (the tuple size, or
+    the partition), with X their tuples and P their polynomials, and merge
+    the (residuals, passed, payload) results back into trial order. A block
+    without picks is one group, run on its own arrays."""
+    if draws.picks is None:
+        return run(draws.vectors, P, None)
+    keys = draws.picks
+    residuals = np.empty(len(keys))
+    passed = np.empty(len(keys), dtype=bool)
+    group_of = np.empty(len(keys), dtype=np.intp)
+    local_of = np.empty(len(keys), dtype=np.intp)
+    payloads = []
+    for key in np.flatnonzero(np.bincount(keys)):
+        rows = np.flatnonzero(keys == key)
+        X = draws.vectors[rows, :draws.counts[rows[0]]]
+        res, ok, payload = run(X, None if P is None else P.take(rows), int(key))
+        residuals[rows], passed[rows] = res, ok
+        group_of[rows], local_of[rows] = len(payloads), np.arange(len(rows))
+        payloads.append(payload)
+    return residuals, passed, lambda t: payloads[group_of[t]](local_of[t])
+
+
+def _identity_rows(claim, X, P, cp, cfg):
+    """RMP, GM, HM, GEOS and WGM: the residuals of the claim's two sides."""
+    lhs, rhs = claim.stack_sides(P, X, cp)
+    res = row_residuals(lhs, rhs, switch=cfg.relative_switch)
+    extra = None if cp is None else {"partition": list(cp.parts)}
+    return res, res <= claim.tolerance(cfg), lambda i: identity_payload(
+        X[i].tolist(), lhs[i], rhs[i], extra)
+
+
+def _schur_rows(claim, X, P, cp, cfg):
+    e = harmonic_mean_stack(X)
+    lo = X[:, 0]
+    for i in range(1, X.shape[1]):
+        lo = np.minimum(lo, X[:, i])
+    hi = lo * X.shape[1]
+    lower_gap = np.maximum(lo - e, 0.0)
+    upper_gap = np.maximum(e - hi, 0.0)
+    with np.errstate(invalid="ignore"):
+        ulps = np.maximum(
+            np.where(lower_gap > 0, lower_gap / np.spacing(lo), 0.0),
+            np.where(upper_gap > 0, upper_gap / np.spacing(hi), 0.0),
+        )
+    worst = np.max(ulps, axis=1)
+    return worst, worst <= claim.tolerance(cfg), lambda i: {
+        "inputs": X[i].tolist(), "harmonic": e[i], "min": lo[i],
+    }
+
+
+def _ortho_rows(claim, X, P, cp, cfg):
+    e = harmonic_mean_stack(X)
+    worst = np.max(np.abs(e), axis=1)
+    return worst, worst == 0.0, lambda i: {"inputs": X[i].tolist(), "harmonic": e[i]}
+
+
+def _cross_rows(claim, X, P, cp, cfg):
+    f, g = X[:, 0], X[:, 1]
+    s = P.degree
+    mixed_worst = np.zeros(len(f))
+    witness = np.full(len(f), -1)
+    values = []
+    recon = None
+    for k in range(0, s + 1):
+        val = P.form([f] * k + [g] * (s - k))
+        values.append(val)
+        term = val * math.comb(s, k)
+        recon = term if recon is None else recon + term
+        if 1 <= k <= s - 1:
+            mag = np.max(np.abs(val), axis=1)
+            mag[np.isnan(mag)] = np.inf
+            better = mag > mixed_worst
+            mixed_worst = np.where(better, mag, mixed_worst)
+            witness[better & (mag > cfg.mixed_abs)] = k
+    total = P(f + g)
+    recon_res = row_residuals(total, recon, switch=cfg.relative_switch)
+    passed = (mixed_worst <= cfg.mixed_abs) & (recon_res <= cfg.identity_rel)
+
+    def payload(i):
+        k = int(witness[i])
+        mixed_witness = {"copies_of_f": k, "value": values[k][i]} if k >= 0 else None
+        return cross_payload([f[i].tolist(), g[i].tolist()], float(mixed_worst[i]),
+                              float(recon_res[i]), mixed_witness, total[i], recon[i])
+
+    return mixed_worst, passed, payload
+
+
+# -- the claim table -------------------------------------------------------------
+
+
+class Claim(NamedTuple):
+    """One claim: all that the checks, sweeps, searches and the CLI need of it.
+
+    id, flag         report identifier and ``oapoly verify`` flag
+    kernel, requires, sides, stack_sides
+                     see above; the sides of CROSS_TERMS are the ones that
+                     `falsify` compares, P(f + g) and P(f) + P(g)
+    draw             draw(s, pool, partition): `sampling.draw_trials` keywords
+                     of a sweep's trial at degree s (pool: partitions of s)
+    tolerance        the report's tolerance, read from a `ToleranceConfig`
+    takes_poly       a trial evaluates a polynomial (``--poly``)
+    takes_partition  a trial uses a complete partition (``--partition``)
+    check            check(claim, P, fs, cp, cfg): one trial, the sweep's route
+                     for exact-rational polynomials
+    size             size(degree, cp): vectors in one input of `falsify`
+                     (None: the claim is not searched)
+    pairs            inputs are disjoint positive pairs, not tuples
+    """
+
+    id: str
+    flag: str
+    kernel: Callable
+    draw: Callable
+    tolerance: Callable[[ToleranceConfig], float] = lambda cfg: cfg.identity_rel
+    takes_poly: bool = False
+    takes_partition: bool = False
+    check: Callable = _check_identity
+    requires: Callable = lambda degree, count, cp: None
+    sides: Callable | None = None
+    stack_sides: Callable | None = None
+    size: Callable | None = None
+    pairs: bool = False
+
+    @property
+    def falsifiable(self) -> bool:
+        return self.size is not None
+
+
+def _partition_draw(s, pool, partition):
+    if partition is None:
+        return {"pick": (0, len(pool)), "counts": [len(p) for p in pool]}
+    return {"counts": len(partition.parts)}
+
+
+CLAIMS = (
+    Claim("RMP", "rmp", _identity_rows, lambda s, pool, cp: {"pick": (2, 5), "counts": range(5)},
+          takes_poly=True, requires=_rmp_requires, sides=_rmp_sides,
+          stack_sides=_rmp_stack_sides, size=lambda s, cp: max(2, s)),
+    Claim("GM", "gm", _identity_rows, lambda s, pool, cp: {"counts": s},
+          takes_poly=True, requires=_gm_requires, sides=_gm_sides,
+          stack_sides=_gm_stack_sides, size=lambda s, cp: s),
+    Claim("SCHUR", "schur", _schur_rows,
+          lambda s, pool, cp: {"pick": (1, s + 1), "counts": range(s + 1)},
+          tolerance=lambda cfg: float(cfg.ulp_slack)),
+    Claim("ORTHO", "ortho", _ortho_rows,
+          lambda s, pool, cp: {"pick": (2, max(3, s + 1)), "counts": range(max(3, s + 1)),
+                               "pair": "slots"},
+          tolerance=lambda cfg: 0.0),
+    Claim("HM", "hm", _identity_rows, lambda s, pool, cp: {"counts": s},
+          takes_poly=True, requires=_hm_requires, sides=_hm_sides,
+          stack_sides=_hm_stack_sides, size=lambda s, cp: s),
+    Claim("GEOS", "geos", _identity_rows, _partition_draw, tolerance=lambda cfg: cfg.geos_rel,
+          takes_partition=True, requires=_partition_requires, sides=_geos_sides,
+          stack_sides=_geos_stack_sides),
+    Claim("WGM", "wgm", _identity_rows, _partition_draw, takes_poly=True,
+          takes_partition=True, requires=_partition_requires, sides=_wgm_sides,
+          stack_sides=_wgm_stack_sides, size=lambda s, cp: len(cp.parts)),
+    Claim("CROSS_TERMS", "cross", _cross_rows, lambda s, pool, cp: {"pair": "only"},
+          tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True,
+          check=lambda claim, P, fs, cp, cfg: check_cross_terms(P, *fs, cfg),
+          sides=_pair_sides, stack_sides=_pair_stack_sides, size=lambda s, cp: 2, pairs=True),
+)
+CLAIM_TABLE = {claim.id: claim for claim in CLAIMS}
+CLAIM_IDS = tuple(CLAIM_TABLE)
+FALSIFIABLE_CLAIMS = tuple(claim.id for claim in CLAIMS if claim.falsifiable)
+POLY_CLAIMS = tuple(claim.id for claim in CLAIMS if claim.takes_poly)
+
+
 # -- falsification of the converse directions -----------------------------------
 
 
-def _claim_sides(claim_id, P, fs, cp):
-    if claim_id == "RMP":
-        return P(root_mean_power(P.degree, fs)), sum(P(f) for f in fs)
-    if claim_id == "GM":
-        return P(geometric_mean(fs)), P.multilinear(*fs)
-    if claim_id == "HM":
-        return _hm_sides(P, fs)
-    if claim_id == "WGM":
-        return _wgm_sides(P, cp, fs)
-    f, g = fs
-    return P(f + g), P(f) + P(g)
-
-
-def _tuple_size(claim_id, P, cp) -> int:
-    """Number of vectors in one input of ``claim_id``."""
-    if claim_id == "WGM":
-        return len(cp.parts)
-    if claim_id == "RMP":
-        return max(2, P.degree)
-    return 2 if claim_id == "CROSS_TERMS" else P.degree
-
-
-def _structured_inputs(claim_id, P, cp, i, j, a, b):
+def _structured_inputs(claim, P, cp, i, j, a, b):
     """Disjoint two-coordinate families used by the converse arguments."""
     n = P.domain_dim
     f = PositiveVector([a if k == i else 0.0 for k in range(n)])
     g = PositiveVector([b if k == j else 0.0 for k in range(n)])
-    count = _tuple_size(claim_id, P, cp)
+    count = claim.size(P.degree, cp)
     for split in range(1, count):
         yield [f] * split + [g] * (count - split)
 
@@ -374,22 +612,15 @@ _FIRST_RANDOM_BLOCK = 16
 `BLOCK_TRIALS`, so a witness found early pays for few rows."""
 
 
-def _random_rows(claim_id, P, cp, rng, size):
+def _random_rows(claim, P, cp, rng, size):
     """One block of ``size`` random inputs (T, k, n), drawn with the generator
     calls of the per-trial sampling helpers, and both sides for each."""
-    # imported here, so that only searches that reach the random phase pay to
-    # compile the block kernels
-    from . import blocks
-
-    n = P.domain_dim
-    if claim_id == "CROSS_TERMS":
-        X = blocks.draw_trials(rng, size, n, pair="only").pairs
-        return (X, *_additivity_sides(P, X[:, 0], X[:, 1]))
-    X = blocks.draw_trials(rng, size, n, counts=_tuple_size(claim_id, P, cp)).vectors
+    spec = {"pair": "only"} if claim.pairs else {"counts": claim.size(P.degree, cp)}
+    X = sampling.draw_trials(rng, size, P.domain_dim, **spec).vectors
     if not P.is_exact:
-        return (X, *blocks.sides(claim_id, TermStack.of(P), X, cp))
+        return (X, *claim.stack_sides(TermStack.of(P), X, cp))
     # exact coefficients: each row through the scalar evaluation
-    rows = [_claim_sides(claim_id, P, [PositiveVector(v) for v in x], cp) for x in X]
+    rows = [claim.sides(P, [PositiveVector(v) for v in x], cp) for x in X]
     return X, np.array([lhs for lhs, _ in rows]), np.array([rhs for _, rhs in rows])
 
 
@@ -436,8 +667,9 @@ def falsify(
             raise PreconditionError(
                 "polynomial passed the exhaustive additivity check; nothing to falsify"
             )
+    claim = CLAIM_TABLE[claim_id]
     cp = partition
-    if claim_id == "WGM":
+    if claim.takes_partition:
         if cp is None:
             cp = CompletePartition((1,) * P.degree, P.degree)
         if cp.target != P.degree:
@@ -449,29 +681,25 @@ def falsify(
     witness = None
     threshold = cfg.falsify_threshold
 
-    n = P.domain_dim
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
+    for i, j in itertools.permutations(range(P.domain_dim), 2):
+        if used >= budget or witness is not None:
+            break
+        a, b = sampling.log_uniform(rng, 2, low=1.0, high=10.0)
+        for fs in _structured_inputs(claim, P, cp, i, j, float(a), float(b)):
+            used += 1
+            lhs, rhs = claim.sides(P, fs, cp)
+            res = float(residual(lhs, rhs, switch=cfg.relative_switch))
+            best = max(best, res)
+            if res > threshold:
+                witness = {"inputs": _vector_payload(fs), "lhs": lhs, "rhs": rhs,
+                           "residual": res, "source": "structured"}
             if used >= budget or witness is not None:
                 break
-            a, b = sampling.log_uniform(rng, 2, low=1.0, high=10.0)
-            for fs in _structured_inputs(claim_id, P, cp, i, j, float(a), float(b)):
-                used += 1
-                lhs, rhs = _claim_sides(claim_id, P, fs, cp)
-                res = float(residual(lhs, rhs, switch=cfg.relative_switch))
-                best = max(best, res)
-                if res > threshold:
-                    witness = {"inputs": _vector_payload(fs), "lhs": lhs, "rhs": rhs,
-                               "residual": res, "source": "structured"}
-                if used >= budget or witness is not None:
-                    break
 
     size = _FIRST_RANDOM_BLOCK
     while used < budget and witness is None:
         size = min(size, BLOCK_TRIALS, budget - used)
-        X, lhs, rhs = _random_rows(claim_id, P, cp, rng, size)
+        X, lhs, rhs = _random_rows(claim, P, cp, rng, size)
         res = row_residuals(lhs, rhs, switch=cfg.relative_switch)
         hits = np.flatnonzero(res > threshold)
         stop = hits[0] + 1 if hits.size else size
@@ -498,64 +726,10 @@ def falsify(
 
 # -- randomized sweep runners ----------------------------------------------------
 
-POLY_CLAIMS = ("RMP", "GM", "HM", "WGM", "CROSS_TERMS")
 
-
-def _tolerance(claim_id: str, cfg: ToleranceConfig) -> float:
-    return {
-        "SCHUR": float(cfg.ulp_slack),
-        "ORTHO": 0.0,
-        "GEOS": cfg.geos_rel,
-        "CROSS_TERMS": cfg.mixed_abs,
-    }.get(claim_id, cfg.identity_rel)
-
-
-def _check_claim_inputs(claim_id, poly, s, n, d, partition) -> None:
-    """Raise what the claim's check_* raises on the first trial."""
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
-    if claim_id not in POLY_CLAIMS:
-        return
-    degree = s if poly is None else poly.degree
-    if claim_id == "HM":
-        if degree < 2:
-            raise PreconditionError("the harmonic-mean identity needs degree >= 2")
-        if s != degree:
-            raise PreconditionError(f"the identity needs exactly {degree} vectors")
-    elif claim_id == "GM" and s != degree:
-        raise PreconditionError(f"the geometric-mean identity needs exactly {degree} vectors")
-    elif claim_id == "WGM":
-        target = s if partition is None else partition.target
-        if target != degree:
-            raise PreconditionError(
-                f"partition target {target} does not match polynomial degree {degree}"
-            )
-    if poly is None and d < 1:
-        raise ValueError(f"codomain dimension d must be >= 1, got {d}")
-    if poly is not None and poly.domain_dim != n:
-        raise DimensionMismatchError(
-            f"vector dimension {n} does not match domain {poly.domain_dim}"
-        )
-
-
-def _checked_rows(claim_id, draws, P, cfg, partition_of):
-    """Each trial through its check_* function: the path for exact polynomials."""
-    reports = []
-    for t, k in enumerate(draws.counts.tolist()):
-        fs = [PositiveVector(v) for v in draws.vectors[t, :k]]
-        if claim_id == "RMP":
-            rep = check_rmp(P, fs, cfg)
-        elif claim_id == "GM":
-            rep = check_gm(P, fs, cfg)
-        elif claim_id == "HM":
-            rep = check_hm_identity(P, fs, cfg)
-        elif claim_id == "WGM":
-            pick = None if draws.picks is None else draws.picks[t]
-            rep = check_wgm_identity(P, partition_of(pick), fs, cfg)
-        else:
-            f, g = (PositiveVector(v) for v in draws.pairs[t])
-            rep = check_cross_terms(P, f, g, cfg)
-        reports.append(rep)
+def _checked_rows(claim, X, P, cp, cfg):
+    """Each trial through the claim's check: the route for exact polynomials."""
+    reports = [claim.check(claim, P, [PositiveVector(v) for v in x], cp, cfg) for x in X]
     residuals = np.array([r.max_residual for r in reports])
     passed = np.array([r.passed for r in reports])
     return residuals, passed, lambda t: reports[t].counterexample
@@ -586,39 +760,50 @@ def verify_claim(
     at once on (T, k, n) stacks, in the arithmetic order of the claim's
     check_* function. Reports are the same, bit for bit, as checking each
     trial with its check_* function; an exact-rational ``poly`` takes that
-    per-trial route.
+    per-trial route. A claim without a polynomial ignores ``poly``.
     """
-    # imported here, so that only sweeps pay to compile the block kernels
-    # (about 5 ms at every start-up of a command that never sweeps)
-    from . import blocks
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if s < 2 and claim_id in POLY_CLAIMS:
-        raise ValueError(f"claim {claim_id} needs degree s >= 2")
-    if claim_id not in CLAIM_IDS:
+    if claim_id not in CLAIM_TABLE:
         raise ValueError(f"unknown claim {claim_id!r}")
-    _check_claim_inputs(claim_id, poly, s, n, d, partition)
-    pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
+    claim = CLAIM_TABLE[claim_id]
+    if s < 2 and claim.takes_poly:
+        raise ValueError(f"claim {claim_id} needs degree s >= 2")
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    pool = enumerate_complete(s) if claim.takes_partition else None
 
-    def partition_of(key):
-        return partition or CompletePartition(pool[key], s)
+    def partition_of(pick):
+        return (partition or CompletePartition(pool[pick], s)) if claim.takes_partition else None
 
-    if claim_id not in POLY_CLAIMS:
+    if claim.takes_poly:
+        # what the claim's check_* raises on the first trial
+        cp = partition_of(0)
+        claim.requires(s if poly is None else poly.degree, claim.size(s, cp), cp)
+        if poly is None and d < 1:
+            raise ValueError(f"codomain dimension d must be >= 1, got {d}")
+        if poly is not None and poly.domain_dim != n:
+            raise DimensionMismatchError(
+                f"vector dimension {n} does not match domain {poly.domain_dim}"
+            )
+    else:
         poly = None
-    random_poly = claim_id in POLY_CLAIMS and poly is None
+    random_poly = claim.takes_poly and poly is None
     exact = poly is not None and poly.is_exact
     shared = None if poly is None or exact else TermStack.of(poly)
+    kernel = _checked_rows if exact else claim.kernel
+
+    def group(X, P, pick):
+        return kernel(claim, X, poly if exact else P, partition_of(pick), cfg)
+
+    spec = claim.draw(s, pool, partition)
     rng = np.random.default_rng(seed)
     worst, passed, counterexample = 0.0, True, None
     for start in range(0, trials, BLOCK_TRIALS):
         size = min(BLOCK_TRIALS, trials - start)
-        draws = blocks.draw(claim_id, rng, size, s, n, d if random_poly else None, pool, partition)
-        if exact:
-            res, ok, payload = _checked_rows(claim_id, draws, poly, cfg, partition_of)
-        else:
-            P = TermStack.diagonal(draws.coeffs, s) if random_poly else shared
-            res, ok, payload = blocks.rows(claim_id, draws, P, cfg, partition_of)
+        draws = sampling.draw_trials(rng, size, n, d=d if random_poly else None, **spec)
+        P = TermStack.diagonal(draws.coeffs, s) if random_poly else shared
+        res, ok, payload = _grouped(draws, P, group)
         worst = max(worst, float(res.max()))
         if passed and not ok.all():
             passed = False
@@ -627,7 +812,7 @@ def verify_claim(
         claim_id=claim_id,
         trials=trials,
         max_residual=worst,
-        tolerance=_tolerance(claim_id, cfg),
+        tolerance=claim.tolerance(cfg),
         passed=passed,
         counterexample=counterexample,
     )
@@ -643,13 +828,7 @@ def verify_all(
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> list[VerificationReport]:
     """Run every claim with a deterministic per-claim seed derived from ``seed``."""
-    out = []
-    for offset, claim_id in enumerate(
-        ("RMP", "GM", "SCHUR", "ORTHO", "HM", "GEOS", "WGM", "CROSS_TERMS")
-    ):
-        out.append(
-            verify_claim(
-                claim_id, s=s, n=n, d=d, trials=trials, seed=seed + offset, cfg=cfg
-            )
-        )
-    return out
+    return [
+        verify_claim(claim.id, s=s, n=n, d=d, trials=trials, seed=seed + offset, cfg=cfg)
+        for offset, claim in enumerate(CLAIMS)
+    ]

@@ -25,6 +25,8 @@ def _terms(*items):
     return [{"key": key, "coeff": coeff} for key, coeff in items]
 
 
+SQUARE_OF_SUM = {"s": 2, "n": 2, "d": 1, "terms": _terms(([0, 0], [1.0]), ([0, 1], [1.0]), ([1, 1], [1.0]))}
+
 GOLDEN_POLYS = {
     "threeway": {"s": 3, "n": 3, "d": 1, "terms": _terms(([0, 1, 2], [1.0]), ([0, 0, 0], [1.0]))},
     "weak": {"s": 3, "n": 4, "d": 2, "terms": _terms(
@@ -36,6 +38,11 @@ GOLDEN_POLYS = {
     "wgm4": {"s": 4, "n": 5, "d": 2, "terms": _terms(
         ([0, 0, 0, 0], [1.0, 2.0]), ([4, 4, 4, 4], [0.5, -1.0]), ([0, 1, 2, 3], [0.25, 0.125]))},
     "diag11": {"s": 2, "diagonal": [[float(i + 1), -0.5] for i in range(11)]},
+    "sparse3": {"s": 3, "n": 4, "d": 2, "terms": _terms(
+        ([0, 0, 0], [1.5, -0.5]), ([1, 1, 1], [0.8, 2.0]), ([3, 3, 3], [-1.2, 0.4]),
+        ([0, 1, 1], [0.3, -0.2]), ([1, 2, 3], [0.05, 0.1]))},
+    "exact3": {"s": 3, "n": 3, "d": 2, "terms": _terms(
+        ([0, 0, 0], ["1", "-2/3"]), ([1, 1, 1], ["5/2", "1/7"]), ([2, 2, 2], ["3/4", "2"]))},
 }
 
 
@@ -271,6 +278,70 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of single-claim `verify` stdout (stderr for the usage error),
+    # recorded before the claims were defined by one table: every flag on
+    # random diagonal polynomials, a run over two blocks, float sparse and
+    # exact-rational user polynomials, fixed partitions, failing runs (exit 1)
+    # and the list of falsifiable flags
+    @pytest.mark.parametrize("poly, argv, exit_code, digest", [
+        (None, "verify rmp --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "ddbd9cdeec6a7d1a362180512013eb7a51737ebceb3d60a7a584469c03007897"),
+        (None, "verify gm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "15dd841e6a3e2766088a6aacafdd2e9b02c12810ef7c663fe65d30305e9bd5b9"),
+        (None, "verify schur --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "9c0e654402b988f8cc77111e592ec8f14a124ba00e35f9d83469d18329a8a378"),
+        (None, "verify ortho --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "783af606300331d5bc099cc9ba2495c43a7c26f20ff889fd8359d9ab4e68f8e9"),
+        (None, "verify hm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "77c8d7343f490ea20f5599e249ac7879fe62e1842d75c64d4d213eaa227399c1"),
+        (None, "verify geos --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "6476131ad5277175c07470008cb7f5d31db878787c2e76258aa19ea864e39542"),
+        (None, "verify wgm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "419c07afc8d46755a7af0cd93890cb0b0da02fa3d324ee651d910963aca9664f"),
+        (None, "verify cross --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+         "51ec683737382068fae513c05acb460c17866782e3484636b984794609d33fbf"),
+        (None, "verify rmp --s 3 --n 3 --trials 1100 --seed 8", 0,
+         "f2e69f2fe74e90b873fb7cea83587c8bd512d0c8834ab076b45b77272ea039ef"),
+        ("sparse3", "verify rmp --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+         "0354f31a5515a1f2ec5ec78e05c359c5e060262cf63ea7bea8a04e2e7d61bcbd"),
+        ("sparse3", "verify gm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+         "b496f426cff30062d0882c264f21aaa9c5da72c7e25888ce83721b185ee0671e"),
+        ("sparse3", "verify hm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+         "48ca646804ca4e6186bc722802a9f45d0ef08d3d783b97e8f7a3b6eddb8349db"),
+        ("sparse3", "verify wgm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+         "92a2345071d4ce263ce1e082d524c0ac58e1a94e14573c29e0bf37cc4259d719"),
+        ("sparse3", "verify cross --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+         "9f47b9c93036750fae692ff32ab31cb0cafff68f60dfb69f198dc6867c43093b"),
+        ("exact3", "verify rmp --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+         "4c0d5abb711a3cab619e778692e80e604f09e8ec5f89fb35efe0baf08a659897"),
+        ("exact3", "verify gm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+         "332511585b51752b0d6f291e3addb99269ce1aa4565630efbfea850753eb83d6"),
+        ("exact3", "verify hm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+         "3d505d042e1c7e6c5cf140a8795399941c3032b8078f26b8df292bcc8840a6c2"),
+        ("exact3", "verify wgm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+         "c5143a7f1815dfb0b985a35ccc1c4bcc7a73851a94e57c68cbb4f32b0dbc2fd1"),
+        ("exact3", "verify cross --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+         "b553ef5b9f82674fb7a22a82b34a06aec7ed24484922b8252303ca55483b5679"),
+        (None, "verify geos --s 4 --n 3 --partition 2,1,1 --trials 200 --seed 6", 0,
+         "eab5e78e41acaf72c5d41eb32cba7db182829304d62926baafb3d631e0b36a0c"),
+        (None, "verify wgm --s 4 --n 3 --d 2 --partition 2,1,1 --trials 200 --seed 6", 0,
+         "526a1f9f99e9125837f6ca257aef28c86c44e0fb7a7758d839228b30f2a4933e"),
+        ("wgm4", "verify wgm --s 4 --n 5 --d 2 --partition 2,1,1 --trials 60 --seed 2", 1,
+         "cbe5cbd832493a480ea7a0a2f274cf6f6fe3218fa58e49f445891564defb8e31"),
+        ("threeway", "verify falsify --claim schur", 2,
+         "78766c5cc866d93f3068284faacb638c812f582b4a9db3bb2c6fec8b47e2b98e"),
+    ])
+    def test_single_claim_golden_digest(self, capsys, tmp_path, poly, argv, exit_code, digest):
+        extra = []
+        if poly is not None:
+            path = tmp_path / "poly.json"
+            path.write_text(json.dumps(GOLDEN_POLYS[poly]))
+            extra = ["--poly", str(path)]
+        code, out, err = run_cli(capsys, *argv.split(), *extra)
+        assert code == exit_code
+        text = err if code == 2 else out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_failing_poly_exit_one(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps({
@@ -343,6 +414,37 @@ class TestVerify:
         code, out, _ = run_cli(capsys, *argv.split(), "--poly", str(path))
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # a --poly or --partition that the claim would ignore exits 2 naming the flag
+    @pytest.mark.parametrize("argv, flag", [
+        *[(f"verify {claim} --s 2 --n 2 --poly SQ", "--poly")
+          for claim in ("schur", "ortho", "geos", "all")],
+        *[(f"verify {claim} --s 2 --n 2 --partition 1,1", "--partition")
+          for claim in ("rmp", "gm", "schur", "ortho", "hm", "cross", "all")],
+        *[(f"verify falsify --claim {claim} --poly SQ --partition 1,1", "--partition")
+          for claim in ("rmp", "gm", "hm", "cross")],
+    ])
+    def test_flag_the_claim_ignores_is_usage_error(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps(SQUARE_OF_SUM))
+        code, out, err = run_cli(capsys, *argv.replace("SQ", str(path)).split())
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} does not apply to 'oapoly verify ")
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        ("verify hm --s 2 --n 2 --poly SQ", 1),
+        ("verify geos --s 3 --n 2 --partition 2,1", 0),
+        ("verify wgm --s 2 --n 2 --poly SQ --partition 1,1", 1),
+        ("verify falsify --claim wgm --poly SQ --partition 1,1", 0),
+        # the benchmark's two CLI invocations
+        ("verify all --s 3 --n 4 --d 1 --trials 30 --seed 5", 0),
+        ("verify falsify --claim hm --poly SQ --budget 10000 --seed 5", 0),
+    ])
+    def test_flags_the_claim_takes_are_accepted(self, capsys, tmp_path, argv, exit_code):
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps(SQUARE_OF_SUM))
+        code, out, _ = run_cli(capsys, *argv.replace("SQ", str(path)).split())
+        assert code == exit_code and strict_json(out)
 
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "verify", "nonsense")[0] == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -38,7 +39,7 @@ from oapoly import (
 )
 from oapoly import polynomials, theorems
 from oapoly.lattice import DimensionMismatchError
-from oapoly.reports import DEFAULT_TOLERANCES, VerificationReport
+from oapoly.reports import DEFAULT_TOLERANCES, VerificationReport, row_residuals
 from oapoly.sampling import (
     diagonal_polynomial,
     disjoint_pair,
@@ -465,6 +466,18 @@ class TestNonFinite:
         payload = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
         assert payload["max_residual"] == "inf"
         assert payload["counterexample"]["lhs"][1] == "inf"
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ([math.inf], [math.inf]),
+        ([math.inf, 1.0], [1.0, 1.0]),
+        ([1.0, -math.inf], [1.0, -math.inf]),
+    ])
+    def test_residual_is_silent_on_non_finite_sides(self, lhs, rhs):
+        # inf - inf and inf / inf are handled on purpose, so they must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert residual(lhs, rhs) == math.inf
+            assert list(row_residuals(np.array([lhs]), np.array([rhs]))) == [math.inf]
 
     def test_verify_claim_fails_on_overflow(self):
         P = make_diagonal([[1.0, 1.0], [1.0, 1e308]], 2)
