@@ -54,6 +54,8 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+DEFAULT_BUDGET = 10_000
+
 _CLAIMS_BY_FLAG = {claim.flag: claim for claim in CLAIMS}
 
 
@@ -231,10 +233,16 @@ def _parse_partition(args) -> CompletePartition | None:
 
 
 def _reject_unused(args, claim, command: str) -> None:
-    """A --poly or --partition that ``claim`` (None: every claim) would
-    ignore is a usage error, not a silently dropped input."""
+    """A flag that ``oapoly verify {command}`` would ignore is a usage error,
+    not a silently dropped input: --poly or --partition that ``claim`` (None:
+    every claim) does not take, --format outside ``verify all``, and --claim
+    or --budget outside ``verify falsify``."""
+    falsifying = args.claim == "falsify"
     for flag, value, used in (("--poly", args.poly, claim and claim.takes_poly),
-                              ("--partition", args.partition, claim and claim.takes_partition)):
+                              ("--partition", args.partition, claim and claim.takes_partition),
+                              ("--format", args.format, args.claim == "all"),
+                              ("--claim", args.falsify_claim, falsifying),
+                              ("--budget", args.budget, falsifying)):
         if value is not None and not used:
             raise UsageError(f"{flag} does not apply to 'oapoly verify {command}'")
 
@@ -250,9 +258,10 @@ def _cmd_verify(args) -> int:
                 f"--claim must be one of {sorted(c.flag for c in CLAIMS if c.falsifiable)}"
             )
         _reject_unused(args, claim, f"falsify --claim {claim.flag}")
-        if args.budget < 1:
-            raise UsageError(f"--budget must be >= 1, got {args.budget}")
-        report = falsify(P, claim.id, budget=args.budget, seed=args.seed,
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        if budget < 1:
+            raise UsageError(f"--budget must be >= 1, got {budget}")
+        report = falsify(P, claim.id, budget=budget, seed=args.seed,
                          partition=_parse_partition(args))
         _emit(report.to_dict())
         return EXIT_OK if report.passed else EXIT_INCONCLUSIVE
@@ -261,7 +270,7 @@ def _cmd_verify(args) -> int:
     _reject_unused(args, claim, args.claim)
     if claim is None:  # all
         reports = verify_all(s=args.s, n=args.n, d=args.d, trials=args.trials, seed=args.seed)
-        _print_reports(reports, args.format)
+        _print_reports(reports, args.format or "json")
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
 
     partition = _parse_partition(args)
@@ -337,12 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated parts r1,..,rp (geos/wgm)")
     p_verify.add_argument("--poly", type=str, default=None,
                           help="polynomial JSON file (defaults to random diagonal ones)")
-    p_verify.add_argument("--format", choices=["json", "csv", "human"], default="json",
-                          help="output format for 'verify all'")
+    p_verify.add_argument("--format", choices=["json", "csv", "human"], default=None,
+                          help="output format for 'verify all' (default json)")
     p_verify.add_argument("--claim", dest="falsify_claim", type=str, default=None,
                           help="claim to falsify (verify falsify only)")
-    p_verify.add_argument("--budget", type=int, default=10_000,
-                          help="sample budget for falsification")
+    p_verify.add_argument("--budget", type=int, default=None,
+                          help=f"sample budget for 'verify falsify' (default {DEFAULT_BUDGET})")
 
     return parser
 

@@ -92,13 +92,16 @@ class TermStack:
     evaluators in the same order (sequential products over slots, then
     sequential accumulation over keys), so each row's value is bit-identical
     to evaluating that row's polynomial at that row alone. The arrangement
-    table of the symmetric form is built on its first use.
+    tables of the symmetric form are built on its first use. Index tables are
+    kept in Fortran order, so that each slot's column is one contiguous
+    vector for ``ndarray.take``, which gathers faster than fancy indexing.
     """
 
     def __init__(self, degree: int, keys: Sequence[tuple[int, ...]], coeffs: np.ndarray):
         self._keys = [tuple(k) for k in keys]
         self.coeffs = coeffs
-        self._index = np.array(self._keys, dtype=np.intp).reshape(len(self._keys), degree)
+        self._index = np.asfortranarray(
+            np.array(self._keys, dtype=np.intp).reshape(len(self._keys), degree))
         self._weights = np.array([_multinomial(k) for k in self._keys], dtype=float)
         self._layout = None
 
@@ -137,40 +140,55 @@ class TermStack:
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """P at each row of X (T, n); returns (T, d)."""
         index = self._index
-        monomial = X[:, index[:, 0]]
+        monomial = X.take(index[:, 0], axis=1)
         for k in range(1, index.shape[1]):
-            monomial = monomial * X[:, index[:, k]]
+            monomial = monomial * X.take(index[:, k], axis=1)
         return _sum_terms(self.coeffs * (self._weights * monomial)[:, :, None])
 
     def _arrangement_layout(self):
-        """All arrangements of all keys, shape (sum of multinomials, s), each
-        key's first row, and (key, start, stop) for the keys with several."""
+        """The keys grouped by their number A of arrangements: for each group,
+        its keys' positions, all their arrangements as one int32 table of
+        shape (keys * A, s), each key's A rows together, and A."""
         if self._layout is None:
-            arrangements = [_arrangements(k) for k in self._keys]
-            table = np.concatenate([np.empty((0, self.degree), dtype=np.intp), *arrangements])
-            bounds = np.cumsum([0] + [len(a) for a in arrangements])
-            sums = [(i, int(a), int(b)) for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-                    if b - a > 1]
-            self._layout = table, bounds[:-1], sums
+            groups: dict[int, tuple[list, list]] = {}
+            for i, key in enumerate(self._keys):
+                arrangements = _arrangements(key)
+                positions, tables = groups.setdefault(len(arrangements), ([], []))
+                positions.append(i)
+                tables.append(arrangements)
+            self._layout = [
+                (np.array(positions),
+                 np.asfortranarray(np.concatenate(tables, dtype=np.int32)),
+                 count)
+                for count, (positions, tables) in groups.items()
+            ]
         return self._layout
 
     def form(self, slots: Sequence[np.ndarray]) -> np.ndarray:
         """The symmetric form at stacked arguments: slots[k] (T, n) fills slot k."""
-        table, starts, sums = self._arrangement_layout()
-        if len(slots) != table.shape[1]:
-            raise ValueError(f"the form takes exactly {table.shape[1]} vectors, got {len(slots)}")
-        products = slots[0][:, table[:, 0]]
-        for k in range(1, table.shape[1]):
-            products = products * slots[k][:, table[:, k]]
-        totals = products
-        if sums:
-            # C order, so that each row's sum over a key's arrangements is numpy's
-            # pairwise sum of a contiguous vector, as in the scalar form
-            products = np.ascontiguousarray(products)
-            totals = products[:, starts]
-            for i, a, b in sums:
-                totals[:, i] = products[:, a:b].sum(axis=1)
+        if len(slots) != self.degree:
+            raise ValueError(f"the form takes exactly {self.degree} vectors, got {len(slots)}")
+        groups = self._arrangement_layout()
+        if len(groups) == 1:  # every key, in key order
+            totals = _arrangement_sums(slots, *groups[0][1:])
+        else:
+            totals = np.empty((len(slots[0]), len(self._keys)))
+            for positions, table, count in groups:
+                totals[:, positions] = _arrangement_sums(slots, table, count)
         return _sum_terms(self.coeffs * totals[:, :, None])
+
+
+def _arrangement_sums(slots: Sequence[np.ndarray], table: np.ndarray, count: int) -> np.ndarray:
+    """For each row and each key of one arrangement group, the sum over the
+    key's ``count`` arrangements of the slot products; (T, keys)."""
+    products = slots[0].take(table[:, 0], axis=1)
+    for k in range(1, table.shape[1]):
+        products = products * slots[k].take(table[:, k], axis=1)
+    if count == 1:
+        return products
+    # take gives C order, so that each row's sum over a key's arrangements is
+    # numpy's pairwise sum of a contiguous vector, as in the scalar form
+    return products.reshape(len(products), -1, count).sum(axis=2)
 
 
 def _coerce_coeff(value, d: int) -> np.ndarray:
@@ -316,8 +334,12 @@ class SymmetricMultilinearView:
             raise ValueError(f"the form takes exactly {s} vectors, got {len(fs)}")
         for f in fs:
             P._check_vector(f)
-        exact = all(f.is_exact for f in fs)
+        exact = fs[0].is_exact
+        if any(f.is_exact != exact for f in fs):
+            raise ValueError("cannot mix exact and float vectors")
         X = np.stack([f.to_array() for f in fs])  # (s, n)
+        if not (P.is_exact or exact):
+            return TermStack.of(P).form(X[:, None])[0]
         rows = np.arange(s)[None, :]
         out = P._zero(exact)
         for key, coeff in P.terms.items():
@@ -368,9 +390,14 @@ def polarize_blackbox(
                 raise ValueError(
                     f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
                 )
+    sign_rows = list(itertools.product((1, -1), repeat=s))
+    if probe.is_exact:
+        args = [reduce(lambda a, b: a + b, (f * sig for f, sig in zip(fs, signs)))
+                for signs in sign_rows]
+    else:
+        args = _signed_arguments(fs, sign_rows)
     total = None
-    for signs in itertools.product((1, -1), repeat=s):
-        arg = reduce(lambda a, b: a + b, (f * sig for f, sig in zip(fs, signs)))
+    for signs, arg in zip(sign_rows, args):
         parity = 1 if signs.count(-1) % 2 == 0 else -1
         val = np.atleast_1d(np.asarray(evaluator(arg))) * parity
         total = val if total is None else total + val
@@ -378,6 +405,21 @@ def polarize_blackbox(
     if total.dtype == object:
         return total * Fraction(1, denom)
     return total / denom
+
+
+def _signed_arguments(fs: Sequence[LatticeVector], sign_rows) -> list[LatticeVector]:
+    """sum_k e_k f_k for each sign row e, the all-plus row first, built as one
+    (rows, n) array with the float operations of summing ``f * e_k`` slot by
+    slot. The all-plus row is a PositiveVector when every f is; each other
+    row, holding a negated f, is a LatticeVector."""
+    X = np.stack([f.to_array() for f in fs])  # (s, n)
+    signs = np.array(sign_rows, dtype=float)
+    rows = X[0] * signs[:, :1]
+    for k in range(1, len(fs)):
+        rows = rows + X[k] * signs[:, k:k + 1]
+    positive = all(isinstance(f, PositiveVector) for f in fs)
+    return [(PositiveVector if positive and i == 0 else LatticeVector)._from_data(row, False)
+            for i, row in enumerate(rows)]
 
 
 def _additivity_sides(P: HomogeneousPolynomial, f: np.ndarray, g: np.ndarray):

@@ -89,14 +89,18 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-@np.errstate(invalid="ignore")  # inf - inf and inf / inf give NaN, which becomes inf below
+# inf - inf and inf / inf give NaN, which becomes inf below; a difference of
+# finite sides that overflows is recomputed below from the scaled sides
+@np.errstate(invalid="ignore", over="ignore")
 def row_residuals(lhs: np.ndarray, rhs: np.ndarray, *,
                   switch: float = DEFAULT_TOLERANCES.relative_switch) -> np.ndarray:
     """Residual of each row of two stacked sides of shape (rows, ...).
 
     Componentwise |lhs - rhs|, divided by max(|lhs|, |rhs|) where that scale
     exceeds ``switch``; each row reduces to the maximum over its components.
-    A row with a non-finite component on either side gets residual ``inf``.
+    A row with a non-finite component on either side gets residual ``inf``;
+    finite sides whose difference overflows are compared as
+    |lhs / scale - rhs / scale|, so their relative residual stays finite.
     Object arrays of exact Fractions flow through unconverted, so a zero
     residual is exact.
     """
@@ -108,7 +112,12 @@ def row_residuals(lhs: np.ndarray, rhs: np.ndarray, *,
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     np.divide(diff, scale, out=diff, where=scale > switch)
     out = np.maximum.reduce(diff.reshape(len(diff), -1), axis=1)
-    if out.dtype != object:
+    if out.dtype != object and not np.isfinite(out).all():
+        # a finite scale means two finite sides, whose difference overflowed
+        over = np.isinf(diff) & np.isfinite(scale) & (scale > switch)
+        if over.any():
+            diff[over] = np.abs(lhs[over] / scale[over] - rhs[over] / scale[over])
+            out = np.maximum.reduce(diff.reshape(len(diff), -1), axis=1)
         # a non-finite side leaves NaN in its component, which max propagates
         out[np.isnan(out)] = np.inf
     return out

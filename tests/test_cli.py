@@ -1,8 +1,10 @@
 """CLI surface: output schemas, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from oapoly.cli import main
@@ -43,6 +45,32 @@ GOLDEN_POLYS = {
         ([0, 1, 1], [0.3, -0.2]), ([1, 2, 3], [0.05, 0.1]))},
     "exact3": {"s": 3, "n": 3, "d": 2, "terms": _terms(
         ([0, 0, 0], ["1", "-2/3"]), ([1, 1, 1], ["5/2", "1/7"]), ([2, 2, 2], ["3/4", "2"]))},
+}
+
+
+
+def _dense_poly(s, n, d, seed):
+    """Every key of degree s over n coordinates, with random coefficients."""
+    rng = np.random.default_rng(seed)
+    keys = list(itertools.combinations_with_replacement(range(n), s))
+    coeffs = rng.uniform(-2.0, 2.0, (len(keys), d)).tolist()
+    return {"s": s, "n": n, "d": d, "terms": _terms(*zip(map(list, keys), coeffs))}
+
+
+# (polynomial, input vectors) of `poly multilinear`: a dense polynomial with
+# many arrangement counts, a sparse one and an exact-rational one
+MULTILINEAR_CASES = {
+    "dense4x12": (_dense_poly(4, 12, 2, seed=41),
+                  np.random.default_rng(42).uniform(0.5, 2.0, (4, 12)).tolist()),
+    "sparse_d3": ({"s": 3, "n": 5, "d": 3, "terms": _terms(
+        ([0, 0, 0], [1.5, -0.5, 0.25]), ([1, 2, 3], [0.3, -0.2, 1e-3]),
+        ([0, 0, 4], [-1.25, 0.75, 2.0]), ([2, 2, 2], [0.8, 2.0, -3.0]),
+        ([1, 4, 4], [0.05, 0.1, -0.7]))},
+        [[0.51, 1.2345, 0.0, 3.0001, 1.75], [2.02, 0.0, 0.1234, 1.57, 0.3],
+         [1.1, 0.93, 2.5, 0.0, 0.61]]),
+    "exact": ({"s": 3, "n": 3, "d": 2, "terms": _terms(
+        ([0, 0, 0], ["1", "-2/3"]), ([0, 1, 2], ["5/2", "1/7"]), ([1, 1, 2], ["3/4", "2"]))},
+        [["1", "2/3", "0"], ["3", "1/5", "7/2"], ["1/2", "4", "1"]]),
 }
 
 
@@ -185,6 +213,33 @@ class TestPoly:
                                "--inputs", str(vpath))
         assert code == 0
         assert json.loads(out)["value"] == [15.0]
+
+    # sha256 of `poly multilinear` stdout, recorded before the float form was
+    # evaluated on the compiled TermStack
+    @pytest.mark.parametrize("case, digest", [
+        ("dense4x12", "1208848f0b90c39747e65aafcf5163416d055d8b005d67a0721a9413de9a816d"),
+        ("sparse_d3", "8fa2b4a7b78ca37e54d4356885397c1f807931585ed0a7a1b6db6891d66db292"),
+        ("exact", "84ebd8d5c723edf7a0e546d8165f9e158c2d8db9896ee54dd758bb16dc1a29fd"),
+    ])
+    def test_multilinear_golden_digest(self, capsys, tmp_path, case, digest):
+        poly, inputs = MULTILINEAR_CASES[case]
+        ppath, vpath = tmp_path / "poly.json", tmp_path / "vs.json"
+        ppath.write_text(json.dumps(poly))
+        vpath.write_text(json.dumps(inputs))
+        code, out, _ = run_cli(capsys, "poly", "multilinear", "--poly", str(ppath),
+                               "--inputs", str(vpath))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_multilinear_mixing_exact_and_float_is_usage_error(self, capsys, tmp_path):
+        ppath, vpath = tmp_path / "poly.json", tmp_path / "vs.json"
+        ppath.write_text(json.dumps({"s": 2, "n": 2, "d": 1,
+                                     "terms": _terms(([0, 0], [1.0]), ([0, 1], [1.5]))}))
+        vpath.write_text(json.dumps([["1", "1/3"], [1.0, 2.0]]))
+        code, out, err = run_cli(capsys, "poly", "multilinear", "--poly", str(ppath),
+                                 "--inputs", str(vpath))
+        assert code == 2 and out == ""
+        assert err == "error: cannot mix exact and float vectors\n"
 
     def test_non_finite_values_are_strict_json(self, capsys, tmp_path):
         poly, v, vs = tmp_path / "huge.json", tmp_path / "v.json", tmp_path / "vs.json"
@@ -445,6 +500,34 @@ class TestVerify:
         path.write_text(json.dumps(SQUARE_OF_SUM))
         code, out, _ = run_cli(capsys, *argv.replace("SQ", str(path)).split())
         assert code == exit_code and strict_json(out)
+
+    # --format belongs to `verify all`, --claim and --budget to `verify falsify`
+    @pytest.mark.parametrize("argv, flag", [
+        ("verify hm --s 2 --n 2 --trials 3 --format csv --budget 5 --claim gm --poly SQ",
+         "--format"),
+        ("verify rmp --s 2 --n 2 --trials 3 --format json", "--format"),
+        ("verify falsify --claim hm --poly SQ --format csv", "--format"),
+        ("verify gm --s 2 --n 2 --trials 3 --claim gm", "--claim"),
+        ("verify all --s 2 --n 2 --trials 3 --claim hm", "--claim"),
+        ("verify schur --s 2 --n 2 --trials 3 --budget 5", "--budget"),
+        ("verify all --s 2 --n 2 --trials 3 --budget 10000", "--budget"),
+    ])
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps(SQUARE_OF_SUM))
+        code, out, err = run_cli(capsys, *argv.replace("SQ", str(path)).split())
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} does not apply to 'oapoly verify ")
+
+    def test_omitted_format_and_budget_take_their_defaults(self, capsys, tmp_path):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(GOLDEN_POLYS["weaker"]))
+        for argv, flag in (("verify all --s 2 --n 3 --trials 5 --seed 3", "--format json"),
+                           (f"verify falsify --claim cross --poly {path} --seed 4",
+                            "--budget 10000")):
+            default = run_cli(capsys, *argv.split())
+            explicit = run_cli(capsys, *argv.split(), *flag.split())
+            assert default == explicit and default[1]
 
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "verify", "nonsense")[0] == 2

@@ -1,5 +1,6 @@
 """Polynomials: evaluation conventions, polarization, additivity structure."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -38,6 +39,39 @@ def reference_eval(P, x):
             weight //= math.factorial(c)
         out = out + coeff * (weight * np.prod(x[np.array(key, dtype=np.intp)]))
     return out
+
+
+def reference_form(P, xs):
+    """The symmetric form at the arrays xs key by key, as the scalar form
+    computes it: np.prod over the slots of each distinct arrangement, numpy's
+    sum over the key's arrangements, accumulated over keys from zero."""
+    X = np.stack(xs)
+    rows = np.arange(P.degree)[None, :]
+    out = np.zeros(P.codomain_dim)
+    for key, coeff in P.terms.items():
+        arrangements = np.array(sorted(set(itertools.permutations(key))), dtype=np.intp)
+        out = out + coeff * X[rows, arrangements].prod(axis=1).sum()
+    return out
+
+
+def reference_polarize(evaluator, fs):
+    """polarize_blackbox's signed sum with each argument built from
+    LatticeVector operations: sum_k f_k * e_k, slot by slot."""
+    s = len(fs)
+    total = None
+    for signs in itertools.product((1, -1), repeat=s):
+        arg = functools.reduce(lambda a, b: a + b, (f * sig for f, sig in zip(fs, signs)))
+        parity = 1 if signs.count(-1) % 2 == 0 else -1
+        val = np.atleast_1d(np.asarray(evaluator(arg))) * parity
+        total = val if total is None else total + val
+    denom = 2**s * math.factorial(s)
+    return total * Fraction(1, denom) if total.dtype == object else total / denom
+
+
+def signed_zeros(x):
+    """x as a LatticeVector whose zero entries are -0.0 (the constructor
+    normalizes them to 0.0, negation keeps their sign)."""
+    return -LatticeVector(-x)
 
 
 def random_polynomial(rng, s, n, d):
@@ -144,6 +178,40 @@ class TestMultilinear:
         with pytest.raises(ValueError):
             P.multilinear(vec(1), vec(1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_compiled_form_is_bit_identical(self, s, n, d, dense, seed):
+        rng = np.random.default_rng(seed)
+        keys = list(itertools.combinations_with_replacement(range(n), s))
+        if dense and len(keys) <= 500:
+            # every arrangement count of degree s (720 at s = n = 6), and
+            # signed zero coefficients
+            coeffs = rng.uniform(-2, 2, (len(keys), d))
+            coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+            P = HomogeneousPolynomial(s, n, d, dict(zip(keys, coeffs)))
+        else:
+            P = random_polynomial(rng, s, n, d)
+        X = rng.uniform(-3, 3, (s, n)) * 10.0 ** rng.integers(-3, 4)
+        X[rng.random((s, n)) < 0.25] = 0.0
+        fs = [signed_zeros(x) if rng.random() < 0.5 else LatticeVector(x) for x in X]
+        # bytes, so that the sign of a zero counts
+        expect = reference_form(P, [f.to_array() for f in fs])
+        assert P.multilinear(*fs).tobytes() == expect.tobytes()
+
+    def test_mixing_exact_and_float_vectors_raises(self):
+        P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (0, 1): [1.5]})
+        with pytest.raises(ValueError, match="cannot mix exact and float vectors"):
+            P.multilinear(LatticeVector.exact([1, Fraction(1, 3)]), vec(1.0, 2.0))
+        with pytest.raises(ValueError, match="cannot mix exact and float vectors"):
+            P.multilinear(vec(1.0, 2.0), LatticeVector.exact([1, Fraction(1, 3)]))
+
+    def test_exact_vectors_keep_exact_form(self):
+        P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (0, 1): [1.5]})
+        fs = [LatticeVector.exact([1, Fraction(1, 3)]), LatticeVector.exact([2, 3])]
+        # 1 * 1 * 2 + 1.5 * (1 * 3 + (1/3) * 2)
+        assert P.multilinear(*fs)[0] == 2 + 1.5 * Fraction(11, 3)
+
 
 class TestHomogeneity:
     @settings(max_examples=50)
@@ -198,6 +266,44 @@ class TestPolarization:
         P = make_diagonal([1.0], 9)
         with pytest.raises(ValueError):
             polarize_blackbox(P, [vec(1.0)] * 9)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+           st.sampled_from(["positive", "signed", "mixed", "exact"]), st.integers(0, 2**32 - 1))
+    def test_arguments_and_value_match_reference(self, s, n, d, kind, seed):
+        rng = np.random.default_rng(seed)
+        P = random_polynomial(rng, s, n, d)
+        X = rng.uniform(-2, 2, (s, n))
+        X[rng.random((s, n)) < 0.25] = 0.0
+        if kind == "positive":
+            fs = [PositiveVector(np.abs(x)) for x in X]
+        elif kind == "signed":
+            fs = [signed_zeros(x) if rng.random() < 0.5 else LatticeVector(x) for x in X]
+        elif kind == "mixed":
+            fs = [PositiveVector(np.abs(x)) if k % 2 else LatticeVector(x) for k, x in enumerate(X)]
+        else:
+            P = HomogeneousPolynomial(s, n, d, {key: [Fraction(int(c * 64), 64) for c in coeff]
+                                                for key, coeff in P.terms.items()})
+            fs = [LatticeVector.exact([Fraction(int(v * 16), 16) for v in x]) for x in X]
+
+        def recording(calls):
+            def evaluator(f):
+                calls.append((type(f), f.is_exact, f.entries))
+                return P(f)
+            return evaluator
+
+        seen, expected = [], []
+        out = polarize_blackbox(recording(seen), fs, check_homogeneity=False)
+        ref = reference_polarize(recording(expected), fs)
+
+        def values(arr):
+            # floats by bytes, so that the sign of a zero counts
+            return list(arr) if arr.dtype == object else arr.tobytes()
+
+        assert out.dtype == ref.dtype and values(out) == values(ref)
+        assert [c[:2] for c in seen] == [c[:2] for c in expected]
+        assert [values(np.array(c[2])) for c in seen] == [values(np.array(c[2])) for c in expected]
+        assert values(polarize_blackbox(P, fs)) == values(out)
 
     def test_homogeneity_spot_check_rejects_frauds(self):
         with pytest.raises(ValueError):
@@ -345,9 +451,8 @@ class TestTermStack:
         values = stack(X[:, 0])
         forms = stack.form([X[:, k] for k in range(s)])
         for t in range(T):
-            fs = [PositiveVector(X[t, k]) for k in range(s)]
             assert np.array_equal(values[t], reference_eval(P, X[t, 0]))
-            assert np.array_equal(forms[t], P.multilinear(*fs))
+            assert np.array_equal(forms[t], reference_form(P, list(X[t])))
 
     def test_diagonal_stack_rows_are_separate_polynomials(self):
         coeffs = np.array([[[1.0], [2.0]], [[-1.0], [0.5]]])  # (T=2, n=2, d=1)

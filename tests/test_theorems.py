@@ -479,6 +479,17 @@ class TestNonFinite:
             assert residual(lhs, rhs) == math.inf
             assert list(row_residuals(np.array([lhs]), np.array([rhs]))) == [math.inf]
 
+    def test_finite_sides_whose_difference_overflows(self):
+        # 1e308 - (-1e308) overflows; the relative residual is |1 - (-1)| = 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert residual([1e308], [-1e308]) == 2.0
+            lhs = np.array([[1e308, 1.0], [0.5, 1.0], [-1.7e308, math.nan]])
+            rhs = np.array([[-1.5e308, 1.0], [0.25, 1.0], [1.7e308, 1.0]])
+            assert list(row_residuals(lhs, rhs)) == [1e308 / 1.5e308 + 1.0, 0.25, math.inf]
+            # below the switch the residual is absolute, and that difference is beyond float
+            assert residual([1e308], [-1e308], switch=1e309) == math.inf
+
     def test_verify_claim_fails_on_overflow(self):
         P = make_diagonal([[1.0, 1.0], [1.0, 1e308]], 2)
         rep = verify_claim("RMP", s=2, n=2, trials=5, seed=0, poly=P)
