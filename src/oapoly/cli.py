@@ -14,8 +14,10 @@ Subcommands::
 
 Exit codes: 0 success or pass, 1 verification failure (a counterexample was
 found where a pass was expected), 2 usage error or malformed input, 3
-inconclusive falsification. All randomness flows from the single ``--seed``
-flag; identical invocations produce byte-identical output.
+inconclusive: a falsification that exhausted its budget, or a grid mean
+whose gap bound is infinite (its JSON is printed all the same). All
+randomness flows from the single ``--seed`` flag; identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ def _cmd_means(args) -> int:
             "residual_bound": result.residual_bound,
         }
     )
-    return EXIT_OK
+    # the grid's box missed the infimum: the value is no usable estimate
+    return EXIT_INCONCLUSIVE if result.residual_bound == float("inf") else EXIT_OK
 
 
 def _cmd_poly(args) -> int:

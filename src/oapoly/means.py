@@ -79,10 +79,11 @@ def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False) -> tuple[n
 
 # -- closed forms over stacks ----------------------------------------------------
 #
-# Each takes float arguments stacked along axis -2, shape (..., k, n): one
-# tuple (k, n) or a block of tuples (T, k, n), and returns shape (..., n).
-# The single-tuple means below call them on their (k, n) stack, so a block
-# row equals the mean of that row's tuple bit for bit.
+# Each takes float arguments (the harmonic mean: or exact Fractions, as
+# objects) stacked along axis -2, shape (..., k, n): one tuple (k, n) or a
+# block of tuples (T, k, n), and returns shape (..., n). The single-tuple
+# means below call them on their (k, n) stack, so a block row equals the
+# mean of that row's tuple bit for bit.
 
 
 def root_mean_power_stack(s: int, X: np.ndarray) -> np.ndarray:
@@ -96,8 +97,14 @@ def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
 
 
 def harmonic_mean_stack(X: np.ndarray) -> np.ndarray:
-    """Coordinatewise k / sum_k (1/x_k), accumulated in extended precision;
-    0 where some argument vanishes."""
+    """Coordinatewise k / sum_k (1/x_k), accumulated in extended precision,
+    or exactly in Fractions for an object stack; 0 where some argument
+    vanishes."""
+    if X.dtype == object:
+        vanished = X == 0
+        out = Fraction(X.shape[-2]) / np.sum(Fraction(1) / np.where(vanished, 1, X), axis=-2)
+        out[vanished.any(axis=-2)] = Fraction(0)
+        return out
     with np.errstate(divide="ignore"):
         recip = 1.0 / X.astype(np.longdouble)
     # vanished coordinates propagate as inf -> k/inf -> 0, exactly the 0 branch
@@ -140,16 +147,7 @@ def harmonic_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
     result.
     """
     X, exact = _stack(fs, allow_exact=True)
-    s = X.shape[0]
-    if exact:
-        out = []
-        for col in X.T:
-            if any(v == 0 for v in col):
-                out.append(Fraction(0))
-            else:
-                out.append(Fraction(s) / sum(Fraction(1) / v for v in col))
-        return PositiveVector(out, exact=True)
-    return PositiveVector(harmonic_mean_stack(X))
+    return PositiveVector(harmonic_mean_stack(X), exact=exact)
 
 
 def _weight_floats(weights: WeightVector | Sequence) -> np.ndarray:

@@ -75,26 +75,30 @@ def _arrangements(key: tuple[int, ...]) -> np.ndarray:
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """((0 + t_0) + t_1) + ... over axis 1 of (T, m, d) terms: the order in
-    which the scalar evaluators accumulate over keys."""
+    """((0 + t_0) + t_1) + ... over axis 1 of (T, m, d) terms, float or exact:
+    the order of accumulating key by key from zero."""
     if terms.shape[1] == 0:
-        return np.zeros((terms.shape[0], terms.shape[2]))
-    terms[:, 0] += 0.0
+        return np.full((terms.shape[0], terms.shape[2]),
+                       Fraction(0) if terms.dtype == object else 0.0)
+    terms[:, 0] += 0
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 class TermStack:
-    """A stack of T float polynomials of one degree that share one key set.
+    """A stack of T polynomials of one degree that share one key set.
 
     ``keys`` are canonical index multisets and ``coeffs`` has shape (T, m, d),
-    or (1, m, d) for one polynomial shared by every row. Evaluation takes
-    stacked rows and repeats, row by row, the arithmetic of the scalar
-    evaluators in the same order (sequential products over slots, then
-    sequential accumulation over keys), so each row's value is bit-identical
-    to evaluating that row's polynomial at that row alone. The arrangement
-    tables of the symmetric form are built on its first use. Index tables are
-    kept in Fortran order, so that each slot's column is one contiguous
-    vector for ``ndarray.take``, which gathers faster than fancy indexing.
+    or (1, m, d) for one polynomial shared by every row: floats, or objects
+    holding exact Fractions. Evaluation takes stacked rows, float or object,
+    and computes row by row in one fixed order (sequential products over
+    slots, then sequential accumulation over keys from zero), so each row's
+    value is bit-identical to evaluating that row's polynomial at that row
+    alone, and exact coefficients at exact rows give exact values. Overflow
+    gives inf without a warning: the residual policy reports non-finite
+    sides. The arrangement tables of the symmetric form are built on its
+    first use. Index tables are kept in Fortran order, so that each slot's
+    column is one contiguous vector for ``ndarray.take``, which gathers
+    faster than fancy indexing.
     """
 
     def __init__(self, degree: int, keys: Sequence[tuple[int, ...]], coeffs: np.ndarray):
@@ -107,12 +111,11 @@ class TermStack:
 
     @classmethod
     def of(cls, P: "HomogeneousPolynomial") -> "TermStack":
-        """One float polynomial, shared by every row: P's compiled form, built
-        on first use and kept on P."""
+        """One polynomial, shared by every row: P's compiled form, built on
+        first use and kept on P. Exact coefficients are held as objects."""
         if P._stack is None:
-            if P.is_exact:
-                raise ValueError("a term stack holds float coefficients only")
-            coeffs = np.zeros((1, len(P.terms), P.codomain_dim))
+            coeffs = np.empty((1, len(P.terms), P.codomain_dim),
+                              dtype=object if P.is_exact else float)
             for i, coeff in enumerate(P.terms.values()):
                 coeffs[0, i] = coeff
             coeffs.flags.writeable = False
@@ -137,13 +140,17 @@ class TermStack:
         out.coeffs = self.coeffs[rows]
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """P at each row of X (T, n); returns (T, d)."""
         index = self._index
         monomial = X.take(index[:, 0], axis=1)
         for k in range(1, index.shape[1]):
             monomial = monomial * X.take(index[:, k], axis=1)
-        return _sum_terms(self.coeffs * (self._weights * monomial)[:, :, None])
+        # integer weights keep exact monomials exact; float ones spare float
+        # monomials a cast per call
+        weights = self._weights.astype(np.intp) if X.dtype == object else self._weights
+        return _sum_terms(self.coeffs * (weights * monomial)[:, :, None])
 
     def _arrangement_layout(self):
         """The keys grouped by their number A of arrangements: for each group,
@@ -164,6 +171,7 @@ class TermStack:
             ]
         return self._layout
 
+    @np.errstate(over="ignore", invalid="ignore")
     def form(self, slots: Sequence[np.ndarray]) -> np.ndarray:
         """The symmetric form at stacked arguments: slots[k] (T, n) fills slot k."""
         if len(slots) != self.degree:
@@ -172,7 +180,7 @@ class TermStack:
         if len(groups) == 1:  # every key, in key order
             totals = _arrangement_sums(slots, *groups[0][1:])
         else:
-            totals = np.empty((len(slots[0]), len(self._keys)))
+            totals = np.empty((len(slots[0]), len(self._keys)), dtype=np.result_type(*slots))
             for positions, table, count in groups:
                 totals[:, positions] = _arrangement_sums(slots, table, count)
         return _sum_terms(self.coeffs * totals[:, :, None])
@@ -240,7 +248,7 @@ class HomogeneousPolynomial:
             {k: v for k, v in sorted(canon.items()) if np.any(v != 0)}
         )
         self._exact = any(c.dtype == object for c in self.terms.values())
-        self._stack = None  # the compiled form of a float polynomial, see TermStack.of
+        self._stack = None  # the compiled form, see TermStack.of
 
     @classmethod
     def diagonal(cls, coeffs: Sequence, degree: int) -> "HomogeneousPolynomial":
@@ -263,11 +271,6 @@ class HomogeneousPolynomial:
                 f"vector dimension {f.dim} does not match domain {self.domain_dim}"
             )
 
-    def _zero(self, exact: bool) -> np.ndarray:
-        if exact or self.is_exact:
-            return np.array([Fraction(0)] * self.codomain_dim, dtype=object)
-        return np.zeros(self.codomain_dim)
-
     @property
     def is_exact(self) -> bool:
         return self._exact
@@ -275,14 +278,8 @@ class HomogeneousPolynomial:
     def __call__(self, f: LatticeVector) -> np.ndarray:
         """Evaluate P(f), returning a codomain vector of shape (d,)."""
         self._check_vector(f)
-        x = f.to_array()
-        if not (self._exact or f.is_exact):
-            return TermStack.of(self)(x[None])[0]
-        out = self._zero(f.is_exact)
-        for key, coeff in self.terms.items():
-            monomial = np.prod(x[np.array(key, dtype=np.intp)])
-            out = out + coeff * (_multinomial(key) * monomial)
-        return out
+        # a vector's entries are read-only, so they are read without a copy
+        return TermStack.of(self)(f._data[None])[0]
 
     @property
     def multilinear(self) -> "SymmetricMultilinearView":
@@ -301,7 +298,7 @@ class HomogeneousPolynomial:
         key = tuple(sorted(int(i) for i in key))
         if key in self.terms:
             return self.terms[key].copy()
-        return self._zero(False)
+        return np.full(self.codomain_dim, Fraction(0) if self.is_exact else 0.0)
 
     def coefficient_masses(self) -> tuple[float, float]:
         """(diagonal, mixed) l1 masses of the coefficient map."""
@@ -337,16 +334,7 @@ class SymmetricMultilinearView:
         exact = fs[0].is_exact
         if any(f.is_exact != exact for f in fs):
             raise ValueError("cannot mix exact and float vectors")
-        X = np.stack([f.to_array() for f in fs])  # (s, n)
-        if not (P.is_exact or exact):
-            return TermStack.of(P).form(X[:, None])[0]
-        rows = np.arange(s)[None, :]
-        out = P._zero(exact)
-        for key, coeff in P.terms.items():
-            arr = _arrangements(key)            # (A, s)
-            picked = X[rows, arr]               # picked[a, k] = fs[k][arr[a, k]]
-            out = out + coeff * picked.prod(axis=1).sum()
-        return out
+        return TermStack.of(P).form([f._data[None] for f in fs])[0]
 
 
 def make_diagonal(coeffs: Sequence, degree: int) -> HomogeneousPolynomial:
@@ -391,13 +379,8 @@ def polarize_blackbox(
                     f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
                 )
     sign_rows = list(itertools.product((1, -1), repeat=s))
-    if probe.is_exact:
-        args = [reduce(lambda a, b: a + b, (f * sig for f, sig in zip(fs, signs)))
-                for signs in sign_rows]
-    else:
-        args = _signed_arguments(fs, sign_rows)
     total = None
-    for signs, arg in zip(sign_rows, args):
+    for signs, arg in zip(sign_rows, _signed_arguments(fs, sign_rows)):
         parity = 1 if signs.count(-1) % 2 == 0 else -1
         val = np.atleast_1d(np.asarray(evaluator(arg))) * parity
         total = val if total is None else total + val
@@ -409,25 +392,23 @@ def polarize_blackbox(
 
 def _signed_arguments(fs: Sequence[LatticeVector], sign_rows) -> list[LatticeVector]:
     """sum_k e_k f_k for each sign row e, the all-plus row first, built as one
-    (rows, n) array with the float operations of summing ``f * e_k`` slot by
-    slot. The all-plus row is a PositiveVector when every f is; each other
-    row, holding a negated f, is a LatticeVector."""
+    (rows, n) array, float or exact, with the operations of summing
+    ``f * e_k`` slot by slot (integer signs keep exact entries exact). The
+    all-plus row is a PositiveVector when every f is; each other row,
+    holding a negated f, is a LatticeVector."""
     X = np.stack([f.to_array() for f in fs])  # (s, n)
-    signs = np.array(sign_rows, dtype=float)
+    signs = np.array(sign_rows)
     rows = X[0] * signs[:, :1]
     for k in range(1, len(fs)):
         rows = rows + X[k] * signs[:, k:k + 1]
     positive = all(isinstance(f, PositiveVector) for f in fs)
-    return [(PositiveVector if positive and i == 0 else LatticeVector)._from_data(row, False)
-            for i, row in enumerate(rows)]
+    return [(PositiveVector if positive and i == 0 else LatticeVector)
+            ._from_data(row, fs[0].is_exact) for i, row in enumerate(rows)]
 
 
 def _additivity_sides(P: HomogeneousPolynomial, f: np.ndarray, g: np.ndarray):
     """P(f + g) and P(f) + P(g) for each row of the stacked disjoint pairs f, g
-    (T, n); both (T, d). Exact coefficients are evaluated one row at a time."""
-    if P.is_exact:
-        pairs = [(PositiveVector(a), PositiveVector(b)) for a, b in zip(f, g)]
-        return np.array([P(a + b) for a, b in pairs]), np.array([P(a) + P(b) for a, b in pairs])
+    (T, n), on P's `TermStack`; both (T, d), object for exact coefficients."""
     stack = TermStack.of(P)
     return stack(f + g), stack(f) + stack(g)
 

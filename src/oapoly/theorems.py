@@ -451,7 +451,8 @@ def _grouped(draws: sampling.TrialDraws, P, run):
 def _identity_rows(claim, X, P, cp, cfg):
     """RMP, GM, HM, GEOS and WGM: the residuals of the claim's two sides."""
     lhs, rhs = claim.stack_sides(P, X, cp)
-    res = row_residuals(lhs, rhs, switch=cfg.relative_switch)
+    # float, as the check_* reports hold it, also for exact coefficients
+    res = row_residuals(lhs, rhs, switch=cfg.relative_switch).astype(float, copy=False)
     extra = None if cp is None else {"partition": list(cp.parts)}
     return res, res <= claim.tolerance(cfg), lambda i: identity_payload(
         X[i].tolist(), lhs[i], rhs[i], extra)
@@ -495,7 +496,7 @@ def _cross_rows(claim, X, P, cp, cfg):
         term = val * math.comb(s, k)
         recon = term if recon is None else recon + term
         if 1 <= k <= s - 1:
-            mag = np.max(np.abs(val), axis=1)
+            mag = np.max(np.abs(val), axis=1).astype(float, copy=False)
             mag[np.isnan(mag)] = np.inf
             better = mag > mixed_worst
             mixed_worst = np.where(better, mag, mixed_worst)
@@ -528,8 +529,6 @@ class Claim(NamedTuple):
     tolerance        the report's tolerance, read from a `ToleranceConfig`
     takes_poly       a trial evaluates a polynomial (``--poly``)
     takes_partition  a trial uses a complete partition (``--partition``)
-    check            check(claim, P, fs, cp, cfg): one trial, the sweep's route
-                     for exact-rational polynomials
     size             size(degree, cp): vectors in one input of `falsify`
                      (None: the claim is not searched)
     pairs            inputs are disjoint positive pairs, not tuples
@@ -542,7 +541,6 @@ class Claim(NamedTuple):
     tolerance: Callable[[ToleranceConfig], float] = lambda cfg: cfg.identity_rel
     takes_poly: bool = False
     takes_partition: bool = False
-    check: Callable = _check_identity
     requires: Callable = lambda degree, count, cp: None
     sides: Callable | None = None
     stack_sides: Callable | None = None
@@ -584,9 +582,8 @@ CLAIMS = (
           takes_partition=True, requires=_partition_requires, sides=_wgm_sides,
           stack_sides=_wgm_stack_sides, size=lambda s, cp: len(cp.parts)),
     Claim("CROSS_TERMS", "cross", _cross_rows, lambda s, pool, cp: {"pair": "only"},
-          tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True,
-          check=lambda claim, P, fs, cp, cfg: check_cross_terms(P, *fs, cfg),
-          sides=_pair_sides, stack_sides=_pair_stack_sides, size=lambda s, cp: 2, pairs=True),
+          tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True, sides=_pair_sides,
+          stack_sides=_pair_stack_sides, size=lambda s, cp: 2, pairs=True),
 )
 CLAIM_TABLE = {claim.id: claim for claim in CLAIMS}
 CLAIM_IDS = tuple(CLAIM_TABLE)
@@ -617,11 +614,7 @@ def _random_rows(claim, P, cp, rng, size):
     calls of the per-trial sampling helpers, and both sides for each."""
     spec = {"pair": "only"} if claim.pairs else {"counts": claim.size(P.degree, cp)}
     X = sampling.draw_trials(rng, size, P.domain_dim, **spec).vectors
-    if not P.is_exact:
-        return (X, *claim.stack_sides(TermStack.of(P), X, cp))
-    # exact coefficients: each row through the scalar evaluation
-    rows = [claim.sides(P, [PositiveVector(v) for v in x], cp) for x in X]
-    return X, np.array([lhs for lhs, _ in rows]), np.array([rhs for _, rhs in rows])
+    return (X, *claim.stack_sides(TermStack.of(P), X, cp))
 
 
 def falsify(
@@ -648,8 +641,8 @@ def falsify(
     twice as many each time after, up to `BLOCK_TRIALS`; a block draws its
     inputs one after another with the generator calls of the per-input
     sampling helpers, and the first row over ``falsify_threshold`` is the
-    witness. Reports are those of trying one input at a time. Exact-rational
-    coefficients evaluate each row through the scalar path.
+    witness. Reports are those of trying one input at a time, for float and
+    exact-rational coefficients alike.
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
@@ -727,14 +720,6 @@ def falsify(
 # -- randomized sweep runners ----------------------------------------------------
 
 
-def _checked_rows(claim, X, P, cp, cfg):
-    """Each trial through the claim's check: the route for exact polynomials."""
-    reports = [claim.check(claim, P, [PositiveVector(v) for v in x], cp, cfg) for x in X]
-    residuals = np.array([r.max_residual for r in reports])
-    passed = np.array([r.passed for r in reports])
-    return residuals, passed, lambda t: reports[t].counterexample
-
-
 def verify_claim(
     claim_id: str,
     *,
@@ -759,8 +744,9 @@ def verify_claim(
     sampling helpers, then evaluates both sides of the claim for every trial
     at once on (T, k, n) stacks, in the arithmetic order of the claim's
     check_* function. Reports are the same, bit for bit, as checking each
-    trial with its check_* function; an exact-rational ``poly`` takes that
-    per-trial route. A claim without a polynomial ignores ``poly``.
+    trial with its check_* function; an exact-rational ``poly`` runs on the
+    same kernels, held as a `TermStack` of Fractions. A claim without a
+    polynomial ignores ``poly``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -789,12 +775,10 @@ def verify_claim(
     else:
         poly = None
     random_poly = claim.takes_poly and poly is None
-    exact = poly is not None and poly.is_exact
-    shared = None if poly is None or exact else TermStack.of(poly)
-    kernel = _checked_rows if exact else claim.kernel
+    shared = None if poly is None else TermStack.of(poly)
 
     def group(X, P, pick):
-        return kernel(claim, X, poly if exact else P, partition_of(pick), cfg)
+        return claim.kernel(claim, X, P, partition_of(pick), cfg)
 
     spec = claim.draw(s, pool, partition)
     rng = np.random.default_rng(seed)

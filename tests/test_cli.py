@@ -143,7 +143,7 @@ class TestMeans:
         path.write_text(json.dumps([[1e-300], [1e300]]))
         code, out, _ = run_cli(capsys, "means", "eval", "--mean", "wgm", "--weights", "1,1",
                                "--method", "grid", "--resolution", "8", "--inputs", str(path))
-        assert code == 0
+        assert code == 3
         assert strict_json(out)["residual_bound"] == "inf"
 
     def test_rmp_requires_s(self, capsys, vectors_file):

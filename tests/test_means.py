@@ -23,6 +23,7 @@ from oapoly import (
     wgm_via_infimum,
 )
 from oapoly.lattice import DimensionMismatchError
+from oapoly.means import harmonic_mean_stack
 
 
 def pv(*entries):
@@ -95,6 +96,28 @@ class TestHarmonicMean:
         out = harmonic_mean(fs)
         assert out.is_exact
         assert out.entries == (Fraction(3, 2), Fraction(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_exact_stack_rows(self, T, k, n, seed):
+        rng = np.random.default_rng(seed)
+        nums = rng.integers(0, 9, (T, k, n))
+        nums[rng.random((T, k, n)) < 0.6] += 1  # zeros in some coordinates, not all
+        X = np.empty((T, k, n), dtype=object)
+        X[...] = [[[Fraction(int(a), int(b)) for a, b in zip(row, rng.integers(1, 6, n))]
+                   for row in block] for block in nums]
+        out = harmonic_mean_stack(X)
+        assert out.shape == (T, n)
+        assert all(type(v) is Fraction for v in out.ravel())
+        for t in range(T):
+            fs = [PositiveVector.exact(X[t, j]) for j in range(k)]
+            assert tuple(out[t]) == harmonic_mean(fs).entries
+            for i in range(n):
+                column = X[t, :, i]
+                # oracle: the piecewise definition, column by column
+                expect = (Fraction(0) if any(v == 0 for v in column)
+                          else Fraction(k) / sum(Fraction(1) / v for v in column))
+                assert out[t, i] == expect
 
     def test_exact_mode_rejected_elsewhere(self):
         fs = [PositiveVector.exact([1]), PositiveVector.exact([3])]

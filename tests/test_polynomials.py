@@ -29,10 +29,17 @@ def vec(*entries):
     return LatticeVector(entries)
 
 
+def zero_like(P, x):
+    """The zero that evaluating P at x accumulates from: exact when P or x is."""
+    if P.is_exact or x.dtype == object:
+        return np.full(P.codomain_dim, Fraction(0))
+    return np.zeros(P.codomain_dim)
+
+
 def reference_eval(P, x):
-    """P(x) key by key, as the scalar evaluator computes it: the multinomial
-    weight times np.prod of the key's entries, accumulated from zero."""
-    out = np.zeros(P.codomain_dim)
+    """P(x) key by key: the multinomial weight times np.prod of the key's
+    entries, accumulated from a zero of the matching dtype."""
+    out = zero_like(P, x)
     for key, coeff in P.terms.items():
         weight = math.factorial(len(key))
         for c in Counter(key).values():
@@ -42,12 +49,12 @@ def reference_eval(P, x):
 
 
 def reference_form(P, xs):
-    """The symmetric form at the arrays xs key by key, as the scalar form
-    computes it: np.prod over the slots of each distinct arrangement, numpy's
-    sum over the key's arrangements, accumulated over keys from zero."""
+    """The symmetric form at the arrays xs key by key: np.prod over the slots
+    of each distinct arrangement, numpy's sum over the key's arrangements,
+    accumulated over keys from a zero of the matching dtype."""
     X = np.stack(xs)
     rows = np.arange(P.degree)[None, :]
-    out = np.zeros(P.codomain_dim)
+    out = zero_like(P, X)
     for key, coeff in P.terms.items():
         arrangements = np.array(sorted(set(itertools.permutations(key))), dtype=np.intp)
         out = out + coeff * X[rows, arrangements].prod(axis=1).sum()
@@ -66,6 +73,34 @@ def reference_polarize(evaluator, fs):
         total = val if total is None else total + val
     denom = 2**s * math.factorial(s)
     return total * Fraction(1, denom) if total.dtype == object else total / denom
+
+
+def exact_bytes(value):
+    """A value's bytes, or for an object array each entry's type and repr
+    (repr keeps the sign of a zero)."""
+    if value.dtype == object:
+        return [(type(v), repr(v)) for v in value.tolist()]
+    return value.tobytes()
+
+
+def rational(x):
+    """Small-denominator Fractions near the entries of x, as an object array."""
+    return np.array([Fraction(float(v)).limit_denominator(64) for v in np.ravel(x)],
+                    dtype=object).reshape(np.shape(x))
+
+
+def rational_polynomial(P):
+    """P with each coefficient replaced by a nearby small-denominator Fraction."""
+    return HomogeneousPolynomial(P.degree, P.domain_dim, P.codomain_dim,
+                                 {key: rational(c) for key, c in P.terms.items()})
+
+
+def exact_cases(P, x):
+    """(polynomial, argument) cases beyond float P at float x: Fraction
+    coefficients at x, Fraction coefficients at Fraction entries, and float P
+    at Fraction entries."""
+    Q, e = rational_polynomial(P), rational(x)
+    return [(Q, x), (Q, e), (P, e)]
 
 
 def signed_zeros(x):
@@ -117,6 +152,9 @@ class TestEval:
         for x in (np.exp(x), x, np.where(x > 0, x, 0.0), np.zeros(n)):
             # bytes, so that the sign of a zero counts
             assert P(LatticeVector(x)).tobytes() == reference_eval(P, x).tobytes()
+            for Q, y in exact_cases(P, x):
+                f = LatticeVector(y, exact=y.dtype == object)
+                assert exact_bytes(Q(f)) == exact_bytes(reference_eval(Q, y))
 
     def test_exact_input_keeps_exact_evaluation(self):
         P = square_of_sum()
@@ -198,6 +236,11 @@ class TestMultilinear:
         # bytes, so that the sign of a zero counts
         expect = reference_form(P, [f.to_array() for f in fs])
         assert P.multilinear(*fs).tobytes() == expect.tobytes()
+        if n**s <= 1024:  # every arrangement of a dense P, in Fraction arithmetic
+            for Q, Y in exact_cases(P, X):
+                gs = [LatticeVector(y, exact=Y.dtype == object) for y in Y]
+                expect = reference_form(Q, list(Y))
+                assert exact_bytes(Q.multilinear(*gs)) == exact_bytes(expect)
 
     def test_mixing_exact_and_float_vectors_raises(self):
         P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (0, 1): [1.5]})
@@ -447,12 +490,13 @@ class TestTermStack:
         rng = np.random.default_rng(seed)
         P = random_polynomial(rng, s, n, d)
         X = np.exp(rng.uniform(-5, 5, (T, s, n)))
-        stack = TermStack.of(P)
-        values = stack(X[:, 0])
-        forms = stack.form([X[:, k] for k in range(s)])
-        for t in range(T):
-            assert np.array_equal(values[t], reference_eval(P, X[t, 0]))
-            assert np.array_equal(forms[t], reference_form(P, list(X[t])))
+        for Q, Y in [(P, X), *exact_cases(P, X)]:
+            stack = TermStack.of(Q)
+            values = stack(Y[:, 0])
+            forms = stack.form([Y[:, k] for k in range(s)])
+            for t in range(T):
+                assert exact_bytes(values[t]) == exact_bytes(reference_eval(Q, Y[t, 0]))
+                assert exact_bytes(forms[t]) == exact_bytes(reference_form(Q, list(Y[t])))
 
     def test_diagonal_stack_rows_are_separate_polynomials(self):
         coeffs = np.array([[[1.0], [2.0]], [[-1.0], [0.5]]])  # (T=2, n=2, d=1)
