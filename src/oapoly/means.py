@@ -280,6 +280,25 @@ def _log_grid(m: int, free_dims: int, width: float) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=64)
+def _log_coefficients(m: int, t: tuple[float, ...], width: float) -> np.ndarray:
+    """The objective's coefficients exp(y) * t at each point y of the log grid
+    on the constraint, shape (N, p), read-only: the free coordinates (all
+    but the first largest weight's) range over `_log_grid`, and the
+    dependent one is solved from the constraint."""
+    t = np.array(t)
+    p = t.size
+    dep = int(np.argmax(t))
+    free = [k for k in range(p) if k != dep]
+    Yfree = _log_grid(m, p - 1, width)
+    Yfull = np.empty((Yfree.shape[0], p))
+    Yfull[:, free] = Yfree
+    Yfull[:, dep] = -(Yfree @ t[free]) / t[dep]
+    coeffs = np.exp(Yfull) * t
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def harmonic_mean_via_infimum(
     fs: Sequence[PositiveVector], spec: InfimumSpec, method: str = "lagrange"
 ) -> MeanResult:
@@ -393,12 +412,8 @@ def wgm_via_infimum(
                 f"log grid too large: {(m + 1) ** (p - 1)} points for {p} weights"
             )
         dep = int(np.argmax(t))
-        free = [k for k in range(p) if k != dep]
         Yfree = _log_grid(m, p - 1, Y)  # (N, p-1)
-        Yfull = np.empty((Yfree.shape[0], p))
-        Yfull[:, free] = Yfree
-        Yfull[:, dep] = -(Yfree @ t[free]) / t[dep]
-        coeffs = np.exp(Yfull) * t  # (N, p)
+        coeffs = _log_coefficients(m, tuple(t.tolist()), Y)  # (N, p)
         bound = 0.0
         if np.any(positive):
             vals = coeffs @ X[:, positive]  # (N, n_positive)

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, inf
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -56,6 +56,13 @@ POLARIZATION_DEGREE_CAP = 8
 
 BLOCK_TRIALS = 1024
 """Trials drawn and evaluated together; bounds memory whatever the trial count."""
+
+STACK_BYTES = 32 << 20
+"""Bytes that the buffers of one `TermStack` evaluation may hold at once. Its
+rows go in chunks of at most STACK_BYTES // (24 * width) rows, where width is
+the evaluation's widest per-row buffer (slot products, or terms over keys and
+codomain): at most three such buffers of 8-byte entries are alive at once (an
+object array counts its references)."""
 
 
 def _multinomial(key: tuple[int, ...]) -> int:
@@ -93,7 +100,10 @@ class TermStack:
     and computes row by row in one fixed order (sequential products over
     slots, then sequential accumulation over keys from zero), so each row's
     value is bit-identical to evaluating that row's polynomial at that row
-    alone, and exact coefficients at exact rows give exact values. Overflow
+    alone, and exact coefficients at exact rows give exact values. So rows
+    go in chunks when a block's buffers would exceed `STACK_BYTES`. Exact
+    coefficients at float rows multiply as floats, as `Fraction * float`
+    does. Overflow, also of an exact coefficient beyond the float range,
     gives inf without a warning: the residual policy reports non-finite
     sides. The arrangement tables of the symmetric form are built on its
     first use. Index tables are kept in Fortran order, so that each slot's
@@ -108,6 +118,9 @@ class TermStack:
             np.array(self._keys, dtype=np.intp).reshape(len(self._keys), degree))
         self._weights = np.array([_multinomial(k) for k in self._keys], dtype=float)
         self._layout = None
+        # bytes of a row's buffers, see STACK_BYTES; the form's come with its layout
+        self._row_bytes = 24 * max(1, coeffs.shape[1] * coeffs.shape[2])
+        self._form_row_bytes = None
 
     @classmethod
     def of(cls, P: "HomogeneousPolynomial") -> "TermStack":
@@ -131,7 +144,7 @@ class TermStack:
     def degree(self) -> int:
         return self._index.shape[1]
 
-    def take(self, rows: np.ndarray) -> "TermStack":
+    def take(self, rows: np.ndarray | slice) -> "TermStack":
         """The stack of the given rows' polynomials (itself when one is shared)."""
         if self.coeffs.shape[0] == 1:
             return self
@@ -143,6 +156,8 @@ class TermStack:
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """P at each row of X (T, n); returns (T, d)."""
+        if len(X) > 1 and len(X) * self._row_bytes > STACK_BYTES:
+            return self._in_chunks(lambda stack, lo, hi: stack(X[lo:hi]), len(X), self._row_bytes)
         index = self._index
         monomial = X.take(index[:, 0], axis=1)
         for k in range(1, index.shape[1]):
@@ -150,7 +165,16 @@ class TermStack:
         # integer weights keep exact monomials exact; float ones spare float
         # monomials a cast per call
         weights = self._weights.astype(np.intp) if X.dtype == object else self._weights
-        return _sum_terms(self.coeffs * (weights * monomial)[:, :, None])
+        return _sum_terms(_coefficients_at(self.coeffs, (X,)) * (weights * monomial)[:, :, None])
+
+    def _in_chunks(self, evaluate, T: int, row_bytes: int) -> np.ndarray:
+        """evaluate(stack, lo, hi) for chunks of the T rows that keep to
+        `STACK_BYTES`, each on the stack of its rows' polynomials; rows are
+        independent, so the values are those of one call. A chunk's values are
+        copied out of the accumulation buffer they view, which frees it."""
+        step = max(1, STACK_BYTES // row_bytes)
+        return np.concatenate([evaluate(self.take(slice(lo, lo + step)), lo, lo + step).copy()
+                               for lo in range(0, T, step)])
 
     def _arrangement_layout(self):
         """The keys grouped by their number A of arrangements: for each group,
@@ -169,6 +193,8 @@ class TermStack:
                  count)
                 for count, (positions, tables) in groups.items()
             ]
+            widest = max((len(table) for _, table, _ in self._layout), default=0)
+            self._form_row_bytes = max(self._row_bytes, 24 * widest)
         return self._layout
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -177,13 +203,37 @@ class TermStack:
         if len(slots) != self.degree:
             raise ValueError(f"the form takes exactly {self.degree} vectors, got {len(slots)}")
         groups = self._arrangement_layout()
+        T = len(slots[0])
+        if T > 1 and T * self._form_row_bytes > STACK_BYTES:
+            return self._in_chunks(lambda stack, lo, hi: stack.form([x[lo:hi] for x in slots]),
+                                   T, self._form_row_bytes)
         if len(groups) == 1:  # every key, in key order
             totals = _arrangement_sums(slots, *groups[0][1:])
         else:
-            totals = np.empty((len(slots[0]), len(self._keys)), dtype=np.result_type(*slots))
+            totals = np.empty((T, len(self._keys)), dtype=np.result_type(*slots))
             for positions, table, count in groups:
                 totals[:, positions] = _arrangement_sums(slots, table, count)
-        return _sum_terms(self.coeffs * totals[:, :, None])
+        return _sum_terms(_coefficients_at(self.coeffs, slots) * totals[:, :, None])
+
+
+def _coefficients_at(coeffs: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """coeffs as they multiply the given rows: exact coefficients at float
+    rows as the floats that `Fraction * float` multiplies by, held as
+    objects, and ±inf beyond the float range, where `Fraction.__float__`
+    raises OverflowError."""
+    if coeffs.dtype == object and np.result_type(*rows) != object:
+        return _float_coefficients(coeffs)
+    return coeffs
+
+
+def _as_float(c) -> float:
+    try:
+        return float(c)
+    except OverflowError:  # beyond the float range, as float("1e400") is
+        return inf if c > 0 else -inf
+
+
+_float_coefficients = np.frompyfunc(_as_float, 1, 1)
 
 
 def _arrangement_sums(slots: Sequence[np.ndarray], table: np.ndarray, count: int) -> np.ndarray:
@@ -362,6 +412,12 @@ def polarize_blackbox(
     When ``check_homogeneity`` is set, the evaluator is first probed at two
     scalings of the summed arguments; a mismatch with degree-s scaling raises
     ValueError rather than returning a silently wrong value.
+
+    A `HomogeneousPolynomial` (its class exactly) is evaluated at the probes
+    and at all 2^s signed arguments in one call on its `TermStack`. Any other
+    evaluator is a black box, called once per argument in that order, so
+    that a fraud raises before any signed argument is evaluated. Either way
+    the values are summed in sign-row order, with the same bytes.
     """
     s = len(fs)
     if s < 1:
@@ -369,41 +425,68 @@ def polarize_blackbox(
     if s > POLARIZATION_DEGREE_CAP:
         raise ValueError(f"degree {s} exceeds the polarization cap {POLARIZATION_DEGREE_CAP}")
     probe = reduce(lambda a, b: a + b, fs)
+    compiled = type(evaluator) is HomogeneousPolynomial
+    if compiled:  # what P(probe), and so P at every signed argument, checks
+        evaluator._check_vector(probe)
+    scales = ((2, Fraction(1, 2)) if probe.is_exact else (2.0, 0.5)) if check_homogeneity else ()
+    signs, parities = _sign_table(s)
+    rows, classes = _polarization_rows(fs, probe, scales, signs)
+    if compiled:  # every row in one call on P's compiled form
+        values = TermStack.of(evaluator)(rows)
+
+        def evaluate(lo, hi):
+            return values[lo:hi]
+    else:
+        def evaluate(lo, hi):  # a black box: one call per row, in order
+            return np.stack([
+                np.atleast_1d(np.asarray(evaluator(cls._from_data(row, probe.is_exact))))
+                for cls, row in zip(classes[lo:hi], rows[lo:hi])])
     if check_homogeneity:
-        base = np.atleast_1d(np.asarray(evaluator(probe)))
-        for lam in (2, Fraction(1, 2)) if probe.is_exact else (2.0, 0.5):
-            scaled = np.atleast_1d(np.asarray(evaluator(probe * lam)))
+        base = evaluate(0, 1)[0]
+        for i, lam in enumerate(scales, 1):
             expect = base * lam**s
-            if float(residual(scaled, expect)) > homogeneity_tol:
+            if float(residual(evaluate(i, i + 1)[0], expect)) > homogeneity_tol:
                 raise ValueError(
                     f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
                 )
-    sign_rows = list(itertools.product((1, -1), repeat=s))
-    total = None
-    for signs, arg in zip(sign_rows, _signed_arguments(fs, sign_rows)):
-        parity = 1 if signs.count(-1) % 2 == 0 else -1
-        val = np.atleast_1d(np.asarray(evaluator(arg))) * parity
-        total = val if total is None else total + val
+    # total = val, then total + val, in sign-row order
+    total = np.add.accumulate(evaluate(len(rows) - len(signs), len(rows)) * parities,
+                              axis=0)[-1]
     denom = (2**s) * factorial(s)
     if total.dtype == object:
         return total * Fraction(1, denom)
     return total / denom
 
 
-def _signed_arguments(fs: Sequence[LatticeVector], sign_rows) -> list[LatticeVector]:
-    """sum_k e_k f_k for each sign row e, the all-plus row first, built as one
-    (rows, n) array, float or exact, with the operations of summing
-    ``f * e_k`` slot by slot (integer signs keep exact entries exact). The
-    all-plus row is a PositiveVector when every f is; each other row,
+@lru_cache(maxsize=POLARIZATION_DEGREE_CAP)
+def _sign_table(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every sign row e in {1, -1}^s, the all-plus row first, and each row's
+    parity prod_k e_k as an int8 column, which keeps any value's dtype."""
+    signs = np.array(list(itertools.product((1, -1), repeat=s)))
+    parities = signs.prod(axis=1, dtype=np.int8)[:, None]
+    signs.flags.writeable = parities.flags.writeable = False
+    return signs, parities
+
+
+def _polarization_rows(fs: Sequence[LatticeVector], probe: LatticeVector, scales,
+                       signs: np.ndarray) -> tuple[np.ndarray, list[type]]:
+    """The arguments of polarization as one (rows, n) array, float or exact,
+    and the class of vector each row is: the probe and the probe at each
+    scale, then sum_k e_k f_k for each sign row e, the all-plus row first.
+    The signed rows take the operations of summing ``f * e_k`` slot by slot
+    (integer signs keep exact entries exact). The probe rows, and the
+    all-plus row, are PositiveVectors when the probe is one; each other row,
     holding a negated f, is a LatticeVector."""
     X = np.stack([f.to_array() for f in fs])  # (s, n)
-    signs = np.array(sign_rows)
-    rows = X[0] * signs[:, :1]
+    signed = X[0] * signs[:, :1]
     for k in range(1, len(fs)):
-        rows = rows + X[k] * signs[:, k:k + 1]
-    positive = all(isinstance(f, PositiveVector) for f in fs)
-    return [(PositiveVector if positive and i == 0 else LatticeVector)
-            ._from_data(row, fs[0].is_exact) for i, row in enumerate(rows)]
+        signed = signed + X[k] * signs[:, k:k + 1]
+    cone = PositiveVector if isinstance(probe, PositiveVector) else LatticeVector
+    if not scales:
+        return signed, [cone] + [LatticeVector] * (len(signed) - 1)
+    data = probe._data
+    rows = np.vstack([data, *(data * lam for lam in scales), signed])
+    return rows, [type(probe)] + [cone] * (len(scales) + 1) + [LatticeVector] * (len(signed) - 1)
 
 
 def _additivity_sides(P: HomogeneousPolynomial, f: np.ndarray, g: np.ndarray):

@@ -89,8 +89,9 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-# inf - inf and inf / inf give NaN, which becomes inf below; a difference of
-# finite sides that overflows is recomputed below from the scaled sides
+# inf - inf and inf / inf give NaN, and a row with a non-finite side gets inf
+# below; a difference of finite sides that overflows is recomputed below from
+# the scaled sides
 @np.errstate(invalid="ignore", over="ignore")
 def row_residuals(lhs: np.ndarray, rhs: np.ndarray, *,
                   switch: float = DEFAULT_TOLERANCES.relative_switch) -> np.ndarray:
@@ -102,7 +103,7 @@ def row_residuals(lhs: np.ndarray, rhs: np.ndarray, *,
     finite sides whose difference overflows are compared as
     |lhs / scale - rhs / scale|, so their relative residual stays finite.
     Object arrays of exact Fractions flow through unconverted, so a zero
-    residual is exact.
+    residual is exact; float entries among them follow the same rules.
     """
     if lhs.shape != rhs.shape:
         raise ValueError(f"shape mismatch: {lhs.shape[1:]} vs {rhs.shape[1:]}")
@@ -112,14 +113,15 @@ def row_residuals(lhs: np.ndarray, rhs: np.ndarray, *,
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     np.divide(diff, scale, out=diff, where=scale > switch)
     out = np.maximum.reduce(diff.reshape(len(diff), -1), axis=1)
-    if out.dtype != object and not np.isfinite(out).all():
-        # a finite scale means two finite sides, whose difference overflowed
-        over = np.isinf(diff) & np.isfinite(scale) & (scale > switch)
+    if out.dtype == object or not np.isfinite(out).all():
+        finite = _finite_entries(lhs) & _finite_entries(rhs)
+        # two finite sides whose difference overflowed
+        over = finite & ~_finite_entries(diff) & (scale > switch)
         if over.any():
             diff[over] = np.abs(lhs[over] / scale[over] - rhs[over] / scale[over])
             out = np.maximum.reduce(diff.reshape(len(diff), -1), axis=1)
-        # a non-finite side leaves NaN in its component, which max propagates
-        out[np.isnan(out)] = np.inf
+        # by the sides, not by out: the maximum of an object array drops NaN
+        out[~finite.reshape(len(out), -1).all(axis=1)] = np.inf
     return out
 
 
@@ -129,13 +131,18 @@ def residual(lhs, rhs, *, switch: float = DEFAULT_TOLERANCES.relative_switch):
     return row_residuals(np.atleast_1d(lhs)[None], np.atleast_1d(rhs)[None], switch=switch)[0]
 
 
+def _finite_entries(arr: np.ndarray) -> np.ndarray:
+    """np.isfinite of each entry, also of an object array, whose exact
+    entries are finite and whose float entries are tested."""
+    if arr.dtype != object:
+        return np.isfinite(arr)
+    return np.array([not isinstance(v, (float, np.floating)) or math.isfinite(v)
+                     for v in arr.ravel().tolist()], dtype=bool).reshape(arr.shape)
+
+
 def _has_nonfinite(*values) -> bool:
     """True iff some float component of the given values is inf or NaN."""
-    for value in values:
-        arr = np.asarray(value)
-        if arr.dtype != object and not np.all(np.isfinite(arr)):
-            return True
-    return False
+    return not all(_finite_entries(np.asarray(value)).all() for value in values)
 
 
 def identity_payload(inputs, lhs, rhs, extra=None) -> dict:

@@ -251,6 +251,14 @@ class TestPoly:
             assert code == 0
             assert strict_json(out) == {"value": ["inf"]}
 
+    def test_exact_coefficient_beyond_float_range_at_float_vector(self, capsys, tmp_path):
+        poly, v = tmp_path / "huge.json", tmp_path / "v.json"
+        poly.write_text(json.dumps({"s": 2, "diagonal": [["1e400"]]}))
+        v.write_text(json.dumps([2.0]))
+        code, out, err = run_cli(capsys, "poly", "eval", "--poly", str(poly), "--input", str(v))
+        assert (code, err) == (0, "")
+        assert strict_json(out) == {"value": ["inf"]}
+
     def test_finite_bytes_unchanged(self, capsys, poly_file, tmp_path):
         vpath = tmp_path / "v.json"
         vpath.write_text(json.dumps([3.0, 0.5]))

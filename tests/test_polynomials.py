@@ -1,10 +1,13 @@
 """Polynomials: evaluation conventions, polarization, additivity structure."""
 
 import functools
+import hashlib
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from oapoly import (
     polynomial_from_json,
     polynomial_to_json,
 )
+from oapoly import polynomials
 from oapoly.lattice import DimensionMismatchError
 from oapoly.polynomials import TermStack
 from oapoly.sampling import sparse_polynomial
@@ -75,6 +79,28 @@ def reference_polarize(evaluator, fs):
     return total * Fraction(1, denom) if total.dtype == object else total / denom
 
 
+def called(f):
+    """What a recording evaluator notes of its argument."""
+    return type(f), f.is_exact, f.entries
+
+
+def recording_call(P, calls):
+    def evaluator(f):
+        calls.append(called(f))
+        return P(f)
+    return evaluator
+
+
+class Recording(HomogeneousPolynomial):
+    """A polynomial whose own __call__ notes each argument: a black box."""
+
+    __slots__ = ("calls",)
+
+    def __call__(self, f):
+        self.calls.append(called(f))
+        return super().__call__(f)
+
+
 def exact_bytes(value):
     """A value's bytes, or for an object array each entry's type and repr
     (repr keeps the sign of a zero)."""
@@ -113,6 +139,37 @@ def random_polynomial(rng, s, n, d):
     if s > 1 and n > 1:
         return sparse_polynomial(rng, s, n, d, mixed_terms=4, mixed_mass=0.5)
     return make_diagonal(rng.uniform(-2, 2, (n, d)), s)
+
+
+def polarization_cases():
+    """(polynomial, vectors) over fixed seeds: s 1-8 (the cap), d 1-3, with
+    positive, signed, mixed, signed-zero and exact vectors, exact
+    coefficients at exact vectors, and float coefficients at exact vectors."""
+    kinds = ("positive", "signed", "mixed", "signed-zero", "exact", "float-at-exact")
+    cases = []
+    for seed in range(96):
+        rng = np.random.default_rng(seed)
+        s, kind = 1 + seed % 8, kinds[seed // 8 % 6]
+        n = int(rng.integers(1, 4 if s < 7 else 3))
+        P = random_polynomial(rng, s, n, int(rng.integers(1, 4)))
+        X = rng.uniform(-2, 2, (s, n))
+        X[rng.random((s, n)) < 0.25] = 0.0
+        if kind == "positive":
+            fs = [PositiveVector(np.abs(x)) for x in X]
+        elif kind == "signed":
+            fs = [LatticeVector(x) for x in X]
+        elif kind == "mixed":
+            fs = [PositiveVector(np.abs(x)) if k % 2 else LatticeVector(x) for k, x in enumerate(X)]
+        elif kind == "signed-zero":
+            fs = [signed_zeros(x) for x in X]
+        else:
+            fs = [LatticeVector.exact([Fraction(int(v * 16), 16) for v in x]) for x in X]
+            if kind == "exact":
+                P = HomogeneousPolynomial(s, n, P.codomain_dim, {
+                    key: [Fraction(int(c * 64), 64) for c in coeff]
+                    for key, coeff in P.terms.items()})
+        cases.append((P, fs))
+    return cases
 
 
 def square_of_sum():
@@ -352,6 +409,77 @@ class TestPolarization:
         with pytest.raises(ValueError):
             polarize_blackbox(lambda f: [f[0] ** 2 + 1.0], [vec(1, 2), vec(3, 4)])
 
+    # sha256 of polarize_blackbox's values (dtype, then bytes, or each entry's
+    # type and repr), recorded before a compiled P was polarized in one
+    # TermStack call
+    def test_polarize_golden_digest(self):
+        digest = hashlib.sha256()
+        for evaluator, fs in polarization_cases():
+            out = polarize_blackbox(evaluator, fs)
+            digest.update(f"{out.dtype}|{exact_bytes(out)!r};".encode())
+        assert digest.hexdigest() == (
+            "32b934685d77d10f2a8ebf56abeb8381aec6190901b6922ffa893f7cf37069b7")
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_subclass_is_called_once_per_row(self, check):
+        for P, fs in polarization_cases():
+            if fs[0].is_exact and not P.is_exact:
+                continue  # a float P at exact vectors: the same rows as an exact one
+            Q = Recording(P.degree, P.domain_dim, P.codomain_dim, P.terms)
+            Q.calls = []
+            out = polarize_blackbox(Q, fs, check_homogeneity=check)
+            expected = []
+            ref = reference_polarize(recording_call(P, expected), fs)
+            if check:
+                probe = functools.reduce(lambda a, b: a + b, fs)
+                scales = (2, Fraction(1, 2)) if probe.is_exact else (2.0, 0.5)
+                expected[:0] = [called(f) for f in (probe, *(probe * lam for lam in scales))]
+            assert exact_bytes(out) == exact_bytes(ref)
+            assert [c[:2] for c in Q.calls] == [c[:2] for c in expected]
+            assert [exact_bytes(np.array(c[2])) for c in Q.calls] == \
+                [exact_bytes(np.array(c[2])) for c in expected]
+
+    # exception type and message at the parent commit, for a polynomial on R^2
+    @pytest.mark.parametrize("fs, check, error, message", [
+        ([vec(1, 2), vec(1, 2, 3)], True, DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ([vec(1, 2), vec(1, 2, 3)], False, DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ([vec(1, 2), LatticeVector.exact([1, 2])], True, ValueError,
+         "cannot mix exact and float vectors"),
+        ([LatticeVector.exact([1, 2]), vec(1, 2)], False, ValueError,
+         "cannot mix exact and float vectors"),
+        ([vec(1, 2), [1.0, 2.0]], True, TypeError, "expected a LatticeVector, got list"),
+        ([vec(1, 2), np.array([1.0, 2.0])], False, TypeError,
+         "expected a LatticeVector, got ndarray"),
+        ([[1.0, 2.0], vec(1, 2)], True, TypeError,
+         'can only concatenate list (not "LatticeVector") to list'),
+        ([[1.0, 2.0]], True, TypeError, "expected a LatticeVector, got list"),
+        ([vec(1, 2, 3)], True, DimensionMismatchError, "vector dimension 3 does not match domain 2"),
+        ([vec(1, 2, 3)], False, DimensionMismatchError,
+         "vector dimension 3 does not match domain 2"),
+        ([vec(1, 2, 3), vec(4, 5, 6)], True, DimensionMismatchError,
+         "vector dimension 3 does not match domain 2"),
+        ([vec(1, 2, 3), vec(4, 5, 6)], False, DimensionMismatchError,
+         "vector dimension 3 does not match domain 2"),
+    ])
+    def test_invalid_arguments_raise(self, fs, check, error, message):
+        P = square_of_sum()
+        if len(fs) == 1:
+            P = make_diagonal([1.0, 1.0], 1)
+        with pytest.raises(error) as info:
+            polarize_blackbox(P, fs, check_homogeneity=check)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_fraud_raises_before_any_signed_row(self):
+        calls = []
+
+        def fraud(f):
+            calls.append(f.entries)
+            return [f[0] ** 2 + 1.0]
+
+        with pytest.raises(ValueError, match="homogeneity spot check at scale 2.0"):
+            polarize_blackbox(fraud, [vec(1, 2), vec(3, 4)])
+        assert calls == [(4.0, 6.0), (8.0, 12.0)]
+
 
 class TestAdditivityCheck:
     def test_diagonal_passes(self):
@@ -510,3 +638,50 @@ class TestTermStack:
         X = np.ones((4, 2))
         assert np.array_equal(stack(X), np.zeros((4, 3)))
         assert np.array_equal(stack.form([X, X]), np.zeros((4, 3)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.integers(2, 9),
+           st.integers(1, 24 * 40 * 3), st.integers(0, 2**32 - 1))
+    def test_chunked_rows_are_bit_identical(self, s, n, d, T, budget, seed):
+        # a small budget splits the rows into chunks of one row and more
+        rng = np.random.default_rng(seed)
+        P = random_polynomial(rng, s, n, d)
+        X = np.exp(rng.uniform(-5, 5, (T, s, n)))
+        per_row = TermStack.diagonal(rng.uniform(-2, 2, (T, n, d)), s)
+        cases = [(TermStack.of(Q), Y) for Q, Y in [(P, X), *exact_cases(P, X)]]
+        cases += [(per_row, X), (per_row.take(np.arange(T)[::-1]), X)]
+        for stack, Y in cases:
+            slots = [Y[:, k] for k in range(s)]
+            whole = stack(Y[:, 0]), stack.form(slots)
+            with patch.object(polynomials, "STACK_BYTES", budget):
+                chunked = stack(Y[:, 0]), stack.form(slots)
+            for a, b in zip(whole, chunked):
+                assert a.shape == b.shape
+                assert [exact_bytes(row) for row in a] == [exact_bytes(row) for row in b]
+
+    def test_memory_keeps_to_the_budget(self):
+        # the dense (4, 12) polynomial: 1365 keys, 20736 arrangements, whose
+        # slot products take about 200 MB for 1024 rows at once
+        rng = np.random.default_rng(5)
+        keys = list(itertools.combinations_with_replacement(range(12), 4))
+        P = HomogeneousPolynomial(4, 12, 1, dict(zip(keys, rng.uniform(0.1, 2.0, (len(keys), 1)))))
+        stack = TermStack.of(P)
+        X = rng.uniform(0.5, 2.0, (2048, 4, 12))
+        slots = [X[:1024, k] for k in range(4)]
+        stack.form([x[:1] for x in slots])  # builds the arrangement tables
+        for evaluate in (lambda: stack.form(slots), lambda: stack(X[:, 0])):
+            tracemalloc.start()
+            try:
+                values = evaluate()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # slack: the values and the chunks' bookkeeping
+            assert peak <= polynomials.STACK_BYTES + (1 << 20)
+            # no chunk's buffers outlive the call
+            assert kept <= values.nbytes + (64 << 10)
+            if len(values) == 1024:
+                rows = [stack.form([x[t:t + 1] for x in slots]) for t in range(1024)]
+            else:
+                rows = [stack(X[t:t + 1, 0]) for t in range(2048)]
+            assert np.concatenate(rows).tobytes() == values.tobytes()

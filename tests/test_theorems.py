@@ -490,6 +490,29 @@ class TestNonFinite:
             # below the switch the residual is absolute, and that difference is beyond float
             assert residual([1e308], [-1e308], switch=1e309) == math.inf
 
+    def test_exact_coefficients_overflowing_at_float_vectors(self):
+        # exact coefficients at float vectors give object sides holding floats
+        big = Fraction(10**300)
+        P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [big], (1, 1): [big]})
+        rep = check_rmp(P, [pv(1e10, 1), pv(1e10, 2)])
+        assert not rep.passed and rep.max_residual == math.inf
+        assert rep.counterexample["nonfinite"] is True
+        assert rep.to_dict()["counterexample"]["lhs"] == ["inf"]
+
+    def test_object_sides_follow_the_float_policy(self):
+        def obj(*rows):
+            return np.array(rows, dtype=object)
+
+        third, quarter = Fraction(1, 3), Fraction(1, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = row_residuals(
+                obj([third, math.nan], [third, 1.0], [math.inf, 1.0], [1e308, third], [third, 2.0]),
+                obj([third, 1.0], [third, -math.inf], [1.0, 1.0], [-1e308, third], [quarter, 2.0]))
+        assert list(res[:4]) == [math.inf, math.inf, math.inf, 2.0]
+        # exact sides keep their exact residual
+        assert type(res[4]) is Fraction and res[4] == Fraction(1, 12)
+
     def test_verify_claim_fails_on_overflow(self):
         P = make_diagonal([[1.0, 1.0], [1.0, 1e308]], 2)
         rep = verify_claim("RMP", s=2, n=2, trials=5, seed=0, poly=P)
