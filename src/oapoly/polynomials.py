@@ -83,12 +83,14 @@ def _arrangements(key: tuple[int, ...]) -> np.ndarray:
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
     """((0 + t_0) + t_1) + ... over axis 1 of (T, m, d) terms, float or exact:
-    the order of accumulating key by key from zero."""
+    the order of accumulating key by key from zero. The terms are accumulated
+    in place, and the sums copied out, so that no (T, m, d) buffer outlives
+    the call."""
     if terms.shape[1] == 0:
         return np.full((terms.shape[0], terms.shape[2]),
                        Fraction(0) if terms.dtype == object else 0.0)
     terms[:, 0] += 0
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
 
 
 class TermStack:
@@ -170,10 +172,9 @@ class TermStack:
     def _in_chunks(self, evaluate, T: int, row_bytes: int) -> np.ndarray:
         """evaluate(stack, lo, hi) for chunks of the T rows that keep to
         `STACK_BYTES`, each on the stack of its rows' polynomials; rows are
-        independent, so the values are those of one call. A chunk's values are
-        copied out of the accumulation buffer they view, which frees it."""
+        independent, so the values are those of one call."""
         step = max(1, STACK_BYTES // row_bytes)
-        return np.concatenate([evaluate(self.take(slice(lo, lo + step)), lo, lo + step).copy()
+        return np.concatenate([evaluate(self.take(slice(lo, lo + step)), lo, lo + step)
                                for lo in range(0, T, step)])
 
     def _arrangement_layout(self):

@@ -22,33 +22,29 @@ Claim identifiers:
 
 Each claim is one `Claim` record of the table `CLAIMS`, which the checks,
 the sweeps, the searches and the CLI look up. A claim's mathematics is here
-twice: on single tuples of lattice vectors (the check_* functions), and on
-array blocks of trials, (T, k, n) stacks with polynomials held as a
-`TermStack`, for the sweeps and the random phase of the searches. The block
-kernels repeat the arithmetic of the claim's check_* function in the same
-order (sequential products over slots, then sequential accumulation over
-keys), so every row's values are bit-identical to checking that trial alone.
+once, on array blocks of trials: (T, k, n) stacks of tuples, with
+polynomials held as a `TermStack`. The sweeps run a claim's block kernel on
+blocks of drawn trials; a check_* function validates its one input and runs
+the same kernel on a block of one row; both phases of a search evaluate the
+claim's sides on blocks of inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import sampling
-from .lattice import DimensionMismatchError, LatticeVector, PositiveVector, inf, is_disjoint
+from .lattice import DimensionMismatchError, PositiveVector, is_disjoint
 from .means import (
-    geometric_mean,
+    _stack,
     geometric_mean_stack,
-    harmonic_mean,
+    harmonic_mean,  # noqa: F401 - perfbench's tracer test finds it rebound here
     harmonic_mean_stack,
-    root_mean_power,
     root_mean_power_stack,
-    weighted_geometric_mean,
     weighted_geometric_mean_stack,
 )
 from .partitions import CompletePartition, enumerate_complete, weights
@@ -64,7 +60,6 @@ from .reports import (
     VerificationReport,
     cross_payload,
     identity_payload,
-    residual,
     row_residuals,
 )
 
@@ -92,17 +87,12 @@ class PreconditionError(ValueError):
     """An input violates a check's stated precondition."""
 
 
-def _vector_payload(fs: Sequence[LatticeVector]) -> list:
-    return [list(f.entries) for f in fs]
-
-
 # -- preconditions, and the two sides of the identities --------------------------
 #
 # A precondition takes (degree, count, cp): the polynomial's degree (None for
 # a claim without one), the number of vectors and the partition. Sides take
-# (P, fs, cp) for one tuple fs of vectors, or (P, X, cp) for stacked tuples X
-# (T, k, n) with P a `TermStack`, and return the two values the identity
-# equates.
+# (P, X, cp), stacked tuples X (T, k, n) with their polynomials P as a
+# `TermStack`, and return the two values the identity equates for each row.
 
 
 def _rmp_requires(degree, count, cp) -> None:
@@ -131,35 +121,15 @@ def _partition_requires(degree, count, cp) -> None:
         raise PreconditionError(f"partition has {len(cp.parts)} parts, got {count} vectors")
 
 
-def _rmp_sides(P, fs, cp):
-    return P(root_mean_power(P.degree, fs)), sum(P(f) for f in fs)
-
-
-def _rmp_stack_sides(P, X, cp):
+def _rmp_sides(P, X, cp):
     return P(root_mean_power_stack(P.degree, X)), sum(P(X[:, i]) for i in range(X.shape[1]))
 
 
-def _gm_sides(P, fs, cp):
-    return P(geometric_mean(fs)), P.multilinear(*fs)
-
-
-def _gm_stack_sides(P, X, cp):
+def _gm_sides(P, X, cp):
     return P(geometric_mean_stack(X)), P.form([X[:, i] for i in range(X.shape[1])])
 
 
-def _hm_sides(P, fs, cp):
-    s = P.degree
-    eta = harmonic_mean(fs)
-    form = P.multilinear
-    lhs = form(*fs) * s
-    rhs = None
-    for j in range(s):
-        term = form(*fs[:j], eta, *fs[j + 1:])
-        rhs = term if rhs is None else rhs + term
-    return lhs, rhs
-
-
-def _hm_stack_sides(P, X, cp):
+def _hm_sides(P, X, cp):
     s = X.shape[1]
     slots = [X[:, i] for i in range(s)]
     eta = harmonic_mean_stack(X)
@@ -176,57 +146,49 @@ def _repeats(cp: CompletePartition) -> np.ndarray:
     return np.repeat(np.arange(len(cp.parts)), cp.parts)
 
 
-def _geos_sides(P, fs, cp):
-    lhs = weighted_geometric_mean(weights(cp), fs)
-    return lhs.to_array(), geometric_mean([fs[i] for i in _repeats(cp)]).to_array()
-
-
-def _geos_stack_sides(P, X, cp):
+def _geos_sides(P, X, cp):
     lhs = weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X)
     return lhs, geometric_mean_stack(X[:, _repeats(cp)])
 
 
-def _wgm_sides(P, fs, cp):
-    lhs = P(weighted_geometric_mean(weights(cp), fs))
-    return lhs, P.multilinear(*(fs[i] for i in _repeats(cp)))
-
-
-def _wgm_stack_sides(P, X, cp):
+def _wgm_sides(P, X, cp):
     lhs = P(weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X))
     return lhs, P.form([X[:, i] for i in _repeats(cp)])
 
 
-def _pair_sides(P, fs, cp):
-    f, g = fs
-    return P(f + g), P(f) + P(g)
-
-
-def _pair_stack_sides(P, X, cp):
+def _pair_sides(P, X, cp):
     f, g = X[:, 0], X[:, 1]
     return P(f + g), P(f) + P(g)
 
 
-def _check_identity(claim, P, fs, cp, cfg) -> VerificationReport:
-    """One trial of an identity claim: its preconditions, then its two sides
-    and their residual against its tolerance."""
+# -- forward checks ------------------------------------------------------------
+
+
+def _check(claim, P, fs, cp, cfg) -> VerificationReport:
+    """One input of a claim: its preconditions, then its vectors validated
+    and stacked as the means take them, checked by `_check_row`."""
     claim.requires(None if P is None else P.degree, len(fs), cp)
-    lhs, rhs = claim.sides(P, fs, cp)
-    tol = claim.tolerance(cfg)
-    res = residual(lhs, rhs, switch=cfg.relative_switch)
-    passed = res <= tol
-    extra = None if cp is None else {"partition": list(cp.parts)}
-    counterexample = None if passed else identity_payload(_vector_payload(fs), lhs, rhs, extra)
+    X, _ = _stack(fs, allow_exact=claim.exact)
+    return _check_row(claim, P, X, cp, cfg)
+
+
+def _check_row(claim, P, X, cp, cfg) -> VerificationReport:
+    """The report of one input X (k, n), run through the claim's kernel as a
+    block of one row."""
+    if P is not None and X.shape[1] != P.domain_dim:
+        raise DimensionMismatchError(
+            f"vector dimension {X.shape[1]} does not match domain {P.domain_dim}"
+        )
+    stack = None if P is None else TermStack.of(P)
+    res, ok, payload = claim.kernel(claim, X[None], stack, cp, cfg)
     return VerificationReport(
         claim_id=claim.id,
         trials=1,
-        max_residual=float(res),
-        tolerance=tol,
-        passed=passed,
-        counterexample=counterexample,
+        max_residual=float(res[0]),
+        tolerance=claim.tolerance(cfg, X.dtype == object),
+        passed=bool(ok[0]),
+        counterexample=None if ok[0] else payload(0),
     )
-
-
-# -- forward checks ------------------------------------------------------------
 
 
 def check_rmp(
@@ -240,7 +202,7 @@ def check_rmp(
     to supply one (a failure on a non-additive P is informative, not an
     error).
     """
-    return _check_identity(CLAIM_TABLE["RMP"], P, fs, None, cfg)
+    return _check(CLAIM_TABLE["RMP"], P, fs, None, cfg)
 
 
 def check_gm(
@@ -249,7 +211,7 @@ def check_gm(
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """P(geometric mean of s vectors) against the multilinear value."""
-    return _check_identity(CLAIM_TABLE["GM"], P, fs, None, cfg)
+    return _check(CLAIM_TABLE["GM"], P, fs, None, cfg)
 
 
 def check_schur_bounds(
@@ -262,42 +224,7 @@ def check_schur_bounds(
     violated bound and allowed ``cfg.ulp_slack``. Exact inputs: comparisons
     are exact rational order relations with zero slack.
     """
-    s = len(fs)
-    eta = harmonic_mean(fs)
-    low = fs[0]
-    for f in fs[1:]:
-        low = inf(low, f)
-    e, lo = eta.to_array(), low.to_array()
-    hi = lo * s
-    if eta.is_exact:
-        viol = Fraction(0)
-        for lo_i, e_i, hi_i in zip(lo, e, hi):
-            viol = max(viol, lo_i - e_i, e_i - hi_i)
-        worst = float(viol)
-        tol = cfg.exact_slack
-        passed = viol <= tol
-    else:
-        lower_gap = np.maximum(lo - e, 0.0)
-        upper_gap = np.maximum(e - hi, 0.0)
-        with np.errstate(invalid="ignore"):
-            ulps = np.maximum(
-                np.where(lower_gap > 0, lower_gap / np.spacing(lo), 0.0),
-                np.where(upper_gap > 0, upper_gap / np.spacing(hi), 0.0),
-            )
-        worst = float(np.max(ulps))
-        tol = float(cfg.ulp_slack)
-        passed = worst <= tol
-    counterexample = None
-    if not passed:
-        counterexample = {"inputs": _vector_payload(fs), "harmonic": e, "min": lo}
-    return VerificationReport(
-        claim_id="SCHUR",
-        trials=1,
-        max_residual=worst,
-        tolerance=tol,
-        passed=passed,
-        counterexample=counterexample,
-    )
+    return _check(CLAIM_TABLE["SCHUR"], None, fs, None, cfg)
 
 
 def check_eta_disjoint(
@@ -309,21 +236,7 @@ def check_eta_disjoint(
         is_disjoint(fs[i], fs[j]) for i in range(len(fs)) for j in range(i + 1, len(fs))
     ):
         raise PreconditionError("no disjoint pair among the arguments")
-    eta = harmonic_mean(fs)
-    arr = eta.to_array()
-    worst = float(max(abs(v) for v in arr))
-    passed = worst == 0.0
-    counterexample = None
-    if not passed:
-        counterexample = {"inputs": _vector_payload(fs), "harmonic": arr}
-    return VerificationReport(
-        claim_id="ORTHO",
-        trials=1,
-        max_residual=worst,
-        tolerance=0.0,
-        passed=passed,
-        counterexample=counterexample,
-    )
+    return _check(CLAIM_TABLE["ORTHO"], None, fs, None, cfg)
 
 
 def check_hm_identity(
@@ -338,7 +251,7 @@ def check_hm_identity(
     with the harmonic mean of the whole tuple replacing slot j. Characterizes
     orthogonal additivity of P over positive tuples.
     """
-    return _check_identity(CLAIM_TABLE["HM"], P, fs, None, cfg)
+    return _check(CLAIM_TABLE["HM"], P, fs, None, cfg)
 
 
 def check_geos_lemma(
@@ -348,7 +261,7 @@ def check_geos_lemma(
 ) -> VerificationReport:
     """Weighted geometric mean with weights r_k/s against the plain geometric
     mean with each argument repeated r_k times."""
-    return _check_identity(CLAIM_TABLE["GEOS"], None, fs, cp, cfg)
+    return _check(CLAIM_TABLE["GEOS"], None, fs, cp, cfg)
 
 
 def check_wgm_identity(
@@ -359,7 +272,7 @@ def check_wgm_identity(
 ) -> VerificationReport:
     """P of the completely partitioned weighted geometric mean against the
     multilinear value with argument k repeated r_k times."""
-    return _check_identity(CLAIM_TABLE["WGM"], P, fs, cp, cfg)
+    return _check(CLAIM_TABLE["WGM"], P, fs, cp, cfg)
 
 
 def check_cross_terms(
@@ -374,55 +287,24 @@ def check_cross_terms(
 
     The mixed-value bound is absolute (the values should be exactly zero for
     an additive P); the reconstruction is checked with the identity
-    tolerance and validates the multilinear evaluation itself.
+    tolerance and validates the multilinear evaluation itself. The pair
+    takes no mean, so only the disjointness test validates it.
     """
     if not is_disjoint(f, g):
         raise PreconditionError("cross-term check needs a disjoint pair")
-    s = P.degree
-    form = P.multilinear
-    mixed_worst = 0.0
-    mixed_witness = None
-    recon = None
-    for k in range(0, s + 1):
-        slots = [f] * k + [g] * (s - k)
-        val = form(*slots)
-        term = val * math.comb(s, k)
-        recon = term if recon is None else recon + term
-        if 1 <= k <= s - 1:
-            mag = float(np.max(np.abs(val)))
-            if math.isnan(mag):
-                mag = math.inf
-            if mag > mixed_worst:
-                mixed_worst = mag
-                if mag > cfg.mixed_abs:
-                    mixed_witness = {"copies_of_f": k, "value": val}
-    total = P(f + g)
-    recon_res = float(residual(total, recon, switch=cfg.relative_switch))
-    passed = mixed_worst <= cfg.mixed_abs and recon_res <= cfg.identity_rel
-    counterexample = None
-    if not passed:
-        counterexample = cross_payload(
-            _vector_payload([f, g]), mixed_worst, recon_res, mixed_witness, total, recon
-        )
-    return VerificationReport(
-        claim_id="CROSS_TERMS",
-        trials=1,
-        max_residual=mixed_worst,
-        tolerance=cfg.mixed_abs,
-        passed=passed,
-        counterexample=counterexample,
-    )
+    return _check_row(CLAIM_TABLE["CROSS_TERMS"], P, np.stack([f.to_array(), g.to_array()]),
+                      None, cfg)
 
 
 # -- the claims on array blocks of trials ---------------------------------------
 #
 # A kernel takes (claim, X, P, cp, cfg): the claim's record, the tuples X
-# (T, k, n) of one group of a block's rows, their polynomials (a `TermStack`,
-# None for a claim without one), the group's partition and the tolerances.
-# It returns (residuals, passed, payload): per-row residuals and pass flags,
-# and payload(t), row t's counterexample in the check_* format. Inputs are
-# assumed to meet the claim's preconditions; verify_claim checks them before
-# drawing.
+# (T, k, n) of one group of a block's rows, float or exact, their polynomials
+# (a `TermStack`, None for a claim without one), the group's partition and
+# the tolerances. It returns (residuals, passed, payload): per-row residuals
+# as the floats that reports hold, the pass flags that compare them, and
+# payload(t), row t's counterexample. Inputs are assumed to meet the claim's
+# preconditions; verify_claim and the check_* functions check them first.
 
 
 def _grouped(draws: sampling.TrialDraws, P, run):
@@ -450,36 +332,42 @@ def _grouped(draws: sampling.TrialDraws, P, run):
 
 def _identity_rows(claim, X, P, cp, cfg):
     """RMP, GM, HM, GEOS and WGM: the residuals of the claim's two sides."""
-    lhs, rhs = claim.stack_sides(P, X, cp)
-    # float, as the check_* reports hold it, also for exact coefficients
+    lhs, rhs = claim.sides(P, X, cp)
     res = row_residuals(lhs, rhs, switch=cfg.relative_switch).astype(float, copy=False)
     extra = None if cp is None else {"partition": list(cp.parts)}
-    return res, res <= claim.tolerance(cfg), lambda i: identity_payload(
+    return res, res <= claim.tolerance(cfg, X.dtype == object), lambda i: identity_payload(
         X[i].tolist(), lhs[i], rhs[i], extra)
 
 
 def _schur_rows(claim, X, P, cp, cfg):
+    """The violations of min <= harmonic mean <= s * min: for floats in
+    units in the last place of the violated bound, for exact inputs as
+    exact differences."""
     e = harmonic_mean_stack(X)
     lo = X[:, 0]
     for i in range(1, X.shape[1]):
         lo = np.minimum(lo, X[:, i])
     hi = lo * X.shape[1]
-    lower_gap = np.maximum(lo - e, 0.0)
-    upper_gap = np.maximum(e - hi, 0.0)
-    with np.errstate(invalid="ignore"):
-        ulps = np.maximum(
-            np.where(lower_gap > 0, lower_gap / np.spacing(lo), 0.0),
-            np.where(upper_gap > 0, upper_gap / np.spacing(hi), 0.0),
-        )
-    worst = np.max(ulps, axis=1)
-    return worst, worst <= claim.tolerance(cfg), lambda i: {
+    exact = X.dtype == object
+    if exact:
+        worst = np.maximum(np.max(np.maximum(lo - e, e - hi), axis=1), 0).astype(float)
+    else:
+        lower_gap = np.maximum(lo - e, 0.0)
+        upper_gap = np.maximum(e - hi, 0.0)
+        with np.errstate(invalid="ignore"):
+            ulps = np.maximum(
+                np.where(lower_gap > 0, lower_gap / np.spacing(lo), 0.0),
+                np.where(upper_gap > 0, upper_gap / np.spacing(hi), 0.0),
+            )
+        worst = np.max(ulps, axis=1)
+    return worst, worst <= claim.tolerance(cfg, exact), lambda i: {
         "inputs": X[i].tolist(), "harmonic": e[i], "min": lo[i],
     }
 
 
 def _ortho_rows(claim, X, P, cp, cfg):
     e = harmonic_mean_stack(X)
-    worst = np.max(np.abs(e), axis=1)
+    worst = np.max(np.abs(e), axis=1).astype(float, copy=False)
     return worst, worst == 0.0, lambda i: {"inputs": X[i].tolist(), "harmonic": e[i]}
 
 
@@ -502,7 +390,7 @@ def _cross_rows(claim, X, P, cp, cfg):
             mixed_worst = np.where(better, mag, mixed_worst)
             witness[better & (mag > cfg.mixed_abs)] = k
     total = P(f + g)
-    recon_res = row_residuals(total, recon, switch=cfg.relative_switch)
+    recon_res = row_residuals(total, recon, switch=cfg.relative_switch).astype(float, copy=False)
     passed = (mixed_worst <= cfg.mixed_abs) & (recon_res <= cfg.identity_rel)
 
     def payload(i):
@@ -521,14 +409,17 @@ class Claim(NamedTuple):
     """One claim: all that the checks, sweeps, searches and the CLI need of it.
 
     id, flag         report identifier and ``oapoly verify`` flag
-    kernel, requires, sides, stack_sides
+    kernel, requires, sides
                      see above; the sides of CROSS_TERMS are the ones that
                      `falsify` compares, P(f + g) and P(f) + P(g)
     draw             draw(s, pool, partition): `sampling.draw_trials` keywords
                      of a sweep's trial at degree s (pool: partitions of s)
-    tolerance        the report's tolerance, read from a `ToleranceConfig`
+    tolerance        tolerance(cfg, exact): the report's tolerance, read from
+                     a `ToleranceConfig`, for float or exact-rational inputs
     takes_poly       a trial evaluates a polynomial (``--poly``)
     takes_partition  a trial uses a complete partition (``--partition``)
+    exact            the check takes exact-rational vectors; the others take
+                     roots of their inputs, and refuse them
     size             size(degree, cp): vectors in one input of `falsify`
                      (None: the claim is not searched)
     pairs            inputs are disjoint positive pairs, not tuples
@@ -538,12 +429,12 @@ class Claim(NamedTuple):
     flag: str
     kernel: Callable
     draw: Callable
-    tolerance: Callable[[ToleranceConfig], float] = lambda cfg: cfg.identity_rel
+    tolerance: Callable[[ToleranceConfig, bool], float] = lambda cfg, exact: cfg.identity_rel
     takes_poly: bool = False
     takes_partition: bool = False
     requires: Callable = lambda degree, count, cp: None
     sides: Callable | None = None
-    stack_sides: Callable | None = None
+    exact: bool = False
     size: Callable | None = None
     pairs: bool = False
 
@@ -561,29 +452,29 @@ def _partition_draw(s, pool, partition):
 CLAIMS = (
     Claim("RMP", "rmp", _identity_rows, lambda s, pool, cp: {"pick": (2, 5), "counts": range(5)},
           takes_poly=True, requires=_rmp_requires, sides=_rmp_sides,
-          stack_sides=_rmp_stack_sides, size=lambda s, cp: max(2, s)),
+          size=lambda s, cp: max(2, s)),
     Claim("GM", "gm", _identity_rows, lambda s, pool, cp: {"counts": s},
-          takes_poly=True, requires=_gm_requires, sides=_gm_sides,
-          stack_sides=_gm_stack_sides, size=lambda s, cp: s),
+          takes_poly=True, requires=_gm_requires, sides=_gm_sides, size=lambda s, cp: s),
     Claim("SCHUR", "schur", _schur_rows,
           lambda s, pool, cp: {"pick": (1, s + 1), "counts": range(s + 1)},
-          tolerance=lambda cfg: float(cfg.ulp_slack)),
+          tolerance=lambda cfg, exact: cfg.exact_slack if exact else float(cfg.ulp_slack),
+          exact=True),
     Claim("ORTHO", "ortho", _ortho_rows,
           lambda s, pool, cp: {"pick": (2, max(3, s + 1)), "counts": range(max(3, s + 1)),
                                "pair": "slots"},
-          tolerance=lambda cfg: 0.0),
+          tolerance=lambda cfg, exact: 0.0, exact=True),
     Claim("HM", "hm", _identity_rows, lambda s, pool, cp: {"counts": s},
-          takes_poly=True, requires=_hm_requires, sides=_hm_sides,
-          stack_sides=_hm_stack_sides, size=lambda s, cp: s),
-    Claim("GEOS", "geos", _identity_rows, _partition_draw, tolerance=lambda cfg: cfg.geos_rel,
-          takes_partition=True, requires=_partition_requires, sides=_geos_sides,
-          stack_sides=_geos_stack_sides),
+          takes_poly=True, requires=_hm_requires, sides=_hm_sides, exact=True,
+          size=lambda s, cp: s),
+    Claim("GEOS", "geos", _identity_rows, _partition_draw,
+          tolerance=lambda cfg, exact: cfg.geos_rel, takes_partition=True,
+          requires=_partition_requires, sides=_geos_sides),
     Claim("WGM", "wgm", _identity_rows, _partition_draw, takes_poly=True,
           takes_partition=True, requires=_partition_requires, sides=_wgm_sides,
-          stack_sides=_wgm_stack_sides, size=lambda s, cp: len(cp.parts)),
+          size=lambda s, cp: len(cp.parts)),
     Claim("CROSS_TERMS", "cross", _cross_rows, lambda s, pool, cp: {"pair": "only"},
-          tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True, sides=_pair_sides,
-          stack_sides=_pair_stack_sides, size=lambda s, cp: 2, pairs=True),
+          tolerance=lambda cfg, exact: cfg.mixed_abs, takes_poly=True, sides=_pair_sides,
+          exact=True, size=lambda s, cp: 2, pairs=True),
 )
 CLAIM_TABLE = {claim.id: claim for claim in CLAIMS}
 CLAIM_IDS = tuple(CLAIM_TABLE)
@@ -594,14 +485,15 @@ POLY_CLAIMS = tuple(claim.id for claim in CLAIMS if claim.takes_poly)
 # -- falsification of the converse directions -----------------------------------
 
 
-def _structured_inputs(claim, P, cp, i, j, a, b):
-    """Disjoint two-coordinate families used by the converse arguments."""
-    n = P.domain_dim
-    f = PositiveVector([a if k == i else 0.0 for k in range(n)])
-    g = PositiveVector([b if k == j else 0.0 for k in range(n)])
-    count = claim.size(P.degree, cp)
-    for split in range(1, count):
-        yield [f] * split + [g] * (count - split)
+def _structured_rows(count, n, i, j, a, b, rows):
+    """The first ``rows`` inputs of the disjoint two-coordinate family of the
+    converse arguments, (rows, count, n): f = a e_i in the first ``split``
+    slots and g = b e_j in the rest, for split = 1, 2, ..."""
+    first = np.arange(count) < np.arange(1, rows + 1)[:, None]
+    X = np.zeros((rows, count, n))
+    X[:, :, i] = np.where(first, a, 0.0)
+    X[:, :, j] = np.where(first, 0.0, b)
+    return X
 
 
 _FIRST_RANDOM_BLOCK = 16
@@ -611,10 +503,9 @@ _FIRST_RANDOM_BLOCK = 16
 
 def _random_rows(claim, P, cp, rng, size):
     """One block of ``size`` random inputs (T, k, n), drawn with the generator
-    calls of the per-trial sampling helpers, and both sides for each."""
+    calls of the per-trial sampling helpers."""
     spec = {"pair": "only"} if claim.pairs else {"counts": claim.size(P.degree, cp)}
-    X = sampling.draw_trials(rng, size, P.domain_dim, **spec).vectors
-    return (X, *claim.stack_sides(TermStack.of(P), X, cp))
+    return sampling.draw_trials(rng, size, P.domain_dim, **spec).vectors
 
 
 def falsify(
@@ -637,12 +528,14 @@ def falsify(
     budget yields an inconclusive report, never a pass. ``trials`` and
     ``max_residual`` count the inputs up to and including the witness.
 
-    The random inputs are drawn and evaluated in blocks, 16 inputs first and
-    twice as many each time after, up to `BLOCK_TRIALS`; a block draws its
-    inputs one after another with the generator calls of the per-input
-    sampling helpers, and the first row over ``falsify_threshold`` is the
-    witness. Reports are those of trying one input at a time, for float and
-    exact-rational coefficients alike.
+    Both phases evaluate the claim's sides on blocks of inputs, and the
+    first row over ``falsify_threshold`` is the witness. The structured
+    family is one block per coordinate pair, its splits in order. The random
+    inputs come in blocks of 16 first and twice as many each time after, up
+    to `BLOCK_TRIALS`; a block draws its inputs one after another with the
+    generator calls of the per-input sampling helpers. Reports are those of
+    trying one input at a time, for float and exact-rational coefficients
+    alike.
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
@@ -668,40 +561,38 @@ def falsify(
         if cp.target != P.degree:
             raise PreconditionError("partition target must equal the polynomial degree")
 
+    stack = TermStack.of(P)
     rng = np.random.default_rng(seed)
     used = 0
     best = 0.0
     witness = None
-    threshold = cfg.falsify_threshold
 
-    for i, j in itertools.permutations(range(P.domain_dim), 2):
-        if used >= budget or witness is not None:
-            break
-        a, b = sampling.log_uniform(rng, 2, low=1.0, high=10.0)
-        for fs in _structured_inputs(claim, P, cp, i, j, float(a), float(b)):
-            used += 1
-            lhs, rhs = claim.sides(P, fs, cp)
-            res = float(residual(lhs, rhs, switch=cfg.relative_switch))
-            best = max(best, res)
-            if res > threshold:
-                witness = {"inputs": _vector_payload(fs), "lhs": lhs, "rhs": rhs,
-                           "residual": res, "source": "structured"}
-            if used >= budget or witness is not None:
-                break
-
-    size = _FIRST_RANDOM_BLOCK
-    while used < budget and witness is None:
-        size = min(size, BLOCK_TRIALS, budget - used)
-        X, lhs, rhs = _random_rows(claim, P, cp, rng, size)
-        res = row_residuals(lhs, rhs, switch=cfg.relative_switch)
-        hits = np.flatnonzero(res > threshold)
-        stop = hits[0] + 1 if hits.size else size
+    def search(X, source):
+        """Try the rows of X in order, up to and including the first witness."""
+        nonlocal used, best, witness
+        lhs, rhs = claim.sides(stack, X, cp)
+        res = row_residuals(lhs, rhs, switch=cfg.relative_switch).astype(float, copy=False)
+        hits = np.flatnonzero(res > cfg.falsify_threshold)
+        stop = hits[0] + 1 if hits.size else len(res)
         used += int(stop)
         best = max(best, float(res[:stop].max()))
         if hits.size:
             t = hits[0]
             witness = {"inputs": X[t].tolist(), "lhs": lhs[t], "rhs": rhs[t],
-                       "residual": float(res[t]), "source": "random"}
+                       "residual": float(res[t]), "source": source}
+
+    count = claim.size(P.degree, cp)
+    for i, j in itertools.permutations(range(P.domain_dim), 2):
+        if used >= budget or witness is not None:
+            break
+        a, b = sampling.log_uniform(rng, 2, low=1.0, high=10.0)
+        search(_structured_rows(count, P.domain_dim, i, j, a, b, min(count - 1, budget - used)),
+               "structured")
+
+    size = _FIRST_RANDOM_BLOCK
+    while used < budget and witness is None:
+        size = min(size, BLOCK_TRIALS, budget - used)
+        search(_random_rows(claim, P, cp, rng, size), "random")
         size *= 2
 
     found = witness is not None
@@ -741,12 +632,11 @@ def verify_claim(
 
     Trials run in array blocks of up to `BLOCK_TRIALS`. A block draws its
     trials one after another with the generator calls of the per-trial
-    sampling helpers, then evaluates both sides of the claim for every trial
-    at once on (T, k, n) stacks, in the arithmetic order of the claim's
-    check_* function. Reports are the same, bit for bit, as checking each
-    trial with its check_* function; an exact-rational ``poly`` runs on the
-    same kernels, held as a `TermStack` of Fractions. A claim without a
-    polynomial ignores ``poly``.
+    sampling helpers, then runs the claim's block kernel on its (T, k, n)
+    stack, the kernel that the claim's check_* function runs on one input.
+    Reports are the same as checking each trial with its check_* function;
+    an exact-rational ``poly`` runs on the same kernels, held as a
+    `TermStack` of Fractions. A claim without a polynomial ignores ``poly``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -796,7 +686,7 @@ def verify_claim(
         claim_id=claim_id,
         trials=trials,
         max_residual=worst,
-        tolerance=claim.tolerance(cfg),
+        tolerance=claim.tolerance(cfg, False),
         passed=passed,
         counterexample=counterexample,
     )

@@ -659,6 +659,26 @@ class TestTermStack:
                 assert a.shape == b.shape
                 assert [exact_bytes(row) for row in a] == [exact_bytes(row) for row in b]
 
+    def test_values_do_not_hold_the_accumulation_buffer(self):
+        # 512 rows of the dense (4, 12) polynomial, 1365 keys, go in one chunk;
+        # their 4 KB of values must not keep the (512, 1365, 1) buffer of
+        # terms that they were accumulated in, nor one P(f) its (1, 1365, 1)
+        rng = np.random.default_rng(5)
+        keys = list(itertools.combinations_with_replacement(range(12), 4))
+        P = HomogeneousPolynomial(4, 12, 1, dict(zip(keys, rng.uniform(0.1, 2.0, (len(keys), 1)))))
+        stack = TermStack.of(P)
+        X = rng.uniform(0.5, 2.0, (512, 12))
+        f = PositiveVector(X[0])
+        P(f)  # compiles P
+        for evaluate in (lambda: stack(X), lambda: P(f)):
+            tracemalloc.start()
+            try:
+                values = evaluate()
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept <= values.nbytes + (4 << 10)
+
     def test_memory_keeps_to_the_budget(self):
         # the dense (4, 12) polynomial: 1365 keys, 20736 arrangements, whose
         # slot products take about 200 MB for 1024 rows at once

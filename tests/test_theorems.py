@@ -1,5 +1,6 @@
 """Identity checks and falsification, including exact-rational replication."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -38,8 +39,8 @@ from oapoly import (
     weights,
 )
 from oapoly import polynomials, theorems
-from oapoly.lattice import DimensionMismatchError
-from oapoly.reports import DEFAULT_TOLERANCES, VerificationReport, row_residuals
+from oapoly.lattice import DimensionMismatchError, is_disjoint
+from oapoly.reports import DEFAULT_TOLERANCES, ToleranceConfig, VerificationReport, row_residuals
 from oapoly.sampling import (
     diagonal_polynomial,
     disjoint_pair,
@@ -513,6 +514,14 @@ class TestNonFinite:
         # exact sides keep their exact residual
         assert type(res[4]) is Fraction and res[4] == Fraction(1, 12)
 
+    def test_overflowing_mean_fails_the_check(self):
+        # a geometric mean beyond the float range is a non-finite side of the
+        # check, as in a sweep, where the public geometric_mean raises
+        with np.errstate(over="ignore"):
+            rep = check_gm(make_diagonal([1.0], 2), [pv(1e200), pv(1e200)])
+        assert not rep.passed and rep.max_residual == math.inf
+        assert rep.counterexample["nonfinite"] is True
+
     def test_verify_claim_fails_on_overflow(self):
         P = make_diagonal([[1.0, 1.0], [1.0, 1e308]], 2)
         rep = verify_claim("RMP", s=2, n=2, trials=5, seed=0, poly=P)
@@ -552,17 +561,286 @@ class TestJsonSafeReports:
         )
 
 
+# -- the eight checks, pinned ---------------------------------------------------------
+
+
+def exact_vec(*entries):
+    return PositiveVector.exact([Fraction(e) for e in entries])
+
+
+def check_cases():
+    """(label, check, arguments) for a fixed set of check_* calls: float passes over
+    several degrees, partitions and arities, failures on square_of_sum and
+    under tightened tolerances, exact-rational HM, SCHUR, ORTHO and
+    CROSS_TERMS, and overflowing sides."""
+    rng = np.random.default_rng(2024)
+    cases = []
+
+    def add(label, check, *args):
+        cases.append((label, check, args))
+
+    tight = ToleranceConfig(identity_rel=1e-300, geos_rel=1e-300, mixed_abs=1e-300,
+                           ulp_slack=0)
+    for s in (2, 3, 4):
+        for n, d in ((1, 1), (3, 2)):
+            P = diagonal_polynomial(rng, s, n, d)
+            for r in (2, 3, 5):
+                add(f"rmp s={s} n={n} r={r}", check_rmp, P, positive_tuple(rng, r, n))
+            fs = positive_tuple(rng, s, n)
+            add(f"gm s={s} n={n}", check_gm, P, fs)
+            add(f"hm s={s} n={n}", check_hm_identity, P, fs)
+            add(f"hm tight s={s} n={n}", check_hm_identity, P, fs, tight)
+            for parts in enumerate_complete(s):
+                cp = CompletePartition(parts, s)
+                fs = positive_tuple(rng, len(parts), n)
+                add(f"geos {parts} n={n}", check_geos_lemma, cp, fs)
+                add(f"geos tight {parts} n={n}", check_geos_lemma, cp, fs, tight)
+                add(f"wgm {parts} n={n}", check_wgm_identity, P, cp, fs)
+                add(f"wgm tight {parts} n={n}", check_wgm_identity, P, cp, fs, tight)
+            f, g = disjoint_pair(rng, n)
+            add(f"cross s={s} n={n}", check_cross_terms, P, f, g)
+            add(f"cross tight s={s} n={n}", check_cross_terms, P, f, g, tight)
+            Q = sparse_polynomial(rng, s, max(n, 2), d, mixed_terms=2, mixed_mass=0.4)
+            f, g = disjoint_pair(rng, max(n, 2))
+            add(f"cross sparse s={s} n={n}", check_cross_terms, Q, f, g)
+            add(f"hm sparse s={s} n={n}", check_hm_identity, Q, positive_tuple(rng, s, max(n, 2)))
+    for arity in (1, 2, 3, 5):
+        fs = positive_tuple(rng, arity, 4)
+        add(f"schur arity={arity}", check_schur_bounds, fs)
+        add(f"schur tie arity={arity}", check_schur_bounds, [fs[0]] * arity, tight)
+        if arity > 1:
+            add(f"ortho arity={arity}", check_eta_disjoint, tuple_with_disjoint_pair(rng, arity, 4))
+    add("schur zeros", check_schur_bounds, [pv(0, 1, 2), pv(3, 0, 2)])
+    # the upper bound broken by one ulp, which zero slack reports
+    add("schur one ulp over", check_schur_bounds,
+        [pv(37.758176259298715, 1.0), pv(1e300, 2.0), pv(1e300, 3.0)], tight)
+    add("ortho zeros", check_eta_disjoint, [pv(0, 0), pv(0, 0)])
+
+    # failures on (x + y)^2
+    Q = square_of_sum()
+    unit = [pv(1, 0), pv(0, 1)]
+    add("rmp square_of_sum", check_rmp, Q, unit)
+    add("rmp square_of_sum 3", check_rmp, Q, unit + [pv(2, 3)])
+    add("gm square_of_sum", check_gm, Q, [pv(1, 4), pv(9, 1)])
+    add("hm square_of_sum", check_hm_identity, Q, unit)
+    add("hm square_of_sum positive", check_hm_identity, Q, [pv(1, 2), pv(3, 5)])
+    add("wgm square_of_sum", check_wgm_identity, Q, CompletePartition((1, 1), 2), unit)
+    add("cross square_of_sum", check_cross_terms, Q, pv(1, 0), pv(0, 1))
+    add("cross square_of_sum scaled", check_cross_terms, Q, pv(3, 0), pv(0, 0.5))
+
+    # exact rationals: HM, SCHUR, ORTHO and CROSS_TERMS
+    E = HomogeneousPolynomial(2, 2, 1, {(0, 0): [Fraction(1)], (1, 1): [Fraction(2, 3)]})
+    E3 = HomogeneousPolynomial(3, 2, 2, {(0, 0, 0): [Fraction(1), Fraction(-1, 2)],
+                                         (1, 1, 1): [Fraction(5, 7), Fraction(3)]})
+    ES = HomogeneousPolynomial(2, 2, 1, {(0, 0): [Fraction(1)], (0, 1): [Fraction(1)],
+                                         (1, 1): [Fraction(1)]})
+    ex = [exact_vec(1, 2), exact_vec(Fraction(3, 4), 6)]
+    ex3 = [exact_vec(1, Fraction(1, 3)), exact_vec(2, 5), exact_vec(Fraction(7, 2), 0)]
+    add("hm exact", check_hm_identity, E, ex)
+    add("hm exact degree 3", check_hm_identity, E3, ex3)
+    add("hm exact square_of_sum", check_hm_identity, ES, [exact_vec(1, 0), exact_vec(0, 1)])
+    add("hm exact square_of_sum positive", check_hm_identity, ES, ex)
+    add("hm float P at exact vectors", check_hm_identity, Q, ex)
+    add("schur exact", check_schur_bounds, ex3)
+    add("schur exact one", check_schur_bounds, [exact_vec(3, 0)])
+    add("schur exact tie", check_schur_bounds, [exact_vec(Fraction(1, 3), 2)] * 3)
+    add("ortho exact", check_eta_disjoint, [exact_vec(1, 0, 2), exact_vec(0, 3, 0), exact_vec(5, 5, 5)])
+    add("cross exact", check_cross_terms, E, exact_vec(1, 0), exact_vec(0, Fraction(2, 5)))
+    add("cross exact square_of_sum", check_cross_terms, ES, exact_vec(1, 0), exact_vec(0, 3))
+    add("cross exact degree 3", check_cross_terms, E3, exact_vec(0, 1), exact_vec(Fraction(1, 2), 0))
+    add("cross float P at exact vectors", check_cross_terms, Q, exact_vec(2, 0), exact_vec(0, 1))
+    add("cross negative", check_cross_terms, Q, LatticeVector([-1.0, 0.0]), LatticeVector([0.0, 2.0]))
+
+    # overflowing and non-finite sides
+    big = make_diagonal([[1.0, 1.0], [1.0, 1e300]], 2)
+    huge = [pv(1.0, 1e10), pv(2.0, 1e10)]
+    for check in (check_rmp, check_gm, check_hm_identity):
+        add(f"overflow {check.__name__}", check, big, huge)
+    add("overflow wgm", check_wgm_identity, big, CompletePartition((1, 1), 2), huge)
+    add("overflow cross", check_cross_terms, big, pv(1.0, 0.0), pv(0.0, 1e160))
+    exact_big = HomogeneousPolynomial(2, 2, 1, {(0, 0): [Fraction(10**300)],
+                                                (1, 1): [Fraction(10**300)]})
+    add("exact coefficients overflow rmp", check_rmp, exact_big, [pv(1e10, 1), pv(1e10, 2)])
+    add("exact coefficients overflow hm", check_hm_identity, exact_big, [pv(1e10, 1), pv(1e10, 2)])
+    return cases
+
+
+def invalid_check_calls():
+    """(label, thunk) for calls that every check_* rejects."""
+    P2, P3 = make_diagonal([1.0, 2.0], 2), make_diagonal([1.0, 2.0], 3)
+    one = make_diagonal([1.0, 2.0], 1)
+    cp2, cp3 = CompletePartition((1, 1), 2), CompletePartition((2, 1), 3)
+    a, b, c = pv(1, 2), pv(3, 4), pv(1, 2, 3)
+    ea, eb = exact_vec(1, 2), exact_vec(3, 4)
+    neg = LatticeVector([1.0, -2.0])
+    eneg = LatticeVector.exact([1, -2])
+    calls = {
+        # wrong vector count
+        "rmp one vector": lambda: check_rmp(P2, [a]),
+        "rmp no vectors": lambda: check_rmp(P2, []),
+        "gm count": lambda: check_gm(P3, [a, b]),
+        "hm count": lambda: check_hm_identity(P3, [a, b]),
+        "hm degree one": lambda: check_hm_identity(one, [a]),
+        "geos count": lambda: check_geos_lemma(cp3, [a, b, a]),
+        "wgm count": lambda: check_wgm_identity(P3, cp3, [a]),
+        "schur no vectors": lambda: check_schur_bounds([]),
+        "ortho no vectors": lambda: check_eta_disjoint([]),
+        "ortho one vector": lambda: check_eta_disjoint([pv(0, 0)]),
+        # vectors whose dimension does not match P
+        "rmp P dimension": lambda: check_rmp(P2, [c, c]),
+        "gm P dimension": lambda: check_gm(P2, [c, c]),
+        "hm P dimension": lambda: check_hm_identity(P2, [c, c]),
+        "wgm P dimension": lambda: check_wgm_identity(P2, cp2, [c, c]),
+        "cross P dimension": lambda: check_cross_terms(P2, pv(1, 0, 0), pv(0, 1, 0)),
+        # vectors of mixed dimensions
+        "rmp mixed dimensions": lambda: check_rmp(P2, [a, c]),
+        "gm mixed dimensions": lambda: check_gm(P2, [c, a]),
+        "schur mixed dimensions": lambda: check_schur_bounds([a, b, c]),
+        "ortho mixed dimensions": lambda: check_eta_disjoint([a, c]),
+        "ortho mixed dimensions after a disjoint pair": lambda: check_eta_disjoint(
+            [pv(1, 0), pv(0, 1), c]),
+        "hm mixed dimensions": lambda: check_hm_identity(P2, [a, c]),
+        "geos mixed dimensions": lambda: check_geos_lemma(cp2, [a, c]),
+        "wgm mixed dimensions": lambda: check_wgm_identity(P2, cp2, [c, a]),
+        "cross mixed dimensions": lambda: check_cross_terms(P2, pv(1, 0), pv(0, 0, 1)),
+        # exact vectors where a root is taken
+        "rmp exact": lambda: check_rmp(P2, [ea, eb]),
+        "gm exact": lambda: check_gm(P2, [ea, eb]),
+        "geos exact": lambda: check_geos_lemma(cp2, [ea, eb]),
+        "wgm exact": lambda: check_wgm_identity(P2, cp2, [ea, eb]),
+        "rmp exact negative": lambda: check_rmp(P2, [eneg, eb]),
+        # exact and float vectors mixed
+        "rmp mixed exact": lambda: check_rmp(P2, [a, eb]),
+        "gm mixed exact": lambda: check_gm(P2, [ea, b]),
+        "schur mixed exact": lambda: check_schur_bounds([ea, b]),
+        "ortho mixed exact": lambda: check_eta_disjoint([exact_vec(1, 0), pv(0, 1)]),
+        "hm mixed exact": lambda: check_hm_identity(P2, [a, eb]),
+        "geos mixed exact": lambda: check_geos_lemma(cp2, [ea, b]),
+        "wgm mixed exact": lambda: check_wgm_identity(P2, cp2, [a, eb]),
+        "cross mixed exact": lambda: check_cross_terms(P2, exact_vec(1, 0), pv(0, 1)),
+        # a negative LatticeVector
+        "rmp negative": lambda: check_rmp(P2, [a, neg]),
+        "gm negative": lambda: check_gm(P2, [neg, b]),
+        "schur negative": lambda: check_schur_bounds([neg]),
+        "schur exact negative": lambda: check_schur_bounds([ea, eneg]),
+        "ortho negative": lambda: check_eta_disjoint([LatticeVector([-1.0, 0.0]), pv(0, 1)]),
+        "hm negative": lambda: check_hm_identity(P2, [a, neg]),
+        "hm exact negative": lambda: check_hm_identity(P2, [eneg, eb]),
+        "geos negative": lambda: check_geos_lemma(cp2, [neg, b]),
+        "wgm negative": lambda: check_wgm_identity(P2, cp2, [a, neg]),
+        # not a LatticeVector
+        "schur list": lambda: check_schur_bounds([a, [1.0, 2.0]]),
+        "ortho list": lambda: check_eta_disjoint([a, [1.0, 2.0]]),
+        "rmp list": lambda: check_rmp(P2, [a, [1.0, 2.0]]),
+        "cross list": lambda: check_cross_terms(P2, a, [1.0, 2.0]),
+        # a non-disjoint input to ORTHO or CROSS_TERMS
+        "ortho not disjoint": lambda: check_eta_disjoint([a, b, pv(0, 1)]),
+        "cross not disjoint": lambda: check_cross_terms(P2, pv(1, 1), pv(1, 0)),
+        "cross exact not disjoint": lambda: check_cross_terms(P2, ea, exact_vec(0, 1)),
+        # a partition whose target or part count does not match
+        "wgm target": lambda: check_wgm_identity(P2, cp3, [a, b]),
+        "wgm parts": lambda: check_wgm_identity(P2, cp2, [a, b, a]),
+        "wgm target before parts": lambda: check_wgm_identity(P3, cp2, [a]),
+        "geos parts": lambda: check_geos_lemma(cp2, [a]),
+    }
+    return calls
+
+
+class TestCheckEdges:
+    """The eight check_* functions, pinned by their reports and errors."""
+
+    # sha256 of json.dumps(report.to_dict(), sort_keys=True) over check_cases(),
+    # recorded before the checks ran through the claims' block kernels
+    def test_check_golden_digest(self):
+        digest = hashlib.sha256()
+        for label, check, args in check_cases():
+            digest.update(f"{label}|{json.dumps(check(*args).to_dict(), sort_keys=True)};".encode())
+        assert digest.hexdigest() == "b354985d5e2de75875cb36c139623d82ffef775859fa6006d28f6e727cd00075"
+
+    def test_checks_match_the_reference(self):
+        for label, check, args in check_cases():
+            ref = reference_check(*REFERENCE_ARGUMENTS[check](*args))
+            assert check(*args).to_dict() == ref.to_dict(), label
+
+    # exception type and message, recorded at the same commit
+    @pytest.mark.parametrize("label, error, message", [
+        ("rmp one vector", PreconditionError, "the root-mean-power identity needs at least two vectors"),
+        ("rmp no vectors", PreconditionError, "the root-mean-power identity needs at least two vectors"),
+        ("gm count", PreconditionError, "the geometric-mean identity needs exactly 3 vectors"),
+        ("hm count", PreconditionError, "the identity needs exactly 3 vectors"),
+        ("hm degree one", PreconditionError, "the harmonic-mean identity needs degree >= 2"),
+        ("geos count", PreconditionError, "partition has 2 parts, got 3 vectors"),
+        ("wgm count", PreconditionError, "partition has 2 parts, got 1 vectors"),
+        ("schur no vectors", ValueError, "a mean needs at least one argument"),
+        ("ortho no vectors", PreconditionError, "no disjoint pair among the arguments"),
+        ("ortho one vector", PreconditionError, "no disjoint pair among the arguments"),
+        ("rmp P dimension", DimensionMismatchError, "vector dimension 3 does not match domain 2"),
+        ("gm P dimension", DimensionMismatchError, "vector dimension 3 does not match domain 2"),
+        ("hm P dimension", DimensionMismatchError, "vector dimension 3 does not match domain 2"),
+        ("wgm P dimension", DimensionMismatchError, "vector dimension 3 does not match domain 2"),
+        ("cross P dimension", DimensionMismatchError, "vector dimension 3 does not match domain 2"),
+        ("rmp mixed dimensions", DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ("gm mixed dimensions", DimensionMismatchError, "dimension mismatch: 3 vs 2"),
+        ("schur mixed dimensions", DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ("ortho mixed dimensions", DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ("ortho mixed dimensions after a disjoint pair", DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ("hm mixed dimensions", DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ("geos mixed dimensions", DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ("wgm mixed dimensions", DimensionMismatchError, "dimension mismatch: 3 vs 2"),
+        ("cross mixed dimensions", DimensionMismatchError, "dimension mismatch: 2 vs 3"),
+        ("rmp exact", ValueError, "exact-rational vectors are only supported by harmonic_mean"),
+        ("gm exact", ValueError, "exact-rational vectors are only supported by harmonic_mean"),
+        ("geos exact", ValueError, "exact-rational vectors are only supported by harmonic_mean"),
+        ("wgm exact", ValueError, "exact-rational vectors are only supported by harmonic_mean"),
+        ("rmp exact negative", ValueError, "exact-rational vectors are only supported by harmonic_mean"),
+        ("rmp mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("gm mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("schur mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("ortho mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("hm mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("geos mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("wgm mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("cross mixed exact", ValueError, "cannot mix exact and float vectors"),
+        ("rmp negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("gm negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("schur negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("schur exact negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("ortho negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("hm negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("hm exact negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("geos negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("wgm negative", ValueError, "means are defined on nonnegative vectors only"),
+        ("schur list", TypeError, "expected LatticeVector arguments, got list"),
+        ("ortho list", TypeError, "expected a LatticeVector, got list"),
+        ("rmp list", TypeError, "expected LatticeVector arguments, got list"),
+        ("cross list", TypeError, "expected a LatticeVector, got list"),
+        ("ortho not disjoint", PreconditionError, "no disjoint pair among the arguments"),
+        ("cross not disjoint", PreconditionError, "cross-term check needs a disjoint pair"),
+        ("cross exact not disjoint", PreconditionError, "cross-term check needs a disjoint pair"),
+        ("wgm target", PreconditionError, "partition target 3 does not match polynomial degree 2"),
+        ("wgm parts", PreconditionError, "partition has 2 parts, got 3 vectors"),
+        ("wgm target before parts", PreconditionError, "partition target 2 does not match polynomial degree 3"),
+        ("geos parts", PreconditionError, "partition has 2 parts, got 1 vectors"),
+    ])
+    def test_invalid_calls_raise(self, label, error, message):
+        with pytest.raises(error) as info:
+            invalid_check_calls()[label]()
+        assert type(info.value) is error and str(info.value) == message
+
+
 # -- block evaluation against a per-trial reference ---------------------------------
 
 
 def reference_verify(claim_id, *, s=3, n=4, d=1, trials=100, seed=0, partition=None,
                      poly=None, cfg=DEFAULT_TOLERANCES):
     """verify_claim as a loop over single trials: redraw each trial's inputs with
-    the sampling helpers and aggregate the check_* reports."""
+    the sampling helpers and aggregate their reference_check reports."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if s < 2 and claim_id in ("HM", "GM", "WGM", "RMP", "CROSS_TERMS"):
         raise ValueError(f"claim {claim_id} needs degree s >= 2")
+    if claim_id not in CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}")
     rng = np.random.default_rng(seed)
     pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
     reports = []
@@ -570,32 +848,22 @@ def reference_verify(claim_id, *, s=3, n=4, d=1, trials=100, seed=0, partition=N
         P = poly
         if P is None and claim_id in ("RMP", "GM", "HM", "WGM", "CROSS_TERMS"):
             P = diagonal_polynomial(rng, s, n, d)
+        cp = None
         if claim_id == "RMP":
-            r = int(rng.integers(2, 5))
-            rep = check_rmp(P, positive_tuple(rng, r, n), cfg)
-        elif claim_id == "GM":
-            rep = check_gm(P, positive_tuple(rng, s, n), cfg)
+            fs = positive_tuple(rng, int(rng.integers(2, 5)), n)
+        elif claim_id in ("GM", "HM"):
+            fs = positive_tuple(rng, s, n)
         elif claim_id == "SCHUR":
-            arity = int(rng.integers(1, s + 1))
-            rep = check_schur_bounds(positive_tuple(rng, arity, n), cfg)
+            fs = positive_tuple(rng, int(rng.integers(1, s + 1)), n)
         elif claim_id == "ORTHO":
-            arity = int(rng.integers(2, max(3, s + 1)))
-            rep = check_eta_disjoint(tuple_with_disjoint_pair(rng, arity, n), cfg)
-        elif claim_id == "HM":
-            rep = check_hm_identity(P, positive_tuple(rng, s, n), cfg)
+            fs = tuple_with_disjoint_pair(rng, int(rng.integers(2, max(3, s + 1))), n)
         elif claim_id in ("GEOS", "WGM"):
             cp = partition or CompletePartition(pool[int(rng.integers(0, len(pool)))], s)
             fs = positive_tuple(rng, len(cp.parts), n)
-            if claim_id == "GEOS":
-                rep = check_geos_lemma(cp, fs, cfg)
-            else:
-                rep = check_wgm_identity(P, cp, fs, cfg)
-        elif claim_id == "CROSS_TERMS":
-            f, g = disjoint_pair(rng, n)
-            rep = check_cross_terms(P, f, g, cfg)
         else:
-            raise ValueError(f"unknown claim {claim_id!r}")
-        reports.append(rep)
+            fs = list(disjoint_pair(rng, n))
+        reports.append(reference_check(claim_id, None if claim_id in ("SCHUR", "ORTHO", "GEOS")
+                                       else P, fs, cp, cfg))
     return VerificationReport(
         claim_id=claim_id,
         trials=len(reports),
@@ -722,6 +990,8 @@ def reference_additivity(P, trials=200, seed=0, *, exhaustive=False, tolerances=
 
 
 def reference_sides(claim_id, P, fs, cp):
+    """The two sides of an identity claim for one input, from the public means
+    and P.multilinear alone."""
     if claim_id == "RMP":
         return P(root_mean_power(P.degree, fs)), sum(P(f) for f in fs)
     if claim_id == "GM":
@@ -734,11 +1004,122 @@ def reference_sides(claim_id, P, fs, cp):
             term = P.multilinear(*(fs[:j] + [eta] + fs[j + 1:]))
             rhs = term if rhs is None else rhs + term
         return lhs, rhs
+    repeated = [f for r, f in zip(cp.parts, fs) for _ in range(r)] if cp else None
+    if claim_id == "GEOS":
+        return (weighted_geometric_mean(weights(cp), fs).to_array(),
+                geometric_mean(repeated).to_array())
     if claim_id == "WGM":
-        repeated = [f for r, f in zip(cp.parts, fs) for _ in range(r)]
         return P(weighted_geometric_mean(weights(cp), fs)), P.multilinear(*repeated)
     f, g = fs
     return P(f + g), P(f) + P(g)
+
+
+def nonfinite(*values):
+    """True iff some float entry of the values is inf or NaN."""
+    return any(isinstance(v, float) and not math.isfinite(v)
+               for value in values for v in np.ravel(value).tolist())
+
+
+def reference_requires(claim_id, P, fs, cp):
+    """The preconditions of a claim's check, with their messages."""
+    s, count = (None if P is None else P.degree), len(fs)
+    if claim_id == "RMP" and count < 2:
+        raise PreconditionError("the root-mean-power identity needs at least two vectors")
+    if claim_id == "GM" and count != s:
+        raise PreconditionError(f"the geometric-mean identity needs exactly {s} vectors")
+    if claim_id == "HM" and s < 2:
+        raise PreconditionError("the harmonic-mean identity needs degree >= 2")
+    if claim_id == "HM" and count != s:
+        raise PreconditionError(f"the identity needs exactly {s} vectors")
+    if claim_id in ("GEOS", "WGM"):
+        if P is not None and cp.target != s:
+            raise PreconditionError(
+                f"partition target {cp.target} does not match polynomial degree {s}")
+        if count != len(cp.parts):
+            raise PreconditionError(f"partition has {len(cp.parts)} parts, got {count} vectors")
+    if claim_id == "ORTHO" and not any(is_disjoint(f, g) for i, f in enumerate(fs)
+                                       for g in fs[i + 1:]):
+        raise PreconditionError("no disjoint pair among the arguments")
+    if claim_id == "CROSS_TERMS" and not is_disjoint(*fs):
+        raise PreconditionError("cross-term check needs a disjoint pair")
+
+
+# each check_* call's arguments as reference_check takes them
+REFERENCE_ARGUMENTS = {
+    check_rmp: lambda P, fs, cfg=DEFAULT_TOLERANCES: ("RMP", P, fs, None, cfg),
+    check_gm: lambda P, fs, cfg=DEFAULT_TOLERANCES: ("GM", P, fs, None, cfg),
+    check_schur_bounds: lambda fs, cfg=DEFAULT_TOLERANCES: ("SCHUR", None, fs, None, cfg),
+    check_eta_disjoint: lambda fs, cfg=DEFAULT_TOLERANCES: ("ORTHO", None, fs, None, cfg),
+    check_hm_identity: lambda P, fs, cfg=DEFAULT_TOLERANCES: ("HM", P, fs, None, cfg),
+    check_geos_lemma: lambda cp, fs, cfg=DEFAULT_TOLERANCES: ("GEOS", None, fs, cp, cfg),
+    check_wgm_identity: lambda P, cp, fs, cfg=DEFAULT_TOLERANCES: ("WGM", P, fs, cp, cfg),
+    check_cross_terms: lambda P, f, g, cfg=DEFAULT_TOLERANCES: ("CROSS_TERMS", P, [f, g], None,
+                                                                cfg),
+}
+
+
+def reference_check(claim_id, P, fs, cp, cfg=DEFAULT_TOLERANCES):
+    """One input's check report, computed coordinate by coordinate or from
+    reference_sides, with the public means and P.multilinear alone."""
+    reference_requires(claim_id, P, fs, cp)
+    inputs = [list(f.entries) for f in fs]
+    counterexample = None
+    if claim_id == "SCHUR":
+        e = harmonic_mean(fs).entries
+        lo = [min(column) for column in zip(*(f.entries for f in fs))]
+        bounds = [(lo_i, e_i, lo_i * len(fs)) for lo_i, e_i in zip(lo, e)]
+        if fs[0].is_exact:  # exact order relations, with zero slack
+            worst = float(max([0, *(max(a - b, b - c) for a, b, c in bounds)]))
+            tol = cfg.exact_slack
+        else:  # violations in units in the last place of the violated bound
+            worst = max([0.0, *(float((a - b) / np.spacing(a)) for a, b, c in bounds if a > b),
+                         *(float((b - c) / np.spacing(c)) for a, b, c in bounds if b > c)])
+            tol = float(cfg.ulp_slack)
+        passed = worst <= tol
+        if not passed:
+            counterexample = {"inputs": inputs, "harmonic": list(e), "min": lo}
+    elif claim_id == "ORTHO":
+        e = harmonic_mean(fs).entries
+        worst, tol = float(max(abs(v) for v in e)), 0.0
+        passed = worst == 0.0
+        if not passed:
+            counterexample = {"inputs": inputs, "harmonic": list(e)}
+    elif claim_id == "CROSS_TERMS":
+        f, g = fs
+        s = P.degree
+        worst, tol, witness, recon = 0.0, cfg.mixed_abs, None, None
+        for k in range(s + 1):
+            val = P.multilinear(*([f] * k + [g] * (s - k)))
+            term = val * math.comb(s, k)
+            recon = term if recon is None else recon + term
+            if 1 <= k <= s - 1:
+                mag = float(np.max(np.abs(val)))
+                mag = math.inf if math.isnan(mag) else mag
+                if mag > worst:
+                    worst = mag
+                    if mag > cfg.mixed_abs:
+                        witness = {"copies_of_f": k, "value": val}
+        total = P(f + g)
+        recon_res = float(residual(total, recon, switch=cfg.relative_switch))
+        passed = worst <= cfg.mixed_abs and recon_res <= cfg.identity_rel
+        if not passed:
+            counterexample = {"inputs": inputs, "mixed_max": worst,
+                              "binomial_residual": recon_res, **(witness or {})}
+            if nonfinite(total, recon):
+                counterexample["nonfinite"] = True
+    else:
+        lhs, rhs = reference_sides(claim_id, P, fs, cp)
+        tol = cfg.geos_rel if claim_id == "GEOS" else cfg.identity_rel
+        worst = float(residual(lhs, rhs, switch=cfg.relative_switch))
+        passed = worst <= tol
+        if not passed:
+            counterexample = {"inputs": inputs, "lhs": lhs, "rhs": rhs}
+            if cp is not None:
+                counterexample["partition"] = list(cp.parts)
+            if nonfinite(lhs, rhs):
+                counterexample["nonfinite"] = True
+    return VerificationReport(claim_id=claim_id, trials=1, max_residual=worst, tolerance=tol,
+                              passed=passed, counterexample=counterexample)
 
 
 def reference_falsify(P, claim_id, budget=10_000, seed=0, *, partition=None,
