@@ -9,6 +9,7 @@ Subcommands::
     oapoly poly multilinear --poly poly.json --inputs vectors.json
     oapoly poly oa-check --poly poly.json --trials 200 --seed 0
     oapoly verify {rmp|gm|schur|ortho|hm|geos|wgm|cross} --s 3 --n 4 --trials 100 --seed 7
+    oapoly verify hm --s 3 --n 4 --trials 100 --seed 7 --trial 42
     oapoly verify all --s 3 --n 4 --trials 100 --seed 7 [--format json|csv|human]
     oapoly verify falsify --claim hm --poly poly.json --budget 10000 --seed 0
 
@@ -238,14 +239,16 @@ def _parse_partition(args) -> CompletePartition | None:
 def _reject_unused(args, claim, command: str) -> None:
     """A flag that ``oapoly verify {command}`` would ignore is a usage error,
     not a silently dropped input: --poly or --partition that ``claim`` (None:
-    every claim) does not take, --format outside ``verify all``, and --claim
-    or --budget outside ``verify falsify``."""
+    every claim) does not take, --format outside ``verify all``, --claim
+    or --budget outside ``verify falsify``, and --trial outside a single
+    claim's sweep."""
     falsifying = args.claim == "falsify"
     for flag, value, used in (("--poly", args.poly, claim and claim.takes_poly),
                               ("--partition", args.partition, claim and claim.takes_partition),
                               ("--format", args.format, args.claim == "all"),
                               ("--claim", args.falsify_claim, falsifying),
-                              ("--budget", args.budget, falsifying)):
+                              ("--budget", args.budget, falsifying),
+                              ("--trial", args.trial, args.claim not in ("all", "falsify"))):
         if value is not None and not used:
             raise UsageError(f"{flag} does not apply to 'oapoly verify {command}'")
 
@@ -280,7 +283,7 @@ def _cmd_verify(args) -> int:
     poly = _load_polynomial(args.poly) if args.poly is not None else None
     report = verify_claim(
         claim.id, s=args.s, n=args.n, d=args.d, trials=args.trials, seed=args.seed,
-        partition=partition, poly=poly,
+        partition=partition, poly=poly, trial=args.trial,
     )
     _emit(report.to_dict())
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
@@ -344,6 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=4, help="lattice dimension")
     p_verify.add_argument("--d", type=int, default=1, help="codomain dimension")
     p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--trial", type=int, default=None,
+                          help="replay trial k (0 <= k < --trials) of a single claim's run "
+                               "alone, as a failing run's counterexample names it")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--partition", type=str, default=None,
                           help="comma-separated parts r1,..,rp (geos/wgm)")

@@ -86,14 +86,52 @@ def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False) -> tuple[n
 # mean of that row's tuple bit for bit.
 
 
+def _within_range(direct, scaled, X: np.ndarray) -> np.ndarray:
+    """The mean ``direct(X)``, computed quietly. Only when some operation in
+    it overflowed or underflowed, each entry that left the float range on
+    the way (non-finite although every argument is finite, or 0 although
+    every argument is positive) is replaced by ``scaled(A)``, the mean
+    computed again from those entries' arguments A, shape (m, k); values in
+    range keep their bytes."""
+    flagged = []
+    with np.errstate(over="call", under="call", call=lambda err, flag: flagged.append(err)):
+        out = direct(X)
+        if flagged:
+            bad = out == 0
+            if bad.any():
+                bad &= np.all(X > 0, axis=-2)
+            nonfinite = ~np.isfinite(out)
+            if nonfinite.any():
+                bad |= nonfinite & np.all(np.isfinite(X), axis=-2)
+            if bad.any():
+                out[bad] = scaled(np.moveaxis(X, -2, -1)[bad])
+    return out
+
+
 def root_mean_power_stack(s: int, X: np.ndarray) -> np.ndarray:
-    """Coordinatewise (sum_k x_k^s)^(1/s)."""
-    return np.sum(X**s, axis=-2) ** (1.0 / s)
+    """Coordinatewise (sum_k x_k^s)^(1/s). Where a power or the sum leaves
+    the float range, the mean is taken of the arguments scaled by their
+    maximum m: m (sum_k (x_k/m)^s)^(1/s)."""
+    def scaled(A):
+        m = A.max(axis=-1)
+        return m * np.sum((A / m[:, None]) ** s, axis=-1) ** (1.0 / s)
+
+    return _within_range(lambda X: np.sum(X**s, axis=-2) ** (1.0 / s), scaled, X)
 
 
 def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
-    """Coordinatewise (prod_k x_k)^(1/k) over the k stacked arguments."""
-    return np.prod(X, axis=-2) ** (1.0 / X.shape[-2])
+    """Coordinatewise (prod_k x_k)^(1/k) over the k stacked arguments. Where
+    the product leaves the float range, the mean is taken of the arguments'
+    mantissas and binary exponents: with x_k = m_k 2^(e_k) and
+    sum_k e_k = q k + r, it is (2^r prod_k m_k)^(1/k) 2^q."""
+    k = X.shape[-2]
+
+    def scaled(A):
+        mantissas, exponents = np.frexp(A)
+        q, r = np.divmod(exponents.sum(axis=-1), k)
+        return np.ldexp(np.ldexp(np.prod(mantissas, axis=-1), r) ** (1.0 / k), q)
+
+    return _within_range(lambda X: np.prod(X, axis=-2) ** (1.0 / k), scaled, X)
 
 
 def harmonic_mean_stack(X: np.ndarray) -> np.ndarray:

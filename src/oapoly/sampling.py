@@ -27,6 +27,7 @@ __all__ = [
     "diagonal_polynomial",
     "sparse_polynomial",
     "TrialDraws",
+    "trial_width",
     "draw_trials",
 ]
 
@@ -145,8 +146,8 @@ class TrialDraws(NamedTuple):
         (T, n, d) diagonal coefficients, one random additive polynomial per
         trial, or None.
     picks
-        (T,) the integer drawn first in each trial (a tuple size or an index
-        into a table of partitions), or None.
+        (T,) the integer drawn in each trial (a tuple size or an index into a
+        table of partitions), or None.
     counts
         (T,) number of vectors in each trial's tuple.
     vectors
@@ -159,6 +160,20 @@ class TrialDraws(NamedTuple):
     vectors: np.ndarray
 
 
+def trial_width(
+    n: int,
+    *,
+    d: int | None = None,
+    pick: tuple[int, int] | None = None,
+    counts: Sequence[int] | int = 0,
+    pair: str | None = None,
+) -> int:
+    """W, the number of uniforms in one trial's row of `draw_trials`."""
+    k_max = counts if isinstance(counts, int) else max(counts)
+    return ((0 if d is None else 2 * n * d) + (pick is not None) + k_max * n
+            + 2 * (pair == "slots") + 3 * n * (pair is not None))
+
+
 def draw_trials(
     rng: np.random.Generator,
     trials: int,
@@ -169,59 +184,63 @@ def draw_trials(
     counts: Sequence[int] | int = 0,
     pair: str | None = None,
 ) -> TrialDraws:
-    """Draw the inputs of ``trials`` trials in one block.
+    """Draw the inputs of ``trials`` trials with one ``rng.random((trials, W))``.
 
-    Each trial draws, in this order and with the same generator calls as the
-    per-trial helpers above: the coefficients of `diagonal_polynomial` (when ``d``
-    is given); one ``rng.integers(*pick)`` (when ``pick`` is given), which
-    selects the tuple size ``counts[pick]``; the tuple of `positive_tuple`
-    (``counts`` vectors when it is an int); and, when ``pair`` is
-    ``"slots"``, the two slots and the pair of `tuple_with_disjoint_pair`
-    (the pair then replaces those slots of the tuple), or, when ``pair`` is
-    ``"only"``, the pair of `disjoint_pair` alone, which is then the trial's
-    tuple of two. The random stream, and so every value, is that of the
-    per-trial helpers; only the exponentials and sign products are taken
-    once per block.
+    Row t of the draw holds every uniform u that trial t needs, and each
+    input is a fixed transform of a slice of the row, in this order: when
+    ``d`` is given, the (n, d) coefficients of a random diagonal polynomial,
+    ``COEFF_LOW + (COEFF_HIGH - COEFF_LOW) u``, then their signs, negative
+    where u < 0.5; when ``pick`` = (lo, hi) is given, the pick
+    ``lo + floor(u (hi - lo))``, which selects the tuple size
+    ``counts[pick]``; the tuple's log-uniform entries over all ``k_max``
+    slots (``counts`` vectors when it is an int, else ``max(counts)``); when
+    ``pair`` is ``"slots"``, two distinct slots i = floor(u k) and
+    j = floor(u' (k - 1)), j + 1 when j >= i, of the trial's k vectors; and,
+    when ``pair`` is given, the mask of a disjoint pair (f's support where
+    u < 0.5, g's elsewhere) and the pair's 2n log-uniform entries. The pair
+    replaces slots i and j of the tuple (``"slots"``), or is the trial's
+    tuple of two (``"only"``).
+
+    W = `trial_width` is fixed by the keywords, so trial t's inputs depend
+    only on the generator's state and t: drawing T rows in any number of
+    calls gives the same rows, and advancing a PCG64 generator by t * W
+    reaches trial t.
     """
-    table = None if isinstance(counts, int) else list(counts)
-    k_max = counts if table is None else max(table)
-    logs = np.zeros((trials, k_max, n))
-    sizes = np.full(trials, k_max, dtype=np.intp)
-    coeffs = signs = picks = pair_logs = mask = slots = None
-    if d is not None:
-        coeffs = np.empty((trials, n, d))
-        signs = np.empty((trials, n, d), dtype=np.intp)
-    if pick is not None:
-        picks = np.empty(trials, dtype=np.intp)
-    if pair is not None:
-        pair_logs = np.empty((trials, 2, n))
-        mask = np.empty((trials, n), dtype=bool)
-    if pair == "slots":
-        slots = np.empty((trials, 2), dtype=np.intp)
+    if pick is not None and pick[0] >= pick[1]:
+        raise ValueError(f"pick range [{pick[0]}, {pick[1]}) is empty")
+    table = None if isinstance(counts, int) else np.asarray(counts, dtype=np.intp)
+    k_max = counts if table is None else int(table.max())
+    U = rng.random((trials, trial_width(n, d=d, pick=pick, counts=counts, pair=pair)))
+    at = 0
+
+    def take(width):
+        nonlocal at
+        at += width
+        return U[:, at - width:at]
+
     low, high = math.log(LOG_LOW), math.log(LOG_HIGH)
-    for t in range(trials):
-        if coeffs is not None:
-            coeffs[t] = rng.uniform(COEFF_LOW, COEFF_HIGH, (n, d))
-            signs[t] = rng.integers(0, 2, (n, d))
-        k = k_max
-        if picks is not None:
-            picks[t] = p = rng.integers(*pick)
-            sizes[t] = k = table[p]
-        if k:
-            logs[t, :k] = rng.uniform(low, high, (k, n))
-        if slots is not None:
-            slots[t] = rng.choice(int(k), size=2, replace=False)
-        if mask is not None:
-            mask[t] = rng.integers(0, 2, n)
-            pair_logs[t] = rng.uniform(low, high, (2, n))
-    vectors = np.exp(logs)
+    coeffs = picks = None
+    if d is not None:
+        magnitudes = (COEFF_LOW + (COEFF_HIGH - COEFF_LOW) * take(n * d)).reshape(trials, n, d)
+        coeffs = np.where(take(n * d).reshape(trials, n, d) < 0.5, -magnitudes, magnitudes)
+    sizes = np.full(trials, k_max, dtype=np.intp)
+    if pick is not None:
+        picks = pick[0] + (take(1)[:, 0] * (pick[1] - pick[0])).astype(np.intp)
+        sizes = table[picks]
+    vectors = np.exp(low + (high - low) * take(k_max * n)).reshape(trials, k_max, n)
+    if pair == "slots":
+        if sizes.min() < 2:
+            raise ValueError("need at least two vectors to place a disjoint pair")
+        u = take(2)
+        i = (u[:, 0] * sizes).astype(np.intp)
+        j = (u[:, 1] * (sizes - 1)).astype(np.intp)
+        j += j >= i
     if pair is not None:
-        e = np.exp(pair_logs)
+        mask = take(n) < 0.5
+        e = np.exp(low + (high - low) * take(2 * n)).reshape(trials, 2, n)
         pairs = np.stack([np.where(mask, e[:, 0], 0.0), np.where(mask, 0.0, e[:, 1])], axis=1)
-        if slots is None:
-            vectors, sizes[:] = pairs, 2
+        if pair == "slots":
+            vectors[np.arange(trials)[:, None], np.stack([i, j], axis=1)] = pairs
         else:
-            vectors[np.arange(trials)[:, None], slots] = pairs
-    if coeffs is not None:
-        coeffs *= SIGNS[signs]
+            vectors, sizes = pairs, np.full(trials, 2, dtype=np.intp)
     return TrialDraws(coeffs, picks, sizes, vectors)

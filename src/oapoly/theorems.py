@@ -502,10 +502,16 @@ _FIRST_RANDOM_BLOCK = 16
 
 
 def _random_rows(claim, P, cp, rng, size):
-    """One block of ``size`` random inputs (T, k, n), drawn with the generator
-    calls of the per-trial sampling helpers."""
+    """The next ``size`` random inputs (T, k, n) of the random phase's stream,
+    one row of ``rng`` per input."""
     spec = {"pair": "only"} if claim.pairs else {"counts": claim.size(P.degree, cp)}
     return sampling.draw_trials(rng, size, P.domain_dim, **spec).vectors
+
+
+def _random_phase_rng(seed: int) -> np.random.Generator:
+    """The random phase's own stream, the first child of ``SeedSequence(seed)``,
+    so that its rows do not depend on what the structured phase drew."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
 def falsify(
@@ -530,12 +536,14 @@ def falsify(
 
     Both phases evaluate the claim's sides on blocks of inputs, and the
     first row over ``falsify_threshold`` is the witness. The structured
-    family is one block per coordinate pair, its splits in order. The random
-    inputs come in blocks of 16 first and twice as many each time after, up
-    to `BLOCK_TRIALS`; a block draws its inputs one after another with the
-    generator calls of the per-input sampling helpers. Reports are those of
-    trying one input at a time, for float and exact-rational coefficients
-    alike.
+    family is one block per coordinate pair, its splits in order, with the
+    pair's amplitudes drawn from ``default_rng(seed)``. The random inputs
+    are the rows of their own stream (`_random_phase_rng`), one row per
+    input (see `sampling.draw_trials`), evaluated in blocks of 16 first and
+    twice as many each time after, up to `BLOCK_TRIALS`: random input k is
+    the same whatever the block schedule and whatever the structured phase
+    tried. Reports are those of trying one input at a time, for float and
+    exact-rational coefficients alike.
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
@@ -589,11 +597,13 @@ def falsify(
         search(_structured_rows(count, P.domain_dim, i, j, a, b, min(count - 1, budget - used)),
                "structured")
 
-    size = _FIRST_RANDOM_BLOCK
-    while used < budget and witness is None:
-        size = min(size, BLOCK_TRIALS, budget - used)
-        search(_random_rows(claim, P, cp, rng, size), "random")
-        size *= 2
+    if used < budget and witness is None:
+        rng = _random_phase_rng(seed)
+        size = _FIRST_RANDOM_BLOCK
+        while used < budget and witness is None:
+            size = min(size, BLOCK_TRIALS, budget - used)
+            search(_random_rows(claim, P, cp, rng, size), "random")
+            size *= 2
 
     found = witness is not None
     return VerificationReport(
@@ -622,24 +632,33 @@ def verify_claim(
     partition: CompletePartition | None = None,
     poly: HomogeneousPolynomial | None = None,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    trial: int | None = None,
 ) -> VerificationReport:
     """Run ``trials`` randomized instances of one claim and aggregate.
 
     Inputs are sampled log-uniformly; polynomials default to fresh random
     diagonal ones per trial (the additive family the forward statements
     quantify over). The aggregate keeps the worst residual and the first
-    counterexample. Identical seeds give identical reports.
+    counterexample, which names its trial's index as ``"trial"``. Identical
+    seeds give identical reports.
 
-    Trials run in array blocks of up to `BLOCK_TRIALS`. A block draws its
-    trials one after another with the generator calls of the per-trial
-    sampling helpers, then runs the claim's block kernel on its (T, k, n)
-    stack, the kernel that the claim's check_* function runs on one input.
-    Reports are the same as checking each trial with its check_* function;
-    an exact-rational ``poly`` runs on the same kernels, held as a
+    Trial t's inputs are row t of ``default_rng(seed)``'s stream, one row of
+    `sampling.trial_width` uniforms per trial (see `sampling.draw_trials`),
+    so they do not depend on how the trials are split into blocks. Trials
+    run in array blocks of up to `BLOCK_TRIALS`: each block draws its rows
+    with one generator call, then runs the claim's block kernel on its
+    (T, k, n) stack, the kernel that the claim's check_* function runs on
+    one input. Reports are the same as checking each trial with its check_*
+    function; an exact-rational ``poly`` runs on the same kernels, held as a
     `TermStack` of Fractions. A claim without a polynomial ignores ``poly``.
+
+    ``trial`` = k, 0 <= k < ``trials``, replays trial k alone: the generator
+    is advanced by k rows, and the report is that of the one trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trial is not None and not 0 <= trial < trials:
+        raise ValueError(f"trial must lie in [0, {trials}), got {trial}")
     if claim_id not in CLAIM_TABLE:
         raise ValueError(f"unknown claim {claim_id!r}")
     claim = CLAIM_TABLE[claim_id]
@@ -670,21 +689,26 @@ def verify_claim(
     def group(X, P, pick):
         return claim.kernel(claim, X, P, partition_of(pick), cfg)
 
-    spec = claim.draw(s, pool, partition)
+    spec = dict(claim.draw(s, pool, partition), d=d if random_poly else None)
     rng = np.random.default_rng(seed)
+    first, count = 0, trials
+    if trial is not None:
+        rng.bit_generator.advance(trial * sampling.trial_width(n, **spec))
+        first, count = trial, 1
     worst, passed, counterexample = 0.0, True, None
-    for start in range(0, trials, BLOCK_TRIALS):
-        size = min(BLOCK_TRIALS, trials - start)
-        draws = sampling.draw_trials(rng, size, n, d=d if random_poly else None, **spec)
+    for start in range(0, count, BLOCK_TRIALS):
+        size = min(BLOCK_TRIALS, count - start)
+        draws = sampling.draw_trials(rng, size, n, **spec)
         P = TermStack.diagonal(draws.coeffs, s) if random_poly else shared
         res, ok, payload = _grouped(draws, P, group)
         worst = max(worst, float(res.max()))
         if passed and not ok.all():
             passed = False
-            counterexample = payload(int(np.argmin(ok)))
+            row = int(np.argmin(ok))
+            counterexample = {**payload(row), "trial": first + start + row}
     return VerificationReport(
         claim_id=claim_id,
-        trials=trials,
+        trials=count,
         max_residual=worst,
         tolerance=claim.tolerance(cfg, False),
         passed=passed,

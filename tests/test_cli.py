@@ -74,6 +74,57 @@ MULTILINEAR_CASES = {
 }
 
 
+# single-claim `verify` runs: (polynomial, argv, exit code, sha256 of the output)
+SINGLE_CLAIM_CASES = [
+    (None, "verify rmp --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "34f2b9f7f1c8d016652c8d4f81aabfbae8ab62ca9725f5cb6c83479c35c021b5"),
+    (None, "verify gm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "e28df5ac809fea0642d8e0dfae77ca7c936b71ac89bdd49cef86b91f8b488566"),
+    (None, "verify schur --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "9c0e654402b988f8cc77111e592ec8f14a124ba00e35f9d83469d18329a8a378"),
+    (None, "verify ortho --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "783af606300331d5bc099cc9ba2495c43a7c26f20ff889fd8359d9ab4e68f8e9"),
+    (None, "verify hm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "8c55eb48d2aa8d2d6531083f65de6836b332a57c817af4c61dd0779191d4c7fa"),
+    (None, "verify geos --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "998bee57d45c14250ddfe508bfda0dfc73d0de2c55a1f4443dd686e5d8bb1a0c"),
+    (None, "verify wgm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "9f285d8d69bbea6742640bf9270fd1b868aa52b38915f4a3736b9c785df9437b"),
+    (None, "verify cross --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
+     "51ec683737382068fae513c05acb460c17866782e3484636b984794609d33fbf"),
+    (None, "verify rmp --s 3 --n 3 --trials 1100 --seed 8", 0,
+     "088ab2fbc3166ed5bd0c1d65df1303e5f7f73a09b8e41fb886decaf6ee2f9746"),
+    ("sparse3", "verify rmp --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+     "da5f4b335cb0422b7a44bfb626cd9a92f277d2b45ecaac59335598d4ade36ec5"),
+    ("sparse3", "verify gm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+     "d1887439f7183a8bb9123eaee3928a478d88f22588a392524abbe858160c2354"),
+    ("sparse3", "verify hm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+     "a5b82213fe9df0ab9ee1f25083e4849e79349965f5e3c4e6a1c268c70430c409"),
+    ("sparse3", "verify wgm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+     "df67a8789e4b07b7f59615cdf54766022830d22725ef7310da75ece3c14b1260"),
+    ("sparse3", "verify cross --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
+     "f13e7752858507d0649a96f79a8cc289c0e4a421a5b53d0424270698b86d80ca"),
+    ("exact3", "verify rmp --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+     "f84e8cccb03ffa6ff80b2941eb5990b87400aeff0f14d0acd2eeee206953f850"),
+    ("exact3", "verify gm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+     "332511585b51752b0d6f291e3addb99269ce1aa4565630efbfea850753eb83d6"),
+    ("exact3", "verify hm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+     "3d505d042e1c7e6c5cf140a8795399941c3032b8078f26b8df292bcc8840a6c2"),
+    ("exact3", "verify wgm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+     "27ca7d9f47ff0a0ce72be867c2f3113291b76e1bf58623bcad2d9ed588370dd0"),
+    ("exact3", "verify cross --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
+     "b553ef5b9f82674fb7a22a82b34a06aec7ed24484922b8252303ca55483b5679"),
+    (None, "verify geos --s 4 --n 3 --partition 2,1,1 --trials 200 --seed 6", 0,
+     "eab5e78e41acaf72c5d41eb32cba7db182829304d62926baafb3d631e0b36a0c"),
+    (None, "verify wgm --s 4 --n 3 --d 2 --partition 2,1,1 --trials 200 --seed 6", 0,
+     "27c6bbea83674f124cad403e81980b12c61ce7b153903a317f8b9db4238f48e8"),
+    ("wgm4", "verify wgm --s 4 --n 5 --d 2 --partition 2,1,1 --trials 60 --seed 2", 1,
+     "b73160e26139c035027a50f0cad4bda73d6ad0f55206105b92aeada5f9f72889"),
+    ("threeway", "verify falsify --claim schur", 2,
+     "78766c5cc866d93f3068284faacb638c812f582b4a9db3bb2c6fec8b47e2b98e"),
+]
+
+
 class TestPartitions:
     def test_list_s4(self, capsys):
         code, out, _ = run_cli(capsys, "partitions", "list", "--s", "4")
@@ -327,12 +378,13 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    # sha256 of `verify all --format json` stdout, recorded before trials ran as
-    # array blocks; a deliberate change of the random stream updates them
+    # sha256 of `verify all --format json` stdout, recorded when trial t's
+    # inputs became row t of the seed's stream; a deliberate change of the
+    # random stream updates them
     @pytest.mark.parametrize("s, n, d, trials, seed, digest", [
-        (2, 3, 1, 50, 1, "491aae4b8c2fb8b30c315eacc4628cbd4d2b6c1383b813a8a80b81dad4554adb"),
-        (3, 4, 2, 100, 7, "c4edd3d119ab1f93bd77fb1ab18cf3e9c1fb2fe9f8a938c06a87c81025e3d850"),
-        (5, 6, 3, 40, 2024, "b71123ec71f005ac9d540aecb8ab21d76fd2bad609b60b1f4f71c67e6eb72611"),
+        (2, 3, 1, 50, 1, "9d6c4cc9e6340bb68adcead5529b6c471a0564a537c51659d3ddeb8d3a06a5a6"),
+        (3, 4, 2, 100, 7, "40f814a874d917caff949e993a5934de4a5aebbc03b959fff4a188646694c8a2"),
+        (5, 6, 3, 40, 2024, "04c3cb4fb806106010796160b9c90b74e11a4069efd5214bbba249aba1acc614"),
     ])
     def test_golden_digest(self, capsys, s, n, d, trials, seed, digest):
         code, out, _ = run_cli(capsys, "verify", "all", "--s", str(s), "--n", str(n),
@@ -342,58 +394,12 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # sha256 of single-claim `verify` stdout (stderr for the usage error),
-    # recorded before the claims were defined by one table: every flag on
-    # random diagonal polynomials, a run over two blocks, float sparse and
-    # exact-rational user polynomials, fixed partitions, failing runs (exit 1)
-    # and the list of falsifiable flags
-    @pytest.mark.parametrize("poly, argv, exit_code, digest", [
-        (None, "verify rmp --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "ddbd9cdeec6a7d1a362180512013eb7a51737ebceb3d60a7a584469c03007897"),
-        (None, "verify gm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "15dd841e6a3e2766088a6aacafdd2e9b02c12810ef7c663fe65d30305e9bd5b9"),
-        (None, "verify schur --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "9c0e654402b988f8cc77111e592ec8f14a124ba00e35f9d83469d18329a8a378"),
-        (None, "verify ortho --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "783af606300331d5bc099cc9ba2495c43a7c26f20ff889fd8359d9ab4e68f8e9"),
-        (None, "verify hm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "77c8d7343f490ea20f5599e249ac7879fe62e1842d75c64d4d213eaa227399c1"),
-        (None, "verify geos --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "6476131ad5277175c07470008cb7f5d31db878787c2e76258aa19ea864e39542"),
-        (None, "verify wgm --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "419c07afc8d46755a7af0cd93890cb0b0da02fa3d324ee651d910963aca9664f"),
-        (None, "verify cross --s 4 --n 5 --d 2 --trials 300 --seed 21", 0,
-         "51ec683737382068fae513c05acb460c17866782e3484636b984794609d33fbf"),
-        (None, "verify rmp --s 3 --n 3 --trials 1100 --seed 8", 0,
-         "f2e69f2fe74e90b873fb7cea83587c8bd512d0c8834ab076b45b77272ea039ef"),
-        ("sparse3", "verify rmp --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
-         "0354f31a5515a1f2ec5ec78e05c359c5e060262cf63ea7bea8a04e2e7d61bcbd"),
-        ("sparse3", "verify gm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
-         "b496f426cff30062d0882c264f21aaa9c5da72c7e25888ce83721b185ee0671e"),
-        ("sparse3", "verify hm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
-         "48ca646804ca4e6186bc722802a9f45d0ef08d3d783b97e8f7a3b6eddb8349db"),
-        ("sparse3", "verify wgm --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
-         "92a2345071d4ce263ce1e082d524c0ac58e1a94e14573c29e0bf37cc4259d719"),
-        ("sparse3", "verify cross --s 3 --n 4 --d 2 --trials 80 --seed 3", 1,
-         "9f47b9c93036750fae692ff32ab31cb0cafff68f60dfb69f198dc6867c43093b"),
-        ("exact3", "verify rmp --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
-         "4c0d5abb711a3cab619e778692e80e604f09e8ec5f89fb35efe0baf08a659897"),
-        ("exact3", "verify gm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
-         "332511585b51752b0d6f291e3addb99269ce1aa4565630efbfea850753eb83d6"),
-        ("exact3", "verify hm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
-         "3d505d042e1c7e6c5cf140a8795399941c3032b8078f26b8df292bcc8840a6c2"),
-        ("exact3", "verify wgm --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
-         "c5143a7f1815dfb0b985a35ccc1c4bcc7a73851a94e57c68cbb4f32b0dbc2fd1"),
-        ("exact3", "verify cross --s 3 --n 3 --d 2 --trials 25 --seed 4", 0,
-         "b553ef5b9f82674fb7a22a82b34a06aec7ed24484922b8252303ca55483b5679"),
-        (None, "verify geos --s 4 --n 3 --partition 2,1,1 --trials 200 --seed 6", 0,
-         "eab5e78e41acaf72c5d41eb32cba7db182829304d62926baafb3d631e0b36a0c"),
-        (None, "verify wgm --s 4 --n 3 --d 2 --partition 2,1,1 --trials 200 --seed 6", 0,
-         "526a1f9f99e9125837f6ca257aef28c86c44e0fb7a7758d839228b30f2a4933e"),
-        ("wgm4", "verify wgm --s 4 --n 5 --d 2 --partition 2,1,1 --trials 60 --seed 2", 1,
-         "cbe5cbd832493a480ea7a0a2f274cf6f6fe3218fa58e49f445891564defb8e31"),
-        ("threeway", "verify falsify --claim schur", 2,
-         "78766c5cc866d93f3068284faacb638c812f582b4a9db3bb2c6fec8b47e2b98e"),
-    ])
+    # re-recorded, where the output comes from random draws, when trial t's
+    # inputs became row t of the seed's stream: every flag on random diagonal
+    # polynomials, a run over two blocks, float sparse and exact-rational user
+    # polynomials, fixed partitions, failing runs (exit 1) and the list of
+    # falsifiable flags
+    @pytest.mark.parametrize("poly, argv, exit_code, digest", SINGLE_CLAIM_CASES)
     def test_single_claim_golden_digest(self, capsys, tmp_path, poly, argv, exit_code, digest):
         extra = []
         if poly is not None:
@@ -404,6 +410,27 @@ class TestVerify:
         assert code == exit_code
         text = err if code == 2 else out
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [argv for poly, argv, exit_code, _ in SINGLE_CLAIM_CASES
+                                      if poly == "sparse3" and exit_code == 1])
+    def test_trial_replays_the_counterexample(self, capsys, tmp_path, argv):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(GOLDEN_POLYS["sparse3"]))
+        code, out, _ = run_cli(capsys, *argv.split(), "--poly", str(path))
+        assert code == 1
+        counterexample = strict_json(out)["counterexample"]
+        k = counterexample["trial"]
+        code, out, _ = run_cli(capsys, *argv.split(), "--poly", str(path), "--trial", str(k))
+        assert code == 1
+        replay = strict_json(out)
+        assert replay["trials"] == 1 and replay["counterexample"] == counterexample
+
+    @pytest.mark.parametrize("argv", ["verify hm --trials 5 --trial 5",
+                                      "verify hm --trials 5 --trial -1"])
+    def test_trial_outside_the_run_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: trial must lie in [0, 5)")
 
     def test_failing_poly_exit_one(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
@@ -452,18 +479,23 @@ class TestVerify:
                                  "--poly", str(path), "--budget", budget)
         assert code == 2 and out == "" and "--budget" in err
 
-    # sha256 of `verify falsify` and `poly oa-check` stdout, recorded before
-    # the searches ran as array blocks: random-phase witnesses early and late,
-    # an inconclusive search, exhaustive, random and multi-block checks
+    # sha256 of `verify falsify` and `poly oa-check` stdout: random-phase
+    # witnesses early and late, inconclusive searches, exhaustive, random and
+    # multi-block checks. The falsify cases were re-recorded when the random
+    # phase got its own stream; the "weak" search at --budget 1500 then
+    # ended inconclusive (exit 3) where it had found a witness, which the
+    # same seed finds at trial 7204 of the default budget
     @pytest.mark.parametrize("poly, argv, exit_code, digest", [
         ("threeway", "verify falsify --claim hm --budget 5000 --seed 1", 0,
-         "fa53b6b952cb2e26f87d5f73b2d3734d2cd70630a11c69f528e8c23a62a73b3f"),
-        ("weak", "verify falsify --claim cross --budget 1500 --seed 3", 0,
-         "4ad4d73184bd8ca289d6a027cebce4f6362b5b1e0153f46b3c9bd8d8d8c43991"),
+         "3e8d0051ab33f9eb6e7665ca5fb44614f250467c98519dc1a64ca0c6e1bbbd19"),
+        ("weak", "verify falsify --claim cross --budget 1500 --seed 3", 3,
+         "dc64fc02613ab5c1e9b2f7e25cf3afce394efa33cc8dfd9de6bafa9d5966fa39"),
+        ("weak", "verify falsify --claim cross --budget 10000 --seed 3", 0,
+         "2825caba16bfe2a0c6bf7cd9b429acdd1859c7a6c56e80060b616f6e8c50f2a1"),
         ("weaker", "verify falsify --claim cross --budget 1500 --seed 4", 3,
-         "b55507881c24ec18f3a1829f2cfe4819f84b5c166e26a1d33c5729ffd30562ec"),
+         "308b79165c0dfec4bc1af81a8ac0dc33e97e840f6e1eaf55dcfa1773e6da2b27"),
         ("wgm4", "verify falsify --claim wgm --partition 2,1,1 --budget 3000 --seed 11", 0,
-         "f9b8920a30b111f4d85e347d2520aae6b3f5dadf83dd916e43886427f2f985d0"),
+         "f4ff004a4e2912e4d9e5ba138b0375dfa29ecc38f8fce5a0f27c621bbf46a49e"),
         ("wgm4", "poly oa-check --trials 100 --seed 4 --exhaustive", 1,
          "70180e528ace8eff3d1e90ca8d9b073b9433c92c8b94f03bd6066689349b46a6"),
         ("weak", "poly oa-check --trials 2500 --seed 9", 1,
@@ -509,7 +541,8 @@ class TestVerify:
         code, out, _ = run_cli(capsys, *argv.replace("SQ", str(path)).split())
         assert code == exit_code and strict_json(out)
 
-    # --format belongs to `verify all`, --claim and --budget to `verify falsify`
+    # --format belongs to `verify all`, --claim and --budget to `verify
+    # falsify`, --trial to a single claim's sweep
     @pytest.mark.parametrize("argv, flag", [
         ("verify hm --s 2 --n 2 --trials 3 --format csv --budget 5 --claim gm --poly SQ",
          "--format"),
@@ -519,6 +552,8 @@ class TestVerify:
         ("verify all --s 2 --n 2 --trials 3 --claim hm", "--claim"),
         ("verify schur --s 2 --n 2 --trials 3 --budget 5", "--budget"),
         ("verify all --s 2 --n 2 --trials 3 --budget 10000", "--budget"),
+        ("verify all --s 2 --n 2 --trials 3 --trial 1", "--trial"),
+        ("verify falsify --claim hm --poly SQ --trial 1", "--trial"),
     ])
     def test_flag_of_another_subcommand_is_usage_error(self, capsys, tmp_path, argv, flag):
         path = tmp_path / "sq.json"

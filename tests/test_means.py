@@ -1,6 +1,7 @@
 """Means: closed forms against scalar oracles, two-route agreement, grids."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from oapoly import (
     wgm_via_infimum,
 )
 from oapoly.lattice import DimensionMismatchError
-from oapoly.means import harmonic_mean_stack
+from oapoly.means import geometric_mean_stack, harmonic_mean_stack, root_mean_power_stack
 
 
 def pv(*entries):
@@ -55,6 +56,22 @@ class TestRootMeanPower:
         with pytest.raises(DimensionMismatchError):
             root_mean_power(2, [pv(1.0), pv(1.0, 2.0)])
 
+    @pytest.mark.parametrize("x, s", [(1e200, 2), (1e300, 3), (1e-200, 2), (1e-120, 3)])
+    def test_powers_beyond_the_float_range(self, x, s):
+        # x^s leaves the float range, the mean 2^(1/s) x does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = root_mean_power(s, [pv(x, 3.0), pv(x, 4.0)]).entries
+        assert out[0] == pytest.approx(2 ** (1 / s) * x, rel=1e-15)
+        assert out[1] == root_mean_power(s, [pv(3.0), pv(4.0)]).entries[0]
+
+    def test_in_range_bytes_unchanged(self):
+        X = np.random.default_rng(3).uniform(1e-3, 1e3, (50, 4, 6))
+        for s in (1, 2, 5):
+            np.testing.assert_array_equal(root_mean_power_stack(s, X),
+                                          np.sum(X**s, axis=-2) ** (1.0 / s))
+        np.testing.assert_array_equal(geometric_mean_stack(X), np.prod(X, axis=-2) ** 0.25)
+
 
 class TestGeometricMean:
     def test_coordinatewise(self):
@@ -70,6 +87,18 @@ class TestGeometricMean:
     def test_zero_annihilates(self):
         out = geometric_mean([pv(0, 2), pv(5, 2)])
         assert out.entries == (0.0, 2.0)
+
+    @pytest.mark.parametrize("xs, expect", [
+        ((1e300, 1e300), 1e300),
+        ((1e-300, 1e-300, 1e-300), 1e-300),
+        ((1e300, 1e300, 1e-300), 1e100),
+        ((1e200, 1e200, 1e200, 1e-300), 1e75),
+    ])
+    def test_products_beyond_the_float_range(self, xs, expect):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = geometric_mean([pv(x, 0.0) for x in xs]).entries
+        assert out[0] == pytest.approx(expect, rel=1e-15) and out[1] == 0.0
 
 
 class TestHarmonicMean:

@@ -38,7 +38,7 @@ from oapoly import (
     weighted_geometric_mean,
     weights,
 )
-from oapoly import polynomials, theorems
+from oapoly import polynomials, sampling, theorems
 from oapoly.lattice import DimensionMismatchError, is_disjoint
 from oapoly.reports import DEFAULT_TOLERANCES, ToleranceConfig, VerificationReport, row_residuals
 from oapoly.sampling import (
@@ -515,12 +515,22 @@ class TestNonFinite:
         assert type(res[4]) is Fraction and res[4] == Fraction(1, 12)
 
     def test_overflowing_mean_fails_the_check(self):
-        # a geometric mean beyond the float range is a non-finite side of the
-        # check, as in a sweep, where the public geometric_mean raises
-        with np.errstate(over="ignore"):
+        # the geometric mean 1e200 is in range, but P's value at it, 1e400, is
+        # not: a non-finite side of the check, reported without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = check_gm(make_diagonal([1.0], 2), [pv(1e200), pv(1e200)])
         assert not rep.passed and rep.max_residual == math.inf
         assert rep.counterexample["nonfinite"] is True
+
+    def test_geometric_means_beyond_the_product_range_pass(self):
+        # prod(X) overflows inside the repeated-argument geometric mean, but
+        # both sides of the lemma are 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_geos_lemma(CompletePartition((1, 1), 2), [PositiveVector([1e300])] * 2)
+        assert rep.passed and math.isfinite(rep.max_residual)
+        assert rep.max_residual <= DEFAULT_TOLERANCES.geos_rel
 
     def test_verify_claim_fails_on_overflow(self):
         P = make_diagonal([[1.0, 1.0], [1.0, 1e308]], 2)
@@ -831,46 +841,109 @@ class TestCheckEdges:
 # -- block evaluation against a per-trial reference ---------------------------------
 
 
+class TrialRow:
+    """One trial's uniforms, drawn with one ``rng.random(width)`` and read off
+    in order: the layout of a trial's row, read independently of
+    `sampling.draw_trials`."""
+
+    LOG_LOW, LOG_SPAN = math.log(1e-3), math.log(1e3) - math.log(1e-3)
+
+    def __init__(self, rng, width):
+        self.u, self.at = rng.random(width), 0
+
+    def take(self, count):
+        self.at += count
+        return self.u[self.at - count:self.at]
+
+    def coefficients(self, n, d):
+        magnitude = 0.1 + (2.0 - 0.1) * self.take(n * d)
+        negative = self.take(n * d) < 0.5
+        return np.array([-c if neg else c for c, neg in zip(magnitude, negative)]).reshape(n, d)
+
+    def pick(self, lo, hi):
+        if hi <= lo:
+            raise ValueError(f"empty range [{lo}, {hi})")
+        return lo + int(self.take(1)[0] * (hi - lo))
+
+    def vectors(self, count, n):
+        return [PositiveVector(v)
+                for v in np.exp(self.LOG_LOW + self.LOG_SPAN * self.take(count * n)).reshape(count, n)]
+
+    def slots(self, k):
+        u, v = self.take(2)
+        i, j = int(u * k), int(v * (k - 1))
+        return i, j + (j >= i)
+
+    def disjoint_pair(self, n):
+        on_f = self.take(n) < 0.5
+        f, g = np.exp(self.LOG_LOW + self.LOG_SPAN * self.take(2 * n)).reshape(2, n)
+        return [PositiveVector(np.where(on_f, f, 0.0)), PositiveVector(np.where(on_f, 0.0, g))]
+
+
 def reference_verify(claim_id, *, s=3, n=4, d=1, trials=100, seed=0, partition=None,
-                     poly=None, cfg=DEFAULT_TOLERANCES):
-    """verify_claim as a loop over single trials: redraw each trial's inputs with
-    the sampling helpers and aggregate their reference_check reports."""
+                     poly=None, cfg=DEFAULT_TOLERANCES, trial=None):
+    """verify_claim as a loop over single trials: trial t reads row t of
+    ``default_rng(seed)``, drawn with one ``rng.random(width)`` per trial, and
+    the reports of reference_check are aggregated. ``trial`` = k draws and
+    drops k rows, then checks trial k alone."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trial is not None and not 0 <= trial < trials:
+        raise ValueError(f"trial {trial} out of range")
     if s < 2 and claim_id in ("HM", "GM", "WGM", "RMP", "CROSS_TERMS"):
         raise ValueError(f"claim {claim_id} needs degree s >= 2")
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
     rng = np.random.default_rng(seed)
     pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
+    random_poly = poly is None and claim_id in ("RMP", "GM", "HM", "WGM", "CROSS_TERMS")
+    # the uniforms of one trial: its tuple's k_max slots, its pick, slots and pair
+    k_max, picks, extra = {
+        "RMP": (4, True, 0), "GM": (s, False, 0), "HM": (s, False, 0),
+        "SCHUR": (s, True, 0), "ORTHO": (max(2, s), True, 2 + 3 * n),
+        "GEOS": (max(map(len, pool or [()])), partition is None, 0),
+        "WGM": (max(map(len, pool or [()])), partition is None, 0),
+        "CROSS_TERMS": (0, False, 3 * n),
+    }[claim_id]
+    if partition is not None:
+        k_max = len(partition.parts)
+    width = 2 * n * d * random_poly + picks + k_max * n + extra
+    first = trial or 0
+    rng.random((first, width))
     reports = []
-    for _ in range(trials):
-        P = poly
-        if P is None and claim_id in ("RMP", "GM", "HM", "WGM", "CROSS_TERMS"):
-            P = diagonal_polynomial(rng, s, n, d)
+    for _ in range(trials if trial is None else 1):
+        row = TrialRow(rng, width)
+        P = HomogeneousPolynomial.diagonal(row.coefficients(n, d), s) if random_poly else poly
         cp = None
         if claim_id == "RMP":
-            fs = positive_tuple(rng, int(rng.integers(2, 5)), n)
+            k = row.pick(2, 5)
+            fs = row.vectors(4, n)[:k]
         elif claim_id in ("GM", "HM"):
-            fs = positive_tuple(rng, s, n)
+            fs = row.vectors(s, n)
         elif claim_id == "SCHUR":
-            fs = positive_tuple(rng, int(rng.integers(1, s + 1)), n)
+            k = row.pick(1, s + 1)
+            fs = row.vectors(s, n)[:k]
         elif claim_id == "ORTHO":
-            fs = tuple_with_disjoint_pair(rng, int(rng.integers(2, max(3, s + 1))), n)
+            k = row.pick(2, max(3, s + 1))
+            fs = row.vectors(k_max, n)[:k]
+            i, j = row.slots(k)
+            fs[i], fs[j] = row.disjoint_pair(n)
         elif claim_id in ("GEOS", "WGM"):
-            cp = partition or CompletePartition(pool[int(rng.integers(0, len(pool)))], s)
-            fs = positive_tuple(rng, len(cp.parts), n)
+            cp = partition or CompletePartition(pool[row.pick(0, len(pool))], s)
+            fs = row.vectors(k_max, n)[:len(cp.parts)]
         else:
-            fs = list(disjoint_pair(rng, n))
+            fs = row.disjoint_pair(n)
         reports.append(reference_check(claim_id, None if claim_id in ("SCHUR", "ORTHO", "GEOS")
                                        else P, fs, cp, cfg))
+    failing = next((t for t, r in enumerate(reports) if not r.passed), None)
     return VerificationReport(
         claim_id=claim_id,
         trials=len(reports),
         max_residual=max(r.max_residual for r in reports),
         tolerance=reports[0].tolerance,
-        passed=all(r.passed for r in reports),
-        counterexample=next((r.counterexample for r in reports if not r.passed), None),
+        passed=failing is None,
+        counterexample=None if failing is None else {**reports[failing].counterexample,
+                                                     "trial": first + failing},
     )
 
 
@@ -927,6 +1000,54 @@ class TestBlockEquivalence:
             kwargs = dict(s=2, n=2, trials=12, seed=4, poly=P)
             assert outcome(verify_claim, claim_id, **kwargs) == outcome(
                 reference_verify, claim_id, **kwargs)
+
+    @pytest.mark.parametrize("claim_id", CLAIMS)
+    @pytest.mark.parametrize("k", [0, 1023, 1024, 1500])
+    def test_replaying_one_trial_matches_the_reference(self, claim_id, k):
+        # a non-additive polynomial fails (nearly) every trial, so the replayed
+        # trial's counterexample is compared too
+        poly = claim_polynomial("sparse", np.random.default_rng(k), 3, 4, 2)
+        kwargs = dict(s=3, n=4, d=2, trials=2048, seed=k + 5, trial=k,
+                      poly=poly if claim_id in theorems.POLY_CLAIMS else None)
+        got = outcome(verify_claim, claim_id, **kwargs)
+        assert got == outcome(reference_verify, claim_id, **kwargs)
+        assert got["trials"] == 1
+        assert got["passed"] or got["counterexample"]["trial"] == k
+
+    @pytest.mark.parametrize("claim_id", CLAIMS)
+    def test_trial_inputs_do_not_depend_on_the_run_length(self, claim_id):
+        # trial k's inputs are row k of the stream: the same in a run of k + 1
+        # trials as in one of 2048, on either side of the 1024-trial block
+        real = sampling.draw_trials
+
+        def inputs(trials, block):
+            seen = []
+
+            def spy(*args, **kwargs):
+                seen.append(real(*args, **kwargs))
+                return seen[-1]
+
+            with patch.object(theorems.sampling, "draw_trials", spy), \
+                    patch.object(theorems, "BLOCK_TRIALS", block):
+                verify_claim(claim_id, s=4, n=3, d=2, trials=trials, seed=9)
+            return [np.concatenate([getattr(draws, field) for draws in seen])
+                    if getattr(seen[0], field) is not None else None
+                    for field in sampling.TrialDraws._fields]
+
+        full = inputs(2048, theorems.BLOCK_TRIALS)
+        for k in (0, 1023, 1024, 2047):
+            for block in (theorems.BLOCK_TRIALS, 100):
+                for mine, theirs in zip(inputs(k + 1, block), full):
+                    if mine is None:
+                        assert theirs is None
+                    else:
+                        assert len(mine) == k + 1
+                        np.testing.assert_array_equal(mine[k], theirs[k])
+
+    @pytest.mark.parametrize("trial", [-1, 5])
+    def test_trial_outside_the_run_rejected(self, trial):
+        with pytest.raises(ValueError, match=r"trial must lie in \[0, 5\)"):
+            verify_claim("GM", trials=5, trial=trial)
 
     @pytest.mark.parametrize("claim_id, kwargs, error", [
         ("RMP", dict(s=2, n=3, poly=square_of_sum()), DimensionMismatchError),
@@ -1124,7 +1245,9 @@ def reference_check(claim_id, P, fs, cp, cfg=DEFAULT_TOLERANCES):
 
 def reference_falsify(P, claim_id, budget=10_000, seed=0, *, partition=None,
                       cfg=DEFAULT_TOLERANCES):
-    """falsify as a loop over single inputs, each drawn with the sampling helpers."""
+    """falsify as a loop over single inputs: the structured family's amplitudes
+    from ``default_rng(seed)``, then one ``rng.random(width)`` row of the
+    random phase's stream per random input."""
     if claim_id not in theorems.FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable "
                          f"(choose from {theorems.FALSIFIABLE_CLAIMS})")
@@ -1168,11 +1291,13 @@ def reference_falsify(P, claim_id, budget=10_000, seed=0, *, partition=None,
             done = attempt([f] * split + [g] * (count - split), "structured")
             if done:
                 break
+    # the random phase reads its own stream, the first child of SeedSequence(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     while not done:
         if claim_id == "CROSS_TERMS":
-            fs = list(disjoint_pair(rng, n))
+            fs = TrialRow(rng, 3 * n).disjoint_pair(n)
         else:
-            fs = positive_tuple(rng, count, n)
+            fs = TrialRow(rng, count * n).vectors(count, n)
         done = attempt(fs, "random")
     return VerificationReport(
         claim_id=claim_id, trials=used, max_residual=best, tolerance=cfg.falsify_threshold,
@@ -1255,6 +1380,47 @@ class TestFalsifyBlocks:
             rep = falsify(P, "CROSS_TERMS", budget=budget, seed=3)
         assert rep.inconclusive and rep.trials == budget
         assert seen[:len(sizes)] == sizes and sum(seen) == budget - 2
+
+    @pytest.mark.parametrize("claim_id", ["HM", "CROSS_TERMS", "WGM"])
+    def test_random_rows_do_not_depend_on_the_schedule_or_the_structured_phase(self,
+                                                                                claim_id):
+        # every residual stays under a huge witness threshold, so each search
+        # spends its budget; random input k is row k of the random phase's own
+        # stream whatever the block schedule and whatever the structured
+        # phase drew from the seed's stream
+        P = HomogeneousPolynomial(3, 3, 1, {(0, 1, 2): [1.0], (0, 0, 0): [1.0]})
+        cfg = ToleranceConfig(falsify_threshold=1e300)
+        count = 2 if claim_id == "CROSS_TERMS" else 3
+        real_rows, real_amplitudes = theorems._random_rows, sampling.log_uniform
+
+        def random_inputs(block, first, extra_draws):
+            seen = []
+
+            def rows(*args):
+                seen.append(real_rows(*args))
+                return seen[-1]
+
+            def amplitudes(rng, *args, **kwargs):
+                rng.random(extra_draws)
+                return real_amplitudes(rng, *args, **kwargs)
+
+            with patch.object(theorems, "_random_rows", rows), \
+                    patch.object(theorems, "BLOCK_TRIALS", block), \
+                    patch.object(theorems, "_FIRST_RANDOM_BLOCK", first), \
+                    patch.object(sampling, "log_uniform", amplitudes):
+                rep = falsify(P, claim_id, budget=700, seed=6, cfg=cfg)
+            assert rep.inconclusive and rep.trials == 700
+            return np.concatenate(seen)
+
+        X = random_inputs(theorems.BLOCK_TRIALS, 16, 0)
+        assert len(X) == 700 - 6 * (count - 1)
+        rng = np.random.default_rng(np.random.SeedSequence(6, spawn_key=(0,)))
+        for k, row in enumerate(X):
+            row_k = TrialRow(rng, 3 * 3 if count == 2 else count * 3)
+            fs = row_k.disjoint_pair(3) if count == 2 else row_k.vectors(count, 3)
+            np.testing.assert_array_equal(row, [f.to_array() for f in fs])
+        for block, first, extra_draws in ((7, 3, 0), (100, 16, 5), (1024, 1, 40)):
+            np.testing.assert_array_equal(random_inputs(block, first, extra_draws), X)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected_before_the_precondition(self, budget):
