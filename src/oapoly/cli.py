@@ -274,6 +274,8 @@ def _cmd_verify(args) -> int:
 
     claim = _CLAIMS_BY_FLAG.get(args.claim)
     _reject_unused(args, claim, args.claim)
+    if args.s < 1:
+        raise UsageError(f"--s must be >= 1, got {args.s}")
     if claim is None:  # all
         reports = verify_all(s=args.s, n=args.n, d=args.d, trials=args.trials, seed=args.seed)
         _print_reports(reports, args.format or "json")

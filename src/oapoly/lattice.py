@@ -46,14 +46,16 @@ def _coerce(entries: Iterable, exact: bool) -> np.ndarray:
             [e if isinstance(e, Fraction) else Fraction(e) for e in entries],
             dtype=object,
         )
+    elif type(entries) is np.ndarray and entries.dtype == np.float64 and entries.ndim == 1:
+        data = entries  # already the float() of each entry; copied below
     else:
         data = np.array([float(e) for e in entries], dtype=float)
     if data.ndim != 1 or data.size == 0:
         raise ValueError("a lattice vector needs a nonempty, one-dimensional entry list")
     if not exact:
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError("lattice vector entries must be finite")
-        data = data + 0.0  # normalizes -0.0 so reciprocals cannot produce -inf
+        data = data + 0.0  # a fresh array; normalizes -0.0 so reciprocals cannot produce -inf
     data.flags.writeable = False
     return data
 
@@ -187,7 +189,7 @@ class PositiveVector(LatticeVector):
         self._check_nonnegative()
 
     def _check_nonnegative(self) -> None:
-        if not np.all(self._data >= 0):
+        if not (self._data >= 0).all():
             raise ValueError("positive vector entries must be >= 0")
 
 

@@ -57,22 +57,22 @@ _GRID_POINT_LIMIT = 5_000_000
 
 
 def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False) -> tuple[np.ndarray, bool]:
-    """Validate a tuple of nonnegative vectors and stack them into shape (k, n)."""
+    """Validate a tuple of nonnegative vectors and stack their data into shape (k, n)."""
     if not fs:
         raise ValueError("a mean needs at least one argument")
     first = fs[0]
-    for other in fs[1:]:
-        if not isinstance(other, LatticeVector):
-            raise TypeError(f"expected LatticeVector arguments, got {type(other).__name__}")
-        if other.dim != first.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {first.dim} vs {other.dim}")
-        if other.is_exact != first.is_exact:
+    for f in fs:
+        if not isinstance(f, LatticeVector):
+            raise TypeError(f"expected LatticeVector arguments, got {type(f).__name__}")
+        if f.dim != first.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {first.dim} vs {f.dim}")
+        if f.is_exact != first.is_exact:
             raise ValueError("cannot mix exact and float vectors")
     exact = first.is_exact
     if exact and not allow_exact:
         raise ValueError("exact-rational vectors are only supported by harmonic_mean")
-    X = np.stack([f.to_array() for f in fs])
-    if not np.all(X >= 0):
+    X = np.array([f._data for f in fs])
+    if not (X >= 0).all():
         raise ValueError("means are defined on nonnegative vectors only")
     return X, exact
 
@@ -190,7 +190,7 @@ def harmonic_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
 
 def _weight_floats(weights: WeightVector | Sequence) -> np.ndarray:
     if isinstance(weights, WeightVector):
-        t = np.array(weights.as_floats())
+        t = np.array(weights.floats)
     else:
         ws = list(weights)
         if not ws:
@@ -285,6 +285,11 @@ class MeanResult:
             raise ValueError("residual_bound must be nonnegative")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
 def _simplex_grid(m: int, k: int) -> np.ndarray:
     """All lattice points c/m of the standard k-simplex, shape (N, k), read-only."""
@@ -299,9 +304,7 @@ def _simplex_grid(m: int, k: int) -> np.ndarray:
             )
         return np.vstack(blocks)
 
-    grid = compositions(m, k).astype(float) / m
-    grid.flags.writeable = False
-    return grid
+    return _frozen(compositions(m, k).astype(float) / m)
 
 
 @lru_cache(maxsize=64)
@@ -313,17 +316,33 @@ def _log_grid(m: int, free_dims: int, width: float) -> np.ndarray:
     """
     axis = -width + 2.0 * width * np.arange(m + 1) / m
     mesh = np.meshgrid(*([axis] * free_dims), indexing="ij")
-    grid = np.stack([g.ravel() for g in mesh], axis=1)
-    grid.flags.writeable = False
-    return grid
+    return _frozen(np.stack([g.ravel() for g in mesh], axis=1))
+
+
+# The grid routes keep their objective's coefficients per grid point in
+# cached read-only tables of shape (k, N), so that `_grid_values` lays each
+# column's values over the grid along contiguous memory; a table built with
+# ``rows`` = True holds the same numbers as (N, k), for a single column.
 
 
 @lru_cache(maxsize=64)
-def _log_coefficients(m: int, t: tuple[float, ...], width: float) -> np.ndarray:
+def _squared_simplex(m: int, k: int, rows: bool) -> np.ndarray:
+    """U * U at the points U of `_simplex_grid` (m, k): the harmonic
+    objective's coefficients."""
+    U = _simplex_grid(m, k)
+    table = U * U
+    return _frozen(table if rows else np.ascontiguousarray(table.T))
+
+
+@lru_cache(maxsize=64)
+def _log_coefficients(
+    m: int, t: tuple[float, ...], width: float, rows: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """The objective's coefficients exp(y) * t at each point y of the log grid
-    on the constraint, shape (N, p), read-only: the free coordinates (all
-    but the first largest weight's) range over `_log_grid`, and the
-    dependent one is solved from the constraint."""
+    on the constraint, and the read-only mask (N,) of the points with a free
+    coordinate on the box boundary. The free coordinates (all but the first
+    largest weight's) range over `_log_grid`, and the dependent one is solved
+    from the constraint."""
     t = np.array(t)
     p = t.size
     dep = int(np.argmax(t))
@@ -333,8 +352,23 @@ def _log_coefficients(m: int, t: tuple[float, ...], width: float) -> np.ndarray:
     Yfull[:, free] = Yfree
     Yfull[:, dep] = -(Yfree @ t[free]) / t[dep]
     coeffs = np.exp(Yfull) * t
-    coeffs.flags.writeable = False
-    return coeffs
+    edge = np.any(np.abs(np.abs(Yfree) - width) < 1e-12, axis=1)
+    return _frozen(coeffs if rows else np.ascontiguousarray(coeffs.T)), _frozen(edge)
+
+
+def _grid_values(table: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The objective ``coefficients @ X`` at every grid point, one row per
+    column of X: shape (n, N). ``table`` holds the coefficients as (k, N),
+    or, for a single column, as (N, k) rows.
+
+    The values have the bytes of the (N, k) rows times X. With OpenBLAS, a
+    matrix-matrix product gives each entry the same bytes whichever operand
+    comes first, but a matrix-vector product rounds by the matrix's layout;
+    `test_routes_golden_digest` pins both cases.
+    """
+    if X.shape[1] == 1:
+        return (table @ X).T
+    return X.T @ table
 
 
 def harmonic_mean_via_infimum(
@@ -367,11 +401,12 @@ def harmonic_mean_via_infimum(
 
     if method == "lagrange":
         value = np.zeros(X.shape[1])
-        positive = np.all(X > 0, axis=0)
-        if np.any(positive):
+        positive = (X > 0).all(axis=0)
+        if positive.any():
             Xp = X[:, positive]
-            u = (1.0 / Xp) / np.sum(1.0 / Xp, axis=0)
-            value[positive] = s * np.sum(u * u * Xp, axis=0)
+            r = 1.0 / Xp
+            u = r / r.sum(axis=0)
+            value[positive] = s * (u * u * Xp).sum(axis=0)
         return MeanResult(PositiveVector(value), "lagrange")
 
     if method == "grid":
@@ -381,11 +416,16 @@ def harmonic_mean_via_infimum(
             raise ValueError(
                 f"simplex grid too large: {count} points for arity {s} at resolution {m}"
             )
-        U = _simplex_grid(m, s)
-        values = s * ((U * U) @ X)  # (N, n)
-        value = values.min(axis=0)
-        bound = float(np.max(s * np.sum(X, axis=0) / (m * m)))
-        return MeanResult(PositiveVector(value), "grid", bound)
+        values = _grid_values(_squared_simplex(m, s, X.shape[1] == 1), X)
+        # s * min(v) == min(s * v): rounding a product by s > 0 is monotone
+        value = s * values.min(axis=1)
+
+        def scaled(A):
+            top = A.max(axis=-1)
+            return top * (s * np.sum(A / top[:, None], axis=-1) / (m * m))
+
+        gaps = _within_range(lambda X: s * np.sum(X, axis=-2) / (m * m), scaled, X)
+        return MeanResult(PositiveVector(value), "grid", float(gaps.max()))
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -422,22 +462,21 @@ def wgm_via_infimum(
         raise TypeError("wgm_via_infimum needs an exact WeightVector")
     if spec.weights != weights:
         raise ValueError("weight vector does not match InfimumSpec.weights")
-    t = np.array(weights.as_floats())
+    t = np.array(weights.floats)
     p = t.size
     X, _ = _stack(fs)
     if X.shape[0] != p:
         raise ValueError(f"got {X.shape[0]} vectors for {p} weights")
 
-    n = X.shape[1]
-    positive = np.all(X > 0, axis=0)
-    value = np.zeros(n)
+    positive = (X > 0).all(axis=0)
+    value = np.zeros(X.shape[1])
+    Xp = X[:, positive]  # Fortran-ordered: BLAS rounds `t @ log(Xp)` by layout
 
     if method == "lagrange":
-        if np.any(positive):
-            Xp = X[:, positive]
+        if Xp.size:
             G = np.exp(t @ np.log(Xp))
             theta = G[None, :] / Xp
-            value[positive] = np.sum(t[:, None] * theta * Xp, axis=0)
+            value[positive] = (t[:, None] * theta * Xp).sum(axis=0)
         return MeanResult(PositiveVector(value), "lagrange")
 
     if method == "grid":
@@ -449,22 +488,21 @@ def wgm_via_infimum(
             raise ValueError(
                 f"log grid too large: {(m + 1) ** (p - 1)} points for {p} weights"
             )
-        dep = int(np.argmax(t))
-        Yfree = _log_grid(m, p - 1, Y)  # (N, p-1)
-        coeffs = _log_coefficients(m, tuple(t.tolist()), Y)  # (N, p)
         bound = 0.0
-        if np.any(positive):
-            vals = coeffs @ X[:, positive]  # (N, n_positive)
-            argmin = np.argmin(vals, axis=0)
-            value[positive] = vals[argmin, np.arange(vals.shape[1])]
+        if Xp.size:
+            coeffs, edge = _log_coefficients(m, weights.floats, Y, Xp.shape[1] == 1)
+            vals = _grid_values(coeffs, Xp)
+            argmin = vals.argmin(axis=1)
+            best = vals[np.arange(argmin.size), argmin]
+            value[positive] = best
             # gap bound: a half-spacing move of the free coordinates rescales the
-            # objective by at most exp(c*h/2) with c = max(1, (1-t_dep)/t_dep)
+            # objective by at most exp(c*h/2) with c = max(1, (1-t_dep)/t_dep),
+            # unless the minimizer sits on the box boundary
             h = 2.0 * Y / m
-            c = max(1.0, (1.0 - t[dep]) / t[dep])
+            t_dep = max(weights.floats)
+            c = max(1.0, (1.0 - t_dep) / t_dep)
             factor = 1.0 - math.exp(-c * h / 2.0)
-            on_boundary = np.any(np.abs(np.abs(Yfree[argmin]) - Y) < 1e-12, axis=1)
-            per_coord = np.where(on_boundary, np.inf, value[positive] * factor)
-            bound = float(np.max(per_coord))
+            bound = math.inf if edge[argmin].any() else float(best.max()) * factor
         return MeanResult(PositiveVector(value), "grid", bound)
 
     raise ValueError(f"unknown method {method!r}")

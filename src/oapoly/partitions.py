@@ -8,8 +8,9 @@ rational weight vector of a completely partitioned weighted geometric mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -92,10 +93,12 @@ class WeightVector:
 
     Weights of a completely partitioned weighted geometric mean are always
     of the form ``r_k / s``; the degenerate single-weight vector ``(1,)``
-    (from the one-part partition of s = 1) is admitted.
+    (from the one-part partition of s = 1) is admitted. ``floats`` holds
+    the weights as floats, converted once.
     """
 
     weights: tuple[Fraction, ...]
+    floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws = tuple(Fraction(w) for w in self.weights)
@@ -107,6 +110,7 @@ class WeightVector:
         if sum(ws) != 1:
             raise ValueError(f"weights must sum to exactly 1, got {sum(ws)}")
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "floats", tuple(float(w) for w in ws))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -115,7 +119,7 @@ class WeightVector:
         return iter(self.weights)
 
     def as_floats(self) -> list[float]:
-        return [float(w) for w in self.weights]
+        return list(self.floats)
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,8 @@ class CompletePartition:
         return weights(self)
 
 
+@lru_cache(maxsize=256)
 def weights(cp: CompletePartition) -> WeightVector:
-    """The exact weight vector (r_1/s, ..., r_p/s) of a complete partition."""
+    """The exact weight vector (r_1/s, ..., r_p/s) of a complete partition,
+    built once per partition: both are immutable."""
     return WeightVector(tuple(Fraction(r, cp.target) for r in cp.parts))

@@ -147,12 +147,12 @@ def _repeats(cp: CompletePartition) -> np.ndarray:
 
 
 def _geos_sides(P, X, cp):
-    lhs = weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X)
+    lhs = weighted_geometric_mean_stack(np.array(weights(cp).floats), X)
     return lhs, geometric_mean_stack(X[:, _repeats(cp)])
 
 
 def _wgm_sides(P, X, cp):
-    lhs = P(weighted_geometric_mean_stack(np.array(weights(cp).as_floats()), X))
+    lhs = P(weighted_geometric_mean_stack(np.array(weights(cp).floats), X))
     return lhs, P.form([X[:, i] for i in _repeats(cp)])
 
 
@@ -662,6 +662,8 @@ def verify_claim(
     if claim_id not in CLAIM_TABLE:
         raise ValueError(f"unknown claim {claim_id!r}")
     claim = CLAIM_TABLE[claim_id]
+    if s < 1:
+        raise ValueError(f"degree s must be >= 1, got {s}")
     if s < 2 and claim.takes_poly:
         raise ValueError(f"claim {claim_id} needs degree s >= 2")
     if n < 1:

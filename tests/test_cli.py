@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,17 @@ class TestMeans:
         assert code == 3
         assert strict_json(out)["residual_bound"] == "inf"
 
+    def test_hm_grid_bound_near_the_float_maximum(self, capsys, tmp_path):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps([[1e308], [1e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "means", "eval", "--mean", "hm", "--method", "grid",
+                                     "--resolution", "8", "--inputs", str(path))
+        assert code == 0 and err == ""
+        payload = strict_json(out)
+        assert payload["value"] == [1e308] and payload["residual_bound"] == 6.25e306
+
     def test_rmp_requires_s(self, capsys, vectors_file):
         code, _, err = run_cli(capsys, "means", "eval", "--mean", "rmp",
                                "--inputs", vectors_file)
@@ -227,6 +239,46 @@ class TestMeans:
                                "--inputs", str(path))
         assert code == 0
         assert json.loads(out)["value"] == ["3/2"]
+
+    # sha256 of `means eval` stdout by every route (closed, lagrange, grid at
+    # m = 8 and 128 with log width 0.5), each line prefixed by its exit code;
+    # `zero` has one vanishing coordinate, which leaves the wgm grid a single
+    # positive column
+    @pytest.mark.parametrize("mean, weights, inputs, digest", [
+        ("hm", None, "n1", "73d12fa1cc59732842b2b195631e63b9afabec71550b8a06971fae3201cd5d1e"),
+        ("hm", None, "n4", "18cba5f915d7bec83f463136f859dbbbfbce7e8ae4f25ab45b1216266ae62633"),
+        ("hm", None, "zero", "e30b34d38c94af5aea1f14c3438b4589ff6aa636f6ff04d99ce0f4bc7d991ab7"),
+        ("hm", "3", "n1", "d4f8b40581d14cc8443b97aa92d9b4edd218cb821abd9798dd206ea9fcdacdb1"),
+        ("hm", "3", "n4", "cf680410b8a5726e23aa37d7f0000f631772f943042661f622b849f4f219f405"),
+        ("hm", "3", "zero", "052f54ef4d5b9176e6664f39dee9539de203acc66dcba8e7ae79a27d196be85d"),
+        ("wgm", "1,1", "n1", "71e678bcd9bcdf362246a89ed6317dd831a8f64689780228ae10893bdbd71911"),
+        ("wgm", "1,1", "n4", "3f2fcec82b6d99a1138618ea19eedd3ac6e2337804b3717f5f043d21a0e1be3c"),
+        ("wgm", "1,1", "zero", "37fc2131b7344b24ecd6e7d1887f6cd45ff296799f2ce03be4f35a685d3e49b9"),
+        ("wgm", "2,1,1", "n1", "53dd6298aac18b7b25cbaf6bb09112382c27e729415b4ef20bbdc5709addc754"),
+        ("wgm", "2,1,1", "n4", "563459217c5ab7aba624a40e3b7b7ea43ade78fefebe3958f367a1490e0f3f70"),
+        ("wgm", "2,1,1", "zero", "42bf8cd9ac167655ec9b62efcee8352fb383107cd6e45f54ed52cfab84f6744a"),
+    ])
+    def test_routes_golden_digest(self, capsys, tmp_path, mean, weights, inputs, digest):
+        vectors = {
+            "n1": [[1.1], [0.95], [1.25]],
+            "n4": [[0.93, 1.2, 1.07, 1.29], [1.18, 0.91, 1.02, 1.11], [1.05, 1.27, 0.97, 0.9]],
+            "zero": [[1.12, 0.0], [0.96, 1.21], [1.24, 1.03]],
+        }[inputs]
+        if mean == "hm":
+            arity, flags = int(weights or 2), []
+        else:
+            arity, flags = weights.count(",") + 1, ["--weights", weights]
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(vectors[:arity]))
+        text = ""
+        for method in (["--method", "closed"], ["--method", "lagrange"],
+                       *(["--method", "grid", "--resolution", m, "--log-width", "0.5"]
+                         for m in ("8", "128"))):
+            code, out, err = run_cli(capsys, "means", "eval", "--mean", mean, *flags,
+                                     *method, "--inputs", str(path))
+            assert err == ""
+            text += f"{code}\n{out}"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestPoly:
@@ -431,6 +483,14 @@ class TestVerify:
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 2 and out == ""
         assert err.startswith("error: trial must lie in [0, 5)")
+
+    @pytest.mark.parametrize("argv", ["verify ortho --s 0 --trials 5",
+                                      "verify schur --s 0",
+                                      "verify all --s -3 --trials 5"])
+    def test_degree_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: --s must be >= 1")
 
     def test_failing_poly_exit_one(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"

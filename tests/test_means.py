@@ -1,5 +1,6 @@
 """Means: closed forms against scalar oracles, two-route agreement, grids."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -23,8 +24,16 @@ from oapoly import (
     weights,
     wgm_via_infimum,
 )
-from oapoly.lattice import DimensionMismatchError
-from oapoly.means import geometric_mean_stack, harmonic_mean_stack, root_mean_power_stack
+from oapoly.lattice import DimensionMismatchError, LatticeVector
+from oapoly.means import (
+    _log_coefficients,
+    _log_grid,
+    _simplex_grid,
+    _squared_simplex,
+    geometric_mean_stack,
+    harmonic_mean_stack,
+    root_mean_power_stack,
+)
 
 
 def pv(*entries):
@@ -259,6 +268,15 @@ class TestHarmonicInfimum:
                 prev = gap
             assert prev <= 2e-4 * float(np.max(closed))
 
+    def test_grid_bound_near_the_float_maximum(self):
+        # the a priori bound s * sum_k x_k / m^2 is finite although the sum is not
+        spec = InfimumSpec("harmonic", arity=2, resolution=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = harmonic_mean_via_infimum([pv(1e308, 1.0), pv(1e308, 3.0)], spec, "grid")
+        assert res.value.entries[0] == 1e308
+        assert res.residual_bound == 6.25e306
+
     def test_grid_descends_to_twelve_sevenths(self):
         # closed form 3/(1 + 1/2 + 1/4) = 12/7; the grid approaches it from above
         fs = [pv(1.0), pv(2.0), pv(4.0)]
@@ -361,6 +379,101 @@ class TestWgmInfimum:
         spec = InfimumSpec("weighted_geometric", weights=w2)
         with pytest.raises(ValueError):
             wgm_via_infimum(w1, [pv(1.0), pv(2.0)], spec)
+
+
+W211 = weights(CompletePartition((2, 1, 1), 4))
+
+
+# every mean and route: (call on argument vectors fs, its number of arguments)
+ROUTES = {
+    "root_mean_power": (lambda fs: root_mean_power(2, fs), 2),
+    "geometric_mean": (geometric_mean, 2),
+    "harmonic_mean": (harmonic_mean, 2),
+    "weighted_geometric_mean": (lambda fs: weighted_geometric_mean(W211, fs), 3),
+    **{f"harmonic_{method}": (
+        lambda fs, method=method: harmonic_mean_via_infimum(
+            fs, InfimumSpec("harmonic", arity=max(len(fs), 1), resolution=8), method), 2)
+       for method in ("lagrange", "grid")},
+    **{f"wgm_{method}": (
+        lambda fs, method=method: wgm_via_infimum(
+            W211, fs, InfimumSpec("weighted_geometric", weights=W211, resolution=8), method), 3)
+       for method in ("lagrange", "grid")},
+}
+
+
+class TestInvalidCalls:
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("args, error, message", [
+        pytest.param(lambda k: [[1.0, 2.0]] + [pv(1.0, 2.0)] * (k - 1), TypeError,
+                     "expected LatticeVector arguments, got list", id="list-first"),
+        pytest.param(lambda k: [pv(1.0, 2.0)] * (k - 1) + [[1.0, 2.0]], TypeError,
+                     "expected LatticeVector arguments, got list", id="list-last"),
+        pytest.param(lambda k: [], ValueError, "a mean needs at least one argument", id="empty"),
+        pytest.param(lambda k: [pv(1.0, 2.0)] * (k - 1) + [pv(1.0)], DimensionMismatchError,
+                     "dimension mismatch: 2 vs 1", id="dimensions"),
+        pytest.param(lambda k: [pv(1.0, 2.0)] * (k - 1) + [LatticeVector([1.0, -2.0])],
+                     ValueError, "means are defined on nonnegative vectors only", id="negative"),
+    ])
+    def test_invalid_arguments(self, route, args, error, message):
+        call, k = ROUTES[route]
+        with pytest.raises(error, match=message):
+            call(args(k))
+
+    @pytest.mark.parametrize("route", [r for r in ROUTES if r != "harmonic_mean"])
+    def test_exact_vectors_only_for_the_harmonic_mean(self, route):
+        call, k = ROUTES[route]
+        with pytest.raises(ValueError, match="only supported by harmonic_mean"):
+            call([PositiveVector.exact([1, 2])] * k)
+
+    def test_mixing_exact_and_float(self):
+        with pytest.raises(ValueError, match="cannot mix exact and float vectors"):
+            harmonic_mean([PositiveVector.exact([1, 2]), pv(1.0, 2.0)])
+
+
+class TestGridTables:
+    """The cached grid tables are read-only and hold one set of numbers in
+    both layouts; a cached weight vector cannot be changed."""
+
+    def assert_read_only(self, table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+
+    @pytest.mark.parametrize("m, k", [(8, 2), (16, 3)])
+    def test_squared_simplex(self, m, k):
+        U = _simplex_grid(m, k)
+        columns, rows = _squared_simplex(m, k, False), _squared_simplex(m, k, True)
+        for table in (columns, rows):
+            self.assert_read_only(table)
+        np.testing.assert_array_equal(rows, U * U)
+        np.testing.assert_array_equal(columns, (U * U).T)
+        assert columns.flags.c_contiguous and rows.flags.c_contiguous
+
+    @pytest.mark.parametrize("parts, m, width", [((1, 1), 8, 0.5), ((2, 1, 1), 16, 0.1)])
+    def test_log_coefficients_and_boundary_mask(self, parts, m, width):
+        w = weights(CompletePartition(parts, sum(parts)))
+        (columns, edge), (rows, edge_rows) = (_log_coefficients(m, w.floats, width, rows)
+                                              for rows in (False, True))
+        for table in (columns, rows, edge, edge_rows):
+            self.assert_read_only(table)
+        np.testing.assert_array_equal(columns, rows.T)
+        Yfree = _log_grid(m, len(parts) - 1, width)
+        # a point is on the boundary when a free coordinate sits at +-width
+        expect = np.any(np.isclose(np.abs(Yfree), width, rtol=0, atol=1e-12), axis=1)
+        np.testing.assert_array_equal(edge, expect)
+        np.testing.assert_array_equal(edge_rows, expect)
+        assert edge.any() and not edge.all()
+
+    def test_cached_weight_vector_is_immutable(self):
+        w = weights(CompletePartition((2, 1, 1), 4))
+        assert weights(CompletePartition((1, 2, 1), 4)) is w
+        assert w.floats == (0.5, 0.25, 0.25)
+        for field, value in (("weights", (Fraction(1),)), ("floats", (1.0,))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, field, value)
+        floats = w.as_floats()
+        floats[0] = 9.0
+        assert w.as_floats() == [0.5, 0.25, 0.25] and w.floats[0] == 0.5
 
 
 class TestMeanResult:

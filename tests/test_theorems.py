@@ -890,10 +890,12 @@ def reference_verify(claim_id, *, s=3, n=4, d=1, trials=100, seed=0, partition=N
         raise ValueError("trials must be >= 1")
     if trial is not None and not 0 <= trial < trials:
         raise ValueError(f"trial {trial} out of range")
-    if s < 2 and claim_id in ("HM", "GM", "WGM", "RMP", "CROSS_TERMS"):
-        raise ValueError(f"claim {claim_id} needs degree s >= 2")
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
+    if s < 1:
+        raise ValueError(f"degree s must be >= 1, got {s}")
+    if s < 2 and claim_id in ("HM", "GM", "WGM", "RMP", "CROSS_TERMS"):
+        raise ValueError(f"claim {claim_id} needs degree s >= 2")
     rng = np.random.default_rng(seed)
     pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
     random_poly = poly is None and claim_id in ("RMP", "GM", "HM", "WGM", "CROSS_TERMS")
@@ -1049,6 +1051,12 @@ class TestBlockEquivalence:
         with pytest.raises(ValueError, match=r"trial must lie in \[0, 5\)"):
             verify_claim("GM", trials=5, trial=trial)
 
+    @pytest.mark.parametrize("claim_id", CLAIMS)
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_degree_below_one_rejected(self, claim_id, s):
+        with pytest.raises(ValueError, match=rf"degree s must be >= 1, got {s}"):
+            verify_claim(claim_id, s=s, trials=3)
+
     @pytest.mark.parametrize("claim_id, kwargs, error", [
         ("RMP", dict(s=2, n=3, poly=square_of_sum()), DimensionMismatchError),
         ("CROSS_TERMS", dict(s=2, n=1, poly=square_of_sum()), DimensionMismatchError),
@@ -1062,6 +1070,8 @@ class TestBlockEquivalence:
         ("SCHUR", dict(s=0), ValueError),
         ("GEOS", dict(s=0), ValueError),
         ("NOPE", dict(), ValueError),
+        ("ORTHO", dict(s=0), ValueError),
+        ("ORTHO", dict(s=-3), ValueError),
     ])
     def test_error_parity(self, claim_id, kwargs, error):
         with pytest.raises(error):
