@@ -28,7 +28,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .lattice import LatticeVector, PositiveVector, vector_from_json, vector_to_json
 from .means import (
@@ -194,13 +193,11 @@ def _cmd_poly(args) -> int:
     if args.action == "eval":
         payload = _load_json(args.input, "input")
         f = vector_from_json(payload)
-        value = P(f)
-        _emit({"value": [str(v) if isinstance(v, Fraction) else float(v) for v in value]})
+        _emit({"value": P(f)})
         return EXIT_OK
     if args.action == "multilinear":
         fs = _load_vectors(args.inputs)
-        value = P.multilinear(*fs)
-        _emit({"value": [str(v) if isinstance(v, Fraction) else float(v) for v in value]})
+        _emit({"value": P.multilinear(*fs)})
         return EXIT_OK
     report = is_positively_orthogonally_additive(P, trials=args.trials, seed=args.seed,
                                                  exhaustive=args.exhaustive)

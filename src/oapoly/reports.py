@@ -26,15 +26,7 @@ __all__ = [
     "cross_payload",
     "json_safe",
     "VerificationReport",
-    "CLAIM_IDS",
 ]
-
-
-def __getattr__(name: str):
-    if name != "CLAIM_IDS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .theorems import CLAIM_IDS  # from the claim table, which builds on this module
-    return CLAIM_IDS
 
 
 @dataclass(frozen=True)
@@ -43,9 +35,6 @@ class ToleranceConfig:
 
     identity_rel
         Residual tolerance for polynomial/mean identity checks.
-    grid_abs
-        Acceptance threshold for the grid route's final residual against the
-        closed form at the maximum configured resolution.
     exact_slack
         Allowed residual in exact-rational replication (0: identities must
         hold exactly).
@@ -68,7 +57,6 @@ class ToleranceConfig:
     """
 
     identity_rel: float = 1e-9
-    grid_abs: float = 1e-4
     exact_slack: float = 0.0
     relative_switch: float = 1.0
     mixed_abs: float = 1e-10
@@ -78,7 +66,7 @@ class ToleranceConfig:
     ulp_slack: int = 1
 
     def __post_init__(self):
-        for name in ("identity_rel", "grid_abs", "relative_switch",
+        for name in ("identity_rel", "relative_switch",
                      "mixed_abs", "falsify_threshold", "polarization_rel", "geos_rel"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

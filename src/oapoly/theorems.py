@@ -31,7 +31,6 @@ claim's sides on blocks of inputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -185,7 +184,7 @@ def _check_row(claim, P, X, cp, cfg) -> VerificationReport:
         claim_id=claim.id,
         trials=1,
         max_residual=float(res[0]),
-        tolerance=claim.tolerance(cfg, X.dtype == object),
+        tolerance=_tolerance(claim, X, stack, cfg),
         passed=bool(ok[0]),
         counterexample=None if ok[0] else payload(0),
     )
@@ -305,6 +304,19 @@ def check_cross_terms(
 # as the floats that reports hold, the pass flags that compare them, and
 # payload(t), row t's counterexample. Inputs are assumed to meet the claim's
 # preconditions; verify_claim and the check_* functions check them first.
+# Exact sides compare exactly: see `_tolerance`.
+
+
+def _exact(X, P) -> bool:
+    """The sides are exact: exact vectors, and P exact or absent."""
+    return X.dtype == object and (P is None or P.coeffs.dtype == object)
+
+
+def _tolerance(claim, X, P, cfg) -> float:
+    """The tolerance of rows X with polynomials P: ``exact_slack`` for exact
+    sides, whose residuals are compared with it before any float
+    conversion, else the claim's float tolerance."""
+    return cfg.exact_slack if _exact(X, P) else claim.tolerance(cfg)
 
 
 def _grouped(draws: sampling.TrialDraws, P, run):
@@ -333,10 +345,10 @@ def _grouped(draws: sampling.TrialDraws, P, run):
 def _identity_rows(claim, X, P, cp, cfg):
     """RMP, GM, HM, GEOS and WGM: the residuals of the claim's two sides."""
     lhs, rhs = claim.sides(P, X, cp)
-    res = row_residuals(lhs, rhs, switch=cfg.relative_switch).astype(float, copy=False)
+    res = row_residuals(lhs, rhs, switch=cfg.relative_switch)
     extra = None if cp is None else {"partition": list(cp.parts)}
-    return res, res <= claim.tolerance(cfg, X.dtype == object), lambda i: identity_payload(
-        X[i].tolist(), lhs[i], rhs[i], extra)
+    return res.astype(float, copy=False), res <= _tolerance(claim, X, P, cfg), lambda i: (
+        identity_payload(X[i].tolist(), lhs[i], rhs[i], extra))
 
 
 def _schur_rows(claim, X, P, cp, cfg):
@@ -348,9 +360,8 @@ def _schur_rows(claim, X, P, cp, cfg):
     for i in range(1, X.shape[1]):
         lo = np.minimum(lo, X[:, i])
     hi = lo * X.shape[1]
-    exact = X.dtype == object
-    if exact:
-        worst = np.maximum(np.max(np.maximum(lo - e, e - hi), axis=1), 0).astype(float)
+    if X.dtype == object:
+        worst = np.maximum(np.max(np.maximum(lo - e, e - hi), axis=1), 0)
     else:
         lower_gap = np.maximum(lo - e, 0.0)
         upper_gap = np.maximum(e - hi, 0.0)
@@ -360,20 +371,23 @@ def _schur_rows(claim, X, P, cp, cfg):
                 np.where(upper_gap > 0, upper_gap / np.spacing(hi), 0.0),
             )
         worst = np.max(ulps, axis=1)
-    return worst, worst <= claim.tolerance(cfg, exact), lambda i: {
+    return worst.astype(float, copy=False), worst <= _tolerance(claim, X, P, cfg), lambda i: {
         "inputs": X[i].tolist(), "harmonic": e[i], "min": lo[i],
     }
 
 
 def _ortho_rows(claim, X, P, cp, cfg):
     e = harmonic_mean_stack(X)
-    worst = np.max(np.abs(e), axis=1).astype(float, copy=False)
-    return worst, worst == 0.0, lambda i: {"inputs": X[i].tolist(), "harmonic": e[i]}
+    worst = np.max(np.abs(e), axis=1)
+    return worst.astype(float, copy=False), worst <= _tolerance(claim, X, P, cfg), lambda i: {
+        "inputs": X[i].tolist(), "harmonic": e[i]}
 
 
 def _cross_rows(claim, X, P, cp, cfg):
     f, g = X[:, 0], X[:, 1]
     s = P.degree
+    exact = _exact(X, P)
+    mixed_tol, recon_tol = (cfg.exact_slack,) * 2 if exact else (cfg.mixed_abs, cfg.identity_rel)
     mixed_worst = np.zeros(len(f))
     witness = np.full(len(f), -1)
     values = []
@@ -384,14 +398,16 @@ def _cross_rows(claim, X, P, cp, cfg):
         term = val * math.comb(s, k)
         recon = term if recon is None else recon + term
         if 1 <= k <= s - 1:
-            mag = np.max(np.abs(val), axis=1).astype(float, copy=False)
-            mag[np.isnan(mag)] = np.inf
+            mag = np.max(np.abs(val), axis=1)
+            if not exact:
+                mag = mag.astype(float, copy=False)
+                mag[np.isnan(mag)] = np.inf
             better = mag > mixed_worst
             mixed_worst = np.where(better, mag, mixed_worst)
-            witness[better & (mag > cfg.mixed_abs)] = k
+            witness[better & (mag > mixed_tol)] = k
     total = P(f + g)
-    recon_res = row_residuals(total, recon, switch=cfg.relative_switch).astype(float, copy=False)
-    passed = (mixed_worst <= cfg.mixed_abs) & (recon_res <= cfg.identity_rel)
+    recon_res = row_residuals(total, recon, switch=cfg.relative_switch)
+    passed = (mixed_worst <= mixed_tol) & (recon_res <= recon_tol)
 
     def payload(i):
         k = int(witness[i])
@@ -399,7 +415,7 @@ def _cross_rows(claim, X, P, cp, cfg):
         return cross_payload([f[i].tolist(), g[i].tolist()], float(mixed_worst[i]),
                               float(recon_res[i]), mixed_witness, total[i], recon[i])
 
-    return mixed_worst, passed, payload
+    return mixed_worst.astype(float, copy=False), passed, payload
 
 
 # -- the claim table -------------------------------------------------------------
@@ -414,8 +430,9 @@ class Claim(NamedTuple):
                      `falsify` compares, P(f + g) and P(f) + P(g)
     draw             draw(s, pool, partition): `sampling.draw_trials` keywords
                      of a sweep's trial at degree s (pool: partitions of s)
-    tolerance        tolerance(cfg, exact): the report's tolerance, read from
-                     a `ToleranceConfig`, for float or exact-rational inputs
+    tolerance        tolerance(cfg): the report's tolerance, read from a
+                     `ToleranceConfig`, for float sides (exact sides compare
+                     with ``exact_slack``, see `_tolerance`)
     takes_poly       a trial evaluates a polynomial (``--poly``)
     takes_partition  a trial uses a complete partition (``--partition``)
     exact            the check takes exact-rational vectors; the others take
@@ -429,7 +446,7 @@ class Claim(NamedTuple):
     flag: str
     kernel: Callable
     draw: Callable
-    tolerance: Callable[[ToleranceConfig, bool], float] = lambda cfg, exact: cfg.identity_rel
+    tolerance: Callable[[ToleranceConfig], float] = lambda cfg: cfg.identity_rel
     takes_poly: bool = False
     takes_partition: bool = False
     requires: Callable = lambda degree, count, cp: None
@@ -457,23 +474,23 @@ CLAIMS = (
           takes_poly=True, requires=_gm_requires, sides=_gm_sides, size=lambda s, cp: s),
     Claim("SCHUR", "schur", _schur_rows,
           lambda s, pool, cp: {"pick": (1, s + 1), "counts": range(s + 1)},
-          tolerance=lambda cfg, exact: cfg.exact_slack if exact else float(cfg.ulp_slack),
+          tolerance=lambda cfg: float(cfg.ulp_slack),
           exact=True),
     Claim("ORTHO", "ortho", _ortho_rows,
           lambda s, pool, cp: {"pick": (2, max(3, s + 1)), "counts": range(max(3, s + 1)),
                                "pair": "slots"},
-          tolerance=lambda cfg, exact: 0.0, exact=True),
+          tolerance=lambda cfg: 0.0, exact=True),
     Claim("HM", "hm", _identity_rows, lambda s, pool, cp: {"counts": s},
           takes_poly=True, requires=_hm_requires, sides=_hm_sides, exact=True,
           size=lambda s, cp: s),
     Claim("GEOS", "geos", _identity_rows, _partition_draw,
-          tolerance=lambda cfg, exact: cfg.geos_rel, takes_partition=True,
+          tolerance=lambda cfg: cfg.geos_rel, takes_partition=True,
           requires=_partition_requires, sides=_geos_sides),
     Claim("WGM", "wgm", _identity_rows, _partition_draw, takes_poly=True,
           takes_partition=True, requires=_partition_requires, sides=_wgm_sides,
           size=lambda s, cp: len(cp.parts)),
     Claim("CROSS_TERMS", "cross", _cross_rows, lambda s, pool, cp: {"pair": "only"},
-          tolerance=lambda cfg, exact: cfg.mixed_abs, takes_poly=True, sides=_pair_sides,
+          tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True, sides=_pair_sides,
           exact=True, size=lambda s, cp: 2, pairs=True),
 )
 CLAIM_TABLE = {claim.id: claim for claim in CLAIMS}
@@ -485,20 +502,40 @@ POLY_CLAIMS = tuple(claim.id for claim in CLAIMS if claim.takes_poly)
 # -- falsification of the converse directions -----------------------------------
 
 
-def _structured_rows(count, n, i, j, a, b, rows):
-    """The first ``rows`` inputs of the disjoint two-coordinate family of the
-    converse arguments, (rows, count, n): f = a e_i in the first ``split``
-    slots and g = b e_j in the rest, for split = 1, 2, ..."""
-    first = np.arange(count) < np.arange(1, rows + 1)[:, None]
-    X = np.zeros((rows, count, n))
-    X[:, :, i] = np.where(first, a, 0.0)
-    X[:, :, j] = np.where(first, 0.0, b)
-    return X
+def _structured_rows(count, n, amplitudes, lo, hi):
+    """Rows lo..hi of the disjoint two-coordinate family of the converse
+    arguments, (hi - lo, count, n). Rows p (count - 1) .. (p + 1) (count - 1)
+    try the ordered coordinate pair p, (i, j) in the order of
+    ``permutations(range(n), 2)``, at splits 1, .., count - 1: with
+    (a, b) = amplitudes[p], f = a e_i fills the first ``split`` slots and
+    g = b e_j the rest. The rows of the pairs that lo..hi touch are built,
+    then cut to lo..hi."""
+    c = count - 1
+    first, last = lo // c, (hi - 1) // c + 1
+    i, j = np.divmod(np.arange(first, last)[:, None, None], n - 1)
+    j += j >= i
+    f = np.arange(count) < np.arange(1, count)[:, None]
+    X = np.zeros(((last - first) * c * count, n))
+    X[np.arange(len(X)), np.where(f, i, j).ravel()] = np.where(
+        f, amplitudes[first:last, :1, None], amplitudes[first:last, 1:, None]).ravel()
+    return X.reshape(-1, count, n)[lo - first * c:hi - first * c]
 
 
 _FIRST_RANDOM_BLOCK = 16
-"""Size of the random phase's first block; later blocks double up to
-`BLOCK_TRIALS`, so a witness found early pays for few rows."""
+"""Size of the random phase's first block."""
+
+
+def _schedule(*phases):
+    """(lo, hi) blocks of the candidate stream, over each phase (lo, hi, size)
+    in turn: ``size`` rows first, then twice as many each time, each block
+    capped by `BLOCK_TRIALS` and by the phase's rows left, so a witness
+    found early pays for few rows."""
+    for lo, hi, size in phases:
+        while lo < hi:
+            size = min(size, BLOCK_TRIALS, hi - lo)
+            yield lo, lo + size
+            lo += size
+            size *= 2
 
 
 def _random_rows(claim, P, cp, rng, size):
@@ -506,12 +543,6 @@ def _random_rows(claim, P, cp, rng, size):
     one row of ``rng`` per input."""
     spec = {"pair": "only"} if claim.pairs else {"counts": claim.size(P.degree, cp)}
     return sampling.draw_trials(rng, size, P.domain_dim, **spec).vectors
-
-
-def _random_phase_rng(seed: int) -> np.random.Generator:
-    """The random phase's own stream, the first child of ``SeedSequence(seed)``,
-    so that its rows do not depend on what the structured phase drew."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
 def falsify(
@@ -534,16 +565,19 @@ def falsify(
     budget yields an inconclusive report, never a pass. ``trials`` and
     ``max_residual`` count the inputs up to and including the witness.
 
-    Both phases evaluate the claim's sides on blocks of inputs, and the
-    first row over ``falsify_threshold`` is the witness. The structured
-    family is one block per coordinate pair, its splits in order, with the
-    pair's amplitudes drawn from ``default_rng(seed)``. The random inputs
-    are the rows of their own stream (`_random_phase_rng`), one row per
-    input (see `sampling.draw_trials`), evaluated in blocks of 16 first and
-    twice as many each time after, up to `BLOCK_TRIALS`: random input k is
-    the same whatever the block schedule and whatever the structured phase
-    tried. Reports are those of trying one input at a time, for float and
-    exact-rational coefficients alike.
+    The search walks one candidate stream of ``budget`` inputs and evaluates
+    the claim's sides on each of its blocks; the first row over
+    ``falsify_threshold`` is the witness. Rows 0..S are the structured
+    family, S = min(n (n - 1) (k - 1), budget) for inputs of k vectors: the
+    ordered coordinate pairs' k - 1 splits in turn (`_structured_rows`), with
+    the pairs' amplitudes drawn from ``default_rng(seed)``, two per pair.
+    The rest are random inputs, rows of their own stream, the first child
+    of ``SeedSequence(seed)``, made when that phase is reached, one row per
+    input (see `sampling.draw_trials`): random input k is the same whatever
+    the block schedule and whatever the structured phase tried. Each
+    phase's blocks start small (one pair; 16 random inputs) and double up
+    to `BLOCK_TRIALS` (`_schedule`). Reports are those of trying one input
+    at a time, for float and exact-rational coefficients alike.
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
@@ -551,16 +585,11 @@ def falsify(
         raise ValueError("budget must be >= 1")
     if not P.has_mixed_terms:
         raise PreconditionError(
-            "polynomial is positively orthogonally additive; nothing to falsify"
-        )
-    if P.domain_dim <= 6:
-        structural = is_positively_orthogonally_additive(
-            P, trials=2 ** P.domain_dim, seed=seed, exhaustive=True, tolerances=cfg
-        )
-        if structural.passed:
-            raise PreconditionError(
-                "polynomial passed the exhaustive additivity check; nothing to falsify"
-            )
+            "polynomial is positively orthogonally additive; nothing to falsify")
+    if P.domain_dim <= 6 and is_positively_orthogonally_additive(
+            P, trials=2 ** P.domain_dim, seed=seed, exhaustive=True, tolerances=cfg).passed:
+        raise PreconditionError(
+            "polynomial passed the exhaustive additivity check; nothing to falsify")
     claim = CLAIM_TABLE[claim_id]
     cp = partition
     if claim.takes_partition:
@@ -569,52 +598,34 @@ def falsify(
         if cp.target != P.degree:
             raise PreconditionError("partition target must equal the polynomial degree")
 
-    stack = TermStack.of(P)
-    rng = np.random.default_rng(seed)
-    used = 0
-    best = 0.0
-    witness = None
-
-    def search(X, source):
-        """Try the rows of X in order, up to and including the first witness."""
-        nonlocal used, best, witness
+    n, count = P.domain_dim, claim.size(P.degree, cp)
+    structured = min(n * (n - 1) * (count - 1), budget)
+    amplitudes = sampling.log_uniform(np.random.default_rng(seed),
+                                      (-(-structured // (count - 1)), 2), 1.0, 10.0)
+    stack, rng = TermStack.of(P), None
+    used, best, witness = 0, 0.0, None
+    for lo, hi in _schedule((0, structured, count - 1),
+                            (structured, budget, _FIRST_RANDOM_BLOCK)):
+        if lo < structured:
+            source, X = "structured", _structured_rows(count, n, amplitudes, lo, hi)
+        else:
+            rng = rng or np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+            source, X = "random", _random_rows(claim, P, cp, rng, hi - lo)
         lhs, rhs = claim.sides(stack, X, cp)
         res = row_residuals(lhs, rhs, switch=cfg.relative_switch).astype(float, copy=False)
         hits = np.flatnonzero(res > cfg.falsify_threshold)
         stop = hits[0] + 1 if hits.size else len(res)
-        used += int(stop)
+        used = lo + int(stop)
         best = max(best, float(res[:stop].max()))
         if hits.size:
             t = hits[0]
             witness = {"inputs": X[t].tolist(), "lhs": lhs[t], "rhs": rhs[t],
                        "residual": float(res[t]), "source": source}
-
-    count = claim.size(P.degree, cp)
-    for i, j in itertools.permutations(range(P.domain_dim), 2):
-        if used >= budget or witness is not None:
             break
-        a, b = sampling.log_uniform(rng, 2, low=1.0, high=10.0)
-        search(_structured_rows(count, P.domain_dim, i, j, a, b, min(count - 1, budget - used)),
-               "structured")
-
-    if used < budget and witness is None:
-        rng = _random_phase_rng(seed)
-        size = _FIRST_RANDOM_BLOCK
-        while used < budget and witness is None:
-            size = min(size, BLOCK_TRIALS, budget - used)
-            search(_random_rows(claim, P, cp, rng, size), "random")
-            size *= 2
-
-    found = witness is not None
     return VerificationReport(
-        claim_id=claim_id,
-        trials=used,
-        max_residual=best,
-        tolerance=cfg.falsify_threshold,
-        passed=found,
-        counterexample=witness,
-        kind="falsify",
-        inconclusive=not found,
+        claim_id=claim_id, trials=used, max_residual=best, tolerance=cfg.falsify_threshold,
+        passed=witness is not None, counterexample=witness, kind="falsify",
+        inconclusive=witness is None,
     )
 
 
@@ -712,7 +723,7 @@ def verify_claim(
         claim_id=claim_id,
         trials=count,
         max_residual=worst,
-        tolerance=claim.tolerance(cfg, False),
+        tolerance=claim.tolerance(cfg),
         passed=passed,
         counterexample=counterexample,
     )

@@ -760,12 +760,39 @@ class TestCheckEdges:
     """The eight check_* functions, pinned by their reports and errors."""
 
     # sha256 of json.dumps(report.to_dict(), sort_keys=True) over check_cases(),
-    # recorded before the checks ran through the claims' block kernels
+    # recorded before the checks ran through the claims' block kernels, and
+    # re-recorded once when exact sides began to report ``exact_slack`` as their
+    # tolerance: only the exact HM and CROSS_TERMS cases' "tolerance" changed
     def test_check_golden_digest(self):
         digest = hashlib.sha256()
         for label, check, args in check_cases():
             digest.update(f"{label}|{json.dumps(check(*args).to_dict(), sort_keys=True)};".encode())
-        assert digest.hexdigest() == "b354985d5e2de75875cb36c139623d82ffef775859fa6006d28f6e727cd00075"
+        assert digest.hexdigest() == "9b67d47bd75068ecbe914c87df245f6b820901eaf1e7501fda89b30168cb9c02"
+
+    def test_exact_sides_compare_exactly(self):
+        # a mixed coefficient of 1e-30 leaves residuals far below the float
+        # tolerances, and one of 1e-400 gives a residual that rounds to 0.0:
+        # exact sides compare with exact_slack before any float conversion
+        fs = [exact_vec(1, 2, 3, 4, 5), exact_vec(2, 1, 1, 3, 1), exact_vec(5, 4, 3, 2, 1),
+              exact_vec(1, 1, 2, 2, 3)]
+        diagonal = {(i,) * 4: [Fraction(i + 1)] for i in range(5)}
+        for tiny in (Fraction(1, 10**30), Fraction(1, 10**400)):
+            P = HomogeneousPolynomial(4, 5, 1, {**diagonal, (0, 1, 2, 3): [tiny]})
+            rep = check_hm_identity(P, fs)
+            assert not rep.passed and rep.tolerance == 0.0 and rep.counterexample is not None
+            Q = HomogeneousPolynomial(2, 2, 1, {(0, 0): [Fraction(1)], (1, 1): [Fraction(1)],
+                                                (0, 1): [tiny]})
+            rep = check_cross_terms(Q, exact_vec(1, 0), exact_vec(0, 1))
+            assert not rep.passed and rep.tolerance == 0.0
+            assert rep.counterexample["copies_of_f"] == 1
+        slack = ToleranceConfig(exact_slack=1e-20)
+        assert check_hm_identity(P, fs, slack).passed
+        assert check_cross_terms(Q, exact_vec(1, 0), exact_vec(0, 1), slack).tolerance == 1e-20
+        rep = check_hm_identity(HomogeneousPolynomial(4, 5, 1, diagonal), fs)
+        assert rep.passed and rep.max_residual == 0.0 and rep.tolerance == 0.0
+        # a float P at exact vectors keeps the float tolerance
+        rep = check_hm_identity(make_diagonal([1.0] * 5, 4), fs)
+        assert rep.passed and rep.tolerance == DEFAULT_TOLERANCES.identity_rel
 
     def test_checks_match_the_reference(self):
         for label, check, args in check_cases():
@@ -1191,16 +1218,20 @@ REFERENCE_ARGUMENTS = {
 
 def reference_check(claim_id, P, fs, cp, cfg=DEFAULT_TOLERANCES):
     """One input's check report, computed coordinate by coordinate or from
-    reference_sides, with the public means and P.multilinear alone."""
+    reference_sides, with the public means and P.multilinear alone. Exact
+    sides (exact vectors, and P exact or absent) are compared with
+    ``exact_slack`` as exact rationals, and their residuals converted to
+    floats only for the report."""
     reference_requires(claim_id, P, fs, cp)
     inputs = [list(f.entries) for f in fs]
+    exact = fs[0].is_exact and (P is None or P.is_exact)
     counterexample = None
     if claim_id == "SCHUR":
         e = harmonic_mean(fs).entries
         lo = [min(column) for column in zip(*(f.entries for f in fs))]
         bounds = [(lo_i, e_i, lo_i * len(fs)) for lo_i, e_i in zip(lo, e)]
-        if fs[0].is_exact:  # exact order relations, with zero slack
-            worst = float(max([0, *(max(a - b, b - c) for a, b, c in bounds)]))
+        if exact:  # exact order relations
+            worst = max([0, *(max(a - b, b - c) for a, b, c in bounds)])
             tol = cfg.exact_slack
         else:  # violations in units in the last place of the violated bound
             worst = max([0.0, *(float((a - b) / np.spacing(a)) for a, b, c in bounds if a > b),
@@ -1211,37 +1242,39 @@ def reference_check(claim_id, P, fs, cp, cfg=DEFAULT_TOLERANCES):
             counterexample = {"inputs": inputs, "harmonic": list(e), "min": lo}
     elif claim_id == "ORTHO":
         e = harmonic_mean(fs).entries
-        worst, tol = float(max(abs(v) for v in e)), 0.0
-        passed = worst == 0.0
+        worst, tol = max(abs(v) for v in e), cfg.exact_slack if exact else 0.0
+        passed = worst <= tol
         if not passed:
             counterexample = {"inputs": inputs, "harmonic": list(e)}
     elif claim_id == "CROSS_TERMS":
         f, g = fs
         s = P.degree
-        worst, tol, witness, recon = 0.0, cfg.mixed_abs, None, None
+        tol, recon_tol = (cfg.exact_slack,) * 2 if exact else (cfg.mixed_abs, cfg.identity_rel)
+        worst, witness, recon = 0.0, None, None
         for k in range(s + 1):
             val = P.multilinear(*([f] * k + [g] * (s - k)))
             term = val * math.comb(s, k)
             recon = term if recon is None else recon + term
             if 1 <= k <= s - 1:
-                mag = float(np.max(np.abs(val)))
-                mag = math.inf if math.isnan(mag) else mag
+                mag = max(abs(v) for v in val.tolist()) if exact else float(np.max(np.abs(val)))
+                mag = math.inf if not exact and math.isnan(mag) else mag
                 if mag > worst:
                     worst = mag
-                    if mag > cfg.mixed_abs:
+                    if mag > tol:
                         witness = {"copies_of_f": k, "value": val}
         total = P(f + g)
-        recon_res = float(residual(total, recon, switch=cfg.relative_switch))
-        passed = worst <= cfg.mixed_abs and recon_res <= cfg.identity_rel
+        recon_res = residual(total, recon, switch=cfg.relative_switch)
+        passed = worst <= tol and recon_res <= recon_tol
         if not passed:
-            counterexample = {"inputs": inputs, "mixed_max": worst,
-                              "binomial_residual": recon_res, **(witness or {})}
+            counterexample = {"inputs": inputs, "mixed_max": float(worst),
+                              "binomial_residual": float(recon_res), **(witness or {})}
             if nonfinite(total, recon):
                 counterexample["nonfinite"] = True
     else:
         lhs, rhs = reference_sides(claim_id, P, fs, cp)
         tol = cfg.geos_rel if claim_id == "GEOS" else cfg.identity_rel
-        worst = float(residual(lhs, rhs, switch=cfg.relative_switch))
+        tol = cfg.exact_slack if exact else tol
+        worst = residual(lhs, rhs, switch=cfg.relative_switch)
         passed = worst <= tol
         if not passed:
             counterexample = {"inputs": inputs, "lhs": lhs, "rhs": rhs}
@@ -1249,8 +1282,8 @@ def reference_check(claim_id, P, fs, cp, cfg=DEFAULT_TOLERANCES):
                 counterexample["partition"] = list(cp.parts)
             if nonfinite(lhs, rhs):
                 counterexample["nonfinite"] = True
-    return VerificationReport(claim_id=claim_id, trials=1, max_residual=worst, tolerance=tol,
-                              passed=passed, counterexample=counterexample)
+    return VerificationReport(claim_id=claim_id, trials=1, max_residual=float(worst),
+                              tolerance=tol, passed=bool(passed), counterexample=counterexample)
 
 
 def reference_falsify(P, claim_id, budget=10_000, seed=0, *, partition=None,
@@ -1390,6 +1423,58 @@ class TestFalsifyBlocks:
             rep = falsify(P, "CROSS_TERMS", budget=budget, seed=3)
         assert rep.inconclusive and rep.trials == budget
         assert seen[:len(sizes)] == sizes and sum(seen) == budget - 2
+
+    @staticmethod
+    def searched_blocks(P, block=theorems.BLOCK_TRIALS, **kwargs):
+        """falsify(P, "HM", seed=4, **kwargs), with the (lo, hi) blocks of the
+        structured family and the sizes of the random blocks that it built."""
+        structured, random = [], []
+        real_structured, real_random = theorems._structured_rows, theorems._random_rows
+
+        def structured_spy(count, n, amplitudes, lo, hi):
+            structured.append((lo, hi))
+            return real_structured(count, n, amplitudes, lo, hi)
+
+        def random_spy(claim, P, cp, rng, size):
+            random.append(size)
+            return real_random(claim, P, cp, rng, size)
+
+        with patch.object(theorems, "_structured_rows", structured_spy), \
+                patch.object(theorems, "_random_rows", random_spy), \
+                patch.object(theorems, "BLOCK_TRIALS", block):
+            rep = falsify(P, "HM", seed=4, **kwargs)
+        return rep, structured, random
+
+    @pytest.mark.parametrize("budget, block, structured, random", [
+        # one pair of 2 rows first, then twice as many rows each time, up to
+        # the family's 12 pairs; then the random phase's blocks from 16
+        (700, 1024, [(0, 2), (2, 6), (6, 14), (14, 24)], [16, 32, 64, 128, 256, 180]),
+        # BLOCK_TRIALS caps both phases' blocks
+        (40, 3, [(0, 2), (2, 5), (5, 8), (8, 11), (11, 14), (14, 17), (17, 20), (20, 23),
+                 (23, 24)], [3, 3, 3, 3, 3, 1]),
+        # also below both phases' first block sizes
+        (30, 1, [(r, r + 1) for r in range(24)], [1] * 6),
+        # a budget that ends in the middle of a pair leaves no random phase
+        (5, 1024, [(0, 2), (2, 5)], []),
+    ])
+    def test_structured_schedule(self, budget, block, structured, random):
+        # no residual reaches a huge witness threshold, so each search spends
+        # its budget
+        P = HomogeneousPolynomial(3, 4, 1, {**{(i,) * 3: [1.0] for i in range(4)},
+                                            (0, 1, 2): [1.0]})
+        cfg = ToleranceConfig(falsify_threshold=1e300)
+        rep, seen, sizes = self.searched_blocks(P, block, budget=budget, cfg=cfg)
+        assert rep.inconclusive and rep.trials == budget
+        assert seen == structured and sizes == random
+
+    def test_witness_at_the_first_pair_costs_one_block(self):
+        # the key (0, 0, 1) shows at the first pair's second split, (f, f, g)
+        P = HomogeneousPolynomial(3, 4, 1, {**{(i,) * 3: [1.0] for i in range(4)},
+                                            (0, 0, 1): [1.0]})
+        rep, seen, sizes = self.searched_blocks(P, budget=10_000)
+        assert rep.counterexample["source"] == "structured" and rep.trials == 2
+        assert seen == [(0, 2)] and sizes == []
+        assert rep.to_dict() == reference_falsify(P, "HM", budget=10_000, seed=4).to_dict()
 
     @pytest.mark.parametrize("claim_id", ["HM", "CROSS_TERMS", "WGM"])
     def test_random_rows_do_not_depend_on_the_schedule_or_the_structured_phase(self,
