@@ -29,7 +29,7 @@ import io
 import json
 import sys
 
-from .lattice import LatticeVector, PositiveVector, vector_from_json, vector_to_json
+from .lattice import PositiveVector, vector_from_json
 from .means import (
     InfimumSpec,
     MeanResult,
@@ -41,13 +41,9 @@ from .means import (
     wgm_via_infimum,
 )
 from .partitions import CompletePartition, enumerate_complete, is_complete, weights
-from .polynomials import (
-    is_positively_orthogonally_additive,
-    polynomial_from_json,
-    polynomial_to_json,
-)
+from .polynomials import is_positively_orthogonally_additive, polynomial_from_json
 from .reports import CSV_HEADER, VerificationReport, json_safe
-from .theorems import CLAIMS, PreconditionError, falsify, verify_all, verify_claim
+from .theorems import CLAIMS, falsify, verify_all, verify_claim
 
 __all__ = ["main", "run"]
 
@@ -80,35 +76,35 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _load_json(path: str, what: str):
+def _load(path: str, what: str, parse):
+    """``parse`` of the JSON in the ``what`` file ``path``. A file that cannot
+    be read or is not UTF-8 JSON, and a ValueError or TypeError of
+    ``parse``, are a UsageError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path} is not valid JSON: {exc}")
+    except OSError as exc:  # a directory, or no permission
+        raise UsageError(f"{what} file {path} cannot be read: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, too many digits
+        raise UsageError(f"{what} file {path} is not valid UTF-8 JSON: {exc}")
+    try:
+        return parse(payload)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"{what} file {path}: {exc}")
 
 
-def _load_vectors(path: str) -> list[PositiveVector]:
-    payload = _load_json(path, "inputs")
+def _vectors(payload) -> list[PositiveVector]:
     if not isinstance(payload, list) or not payload:
-        raise UsageError(f"inputs file {path}: expected a nonempty JSON array of vectors")
+        raise ValueError("expected a nonempty JSON array of vectors")
     out = []
     for k, row in enumerate(payload):
         try:
             out.append(vector_from_json(row, positive=True))
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"inputs file {path}: vector #{k}: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"vector #{k}: {exc}") from None
     return out
-
-
-def _load_polynomial(path: str):
-    payload = _load_json(path, "polynomial")
-    try:
-        return polynomial_from_json(payload)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"polynomial file {path}: {exc}")
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -130,21 +126,22 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_means(args) -> int:
-    fs = _load_vectors(args.inputs)
+    fs = _load(args.inputs, "inputs", _vectors)
     mean, method = args.mean, args.method
 
     weight_parts = None
     if args.weights is not None:
         weight_parts = _parse_int_list(args.weights, "--weights")
+    if mean in ("hm", "gm") and args.s not in (None, len(fs)):
+        raise UsageError(f"--s {args.s} does not match the {len(fs)} input vectors")
 
     if mean == "wgm":
         if weight_parts is None:
             raise UsageError("--weights r1,..,rp is required for --mean wgm")
-        s = args.s if args.s is not None else sum(weight_parts)
-        if s != sum(weight_parts):
-            raise UsageError(f"--s {s} does not match the weight total {sum(weight_parts)}")
-        cp = CompletePartition(weight_parts, s)
-        w = weights(cp)
+        total = sum(weight_parts)
+        if args.s not in (None, total):
+            raise UsageError(f"--s {args.s} does not match the weight total {total}")
+        w = weights(CompletePartition(weight_parts, total))
         if method == "closed":
             result = MeanResult(weighted_geometric_mean(w, fs), "closed_form")
         else:
@@ -154,18 +151,12 @@ def _cmd_means(args) -> int:
             )
             result = wgm_via_infimum(w, fs, spec, method=method)
     elif mean == "hm":
-        s = args.s if args.s is not None else len(fs)
-        if s != len(fs):
-            raise UsageError(f"--s {s} does not match the {len(fs)} input vectors")
         if method == "closed":
             result = MeanResult(harmonic_mean(fs), "closed_form")
         else:
-            spec = InfimumSpec("harmonic", arity=s, resolution=args.resolution)
+            spec = InfimumSpec("harmonic", arity=len(fs), resolution=args.resolution)
             result = harmonic_mean_via_infimum(fs, spec, method=method)
     elif mean == "gm":
-        s = args.s if args.s is not None else len(fs)
-        if s != len(fs):
-            raise UsageError(f"--s {s} does not match the {len(fs)} input vectors")
         if method != "closed":
             raise UsageError("the geometric mean has a closed-form route only; "
                              "use --mean wgm with equal weights for the infimum routes")
@@ -177,26 +168,20 @@ def _cmd_means(args) -> int:
             raise UsageError("the root mean power has a closed-form route only")
         result = MeanResult(root_mean_power(args.s, fs), "closed_form")
 
-    _emit(
-        {
-            "value": vector_to_json(result.value),
-            "method": result.method,
-            "residual_bound": result.residual_bound,
-        }
-    )
+    _emit({"value": result.value.to_array(), "method": result.method,
+           "residual_bound": result.residual_bound})
     # the grid's box missed the infimum: the value is no usable estimate
     return EXIT_INCONCLUSIVE if result.residual_bound == float("inf") else EXIT_OK
 
 
 def _cmd_poly(args) -> int:
-    P = _load_polynomial(args.poly)
+    P = _load(args.poly, "polynomial", polynomial_from_json)
     if args.action == "eval":
-        payload = _load_json(args.input, "input")
-        f = vector_from_json(payload)
+        f = _load(args.input, "input", vector_from_json)
         _emit({"value": P(f)})
         return EXIT_OK
     if args.action == "multilinear":
-        fs = _load_vectors(args.inputs)
+        fs = _load(args.inputs, "inputs", _vectors)
         _emit({"value": P.multilinear(*fs)})
         return EXIT_OK
     report = is_positively_orthogonally_additive(P, trials=args.trials, seed=args.seed,
@@ -254,7 +239,7 @@ def _cmd_verify(args) -> int:
     if args.claim == "falsify":
         if args.poly is None:
             raise UsageError("verify falsify requires --poly FILE.json")
-        P = _load_polynomial(args.poly)
+        P = _load(args.poly, "polynomial", polynomial_from_json)
         claim = _CLAIMS_BY_FLAG.get(args.falsify_claim)
         if claim is None or not claim.falsifiable:
             raise UsageError(
@@ -279,7 +264,7 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
 
     partition = _parse_partition(args)
-    poly = _load_polynomial(args.poly) if args.poly is not None else None
+    poly = None if args.poly is None else _load(args.poly, "polynomial", polynomial_from_json)
     report = verify_claim(
         claim.id, s=args.s, n=args.n, d=args.d, trials=args.trials, seed=args.seed,
         partition=partition, poly=poly, trial=args.trial,
@@ -378,10 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "poly":
             return _cmd_poly(args)
         return _cmd_verify(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # PreconditionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,6 +33,7 @@ __all__ = [
     "apply_homogeneous",
     "vector_to_json",
     "vector_from_json",
+    "json_row",
 ]
 
 
@@ -250,15 +251,43 @@ def vector_to_json(f: LatticeVector) -> list:
     return [float(e) for e in f.entries]
 
 
-def vector_from_json(payload: Sequence, *, positive: bool = False) -> LatticeVector:
-    """Parse a vector from its JSON list form.
+def json_row(row, field: str) -> np.ndarray:
+    """A nonempty JSON array of numbers as an array: objects holding exact
+    Fractions when any entry is a string (``"3/4"``, ``"2"``), else float64.
 
-    Any string entry (e.g. ``"3/4"``) switches the whole vector to exact mode.
+    Anything else raises ValueError naming ``field``: a row that is not a
+    nonempty array; an entry that is a boolean, null, an array or an object;
+    a string that is not a rational; a zero denominator; an integer beyond
+    the float range in a float row, and a non-finite float in an exact one.
     """
-    if not isinstance(payload, (list, tuple)) or len(payload) == 0:
-        raise ValueError("vector payload must be a nonempty JSON array")
-    exact = any(isinstance(e, str) for e in payload)
+    if not isinstance(row, (list, tuple)) or not row:
+        raise ValueError(f"{field} must be a nonempty array of numbers, got {row!r}")
+    exact = any(isinstance(v, str) for v in row)
+    return np.array([_json_number(v, exact, field) for v in row],
+                    dtype=object if exact else float)
+
+
+def _json_number(v, exact: bool, field: str):
+    """One entry of a `json_row`: a Fraction in an exact row, else a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f'{field} must hold numbers or "p/q" strings, got {v!r}')
+    try:
+        return Fraction(v) if exact else float(v)
+    except ZeroDivisionError:
+        problem = f"{v!r}, whose denominator is zero"
+    except (OverflowError, ValueError):
+        if isinstance(v, int):
+            problem = "an integer beyond the float range"
+        elif isinstance(v, str):
+            problem = f"{v!r}, which is not a rational number"
+        else:  # inf or nan beside a string entry
+            problem = f"{v!r}, which is not finite"
+    raise ValueError(f"{field} holds {problem}")
+
+
+def vector_from_json(payload: Sequence, *, positive: bool = False) -> LatticeVector:
+    """Parse a vector from its JSON list form, a `json_row`: any string entry
+    (e.g. ``"3/4"``) switches the whole vector to exact mode."""
+    data = json_row(payload, "the vector")
     cls = PositiveVector if positive else LatticeVector
-    if exact:
-        return cls([Fraction(e) for e in payload], exact=True)
-    return cls([float(e) for e in payload])
+    return cls(data, exact=data.dtype == object)

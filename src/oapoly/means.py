@@ -418,7 +418,10 @@ def harmonic_mean_via_infimum(
             )
         values = _grid_values(_squared_simplex(m, s, X.shape[1] == 1), X)
         # s * min(v) == min(s * v): rounding a product by s > 0 is monotone
-        value = s * values.min(axis=1)
+        with np.errstate(over="ignore"):
+            value = s * values.min(axis=1)
+        if value.max() == math.inf:  # a coarse grid overshoots: s * min_k x_k at m = 1
+            raise ValueError(f"the grid value at resolution {m} is beyond the float range")
 
         def scaled(A):
             top = A.max(axis=-1)

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import DimensionMismatchError, LatticeVector, PositiveVector
+from .lattice import DimensionMismatchError, LatticeVector, PositiveVector, json_row
 from .reports import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -398,7 +398,6 @@ def polarize_blackbox(
     fs: Sequence[LatticeVector],
     *,
     check_homogeneity: bool = True,
-    homogeneity_tol: float = 1e-6,
 ) -> np.ndarray:
     """Recover the symmetric multilinear value from black-box evaluations.
 
@@ -411,8 +410,9 @@ def polarize_blackbox(
     s! division make the alternating sum increasingly ill-conditioned.
 
     When ``check_homogeneity`` is set, the evaluator is first probed at two
-    scalings of the summed arguments; a mismatch with degree-s scaling raises
-    ValueError rather than returning a silently wrong value.
+    scalings of the summed arguments; a mismatch with degree-s scaling (a
+    residual above 1e-6) raises ValueError rather than returning a silently
+    wrong value.
 
     A `HomogeneousPolynomial` (its class exactly) is evaluated at the probes
     and at all 2^s signed arguments in one call on its `TermStack`. Any other
@@ -446,7 +446,7 @@ def polarize_blackbox(
         base = evaluate(0, 1)[0]
         for i, lam in enumerate(scales, 1):
             expect = base * lam**s
-            if float(residual(evaluate(i, i + 1)[0], expect)) > homogeneity_tol:
+            if float(residual(evaluate(i, i + 1)[0], expect)) > 1e-6:
                 raise ValueError(
                     f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
                 )
@@ -490,11 +490,10 @@ def _polarization_rows(fs: Sequence[LatticeVector], probe: LatticeVector, scales
     return rows, [type(probe)] + [cone] * (len(scales) + 1) + [LatticeVector] * (len(signed) - 1)
 
 
-def _additivity_sides(P: HomogeneousPolynomial, f: np.ndarray, g: np.ndarray):
+def _additivity_sides(P: TermStack, f: np.ndarray, g: np.ndarray):
     """P(f + g) and P(f) + P(g) for each row of the stacked disjoint pairs f, g
-    (T, n), on P's `TermStack`; both (T, d), object for exact coefficients."""
-    stack = TermStack.of(P)
-    return stack(f + g), stack(f) + stack(g)
+    (T, n); both (T, d), object for exact coefficients."""
+    return P(f + g), P(f) + P(g)
 
 
 def is_positively_orthogonally_additive(
@@ -543,6 +542,7 @@ def is_positively_orthogonally_additive(
             return replay.integers(0, 2, (stop - start, n)).astype(bool)
 
     low, high = np.log(1e-3), np.log(1e3)
+    stack = TermStack.of(P)
     worst = 0.0
     counterexample = None
     for start in range(0, total, BLOCK_TRIALS):
@@ -551,7 +551,7 @@ def is_positively_orthogonally_additive(
         entries = np.exp(rng.uniform(low, high, (stop - start, 2, n)))
         f = np.where(mask, entries[:, 0], 0.0)
         g = np.where(mask, 0.0, entries[:, 1])
-        lhs, rhs = _additivity_sides(P, f, g)
+        lhs, rhs = _additivity_sides(stack, f, g)
         res = row_residuals(lhs, rhs, switch=tolerances.relative_switch)
         worst = max(worst, float(res.max()))
         failing = np.flatnonzero(res > tolerances.identity_rel)
@@ -604,7 +604,8 @@ def _json_int(value, field: str) -> int:
 def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
     """Parse the term-map format, or the shortcut {"s": ..., "diagonal": [[...], ...]}.
 
-    Degrees, dimensions and key entries must be integral numbers; anything
+    Degrees, dimensions and key entries must be integral numbers, and each
+    coefficient row a `json_row` (a bare number is a row of one); anything
     else raises ValueError naming the field, never a silent truncation.
     """
     if not isinstance(payload, dict):
@@ -616,12 +617,14 @@ def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
         rows = payload["diagonal"]
         if not isinstance(rows, list) or not rows:
             raise ValueError("field 'diagonal' must be a nonempty array of coefficient rows")
-        return HomogeneousPolynomial.diagonal([_parse_row(r, "diagonal") for r in rows], s)
+        return HomogeneousPolynomial.diagonal([_coeff_row(r, "diagonal") for r in rows], s)
     try:
         n, d, raw_terms = payload["n"], payload["d"], payload["terms"]
     except KeyError as exc:
         raise ValueError(f"polynomial payload is missing field {exc.args[0]!r}") from exc
     n, d = _json_int(n, "n"), _json_int(d, "d")
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"field 'terms' must be an array of terms, got {raw_terms!r}")
     terms: dict[tuple[int, ...], np.ndarray] = {}
     for item in raw_terms:
         try:
@@ -633,15 +636,10 @@ def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
         # terms on one index multiset are summed in file order, whether their
         # key lists are identical or permuted
         key = tuple(sorted(_json_int(i, "key") for i in key))
-        coeff = _coerce_coeff(_parse_row(coeff, "coeff"), d)
+        coeff = _coerce_coeff(_coeff_row(coeff, "coeff"), d)
         terms[key] = terms[key] + coeff if key in terms else coeff
     return HomogeneousPolynomial(s, n, d, terms)
 
 
-def _parse_row(row, field: str) -> np.ndarray:
-    values = row if isinstance(row, list) else [row]
-    if any(isinstance(v, bool) for v in values):
-        raise ValueError(f"field {field!r} must hold numbers, got {row!r}")
-    if any(isinstance(v, str) for v in values):
-        return np.array([Fraction(v) for v in values], dtype=object)
-    return np.array([float(v) for v in values])
+def _coeff_row(row, field: str) -> np.ndarray:
+    return json_row(row if isinstance(row, list) else [row], f"field {field!r}")

@@ -39,25 +39,19 @@ def log_uniform(rng: np.random.Generator, size, low: float = LOG_LOW, high: floa
     return np.exp(rng.uniform(math.log(low), math.log(high), size))
 
 
-def positive_vector(
-    rng: np.random.Generator, n: int, low: float = LOG_LOW, high: float = LOG_HIGH
-) -> PositiveVector:
-    return PositiveVector(log_uniform(rng, n, low, high))
+def positive_vector(rng: np.random.Generator, n: int) -> PositiveVector:
+    return PositiveVector(log_uniform(rng, n))
 
 
-def positive_tuple(
-    rng: np.random.Generator, count: int, n: int, low: float = LOG_LOW, high: float = LOG_HIGH
-) -> list[PositiveVector]:
-    return [positive_vector(rng, n, low, high) for _ in range(count)]
+def positive_tuple(rng: np.random.Generator, count: int, n: int) -> list[PositiveVector]:
+    return [positive_vector(rng, n) for _ in range(count)]
 
 
-def disjoint_pair(
-    rng: np.random.Generator, n: int, low: float = LOG_LOW, high: float = LOG_HIGH
-) -> tuple[PositiveVector, PositiveVector]:
+def disjoint_pair(rng: np.random.Generator, n: int) -> tuple[PositiveVector, PositiveVector]:
     """A positive pair with complementary supports (hence exactly disjoint)."""
     mask = rng.integers(0, 2, n).astype(bool)
-    f = np.where(mask, log_uniform(rng, n, low, high), 0.0)
-    g = np.where(mask, 0.0, log_uniform(rng, n, low, high))
+    f = np.where(mask, log_uniform(rng, n), 0.0)
+    g = np.where(mask, 0.0, log_uniform(rng, n))
     return PositiveVector(f), PositiveVector(g)
 
 
@@ -104,11 +98,11 @@ def sparse_polynomial(
     n: int,
     d: int = 1,
     *,
-    diagonal_terms: int | None = None,
     mixed_terms: int = 2,
     mixed_mass: float = 0.0,
 ) -> HomogeneousPolynomial:
-    """Random sparse polynomial with a controlled mixed-coefficient share.
+    """Random sparse polynomial with a controlled mixed-coefficient share:
+    pure keys on min(n, 3) random coordinates, then ``mixed_terms`` mixed keys.
 
     ``mixed_mass`` is the target fraction of the total l1 coefficient mass
     carried by keys with at least two distinct indices; 0 gives a purely
@@ -117,10 +111,8 @@ def sparse_polynomial(
     """
     if not 0 <= mixed_mass < 1:
         raise ValueError("mixed_mass must lie in [0, 1)")
-    if diagonal_terms is None:
-        diagonal_terms = min(n, 3)
     terms: dict[tuple[int, ...], np.ndarray] = {}
-    idx = rng.choice(n, size=min(diagonal_terms, n), replace=False)
+    idx = rng.choice(n, size=min(n, 3), replace=False)
     for i in idx:
         terms[(int(i),) * degree] = _signed_coeffs(rng, d)
     if mixed_mass > 0:

@@ -51,6 +51,7 @@ from .polynomials import (
     BLOCK_TRIALS,
     HomogeneousPolynomial,
     TermStack,
+    _additivity_sides,
     is_positively_orthogonally_additive,
 )
 from .reports import (
@@ -153,11 +154,6 @@ def _geos_sides(P, X, cp):
 def _wgm_sides(P, X, cp):
     lhs = P(weighted_geometric_mean_stack(np.array(weights(cp).floats), X))
     return lhs, P.form([X[:, i] for i in _repeats(cp)])
-
-
-def _pair_sides(P, X, cp):
-    f, g = X[:, 0], X[:, 1]
-    return P(f + g), P(f) + P(g)
 
 
 # -- forward checks ------------------------------------------------------------
@@ -490,7 +486,8 @@ CLAIMS = (
           takes_partition=True, requires=_partition_requires, sides=_wgm_sides,
           size=lambda s, cp: len(cp.parts)),
     Claim("CROSS_TERMS", "cross", _cross_rows, lambda s, pool, cp: {"pair": "only"},
-          tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True, sides=_pair_sides,
+          tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True,
+          sides=lambda P, X, cp: _additivity_sides(P, X[:, 0], X[:, 1]),
           exact=True, size=lambda s, cp: 2, pairs=True),
 )
 CLAIM_TABLE = {claim.id: claim for claim in CLAIMS}
@@ -679,6 +676,8 @@ def verify_claim(
         raise ValueError(f"claim {claim_id} needs degree s >= 2")
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
+    if claim.takes_partition and partition is not None:  # GEOS's trials take no degree
+        _partition_requires(s, len(partition.parts), partition)
     pool = enumerate_complete(s) if claim.takes_partition else None
 
     def partition_of(pick):

@@ -209,6 +209,29 @@ class TestMeans:
         payload = strict_json(out)
         assert payload["value"] == [1e308] and payload["residual_bound"] == 6.25e306
 
+    @pytest.mark.parametrize("mean, flags, value", [
+        ("gm", [], [2.0, 3.0]),
+        ("gm", ["--s", "2"], [2.0, 3.0]),
+        ("rmp", ["--s", "2"], [17 ** 0.5, 82 ** 0.5]),
+    ])
+    def test_closed_only_means(self, capsys, tmp_path, mean, flags, value):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps([[4.0, 1.0], [1.0, 9.0]]))
+        argv = ["means", "eval", "--mean", mean, *flags, "--inputs", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert strict_json(out) == {"value": value, "method": "closed_form",
+                                    "residual_bound": None}
+        for method in ("lagrange", "grid"):
+            code, out, err = run_cli(capsys, *argv, "--method", method)
+            assert (code, out) == (2, "") and "closed-form route only" in err
+
+    def test_gm_arity_cross_check(self, capsys, vectors_file):
+        code, out, err = run_cli(capsys, "means", "eval", "--mean", "gm", "--s", "3",
+                                 "--inputs", vectors_file)
+        assert (code, out) == (2, "")
+        assert err == "error: --s 3 does not match the 2 input vectors\n"
+
     def test_rmp_requires_s(self, capsys, vectors_file):
         code, _, err = run_cli(capsys, "means", "eval", "--mean", "rmp",
                                "--inputs", vectors_file)
@@ -399,6 +422,90 @@ class TestPoly:
         assert code == 2 and "'s'" in err
 
 
+BIG_INT = "1" + "0" * 400  # an integer literal beyond the float range
+
+# malformed input files: (argv, the bad file's content, what the error must
+# name besides the file); {bad} is the bad file, {poly} a valid polynomial
+# and {v} a valid vector. Content None makes {bad} a directory
+MALFORMED_INPUTS = {
+    "null entry": ("poly eval --poly {poly} --input {bad}", "[1.0, null]", "the vector"),
+    "nested array": ("poly eval --poly {poly} --input {bad}", "[[1.0]]", "the vector"),
+    "object entry": ("poly eval --poly {poly} --input {bad}", '[1.0, {"a": 1}]', "the vector"),
+    "zero denominator, means": ("means eval --mean hm --inputs {bad}", '[["1"], ["1/0"]]',
+                                "vector #1"),
+    "zero denominator, eval": ("poly eval --poly {poly} --input {bad}", '["1/0", "1"]',
+                               "the vector"),
+    "zero denominator, multilinear": ("poly multilinear --poly {poly} --inputs {bad}",
+                                      '[["1", "1"], ["1/0", "1"]]', "vector #1"),
+    "zero denominator, coeff": ("poly eval --poly {bad} --input {v}",
+                                '{"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1], '
+                                '"coeff": ["1/0"]}]}', "'coeff'"),
+    "zero denominator, verify": ("verify hm --s 2 --n 2 --poly {bad}",
+                                 '{"s": 2, "diagonal": [["1/0"], [1.0]]}', "'diagonal'"),
+    "zero denominator, falsify": ("verify falsify --claim hm --poly {bad}",
+                                  '{"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1], '
+                                  '"coeff": ["1/0"]}]}', "'coeff'"),
+    "huge integer, vector": ("means eval --mean hm --inputs {bad}", f"[[1.0], [{BIG_INT}]]",
+                             "vector #1"),
+    "huge integer, coeff": ("poly eval --poly {bad} --input {v}",
+                            f'{{"s": 2, "n": 2, "d": 1, "terms": [{{"key": [0, 1], '
+                            f'"coeff": [{BIG_INT}]}}]}}', "'coeff'"),
+    "directory": ("means eval --mean hm --inputs {bad}", None, "cannot be read"),
+    "boolean entry": ("means eval --mean hm --inputs {bad}", "[[1.0, true], [2.0, 3.0]]",
+                      "vector #0"),
+    "terms not an array": ("poly eval --poly {bad} --input {v}",
+                           '{"s": 2, "n": 2, "d": 1, "terms": 5}', "'terms'"),
+    "null coeff": ("poly eval --poly {bad} --input {v}",
+                   '{"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 0], "coeff": [null]}]}',
+                   "'coeff'"),
+    "string diagonal row": ("poly eval --poly {bad} --input {v}",
+                            '{"s": 2, "diagonal": ["x", [1.0]]}', "'diagonal'"),
+    "not UTF-8": ("means eval --mean hm --inputs {bad}", b"[[1.0], [\xff]]", "UTF-8"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", MALFORMED_INPUTS)
+    def test_exits_two_naming_file_and_field(self, capsys, tmp_path, case):
+        argv, content, field = MALFORMED_INPUTS[case]
+        files = {"poly": tmp_path / "poly.json", "v": tmp_path / "v.json",
+                 "bad": tmp_path / "bad.json"}
+        files["poly"].write_text(json.dumps(SQUARE_OF_SUM))
+        files["v"].write_text("[1.0, 2.0]")
+        if content is None:
+            files["bad"].mkdir()
+        elif isinstance(content, bytes):
+            files["bad"].write_bytes(content)
+        else:
+            files["bad"].write_text(content)
+        code, out, err = run_cli(capsys, *argv.format(**files).split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(files["bad"]) in err and field in err
+
+    def test_geos_partition_of_another_degree(self, capsys):
+        for claim in ("geos", "wgm"):
+            code, out, err = run_cli(capsys, "verify", claim, "--s", "4", "--partition", "2,1",
+                                     "--trials", "3")
+            assert (code, out) == (2, "")
+            assert err == "error: partition target 3 does not match polynomial degree 4\n"
+
+    @pytest.mark.parametrize("resolution", ["1", "2"])
+    def test_hm_grid_value_beyond_the_float_range(self, capsys, tmp_path, resolution):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([[1.2e308]] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "means", "eval", "--mean", "hm", "--method", "grid",
+                                     "--resolution", resolution, "--inputs", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: the grid value at resolution {resolution} "
+                       "is beyond the float range\n")
+        code, out, _ = run_cli(capsys, "means", "eval", "--mean", "hm", "--method", "grid",
+                               "--resolution", "3", "--inputs", str(path))
+        assert code == 0 and strict_json(out)["value"] == [1.2e308]
+
+
 class TestVerify:
     def test_single_claim(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "schur", "--s", "3", "--n", "3",
@@ -422,6 +529,15 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "claim_id,trials,max_residual,tolerance,passed"
         assert len(lines) == 9
+
+    def test_all_human(self, capsys):
+        argv = ["verify", "all", "--s", "2", "--n", "3", "--trials", "5", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "human")
+        assert code == 0
+        reports = json.loads(run_cli(capsys, *argv)[1])["reports"]
+        assert out.splitlines() == [
+            f"{r['claim_id']:<11}  PASS  trials=5  max_residual={r['max_residual']:.3e}"
+            f"  tolerance={r['tolerance']:.3e}" for r in reports]
 
     def test_determinism_byte_identical(self, capsys):
         args = ["verify", "all", "--s", "3", "--n", "4", "--trials", "25", "--seed", "7"]

@@ -18,6 +18,7 @@ from oapoly import (
     vector_from_json,
     vector_to_json,
 )
+from oapoly.lattice import json_row
 
 
 def vec(*entries):
@@ -199,3 +200,34 @@ class TestJson:
             vector_from_json([])
         with pytest.raises(ValueError):
             vector_from_json("nope")
+
+    def test_row_exactness(self):
+        row = json_row([1, 2.5, -0.0], "f")
+        assert row.dtype == np.float64 and row.tolist() == [1.0, 2.5, 0.0]
+        row = json_row([1, "2/3", 0.5], "f")
+        assert row.dtype == object and row.tolist() == [1, Fraction(2, 3), Fraction(1, 2)]
+        assert json_row(["1e400"], "f")[0] == 10**400
+
+    @pytest.mark.parametrize("row, problem", [
+        ([], "must be a nonempty array of numbers, got []"),
+        ("1.0", "must be a nonempty array of numbers, got '1.0'"),
+        ({"a": 1.0}, "must be a nonempty array of numbers"),
+        ([1.0, True], 'must hold numbers or "p/q" strings, got True'),
+        ([1.0, None], 'must hold numbers or "p/q" strings, got None'),
+        ([[1.0]], 'must hold numbers or "p/q" strings, got [1.0]'),
+        ([{"a": 1}], 'must hold numbers or "p/q" strings'),
+        (["x"], "holds 'x', which is not a rational number"),
+        (["1/0"], "holds '1/0', whose denominator is zero"),
+        ([10**400], "holds an integer beyond the float range"),
+        (["1", math.inf], "holds inf, which is not finite"),
+        (["1", math.nan], "holds nan, which is not finite"),
+    ])
+    def test_row_rejections_name_the_field(self, row, problem):
+        with pytest.raises(ValueError) as err:
+            json_row(row, "field 'f'")
+        assert str(err.value).startswith(f"field 'f' {problem}")
+
+    def test_non_finite_floats_are_left_to_the_caller(self):
+        assert json_row([math.inf, 1.0], "f")[0] == math.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            vector_from_json([math.inf, 1.0])

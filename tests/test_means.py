@@ -325,6 +325,12 @@ class TestWgmInfimum:
         res = wgm_via_infimum(w, [f, f, f], spec, "grid")
         assert np.all(res.value.to_array() >= f.to_array() * (1 - 1e-12))
 
+    def test_grid_single_weight_is_the_argument(self):
+        w = weights(CompletePartition((1,), 1))
+        f = pv(0.4, 6.0, 0.0)
+        res = wgm_via_infimum(w, [f], InfimumSpec("weighted_geometric", weights=w), "grid")
+        assert res.value == f and res.method == "grid" and res.residual_bound == 0.0
+
     def test_zero_coordinate_is_infimum_limit(self):
         w = weights(CompletePartition((1, 1), 2))
         spec = InfimumSpec("weighted_geometric", weights=w, resolution=16)

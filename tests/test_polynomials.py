@@ -362,6 +362,10 @@ class TestPolarization:
         fs = [LatticeVector.exact([1, 2]), LatticeVector.exact([3, 5])]
         assert polarize_blackbox(P, fs)[0] == P.multilinear(*fs)[0]
 
+    def test_no_vectors(self):
+        with pytest.raises(ValueError, match="polarization needs at least one vector"):
+            polarize_blackbox(make_diagonal([1.0], 2), [])
+
     def test_degree_cap(self):
         P = make_diagonal([1.0], 9)
         with pytest.raises(ValueError):

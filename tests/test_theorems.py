@@ -923,6 +923,9 @@ def reference_verify(claim_id, *, s=3, n=4, d=1, trials=100, seed=0, partition=N
         raise ValueError(f"degree s must be >= 1, got {s}")
     if s < 2 and claim_id in ("HM", "GM", "WGM", "RMP", "CROSS_TERMS"):
         raise ValueError(f"claim {claim_id} needs degree s >= 2")
+    if claim_id in ("GEOS", "WGM") and partition is not None and partition.target != s:
+        raise PreconditionError(
+            f"partition target {partition.target} does not match polynomial degree {s}")
     rng = np.random.default_rng(seed)
     pool = enumerate_complete(s) if claim_id in ("GEOS", "WGM") else None
     random_poly = poly is None and claim_id in ("RMP", "GM", "HM", "WGM", "CROSS_TERMS")
@@ -1099,6 +1102,7 @@ class TestBlockEquivalence:
         ("NOPE", dict(), ValueError),
         ("ORTHO", dict(s=0), ValueError),
         ("ORTHO", dict(s=-3), ValueError),
+        ("GEOS", dict(s=4, n=2, partition=CompletePartition((2, 1), 3)), PreconditionError),
     ])
     def test_error_parity(self, claim_id, kwargs, error):
         with pytest.raises(error):
