@@ -53,6 +53,8 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 DEFAULT_BUDGET = 10_000
+DEFAULT_RESOLUTION = 64
+DEFAULT_LOG_WIDTH = 1.0
 
 _CLAIMS_BY_FLAG = {claim.flag: claim for claim in CLAIMS}
 
@@ -126,8 +128,17 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_means(args) -> int:
-    fs = _load(args.inputs, "inputs", _vectors)
     mean, method = args.mean, args.method
+    # a flag that this mean and method would ignore is a usage error; the
+    # grids take --log-width alike, though only the wgm grid reads it
+    for flag, value, used, command in (
+            ("--weights", args.weights, mean == "wgm", f"--mean {mean}"),
+            ("--resolution", args.resolution, method == "grid", f"--method {method}"),
+            ("--log-width", args.log_width, method == "grid", f"--method {method}")):
+        if value is not None and not used:
+            raise UsageError(f"{flag} does not apply to 'oapoly means eval {command}'")
+    resolution = DEFAULT_RESOLUTION if args.resolution is None else args.resolution
+    fs = _load(args.inputs, "inputs", _vectors)
 
     weight_parts = None
     if args.weights is not None:
@@ -147,14 +158,15 @@ def _cmd_means(args) -> int:
         else:
             spec = InfimumSpec(
                 "weighted_geometric", weights=w,
-                resolution=args.resolution, log_width=args.log_width,
+                resolution=resolution,
+                log_width=DEFAULT_LOG_WIDTH if args.log_width is None else args.log_width,
             )
             result = wgm_via_infimum(w, fs, spec, method=method)
     elif mean == "hm":
         if method == "closed":
             result = MeanResult(harmonic_mean(fs), "closed_form")
         else:
-            spec = InfimumSpec("harmonic", arity=len(fs), resolution=args.resolution)
+            spec = InfimumSpec("harmonic", arity=len(fs), resolution=resolution)
             result = harmonic_mean_via_infimum(fs, spec, method=method)
     elif mean == "gm":
         if method != "closed":
@@ -303,9 +315,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated partition parts r1,..,rp (wgm only)")
     p_eval.add_argument("--inputs", type=str, required=True,
                         help="JSON file: array of vectors (arrays of numbers)")
-    p_eval.add_argument("--resolution", type=int, default=64, help="grid resolution m")
-    p_eval.add_argument("--log-width", dest="log_width", type=float, default=1.0,
-                        help="half-width of the wgm grid's log box")
+    p_eval.add_argument("--resolution", type=int, default=None,
+                        help=f"grid resolution m (grid only, default {DEFAULT_RESOLUTION})")
+    p_eval.add_argument("--log-width", dest="log_width", type=float, default=None,
+                        help="half-width of the wgm grid's log box "
+                             f"(grid only, default {DEFAULT_LOG_WIDTH})")
 
     p_poly = sub.add_parser("poly", help="evaluate or test a polynomial from a JSON file")
     poly_sub = p_poly.add_subparsers(dest="action", required=True)

@@ -34,6 +34,7 @@ __all__ = [
     "vector_to_json",
     "vector_from_json",
     "json_row",
+    "EXACT_DIGITS",
 ]
 
 
@@ -251,14 +252,22 @@ def vector_to_json(f: LatticeVector) -> list:
     return [float(e) for e in f.entries]
 
 
+EXACT_DIGITS = 1000
+"""The most digits an exact JSON entry may have: an integer entry of an exact
+row, or a string of more characters or with a larger decimal exponent, is
+rejected before it is read, since its value would cost time and memory
+without bound (``"1e3000000"`` builds a three-million-digit integer)."""
+
+
 def json_row(row, field: str) -> np.ndarray:
     """A nonempty JSON array of numbers as an array: objects holding exact
     Fractions when any entry is a string (``"3/4"``, ``"2"``), else float64.
 
     Anything else raises ValueError naming ``field``: a row that is not a
     nonempty array; an entry that is a boolean, null, an array or an object;
-    a string that is not a rational; a zero denominator; an integer beyond
-    the float range in a float row, and a non-finite float in an exact one.
+    a string that is not a rational; a zero denominator; an exact entry
+    beyond `EXACT_DIGITS`; an integer beyond the float range in a float row,
+    and a non-finite float in an exact one.
     """
     if not isinstance(row, (list, tuple)) or not row:
         raise ValueError(f"{field} must be a nonempty array of numbers, got {row!r}")
@@ -271,6 +280,9 @@ def _json_number(v, exact: bool, field: str):
     """One entry of a `json_row`: a Fraction in an exact row, else a float."""
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f'{field} must hold numbers or "p/q" strings, got {v!r}')
+    if exact and _beyond_exact_digits(v):
+        text = "an integer" if isinstance(v, int) else f"{v[:20]!r}{'...' * (len(v) > 20)}"
+        raise ValueError(f"{field} holds {text}, which has more than {EXACT_DIGITS} digits")
     try:
         return Fraction(v) if exact else float(v)
     except ZeroDivisionError:
@@ -283,6 +295,23 @@ def _json_number(v, exact: bool, field: str):
         else:  # inf or nan beside a string entry
             problem = f"{v!r}, which is not finite"
     raise ValueError(f"{field} holds {problem}")
+
+
+def _beyond_exact_digits(v) -> bool:
+    """Whether Fraction(v) may have more than `EXACT_DIGITS` digits, decided
+    without building it: an integer with more, or a string with more
+    characters, or whose characters and decimal exponent add up to more. A
+    float's Fraction is dyadic, of at most 1075 bits."""
+    if isinstance(v, int):
+        return abs(v) >= 10**EXACT_DIGITS
+    if not isinstance(v, str):
+        return False
+    if len(v) > EXACT_DIGITS:
+        return True
+    exponent = v.lower().partition("e")[2].strip().replace("_", "")
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    # a malformed exponent is left to Fraction to reject
+    return digits.isdecimal() and len(v) + int(digits) > EXACT_DIGITS
 
 
 def vector_from_json(payload: Sequence, *, positive: bool = False) -> LatticeVector:

@@ -37,7 +37,6 @@ from .reports import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     VerificationReport,
-    residual,
     row_residuals,
 )
 
@@ -50,6 +49,8 @@ __all__ = [
     "is_positively_orthogonally_additive",
     "polynomial_to_json",
     "polynomial_from_json",
+    "JSON_DEGREE_LIMIT",
+    "JSON_DIMENSION_LIMIT",
 ]
 
 POLARIZATION_DEGREE_CAP = 8
@@ -59,10 +60,13 @@ BLOCK_TRIALS = 1024
 
 STACK_BYTES = 32 << 20
 """Bytes that the buffers of one `TermStack` evaluation may hold at once. Its
-rows go in chunks of at most STACK_BYTES // (24 * width) rows, where width is
-the evaluation's widest per-row buffer (slot products, or terms over keys and
-codomain): at most three such buffers of 8-byte entries are alive at once (an
-object array counts its references)."""
+rows go in chunks that keep to it, counting a row's 8-byte entries (an object
+array counts its references) for an index table of r rows (the keys, or the
+form's arrangements), m keys and d codomain entries as 2 r + m d: the slot
+products of two levels of the table's `_prefix_plan`, or of one level and
+the slot entries gathered into them, hold at most 2 r; then the sums over
+each key's arrangements and the weighted products hold at most r + 2 m
+(r >= m), and the terms over keys and codomain m d beside m."""
 
 
 def _multinomial(key: tuple[int, ...]) -> int:
@@ -107,21 +111,22 @@ class TermStack:
     coefficients at float rows multiply as floats, as `Fraction * float`
     does. Overflow, also of an exact coefficient beyond the float range,
     gives inf without a warning: the residual policy reports non-finite
-    sides. The arrangement tables of the symmetric form are built on its
-    first use. Index tables are kept in Fortran order, so that each slot's
+    sides. Every index table, the keys' and the form's arrangement tables
+    (built on the form's first use), is held as its `_prefix_plan`, so that
+    rows sharing a prefix of slots share that prefix's product. Each plan
     column is one contiguous vector for ``ndarray.take``, which gathers
     faster than fancy indexing.
     """
 
-    def __init__(self, degree: int, keys: Sequence[tuple[int, ...]], coeffs: np.ndarray):
+    def __init__(self, keys: Sequence[tuple[int, ...]], coeffs: np.ndarray, plan: list):
         self._keys = [tuple(k) for k in keys]
         self.coeffs = coeffs
-        self._index = np.asfortranarray(
-            np.array(self._keys, dtype=np.intp).reshape(len(self._keys), degree))
+        self._plan = plan  # the key table's, see _prefix_plan
         self._weights = np.array([_multinomial(k) for k in self._keys], dtype=float)
         self._layout = None
         # bytes of a row's buffers, see STACK_BYTES; the form's come with its layout
-        self._row_bytes = 24 * max(1, coeffs.shape[1] * coeffs.shape[2])
+        m, d = coeffs.shape[1:]
+        self._row_bytes = 8 * max(1, 2 * m + m * d)
         self._form_row_bytes = None
 
     @classmethod
@@ -134,17 +139,21 @@ class TermStack:
             for i, coeff in enumerate(P.terms.values()):
                 coeffs[0, i] = coeff
             coeffs.flags.writeable = False
-            P._stack = cls(P.degree, list(P.terms), coeffs)
+            table = np.array(list(P.terms), dtype=np.intp).reshape(len(P.terms), P.degree)
+            P._stack = cls(list(P.terms), coeffs, _prefix_plan(table))
         return P._stack
 
     @classmethod
     def diagonal(cls, coeffs: np.ndarray, degree: int) -> "TermStack":
-        """Row t is sum_i coeffs[t, i] x_i^degree, for coeffs of shape (T, n, d)."""
-        return cls(degree, [(i,) * degree for i in range(coeffs.shape[1])], coeffs)
+        """Row t is sum_i coeffs[t, i] x_i^degree, for coeffs of shape (T, n, d).
+        Its keys share no prefix, so each level of its plan is 0..n-1."""
+        n = coeffs.shape[1]
+        return cls([(i,) * degree for i in range(n)], coeffs,
+                   [(np.arange(n), None)] * degree)
 
     @property
     def degree(self) -> int:
-        return self._index.shape[1]
+        return len(self._plan)
 
     def take(self, rows: np.ndarray | slice) -> "TermStack":
         """The stack of the given rows' polynomials (itself when one is shared)."""
@@ -160,10 +169,7 @@ class TermStack:
         """P at each row of X (T, n); returns (T, d)."""
         if len(X) > 1 and len(X) * self._row_bytes > STACK_BYTES:
             return self._in_chunks(lambda stack, lo, hi: stack(X[lo:hi]), len(X), self._row_bytes)
-        index = self._index
-        monomial = X.take(index[:, 0], axis=1)
-        for k in range(1, index.shape[1]):
-            monomial = monomial * X.take(index[:, k], axis=1)
+        monomial = _planned_products([X] * self.degree, self._plan)
         # integer weights keep exact monomials exact; float ones spare float
         # monomials a cast per call
         weights = self._weights.astype(np.intp) if X.dtype == object else self._weights
@@ -178,9 +184,11 @@ class TermStack:
                                for lo in range(0, T, step)])
 
     def _arrangement_layout(self):
-        """The keys grouped by their number A of arrangements: for each group,
-        its keys' positions, all their arrangements as one int32 table of
-        shape (keys * A, s), each key's A rows together, and A."""
+        """The `_prefix_plan` of the form's arrangement table, and its groups.
+        The table holds every arrangement of every key as a row of s int32
+        indices, the keys grouped by their number A of arrangements and each
+        key's A rows together; a group is its keys' positions, A, and its
+        slice of the table's rows."""
         if self._layout is None:
             groups: dict[int, tuple[list, list]] = {}
             for i, key in enumerate(self._keys):
@@ -188,14 +196,19 @@ class TermStack:
                 positions, tables = groups.setdefault(len(arrangements), ([], []))
                 positions.append(i)
                 tables.append(arrangements)
-            self._layout = [
-                (np.array(positions),
-                 np.asfortranarray(np.concatenate(tables, dtype=np.int32)),
-                 count)
-                for count, (positions, tables) in groups.items()
-            ]
-            widest = max((len(table) for _, table, _ in self._layout), default=0)
-            self._form_row_bytes = max(self._row_bytes, 24 * widest)
+            layout, tables, rows = [], [], 0
+            for count, (positions, arrangements) in groups.items():
+                layout.append((np.array(positions), count,
+                               slice(rows, rows + count * len(positions))))
+                tables += arrangements
+                rows += count * len(positions)
+            if set(groups) <= {1}:  # one arrangement per key: the keys' own table
+                plan = self._plan
+            else:
+                plan = _prefix_plan(np.concatenate(tables, dtype=np.int32))
+            self._layout = plan, layout
+            m, d = self.coeffs.shape[1:]
+            self._form_row_bytes = 8 * max(1, 2 * rows + m * d)
         return self._layout
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -203,17 +216,12 @@ class TermStack:
         """The symmetric form at stacked arguments: slots[k] (T, n) fills slot k."""
         if len(slots) != self.degree:
             raise ValueError(f"the form takes exactly {self.degree} vectors, got {len(slots)}")
-        groups = self._arrangement_layout()
+        plan, groups = self._arrangement_layout()
         T = len(slots[0])
         if T > 1 and T * self._form_row_bytes > STACK_BYTES:
             return self._in_chunks(lambda stack, lo, hi: stack.form([x[lo:hi] for x in slots]),
                                    T, self._form_row_bytes)
-        if len(groups) == 1:  # every key, in key order
-            totals = _arrangement_sums(slots, *groups[0][1:])
-        else:
-            totals = np.empty((T, len(self._keys)), dtype=np.result_type(*slots))
-            for positions, table, count in groups:
-                totals[:, positions] = _arrangement_sums(slots, table, count)
+        totals = _arrangement_sums(_planned_products(slots, plan), groups, len(self._keys))
         return _sum_terms(_coefficients_at(self.coeffs, slots) * totals[:, :, None])
 
 
@@ -237,16 +245,76 @@ def _as_float(c) -> float:
 _float_coefficients = np.frompyfunc(_as_float, 1, 1)
 
 
-def _arrangement_sums(slots: Sequence[np.ndarray], table: np.ndarray, count: int) -> np.ndarray:
-    """For each row and each key of one arrangement group, the sum over the
-    key's ``count`` arrangements of the slot products; (T, keys)."""
-    products = slots[0].take(table[:, 0], axis=1)
-    for k in range(1, table.shape[1]):
-        products = products * slots[k].take(table[:, k], axis=1)
+def _prefix_plan(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The shared-prefix plan of an index table (rows, s): for each slot k,
+    one entry per distinct prefix t_0..t_k, in lexicographic order, while
+    the prefixes are fewer than two thirds of the rows; from the first slot
+    where they are not (the last slot at the latest) on, one entry per row,
+    in the table's order. A shared level costs a gather of its parents
+    besides its slot's gather and its multiply, 3 operations an entry
+    against 2 a row, so sharing pays below that share. An entry is its
+    slot-k index and the entry at level k - 1 that it extends; a level whose
+    entries extend those before it one to one, in order, has None. Indices
+    keep the table's dtype."""
+    rows, s = table.shape
+    order = np.lexsort(table.T[::-1])
+    starts = np.zeros(rows, dtype=bool)  # the sorted rows that start a prefix
+    starts[:1] = True
+    plan, entries = [], 0
+    for k in range(s):
+        if entries == rows:  # each row's prefix is its own
+            plan.append((table[:, k].copy(), None))
+            continue
+        column = table[order, k]
+        starts[1:] |= column[1:] != column[:-1]
+        first = np.flatnonzero(starts)
+        if 3 * len(first) >= 2 * rows or k == s - 1:  # an entry per row, in table order
+            first = np.argsort(order)
+        parent = None
+        if k and len(first) != entries:
+            parent = runs[first]
+            parent -= 1
+        plan.append((column[first], parent))
+        # each sorted row's entry at level k, plus one
+        entries, runs = len(first), np.cumsum(starts, dtype=table.dtype)
+    if s > 1 and plan[1][1] is not None:  # slot 0 is gathered at level 1's entries
+        plan[:2] = [(plan[0][0][plan[1][1]], None), (plan[1][0], None)]
+    return plan
+
+
+def _planned_products(slots: Sequence[np.ndarray], plan) -> np.ndarray:
+    """For each row of slots (T, n) and each row r of the plan's table, the
+    product ((x_0[t_0] * x_1[t_1]) * x_2[t_2]) * ... of the slots at r;
+    (T, rows). Each level's products extend their parents' in place, so a
+    row's product takes the operations of the left-to-right product."""
+    (column, _), *levels = plan
+    products = slots[0].take(column, axis=1)
+    for slot, (column, parent) in zip(slots[1:], levels):
+        if parent is not None:
+            products = products.take(parent, axis=1)
+        if slot.dtype != products.dtype:  # float and exact slots: objects
+            products = products.astype(np.result_type(products, slot), copy=False)
+        products *= slot.take(column, axis=1)
+    return products
+
+
+def _arrangement_sums(products: np.ndarray, groups, keys: int) -> np.ndarray:
+    """For each row and each key, the sum over the key's arrangements of
+    their slot products (T, rows of the arrangement table); (T, keys)."""
+    if len(groups) == 1:  # every key, in key order
+        (_, count, _), = groups
+        return _group_sums(products, count)
+    totals = np.empty((len(products), keys), dtype=products.dtype)
+    for positions, count, rows in groups:
+        totals[:, positions] = _group_sums(products[:, rows], count)
+    return totals
+
+
+def _group_sums(products: np.ndarray, count: int) -> np.ndarray:
     if count == 1:
         return products
-    # take gives C order, so that each row's sum over a key's arrangements is
-    # numpy's pairwise sum of a contiguous vector, as in the scalar form
+    # each row's sum over a key's arrangements is numpy's pairwise sum of a
+    # contiguous vector, as in the scalar form
     return products.reshape(len(products), -1, count).sum(axis=2)
 
 
@@ -425,28 +493,36 @@ def polarize_blackbox(
         raise ValueError("polarization needs at least one vector")
     if s > POLARIZATION_DEGREE_CAP:
         raise ValueError(f"degree {s} exceeds the polarization cap {POLARIZATION_DEGREE_CAP}")
-    probe = reduce(lambda a, b: a + b, fs)
     compiled = type(evaluator) is HomogeneousPolynomial
-    if compiled:  # what P(probe), and so P at every signed argument, checks
-        evaluator._check_vector(probe)
-    scales = ((2, Fraction(1, 2)) if probe.is_exact else (2.0, 0.5)) if check_homogeneity else ()
+    if compiled:  # the checks of P(f_1 + ... + f_s), which every row shares
+        probe, exact = _summed_entries(evaluator, fs), fs[0].is_exact
+    else:
+        vector = reduce(lambda a, b: a + b, fs)
+        probe, exact = vector._data, vector.is_exact
+    scales = ((2, Fraction(1, 2)) if exact else (2.0, 0.5)) if check_homogeneity else ()
     signs, parities = _sign_table(s)
-    rows, classes = _polarization_rows(fs, probe, scales, signs)
+    rows = _polarization_rows(np.stack([f._data for f in fs]), probe, scales, signs)
     if compiled:  # every row in one call on P's compiled form
         values = TermStack.of(evaluator)(rows)
 
         def evaluate(lo, hi):
             return values[lo:hi]
     else:
+        classes = _row_classes(vector, len(scales), len(signs))
+
         def evaluate(lo, hi):  # a black box: one call per row, in order
             return np.stack([
-                np.atleast_1d(np.asarray(evaluator(cls._from_data(row, probe.is_exact))))
+                np.atleast_1d(np.asarray(evaluator(cls._from_data(row, exact))))
                 for cls, row in zip(classes[lo:hi], rows[lo:hi])])
     if check_homogeneity:
         base = evaluate(0, 1)[0]
-        for i, lam in enumerate(scales, 1):
-            expect = base * lam**s
-            if float(residual(evaluate(i, i + 1)[0], expect)) > 1e-6:
+        expect = np.stack([base * lam**s for lam in scales])
+        if compiled:  # both scales at once
+            res = row_residuals(values[1:3], expect)
+        else:  # scale by scale, so that a fraud raises before the next row
+            res = (row_residuals(evaluate(i, i + 1), expect[i - 1:i])[0] for i in (1, 2))
+        for lam, r in zip(scales, res):
+            if float(r) > 1e-6:
                 raise ValueError(
                     f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
                 )
@@ -469,25 +545,36 @@ def _sign_table(s: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, parities
 
 
-def _polarization_rows(fs: Sequence[LatticeVector], probe: LatticeVector, scales,
-                       signs: np.ndarray) -> tuple[np.ndarray, list[type]]:
-    """The arguments of polarization as one (rows, n) array, float or exact,
-    and the class of vector each row is: the probe and the probe at each
-    scale, then sum_k e_k f_k for each sign row e, the all-plus row first.
-    The signed rows take the operations of summing ``f * e_k`` slot by slot
-    (integer signs keep exact entries exact). The probe rows, and the
+def _summed_entries(P: HomogeneousPolynomial, fs: Sequence[LatticeVector]) -> np.ndarray:
+    """The entries of f_1 + ... + f_s, added in that order, when P takes that
+    sum; otherwise the sum, or P's check of it, raises as it would."""
+    n, exact = P.domain_dim, getattr(fs[0], "is_exact", None)
+    if not all(isinstance(f, LatticeVector) and f.dim == n and f.is_exact == exact for f in fs):
+        P._check_vector(reduce(lambda a, b: a + b, fs))  # raises
+    return reduce(np.add, [f._data for f in fs])
+
+
+def _polarization_rows(X: np.ndarray, probe: np.ndarray, scales, signs: np.ndarray) -> np.ndarray:
+    """The arguments of polarization as one (rows, n) array, float or exact:
+    the probe and the probe at each scale, then sum_k e_k f_k for each sign
+    row e, the all-plus row first, for the stacked arguments X (s, n). The
+    signed rows take the operations of summing ``f * e_k`` slot by slot
+    (integer signs keep exact entries exact)."""
+    signed = X[0] * signs[:, :1]
+    for k in range(1, len(X)):
+        signed = signed + X[k] * signs[:, k:k + 1]
+    if not scales:
+        return signed
+    return np.vstack([probe, *(probe * lam for lam in scales), signed])
+
+
+def _row_classes(probe: LatticeVector, scales: int, signs: int) -> list[type]:
+    """The class of vector each polarization row is: the probe rows, and the
     all-plus row, are PositiveVectors when the probe is one; each other row,
     holding a negated f, is a LatticeVector."""
-    X = np.stack([f.to_array() for f in fs])  # (s, n)
-    signed = X[0] * signs[:, :1]
-    for k in range(1, len(fs)):
-        signed = signed + X[k] * signs[:, k:k + 1]
     cone = PositiveVector if isinstance(probe, PositiveVector) else LatticeVector
-    if not scales:
-        return signed, [cone] + [LatticeVector] * (len(signed) - 1)
-    data = probe._data
-    rows = np.vstack([data, *(data * lam for lam in scales), signed])
-    return rows, [type(probe)] + [cone] * (len(scales) + 1) + [LatticeVector] * (len(signed) - 1)
+    head = [type(probe)] + [cone] * scales if scales else []
+    return head + [cone] + [LatticeVector] * (signs - 1)
 
 
 def _additivity_sides(P: TermStack, f: np.ndarray, g: np.ndarray):
@@ -593,36 +680,53 @@ def polynomial_to_json(P: HomogeneousPolynomial) -> dict:
     }
 
 
-def _json_int(value, field: str) -> int:
-    """An integral JSON number; booleans, strings and fractional values are rejected."""
+JSON_DEGREE_LIMIT = 64
+"""The largest degree ``s`` that `polynomial_from_json` accepts."""
+
+JSON_DIMENSION_LIMIT = 1 << 16
+"""The largest dimensions ``n`` and ``d`` that `polynomial_from_json`
+accepts: a polynomial's keys and coefficients are built before any vector is
+read, so a size beyond these is rejected, naming the field."""
+
+
+def _json_int(value, field: str, limit: int | None = None) -> int:
+    """An integral JSON number, in 1..limit when a limit is given; booleans,
+    strings and fractional values are rejected."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    if limit is not None and not 1 <= value <= limit:
+        raise ValueError(f"field {field!r} must lie in 1..{limit}, got {value!r}")
     return int(value)
 
 
 def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
     """Parse the term-map format, or the shortcut {"s": ..., "diagonal": [[...], ...]}.
 
-    Degrees, dimensions and key entries must be integral numbers, and each
-    coefficient row a `json_row` (a bare number is a row of one); anything
-    else raises ValueError naming the field, never a silent truncation.
+    Degrees, dimensions and key entries must be integral numbers, the degree
+    at most `JSON_DEGREE_LIMIT` and the dimensions at most
+    `JSON_DIMENSION_LIMIT`, and each coefficient row a `json_row` (a bare
+    number is a row of one); anything else raises ValueError naming the
+    field, never a silent truncation.
     """
     if not isinstance(payload, dict):
         raise ValueError("polynomial payload must be a JSON object")
     if "s" not in payload:
         raise ValueError("polynomial payload is missing field 's'")
-    s = _json_int(payload["s"], "s")
+    s = _json_int(payload["s"], "s", JSON_DEGREE_LIMIT)
     if "diagonal" in payload:
         rows = payload["diagonal"]
         if not isinstance(rows, list) or not rows:
             raise ValueError("field 'diagonal' must be a nonempty array of coefficient rows")
+        if len(rows) > JSON_DIMENSION_LIMIT:
+            raise ValueError(f"field 'diagonal' must hold at most {JSON_DIMENSION_LIMIT} rows, "
+                             f"got {len(rows)}")
         return HomogeneousPolynomial.diagonal([_coeff_row(r, "diagonal") for r in rows], s)
     try:
         n, d, raw_terms = payload["n"], payload["d"], payload["terms"]
     except KeyError as exc:
         raise ValueError(f"polynomial payload is missing field {exc.args[0]!r}") from exc
-    n, d = _json_int(n, "n"), _json_int(d, "d")
+    n, d = _json_int(n, "n", JSON_DIMENSION_LIMIT), _json_int(d, "d", JSON_DIMENSION_LIMIT)
     if not isinstance(raw_terms, list):
         raise ValueError(f"field 'terms' must be an array of terms, got {raw_terms!r}")
     terms: dict[tuple[int, ...], np.ndarray] = {}

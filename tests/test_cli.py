@@ -226,6 +226,22 @@ class TestMeans:
             code, out, err = run_cli(capsys, *argv, "--method", method)
             assert (code, out) == (2, "") and "closed-form route only" in err
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--mean", "hm", "--weights", "1,1", "--log-width", "7"], "--weights"),
+        (["--mean", "gm", "--weights", "1,1"], "--weights"),
+        (["--mean", "rmp", "--s", "2", "--weights", "1,1"], "--weights"),
+        (["--mean", "hm", "--method", "closed", "--resolution", "9"], "--resolution"),
+        (["--mean", "hm", "--method", "lagrange", "--resolution", "9"], "--resolution"),
+        (["--mean", "wgm", "--weights", "1,1", "--resolution", "9"], "--resolution"),
+        (["--mean", "hm", "--log-width", "7"], "--log-width"),
+        (["--mean", "wgm", "--weights", "1,1", "--method", "lagrange", "--log-width", "0.5"],
+         "--log-width"),
+    ])
+    def test_unused_flags_are_rejected(self, capsys, vectors_file, flags, flag):
+        code, out, err = run_cli(capsys, "means", "eval", *flags, "--inputs", vectors_file)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} does not apply to 'oapoly means eval --")
+
     def test_gm_arity_cross_check(self, capsys, vectors_file):
         code, out, err = run_cli(capsys, "means", "eval", "--mean", "gm", "--s", "3",
                                  "--inputs", vectors_file)
@@ -461,6 +477,18 @@ MALFORMED_INPUTS = {
     "string diagonal row": ("poly eval --poly {bad} --input {v}",
                             '{"s": 2, "diagonal": ["x", [1.0]]}', "'diagonal'"),
     "not UTF-8": ("means eval --mean hm --inputs {bad}", b"[[1.0], [\xff]]", "UTF-8"),
+    "huge degree": ("poly eval --poly {bad} --input {v}",
+                    '{"s": 100000000000000000000, "diagonal": [[1.0]]}', "'s'"),
+    "huge dimension": ("poly eval --poly {bad} --input {v}",
+                       '{"s": 2, "n": 100000000000000000000, "d": 1, "terms": []}', "'n'"),
+    "huge codomain": ("poly eval --poly {bad} --input {v}",
+                      '{"s": 2, "n": 2, "d": 100000000000000000000, "terms": []}', "'d'"),
+    "huge exponent, means": ("means eval --mean hm --inputs {bad}", '[["1e30000"], ["1"]]',
+                             "vector #0"),
+    "huge exponent, diagonal": ("poly eval --poly {bad} --input {v}",
+                                '{"s": 2, "diagonal": [["1e3000000"], [1.0]]}', "'diagonal'"),
+    "many digits, eval": ("poly eval --poly {poly} --input {bad}",
+                          '["1/' + "7" * 1001 + '", "1"]', "the vector"),
 }
 
 

@@ -18,7 +18,7 @@ from oapoly import (
     vector_from_json,
     vector_to_json,
 )
-from oapoly.lattice import json_row
+from oapoly.lattice import EXACT_DIGITS, json_row
 
 
 def vec(*entries):
@@ -226,6 +226,19 @@ class TestJson:
         with pytest.raises(ValueError) as err:
             json_row(row, "field 'f'")
         assert str(err.value).startswith(f"field 'f' {problem}")
+
+    def test_exact_entries_are_bounded_before_they_are_read(self):
+        # EXACT_DIGITS bounds the characters of a string plus its exponent,
+        # and the digits of an integer in an exact row
+        bound = EXACT_DIGITS
+        for entry in (f"1e{bound - 5}", "9" * bound, "1/" + "7" * (bound - 2), 10**bound - 1):
+            assert json_row([entry, "1"], "f")[0] == Fraction(entry)
+        for entry in (f"1e{bound - 4}", f"1E-{bound}", "9" * (bound + 1), "1e3000000", 10**bound):
+            with pytest.raises(ValueError, match=f"^field 'f' holds .*, which has more than "
+                                                 f"{bound} digits$"):
+                json_row([entry, "1"], "field 'f'")
+        with pytest.raises(ValueError, match="holds '1e[+]-5', which is not a rational"):
+            json_row(["1e+-5", "1"], "field 'f'")
 
     def test_non_finite_floats_are_left_to_the_caller(self):
         assert json_row([math.inf, 1.0], "f")[0] == math.inf

@@ -79,6 +79,15 @@ def reference_polarize(evaluator, fs):
     return total * Fraction(1, denom) if total.dtype == object else total / denom
 
 
+def plain_products(slots, table):
+    """The slot products at each row of an index table, left to right, with
+    no prefix shared: ((x_0[t_0] * x_1[t_1]) * ...) for each row; (T, rows)."""
+    out = slots[0][:, table[:, 0]]
+    for k in range(1, table.shape[1]):
+        out = out * slots[k][:, table[:, k]]
+    return out
+
+
 def called(f):
     """What a recording evaluator notes of its argument."""
     return type(f), f.is_exact, f.entries
@@ -662,6 +671,58 @@ class TestTermStack:
             for a, b in zip(whole, chunked):
                 assert a.shape == b.shape
                 assert [exact_bytes(row) for row in a] == [exact_bytes(row) for row in b]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.sampled_from([1, 3]), st.integers(1, 4),
+           st.sampled_from(["dense", "diagonal", "sparse", "empty", "one"]),
+           st.integers(0, 2**32 - 1))
+    def test_planned_products_are_the_left_to_right_products(self, s, n, d, T, keyset, seed):
+        # every table a stack plans: its keys, the arrangements of its keys in
+        # key order (a sparse set's equal prefixes fall in separate runs
+        # there), and a shuffled copy; at float and at exact slots
+        rng = np.random.default_rng(seed)
+        dense = list(itertools.combinations_with_replacement(range(n), s))
+        keys = {"dense": dense, "diagonal": [(i,) * s for i in range(n)], "empty": [],
+                "sparse": [k for k in dense if rng.random() < 0.4],
+                "one": [dense[int(rng.integers(len(dense)))]]}[keyset]
+        key_table = np.array(keys, dtype=np.intp).reshape(len(keys), s)
+        arrangements = np.concatenate([polynomials._arrangements(k) for k in keys] or
+                                      [key_table]).astype(np.int32)
+        X = np.exp(rng.uniform(-5, 5, (T, s, n)))
+        for table in (key_table, arrangements, rng.permutation(arrangements)):
+            plan = polynomials._prefix_plan(table)
+            assert [column.dtype for column, _ in plan] == [table.dtype] * s
+            shared = True  # one entry per distinct prefix, then one per row
+            for k in range(s):
+                prefixes = len({tuple(row[:k + 1]) for row in table.tolist()})
+                shared = shared and 3 * prefixes < 2 * len(table) and k < s - 1
+                if k:  # slot 0 is gathered at level 1's entries
+                    assert len(plan[k][0]) == (prefixes if shared else len(table))
+            for slots in (list(X.transpose(1, 0, 2)), list(rational(X).transpose(1, 0, 2))):
+                planned = polynomials._planned_products(slots, plan)
+                plain = plain_products(slots, table)
+                assert planned.shape == plain.shape == (T, len(table))
+                assert [exact_bytes(row) for row in planned] == [exact_bytes(row) for row in plain]
+        P = HomogeneousPolynomial(s, n, d, dict(zip(keys, rng.uniform(-2, 2, (len(keys), d)))))
+        for Q, Y in [(P, X), *exact_cases(P, X)]:
+            stack = TermStack.of(Q)
+            values, forms = stack(Y[:, 0]), stack.form(list(Y.transpose(1, 0, 2)))
+            for t in range(T):
+                assert exact_bytes(values[t]) == exact_bytes(reference_eval(Q, Y[t, 0]))
+                assert exact_bytes(forms[t]) == exact_bytes(reference_form(Q, list(Y[t])))
+
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    def test_keys_without_a_shared_prefix_take_no_parent_gathers(self, s):
+        # the diagonal keys (i, .., i): each level gathers its slot at 0..n-1
+        # and multiplies, as a plain product does, with no gather of a parent
+        coeffs = np.ones((3, 5, 2))
+        P = make_diagonal(coeffs[0], s)
+        arrangement_plan, _ = TermStack.of(P)._arrangement_layout()
+        for plan in (TermStack.diagonal(coeffs, s)._plan, TermStack.of(P)._plan,
+                     arrangement_plan):
+            assert len(plan) == s
+            assert all(parent is None for _, parent in plan)
+            assert all(column.tolist() == list(range(5)) for column, _ in plan)
 
     def test_values_do_not_hold_the_accumulation_buffer(self):
         # 512 rows of the dense (4, 12) polynomial, 1365 keys, go in one chunk;
