@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -51,10 +52,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-DEFAULT_BUDGET = 10_000
-DEFAULT_RESOLUTION = 64
-DEFAULT_LOG_WIDTH = 1.0
 
 _CLAIMS_BY_FLAG = {claim.flag: claim for claim in CLAIMS}
 
@@ -127,17 +124,23 @@ def _cmd_partitions(args) -> int:
     return EXIT_OK
 
 
+def _reject_unused(command: str, *flags) -> None:
+    """A flag that ``oapoly {command}`` would ignore is a usage error, not a
+    silently dropped input: each of ``flags`` is (flag, its value, None when
+    not given, and whether the command uses it)."""
+    for flag, value, used in flags:
+        if value is not None and not used:
+            raise UsageError(f"{flag} does not apply to 'oapoly {command}'")
+
+
 def _cmd_means(args) -> int:
     mean, method = args.mean, args.method
-    # a flag that this mean and method would ignore is a usage error; the
-    # grids take --log-width alike, though only the wgm grid reads it
-    for flag, value, used, command in (
-            ("--weights", args.weights, mean == "wgm", f"--mean {mean}"),
-            ("--resolution", args.resolution, method == "grid", f"--method {method}"),
-            ("--log-width", args.log_width, method == "grid", f"--method {method}")):
-        if value is not None and not used:
-            raise UsageError(f"{flag} does not apply to 'oapoly means eval {command}'")
-    resolution = DEFAULT_RESOLUTION if args.resolution is None else args.resolution
+    # the grids take --log-width alike, though only the wgm grid reads it
+    _reject_unused(f"means eval --mean {mean}", ("--weights", args.weights, mean == "wgm"))
+    _reject_unused(f"means eval --method {method}",
+                   ("--resolution", args.resolution, method == "grid"),
+                   ("--log-width", args.log_width, method == "grid"))
+    resolution = InfimumSpec.resolution if args.resolution is None else args.resolution
     fs = _load(args.inputs, "inputs", _vectors)
 
     weight_parts = None
@@ -159,7 +162,7 @@ def _cmd_means(args) -> int:
             spec = InfimumSpec(
                 "weighted_geometric", weights=w,
                 resolution=resolution,
-                log_width=DEFAULT_LOG_WIDTH if args.log_width is None else args.log_width,
+                log_width=InfimumSpec.log_width if args.log_width is None else args.log_width,
             )
             result = wgm_via_infimum(w, fs, spec, method=method)
     elif mean == "hm":
@@ -230,21 +233,23 @@ def _parse_partition(args) -> CompletePartition | None:
     return CompletePartition(parts, sum(parts))
 
 
-def _reject_unused(args, claim, command: str) -> None:
-    """A flag that ``oapoly verify {command}`` would ignore is a usage error,
-    not a silently dropped input: --poly or --partition that ``claim`` (None:
-    every claim) does not take, --format outside ``verify all``, --claim
-    or --budget outside ``verify falsify``, and --trial outside a single
-    claim's sweep."""
+def _verify_flags(args, claim) -> tuple:
+    """The flags of ``oapoly verify`` for `_reject_unused`: --poly and
+    --partition where ``claim`` (None: every claim) takes them, --format in
+    ``verify all``, --claim and --budget in ``verify falsify``, and --trial
+    in a single claim's sweep."""
     falsifying = args.claim == "falsify"
-    for flag, value, used in (("--poly", args.poly, claim and claim.takes_poly),
-                              ("--partition", args.partition, claim and claim.takes_partition),
-                              ("--format", args.format, args.claim == "all"),
-                              ("--claim", args.falsify_claim, falsifying),
-                              ("--budget", args.budget, falsifying),
-                              ("--trial", args.trial, args.claim not in ("all", "falsify"))):
-        if value is not None and not used:
-            raise UsageError(f"{flag} does not apply to 'oapoly verify {command}'")
+    return (("--poly", args.poly, claim and claim.takes_poly),
+            ("--partition", args.partition, claim and claim.takes_partition),
+            ("--format", args.format, args.claim == "all"),
+            ("--claim", args.falsify_claim, falsifying),
+            ("--budget", args.budget, falsifying),
+            ("--trial", args.trial, args.claim not in ("all", "falsify")))
+
+
+def _falsify_budget() -> int:
+    """`falsify`'s default budget, the one ``--budget`` defaults to."""
+    return inspect.signature(falsify).parameters["budget"].default
 
 
 def _cmd_verify(args) -> int:
@@ -257,8 +262,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(
                 f"--claim must be one of {sorted(c.flag for c in CLAIMS if c.falsifiable)}"
             )
-        _reject_unused(args, claim, f"falsify --claim {claim.flag}")
-        budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        _reject_unused(f"verify falsify --claim {claim.flag}", *_verify_flags(args, claim))
+        budget = _falsify_budget() if args.budget is None else args.budget
         if budget < 1:
             raise UsageError(f"--budget must be >= 1, got {budget}")
         report = falsify(P, claim.id, budget=budget, seed=args.seed,
@@ -267,7 +272,7 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if report.passed else EXIT_INCONCLUSIVE
 
     claim = _CLAIMS_BY_FLAG.get(args.claim)
-    _reject_unused(args, claim, args.claim)
+    _reject_unused(f"verify {args.claim}", *_verify_flags(args, claim))
     if args.s < 1:
         raise UsageError(f"--s must be >= 1, got {args.s}")
     if claim is None:  # all
@@ -316,10 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--inputs", type=str, required=True,
                         help="JSON file: array of vectors (arrays of numbers)")
     p_eval.add_argument("--resolution", type=int, default=None,
-                        help=f"grid resolution m (grid only, default {DEFAULT_RESOLUTION})")
+                        help=f"grid resolution m (grid only, default {InfimumSpec.resolution})")
     p_eval.add_argument("--log-width", dest="log_width", type=float, default=None,
                         help="half-width of the wgm grid's log box "
-                             f"(grid only, default {DEFAULT_LOG_WIDTH})")
+                             f"(grid only, default {InfimumSpec.log_width})")
 
     p_poly = sub.add_parser("poly", help="evaluate or test a polynomial from a JSON file")
     poly_sub = p_poly.add_subparsers(dest="action", required=True)
@@ -358,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--claim", dest="falsify_claim", type=str, default=None,
                           help="claim to falsify (verify falsify only)")
     p_verify.add_argument("--budget", type=int, default=None,
-                          help=f"sample budget for 'verify falsify' (default {DEFAULT_BUDGET})")
+                          help=f"sample budget for 'verify falsify' (default {_falsify_budget()})")
 
     return parser
 

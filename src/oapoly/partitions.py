@@ -140,9 +140,6 @@ class CompletePartition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def weight_vector(self) -> WeightVector:
-        return weights(self)
-
 
 @lru_cache(maxsize=256)
 def weights(cp: CompletePartition) -> WeightVector:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -66,23 +65,9 @@ form's arrangements), m keys and d codomain entries as 2 r + m d: the slot
 products of two levels of the table's `_prefix_plan`, or of one level and
 the slot entries gathered into them, hold at most 2 r; then the sums over
 each key's arrangements and the weighted products hold at most r + 2 m
-(r >= m), and the terms over keys and codomain m d beside m."""
-
-
-def _multinomial(key: tuple[int, ...]) -> int:
-    """Number of ordered arrangements of the index multiset ``key``."""
-    out = factorial(len(key))
-    for c in Counter(key).values():
-        out //= factorial(c)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _arrangements(key: tuple[int, ...]) -> np.ndarray:
-    """All distinct ordered arrangements of ``key``, shape (multinomial, s)."""
-    arr = np.array(sorted(set(itertools.permutations(key))), dtype=np.intp)
-    arr.flags.writeable = False
-    return arr
+(r >= m), and the terms over keys and codomain m d beside m. A form whose
+arrangements would take more than this for one row is refused before its
+table is built."""
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
@@ -100,34 +85,38 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
 class TermStack:
     """A stack of T polynomials of one degree that share one key set.
 
-    ``keys`` are canonical index multisets and ``coeffs`` has shape (T, m, d),
-    or (1, m, d) for one polynomial shared by every row: floats, or objects
-    holding exact Fractions. Evaluation takes stacked rows, float or object,
-    and computes row by row in one fixed order (sequential products over
-    slots, then sequential accumulation over keys from zero), so each row's
-    value is bit-identical to evaluating that row's polynomial at that row
-    alone, and exact coefficients at exact rows give exact values. So rows
-    go in chunks when a block's buffers would exceed `STACK_BYTES`. Exact
-    coefficients at float rows multiply as floats, as `Fraction * float`
-    does. Overflow, also of an exact coefficient beyond the float range,
-    gives inf without a warning: the residual policy reports non-finite
-    sides. Every index table, the keys' and the form's arrangement tables
-    (built on the form's first use), is held as its `_prefix_plan`, so that
-    rows sharing a prefix of slots share that prefix's product. Each plan
-    column is one contiguous vector for ``ndarray.take``, which gathers
-    faster than fancy indexing.
+    The keys are one table (m, s) of sorted index rows, in sorted order, and
+    ``coeffs`` has shape (T, m, d), or (1, m, d) for one polynomial shared by
+    every row: floats, or objects holding exact Fractions. Evaluation takes
+    stacked rows, float or object, and computes row by row in one fixed order
+    (sequential products over slots, then sequential accumulation over keys
+    from zero), so each row's value is bit-identical to evaluating that row's
+    polynomial at that row alone, and exact coefficients at exact rows give
+    exact values. So rows go in chunks when a block's buffers would exceed
+    `STACK_BYTES`. Exact coefficients at float rows multiply as floats, as
+    `Fraction * float` does. Overflow, also of an exact coefficient beyond
+    the float range, gives inf without a warning: the residual policy reports
+    non-finite sides. Each key's multinomial is an exact integer; float rows
+    multiply by its float and exact rows by the integer. Every index table,
+    the keys' and the form's arrangement tables (built on the form's first
+    use), is held as its `_prefix_plan`, so that rows sharing a prefix of
+    slots share that prefix's product. Each plan column is one contiguous
+    vector for ``ndarray.take``, which gathers faster than fancy indexing.
     """
 
-    def __init__(self, keys: Sequence[tuple[int, ...]], coeffs: np.ndarray, plan: list):
-        self._keys = [tuple(k) for k in keys]
+    def __init__(self, table: np.ndarray, coeffs: np.ndarray, plan: list,
+                 multinomials: np.ndarray, layout=None):
+        self._table = table  # the sorted keys (m, s), in sorted order
         self.coeffs = coeffs
         self._plan = plan  # the key table's, see _prefix_plan
-        self._weights = np.array([_multinomial(k) for k in self._keys], dtype=float)
-        self._layout = None
-        # bytes of a row's buffers, see STACK_BYTES; the form's come with its layout
+        self._multinomials = multinomials  # exact integers, held as objects
+        self._weights = multinomials.astype(float)
         m, d = coeffs.shape[1:]
-        self._row_bytes = 8 * max(1, 2 * m + m * d)
-        self._form_row_bytes = None
+        # bytes of a row's buffers, see STACK_BYTES; the form's come with its layout
+        self._row_bytes = _row_bytes(m, m, d)
+        # a layout given here is of a table of one arrangement per key
+        self._layout = layout  # see _arrangement_layout
+        self._form_row_bytes = None if layout is None else self._row_bytes
 
     @classmethod
     def of(cls, P: "HomogeneousPolynomial") -> "TermStack":
@@ -140,16 +129,20 @@ class TermStack:
                 coeffs[0, i] = coeff
             coeffs.flags.writeable = False
             table = np.array(list(P.terms), dtype=np.intp).reshape(len(P.terms), P.degree)
-            P._stack = cls(list(P.terms), coeffs, _prefix_plan(table))
+            P._stack = cls(table, coeffs, _prefix_plan(table), _multinomials(table))
         return P._stack
 
     @classmethod
     def diagonal(cls, coeffs: np.ndarray, degree: int) -> "TermStack":
         """Row t is sum_i coeffs[t, i] x_i^degree, for coeffs of shape (T, n, d).
-        Its keys share no prefix, so each level of its plan is 0..n-1."""
+        Its keys share no prefix, so each level of its plan is 0..n-1, and
+        each key is its one arrangement: the form's plan is the same, in one
+        group of count 1."""
         n = coeffs.shape[1]
-        return cls([(i,) * degree for i in range(n)], coeffs,
-                   [(np.arange(n), None)] * degree)
+        keys = np.arange(n)
+        plan = [(keys, None)] * degree
+        return cls(np.repeat(keys[:, None], degree, axis=1), coeffs, plan,
+                   np.ones(n, dtype=object), (plan, [(keys, 1, slice(0, n))]))
 
     @property
     def degree(self) -> int:
@@ -159,7 +152,6 @@ class TermStack:
         """The stack of the given rows' polynomials (itself when one is shared)."""
         if self.coeffs.shape[0] == 1:
             return self
-        self._arrangement_layout()  # built once, shared by every row group
         out = copy.copy(self)
         out.coeffs = self.coeffs[rows]
         return out
@@ -172,7 +164,7 @@ class TermStack:
         monomial = _planned_products([X] * self.degree, self._plan)
         # integer weights keep exact monomials exact; float ones spare float
         # monomials a cast per call
-        weights = self._weights.astype(np.intp) if X.dtype == object else self._weights
+        weights = self._multinomials if X.dtype == object else self._weights
         return _sum_terms(_coefficients_at(self.coeffs, (X,)) * (weights * monomial)[:, :, None])
 
     def _in_chunks(self, evaluate, T: int, row_bytes: int) -> np.ndarray:
@@ -185,30 +177,30 @@ class TermStack:
 
     def _arrangement_layout(self):
         """The `_prefix_plan` of the form's arrangement table, and its groups.
-        The table holds every arrangement of every key as a row of s int32
-        indices, the keys grouped by their number A of arrangements and each
-        key's A rows together; a group is its keys' positions, A, and its
-        slice of the table's rows."""
+        The keys are ordered by their multinomial, the number A of their
+        arrangements, stably, and the table holds each key's A arrangements
+        together, from `_arrangement_table`; a group is its keys' positions,
+        A, and its slice of the table's rows. A table so large that one
+        row's buffers would exceed `STACK_BYTES` raises ValueError before it
+        is built."""
         if self._layout is None:
-            groups: dict[int, tuple[list, list]] = {}
-            for i, key in enumerate(self._keys):
-                arrangements = _arrangements(key)
-                positions, tables = groups.setdefault(len(arrangements), ([], []))
-                positions.append(i)
-                tables.append(arrangements)
-            layout, tables, rows = [], [], 0
-            for count, (positions, arrangements) in groups.items():
-                layout.append((np.array(positions), count,
-                               slice(rows, rows + count * len(positions))))
-                tables += arrangements
-                rows += count * len(positions)
-            if set(groups) <= {1}:  # one arrangement per key: the keys' own table
-                plan = self._plan
-            else:
-                plan = _prefix_plan(np.concatenate(tables, dtype=np.int32))
-            self._layout = plan, layout
             m, d = self.coeffs.shape[1:]
-            self._form_row_bytes = 8 * max(1, 2 * rows + m * d)
+            rows = int(self._multinomials.sum())
+            row_bytes = _row_bytes(rows, m, d)
+            if row_bytes > STACK_BYTES:
+                raise ValueError(
+                    f"the symmetric form's table would hold {rows} arrangements of the "
+                    f"{m} keys: {row_bytes} bytes of buffers for one row, beyond {STACK_BYTES}")
+            counts = self._multinomials.astype(np.intp)
+            order = np.argsort(counts, kind="stable")
+            counts = counts[order]
+            # each group's first key, where the count changes, then the end
+            edges = [*np.flatnonzero(np.diff(counts, prepend=0)).tolist(), m]
+            offsets = [0, *np.cumsum(counts).tolist()]
+            groups = [(order[lo:hi], int(counts[lo]), slice(offsets[lo], offsets[hi]))
+                      for lo, hi in zip(edges, edges[1:])]
+            self._layout = _prefix_plan(_arrangement_table(self._table[order])), groups
+            self._form_row_bytes = row_bytes
         return self._layout
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -221,8 +213,54 @@ class TermStack:
         if T > 1 and T * self._form_row_bytes > STACK_BYTES:
             return self._in_chunks(lambda stack, lo, hi: stack.form([x[lo:hi] for x in slots]),
                                    T, self._form_row_bytes)
-        totals = _arrangement_sums(_planned_products(slots, plan), groups, len(self._keys))
+        totals = _arrangement_sums(_planned_products(slots, plan), groups, len(self._table))
         return _sum_terms(_coefficients_at(self.coeffs, slots) * totals[:, :, None])
+
+
+def _row_bytes(rows: int, m: int, d: int) -> int:
+    """Bytes of one row's buffers for an index table of ``rows`` rows, m keys
+    and d codomain entries; see `STACK_BYTES`."""
+    return 8 * max(1, 2 * rows + m * d)
+
+
+def _run_starts(table: np.ndarray) -> np.ndarray:
+    """For each sorted key of ``table`` (m, s) and each position, whether
+    the position starts a run of equal indices; (m, s) bool."""
+    starts = np.ones(table.shape, dtype=bool)
+    np.not_equal(table[:, 1:], table[:, :-1], out=starts[:, 1:])
+    return starts
+
+
+def _multinomials(table: np.ndarray) -> np.ndarray:
+    """Each sorted key's number of distinct arrangements, s! over the product
+    of its runs' factorials, as exact integers held as objects: a run of
+    length L contributes the places 1..L of its positions to the product."""
+    s = table.shape[1]
+    slots = np.arange(s)
+    run_start = np.maximum.accumulate(np.where(_run_starts(table), slots, 0), axis=1)
+    places = (slots - run_start + 1).astype(object)
+    return factorial(s) // np.multiply.reduce(places, axis=1)
+
+
+def _arrangement_table(table: np.ndarray) -> np.ndarray:
+    """Every distinct arrangement of each sorted key of ``table`` (m, s), the
+    keys in table order and each key's arrangements in lexicographic order;
+    (sum of the multinomials, s) int32. It is built slot by slot: each
+    partial arrangement branches to the key's positions that are unused and
+    the first unused of their run of equal indices, in increasing order, so
+    each distinct arrangement is made once and in order."""
+    m, s = table.shape
+    starts = _run_starts(table)
+    keys, used = np.arange(m), np.zeros((m, s), dtype=bool)
+    out = np.empty((m, s), dtype=np.int32)
+    for k in range(s):
+        free = ~used
+        free[:, 1:] &= starts.take(keys, axis=0)[:, 1:] | used[:, :-1]
+        rows, positions = np.nonzero(free)
+        keys, used, out = keys.take(rows), used.take(rows, axis=0), out.take(rows, axis=0)
+        used[np.arange(len(rows)), positions] = True
+        out[:, k] = table.take(keys * s + positions)
+    return out
 
 
 def _coefficients_at(coeffs: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:

@@ -401,6 +401,26 @@ class TestPoly:
         assert (code, err) == (0, "")
         assert strict_json(out) == {"value": ["inf"]}
 
+    def test_exact_multinomial_beyond_int64(self, capsys, tmp_path):
+        # the key over 21 distinct indices has 21! arrangements, beyond int64
+        poly, v = tmp_path / "p.json", tmp_path / "v.json"
+        poly.write_text(json.dumps({"s": 21, "n": 21, "d": 1,
+                                    "terms": _terms((list(range(21)), ["1"]))}))
+        v.write_text(json.dumps(["1"] * 21))
+        code, out, err = run_cli(capsys, "poly", "eval", "--poly", str(poly), "--input", str(v))
+        assert (code, err) == (0, "")
+        assert strict_json(out) == {"value": ["51090942171709440000"]}
+
+    def test_form_too_large_to_tabulate_is_usage_error(self, capsys, tmp_path):
+        poly, vs = tmp_path / "p.json", tmp_path / "vs.json"
+        poly.write_text(json.dumps({"s": 12, "n": 12, "d": 1,
+                                    "terms": _terms((list(range(12)), [1.0]))}))
+        vs.write_text(json.dumps([[1.0] * 12] * 12))
+        code, out, err = run_cli(capsys, "poly", "multilinear", "--poly", str(poly),
+                                 "--inputs", str(vs))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "479001600" in err
+
     def test_finite_bytes_unchanged(self, capsys, poly_file, tmp_path):
         vpath = tmp_path / "v.json"
         vpath.write_text(json.dumps([3.0, 0.5]))

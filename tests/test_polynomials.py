@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -63,6 +64,19 @@ def reference_form(P, xs):
         arrangements = np.array(sorted(set(itertools.permutations(key))), dtype=np.intp)
         out = out + coeff * X[rows, arrangements].prod(axis=1).sum()
     return out
+
+
+def reference_arrangements(key):
+    """Every distinct ordering of the index multiset ``key``, in lexicographic
+    order; (multinomial, s)."""
+    return np.array(sorted(set(itertools.permutations(key))), dtype=np.intp)
+
+
+def reference_multinomial(key):
+    weight = math.factorial(len(key))
+    for c in Counter(key).values():
+        weight //= math.factorial(c)
+    return weight
 
 
 def reference_polarize(evaluator, fs):
@@ -686,7 +700,7 @@ class TestTermStack:
                 "sparse": [k for k in dense if rng.random() < 0.4],
                 "one": [dense[int(rng.integers(len(dense)))]]}[keyset]
         key_table = np.array(keys, dtype=np.intp).reshape(len(keys), s)
-        arrangements = np.concatenate([polynomials._arrangements(k) for k in keys] or
+        arrangements = np.concatenate([reference_arrangements(k) for k in keys] or
                                       [key_table]).astype(np.int32)
         X = np.exp(rng.uniform(-5, 5, (T, s, n)))
         for table in (key_table, arrangements, rng.permutation(arrangements)):
@@ -723,6 +737,58 @@ class TestTermStack:
             assert len(plan) == s
             assert all(parent is None for _, parent in plan)
             assert all(column.tolist() == list(range(5)) for column, _ in plan)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4),
+           st.sampled_from(["dense", "diagonal", "sparse", "empty"]), st.integers(0, 2**32 - 1))
+    def test_key_tables_match_the_reference(self, s, n, keyset, seed):
+        # the arrangement table, its order and dtype, the exact multinomials
+        # and the groups by count, from the sorted key table alone
+        rng = np.random.default_rng(seed)
+        dense = list(itertools.combinations_with_replacement(range(n), s))
+        keys = {"dense": dense, "diagonal": [(i,) * s for i in range(n)], "empty": [],
+                "sparse": [k for k in dense if rng.random() < 0.4]}[keyset]
+        table = np.array(keys, dtype=np.intp).reshape(len(keys), s)
+        arrangements = polynomials._arrangement_table(table)
+        expect = [reference_arrangements(k) for k in keys]
+        assert arrangements.dtype == np.int32
+        assert arrangements.shape == (sum(map(len, expect)), s)
+        assert arrangements.tolist() == np.concatenate(expect or [table]).tolist()
+        counts = polynomials._multinomials(table).tolist()
+        assert counts == [reference_multinomial(k) for k in keys]
+        assert all(type(c) is int for c in counts)
+        P = HomogeneousPolynomial(s, n, 1, {k: [1.0] for k in keys})
+        _, groups = TermStack.of(P)._arrangement_layout()
+        order = sorted(range(len(keys)), key=counts.__getitem__)
+        assert np.concatenate([pos for pos, _, _ in groups] or [[]]).tolist() == order
+        rows = 0
+        for positions, count, span in groups:
+            assert {counts[i] for i in positions} == {count}
+            assert span == slice(rows, rows + count * len(positions))
+            rows = span.stop
+        assert rows == len(arrangements)
+
+    def test_form_table_is_bounded_before_it_is_built(self):
+        # a key over 12 distinct indices has 12! arrangements: the form
+        # refuses it at once, naming the count, while P(f) needs no table
+        P = HomogeneousPolynomial(12, 12, 1, {tuple(range(12)): [1.0]})
+        ones = PositiveVector(np.ones(12))
+        with pytest.raises(ValueError, match="479001600 arrangements"):
+            P.multilinear(*[ones] * 12)
+        assert P(ones).tolist() == [479001600.0]
+
+    def test_long_run_key_form_takes_its_arrangements_only(self):
+        # the key (0^11, 1) has 12 arrangements, not 12! orderings: its form
+        # is sum_j prod_{k != j} f_k[0] * f_j[1]
+        s = 12
+        P = HomogeneousPolynomial(s, 2, 1, {(0,) * (s - 1) + (1,): [Fraction(3)]})
+        fs = [LatticeVector.exact([Fraction(k + 1), Fraction(1, k + 2)]) for k in range(s)]
+        start = time.perf_counter()
+        value = P.multilinear(*fs)
+        assert time.perf_counter() - start < 1.0
+        expect = sum(math.prod(f[0] for k, f in enumerate(fs) if k != j) * fs[j][1]
+                     for j in range(s))
+        assert value.tolist() == [3 * expect]
 
     def test_values_do_not_hold_the_accumulation_buffer(self):
         # 512 rows of the dense (4, 12) polynomial, 1365 keys, go in one chunk;
