@@ -139,31 +139,16 @@ class LatticeVector:
 
     # -- vector space structure ----------------------------------------------
 
-    def _binary_data(self, other: "LatticeVector") -> None:
-        if not isinstance(other, LatticeVector):
-            raise TypeError(f"expected a LatticeVector, got {type(other).__name__}")
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
-            )
-        if self._exact != other._exact:
-            raise ValueError("cannot mix exact and float vectors")
-
     def _check_scalar(self, scalar) -> None:
         if self._exact and isinstance(scalar, float):
             raise ValueError("scaling an exact vector needs an int or Fraction scalar")
 
     def __add__(self, other):
-        self._binary_data(other)
-        cls = (
-            PositiveVector
-            if isinstance(self, PositiveVector) and isinstance(other, PositiveVector)
-            else LatticeVector
-        )
-        return cls._from_data(self._data + other._data, self._exact)
+        _check_vectors((self, other))
+        return _pair_class(self, other)._from_data(self._data + other._data, self._exact)
 
     def __sub__(self, other):
-        self._binary_data(other)
+        _check_vectors((self, other))
         return LatticeVector._from_data(self._data - other._data, self._exact)
 
     def __neg__(self):
@@ -195,6 +180,24 @@ class PositiveVector(LatticeVector):
             raise ValueError("positive vector entries must be >= 0")
 
 
+def _check_vectors(fs: Sequence[LatticeVector], dim: int | None = None) -> bool:
+    """The one check of vector arguments fs (nonempty): each, in order, is a
+    LatticeVector of the first's dimension and scalar mode, and that
+    dimension is ``dim`` (a polynomial's domain) when given. Returns whether
+    they are exact."""
+    first = fs[0]
+    for f in fs:
+        if not isinstance(f, LatticeVector):
+            raise TypeError(f"expected a LatticeVector, got {type(f).__name__}")
+        if f.dim != first.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {first.dim} vs {f.dim}")
+        if f._exact != first._exact:
+            raise ValueError("cannot mix exact and float vectors")
+    if dim is not None and first.dim != dim:
+        raise DimensionMismatchError(f"vector dimension {first.dim} does not match domain {dim}")
+    return first._exact
+
+
 def _pair_class(f: LatticeVector, g: LatticeVector) -> type:
     if isinstance(f, PositiveVector) and isinstance(g, PositiveVector):
         return PositiveVector
@@ -203,13 +206,13 @@ def _pair_class(f: LatticeVector, g: LatticeVector) -> type:
 
 def sup(f: LatticeVector, g: LatticeVector) -> LatticeVector:
     """Coordinatewise maximum (the lattice join)."""
-    f._binary_data(g)
+    _check_vectors((f, g))
     return _pair_class(f, g)._from_data(np.maximum(f._data, g._data), f._exact)
 
 
 def inf(f: LatticeVector, g: LatticeVector) -> LatticeVector:
     """Coordinatewise minimum (the lattice meet)."""
-    f._binary_data(g)
+    _check_vectors((f, g))
     return _pair_class(f, g)._from_data(np.minimum(f._data, g._data), f._exact)
 
 
@@ -220,7 +223,7 @@ def is_disjoint(f: LatticeVector, g: LatticeVector) -> bool:
     The test is deliberately exact rather than tolerance based; callers that
     need disjoint inputs must construct them with exactly-zero entries.
     """
-    f._binary_data(g)
+    _check_vectors((f, g))
     return bool(np.all(np.minimum(np.abs(f._data), np.abs(g._data)) == 0))
 
 
@@ -234,11 +237,9 @@ def apply_homogeneous(phi: Callable, fs: Sequence[PositiveVector]) -> PositiveVe
     """
     if not fs:
         raise ValueError("apply_homogeneous needs at least one vector")
-    first = fs[0]
-    for other in fs[1:]:
-        first._binary_data(other)
-    values = [phi(*(f._data[i] for f in fs)) for i in range(first.dim)]
-    exact = first._exact and all(isinstance(v, (Fraction, int)) for v in values)
+    exact = _check_vectors(fs)
+    values = [phi(*(f._data[i] for f in fs)) for i in range(fs[0].dim)]
+    exact = exact and all(isinstance(v, (Fraction, int)) for v in values)
     return PositiveVector(values, exact=exact)
 
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import DimensionMismatchError, LatticeVector, PositiveVector
+from .lattice import LatticeVector, PositiveVector, _check_vectors
 from .partitions import WeightVector
 
 __all__ = [
@@ -56,19 +56,13 @@ __all__ = [
 _GRID_POINT_LIMIT = 5_000_000
 
 
-def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False) -> tuple[np.ndarray, bool]:
-    """Validate a tuple of nonnegative vectors and stack their data into shape (k, n)."""
+def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False,
+           dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """Validate a tuple of nonnegative vectors (of dimension ``dim`` when
+    given, see `_check_vectors`) and stack their data into shape (k, n)."""
     if not fs:
         raise ValueError("a mean needs at least one argument")
-    first = fs[0]
-    for f in fs:
-        if not isinstance(f, LatticeVector):
-            raise TypeError(f"expected LatticeVector arguments, got {type(f).__name__}")
-        if f.dim != first.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {first.dim} vs {f.dim}")
-        if f.is_exact != first.is_exact:
-            raise ValueError("cannot mix exact and float vectors")
-    exact = first.is_exact
+    exact = _check_vectors(fs, dim)
     if exact and not allow_exact:
         raise ValueError("exact-rational vectors are only supported by harmonic_mean")
     X = np.array([f._data for f in fs])

@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import DimensionMismatchError, LatticeVector, PositiveVector, json_row
+from .lattice import LatticeVector, PositiveVector, _check_vectors, json_row
 from .reports import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -66,8 +66,9 @@ products of two levels of the table's `_prefix_plan`, or of one level and
 the slot entries gathered into them, hold at most 2 r; then the sums over
 each key's arrangements and the weighted products hold at most r + 2 m
 (r >= m), and the terms over keys and codomain m d beside m. A form whose
-arrangements would take more than this for one row is refused before its
-table is built."""
+arrangements would take more than this for one row, or whose arrangement
+table of r rows and s slots would take more to build, is refused before its
+table is built: see `_table_bytes`."""
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
@@ -181,23 +182,26 @@ class TermStack:
         arrangements, stably, and the table holds each key's A arrangements
         together, from `_arrangement_table`; a group is its keys' positions,
         A, and its slice of the table's rows. A table so large that one
-        row's buffers would exceed `STACK_BYTES` raises ValueError before it
-        is built."""
+        row's buffers, or its build, would exceed `STACK_BYTES` raises
+        ValueError before it is built."""
         if self._layout is None:
             m, d = self.coeffs.shape[1:]
             rows = int(self._multinomials.sum())
             row_bytes = _row_bytes(rows, m, d)
-            if row_bytes > STACK_BYTES:
-                raise ValueError(
-                    f"the symmetric form's table would hold {rows} arrangements of the "
-                    f"{m} keys: {row_bytes} bytes of buffers for one row, beyond {STACK_BYTES}")
+            for need, what in ((row_bytes, "of buffers for one row"),
+                               (_table_bytes(rows, m, self.degree), "to build it")):
+                if need > STACK_BYTES:
+                    raise ValueError(
+                        f"the symmetric form's table would hold {rows} arrangements of the "
+                        f"{m} keys: {need} bytes {what}, beyond {STACK_BYTES}")
             counts = self._multinomials.astype(np.intp)
             order = np.argsort(counts, kind="stable")
             counts = counts[order]
             # each group's first key, where the count changes, then the end
             edges = [*np.flatnonzero(np.diff(counts, prepend=0)).tolist(), m]
-            offsets = [0, *np.cumsum(counts).tolist()]
-            groups = [(order[lo:hi], int(counts[lo]), slice(offsets[lo], offsets[hi]))
+            ends = np.cumsum(counts)  # each key's last row in the table, plus one
+            groups = [(order[lo:hi], int(counts[lo]),
+                       slice(int(ends[lo] - counts[lo]), int(ends[hi - 1])))
                       for lo, hi in zip(edges, edges[1:])]
             self._layout = _prefix_plan(_arrangement_table(self._table[order])), groups
             self._form_row_bytes = row_bytes
@@ -221,6 +225,14 @@ def _row_bytes(rows: int, m: int, d: int) -> int:
     """Bytes of one row's buffers for an index table of ``rows`` rows, m keys
     and d codomain entries; see `STACK_BYTES`."""
     return 8 * max(1, 2 * rows + m * d)
+
+
+def _table_bytes(rows: int, m: int, s: int) -> int:
+    """Bytes that building the form's table of ``rows`` arrangements of m
+    keys of s slots holds at most at once (measured with tracemalloc): the
+    expansion's last step holds two (rows, s) int32 tables, three bool masks
+    and int64 row vectors, beside the sorted (m, s) int64 keys."""
+    return 16 * rows * (s + 4) + 8 * m * s
 
 
 def _run_starts(table: np.ndarray) -> np.ndarray:
@@ -420,21 +432,13 @@ class HomogeneousPolynomial:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _check_vector(self, f: LatticeVector) -> None:
-        if not isinstance(f, LatticeVector):
-            raise TypeError(f"expected a LatticeVector, got {type(f).__name__}")
-        if f.dim != self.domain_dim:
-            raise DimensionMismatchError(
-                f"vector dimension {f.dim} does not match domain {self.domain_dim}"
-            )
-
     @property
     def is_exact(self) -> bool:
         return self._exact
 
     def __call__(self, f: LatticeVector) -> np.ndarray:
         """Evaluate P(f), returning a codomain vector of shape (d,)."""
-        self._check_vector(f)
+        _check_vectors((f,), self.domain_dim)
         # a vector's entries are read-only, so they are read without a copy
         return TermStack.of(self)(f._data[None])[0]
 
@@ -486,11 +490,7 @@ class SymmetricMultilinearView:
         s = P.degree
         if len(fs) != s:
             raise ValueError(f"the form takes exactly {s} vectors, got {len(fs)}")
-        for f in fs:
-            P._check_vector(f)
-        exact = fs[0].is_exact
-        if any(f.is_exact != exact for f in fs):
-            raise ValueError("cannot mix exact and float vectors")
+        _check_vectors(fs, P.domain_dim)
         return TermStack.of(P).form([f._data[None] for f in fs])[0]
 
 
@@ -515,16 +515,15 @@ def polarize_blackbox(
     with s = len(fs). The degree is capped at 8: the 2^s term count and the
     s! division make the alternating sum increasingly ill-conditioned.
 
-    When ``check_homogeneity`` is set, the evaluator is first probed at two
-    scalings of the summed arguments; a mismatch with degree-s scaling (a
-    residual above 1e-6) raises ValueError rather than returning a silently
-    wrong value.
-
-    A `HomogeneousPolynomial` (its class exactly) is evaluated at the probes
-    and at all 2^s signed arguments in one call on its `TermStack`. Any other
-    evaluator is a black box, called once per argument in that order, so
-    that a fraud raises before any signed argument is evaluated. Either way
-    the values are summed in sign-row order, with the same bytes.
+    With ``check_homogeneity`` set, a wrong degree raises ValueError rather
+    than returning a silently wrong value. A `HomogeneousPolynomial` (its
+    class exactly) states its degree, and is evaluated at the 2^s signed
+    arguments in one call on its `TermStack`. Any other evaluator is a black
+    box, called once per argument: first at the summed arguments and at two
+    scalings of them, each checked for degree-s scaling (a residual above
+    1e-6) before the next call; then at the signed arguments, in order.
+    Either way the values are summed in sign-row order, with the same bytes;
+    a sum beyond the float range is ±inf, without a warning.
     """
     s = len(fs)
     if s < 1:
@@ -532,45 +531,28 @@ def polarize_blackbox(
     if s > POLARIZATION_DEGREE_CAP:
         raise ValueError(f"degree {s} exceeds the polarization cap {POLARIZATION_DEGREE_CAP}")
     compiled = type(evaluator) is HomogeneousPolynomial
-    if compiled:  # the checks of P(f_1 + ... + f_s), which every row shares
-        probe, exact = _summed_entries(evaluator, fs), fs[0].is_exact
-    else:
-        vector = reduce(lambda a, b: a + b, fs)
-        probe, exact = vector._data, vector.is_exact
-    scales = ((2, Fraction(1, 2)) if exact else (2.0, 0.5)) if check_homogeneity else ()
+    _check_vectors(fs, evaluator.domain_dim if compiled else None)
+    if compiled and check_homogeneity and evaluator.degree != s:
+        raise ValueError(f"polarization of {s} vectors needs degree {s}, "
+                         f"but the polynomial has degree {evaluator.degree}")
     signs, parities = _sign_table(s)
-    rows = _polarization_rows(np.stack([f._data for f in fs]), probe, scales, signs)
-    if compiled:  # every row in one call on P's compiled form
+    # sum_k e_k f_k for each sign row e, slot by slot (integer signs keep
+    # exact entries exact); a row beyond the float range is ±inf
+    with np.errstate(over="ignore"):
+        rows = fs[0]._data * signs[:, :1]
+        for k in range(1, s):
+            rows = rows + fs[k]._data * signs[:, k:k + 1]
+    if compiled:
         values = TermStack.of(evaluator)(rows)
-
-        def evaluate(lo, hi):
-            return values[lo:hi]
     else:
-        classes = _row_classes(vector, len(scales), len(signs))
-
-        def evaluate(lo, hi):  # a black box: one call per row, in order
-            return np.stack([
-                np.atleast_1d(np.asarray(evaluator(cls._from_data(row, exact))))
-                for cls, row in zip(classes[lo:hi], rows[lo:hi])])
-    if check_homogeneity:
-        base = evaluate(0, 1)[0]
-        expect = np.stack([base * lam**s for lam in scales])
-        if compiled:  # both scales at once
-            res = row_residuals(values[1:3], expect)
-        else:  # scale by scale, so that a fraud raises before the next row
-            res = (row_residuals(evaluate(i, i + 1), expect[i - 1:i])[0] for i in (1, 2))
-        for lam, r in zip(scales, res):
-            if float(r) > 1e-6:
-                raise ValueError(
-                    f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
-                )
-    # total = val, then total + val, in sign-row order
-    total = np.add.accumulate(evaluate(len(rows) - len(signs), len(rows)) * parities,
-                              axis=0)[-1]
-    denom = (2**s) * factorial(s)
-    if total.dtype == object:
-        return total * Fraction(1, denom)
-    return total / denom
+        values = _blackbox_values(evaluator, fs, rows, check_homogeneity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # total = val, then total + val, in sign-row order
+        total = np.add.accumulate(values * parities, axis=0)[-1]
+        denom = (2**s) * factorial(s)
+        if total.dtype == object:
+            return total * Fraction(1, denom)
+        return total / denom
 
 
 @lru_cache(maxsize=POLARIZATION_DEGREE_CAP)
@@ -583,36 +565,30 @@ def _sign_table(s: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, parities
 
 
-def _summed_entries(P: HomogeneousPolynomial, fs: Sequence[LatticeVector]) -> np.ndarray:
-    """The entries of f_1 + ... + f_s, added in that order, when P takes that
-    sum; otherwise the sum, or P's check of it, raises as it would."""
-    n, exact = P.domain_dim, getattr(fs[0], "is_exact", None)
-    if not all(isinstance(f, LatticeVector) and f.dim == n and f.is_exact == exact for f in fs):
-        P._check_vector(reduce(lambda a, b: a + b, fs))  # raises
-    return reduce(np.add, [f._data for f in fs])
+def _blackbox_values(evaluator: Callable, fs: Sequence[LatticeVector], rows: np.ndarray,
+                     check_homogeneity: bool) -> np.ndarray:
+    """The evaluator's values at the signed rows, one call per row, after
+    its homogeneity probes when ``check_homogeneity`` is set. The probes and
+    the all-plus row are PositiveVectors when every f is one; each other
+    row, holding a negated f, is a LatticeVector."""
+    s, exact = len(fs), fs[0].is_exact
+    cone = PositiveVector if all(isinstance(f, PositiveVector) for f in fs) else LatticeVector
 
+    def value(cls, row):
+        return np.atleast_1d(np.asarray(evaluator(cls._from_data(row, exact))))
 
-def _polarization_rows(X: np.ndarray, probe: np.ndarray, scales, signs: np.ndarray) -> np.ndarray:
-    """The arguments of polarization as one (rows, n) array, float or exact:
-    the probe and the probe at each scale, then sum_k e_k f_k for each sign
-    row e, the all-plus row first, for the stacked arguments X (s, n). The
-    signed rows take the operations of summing ``f * e_k`` slot by slot
-    (integer signs keep exact entries exact)."""
-    signed = X[0] * signs[:, :1]
-    for k in range(1, len(X)):
-        signed = signed + X[k] * signs[:, k:k + 1]
-    if not scales:
-        return signed
-    return np.vstack([probe, *(probe * lam for lam in scales), signed])
-
-
-def _row_classes(probe: LatticeVector, scales: int, signs: int) -> list[type]:
-    """The class of vector each polarization row is: the probe rows, and the
-    all-plus row, are PositiveVectors when the probe is one; each other row,
-    holding a negated f, is a LatticeVector."""
-    cone = PositiveVector if isinstance(probe, PositiveVector) else LatticeVector
-    head = [type(probe)] + [cone] * scales if scales else []
-    return head + [cone] + [LatticeVector] * (signs - 1)
+    if check_homogeneity:
+        probe = reduce(lambda a, b: a + b, fs)
+        base = value(type(probe), probe._data)
+        for lam in (2, Fraction(1, 2)) if exact else (2.0, 0.5):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = base * lam**s
+            if float(row_residuals(value(cone, probe._data * lam)[None], expect[None])[0]) > 1e-6:
+                raise ValueError(
+                    f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
+                )
+    classes = [cone] + [LatticeVector] * (len(rows) - 1)
+    return np.stack([value(cls, row) for cls, row in zip(classes, rows)])
 
 
 def _additivity_sides(P: TermStack, f: np.ndarray, g: np.ndarray):

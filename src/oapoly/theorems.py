@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import sampling
-from .lattice import DimensionMismatchError, PositiveVector, is_disjoint
+from .lattice import DimensionMismatchError, PositiveVector, _check_vectors, is_disjoint
 from .means import (
     _stack,
     geometric_mean_stack,
@@ -49,6 +49,7 @@ from .means import (
 from .partitions import CompletePartition, enumerate_complete, weights
 from .polynomials import (
     BLOCK_TRIALS,
+    STACK_BYTES,
     HomogeneousPolynomial,
     TermStack,
     _additivity_sides,
@@ -159,21 +160,28 @@ def _wgm_sides(P, X, cp):
 # -- forward checks ------------------------------------------------------------
 
 
+def _typed(value, kind: type, name: str) -> None:
+    """TypeError naming the argument ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _check(claim, P, fs, cp, cfg) -> VerificationReport:
-    """One input of a claim: its preconditions, then its vectors validated
-    and stacked as the means take them, checked by `_check_row`."""
+    """One input of a claim: its polynomial and partition arguments, its
+    preconditions, then its vectors validated (on P's domain) and stacked as
+    the means take them, checked by `_check_row`."""
+    if claim.takes_poly:
+        _typed(P, HomogeneousPolynomial, "P")
+    if claim.takes_partition:
+        _typed(cp, CompletePartition, "cp")
     claim.requires(None if P is None else P.degree, len(fs), cp)
-    X, _ = _stack(fs, allow_exact=claim.exact)
+    X, _ = _stack(fs, allow_exact=claim.exact, dim=None if P is None else P.domain_dim)
     return _check_row(claim, P, X, cp, cfg)
 
 
 def _check_row(claim, P, X, cp, cfg) -> VerificationReport:
-    """The report of one input X (k, n), run through the claim's kernel as a
-    block of one row."""
-    if P is not None and X.shape[1] != P.domain_dim:
-        raise DimensionMismatchError(
-            f"vector dimension {X.shape[1]} does not match domain {P.domain_dim}"
-        )
+    """The report of one validated input X (k, n), run through the claim's
+    kernel as a block of one row."""
     stack = None if P is None else TermStack.of(P)
     res, ok, payload = claim.kernel(claim, X[None], stack, cp, cfg)
     return VerificationReport(
@@ -283,12 +291,14 @@ def check_cross_terms(
     The mixed-value bound is absolute (the values should be exactly zero for
     an additive P); the reconstruction is checked with the identity
     tolerance and validates the multilinear evaluation itself. The pair
-    takes no mean, so only the disjointness test validates it.
+    takes no mean: it must be two vectors on P's domain, disjoint, of any
+    sign.
     """
+    _typed(P, HomogeneousPolynomial, "P")
     if not is_disjoint(f, g):
         raise PreconditionError("cross-term check needs a disjoint pair")
-    return _check_row(CLAIM_TABLE["CROSS_TERMS"], P, np.stack([f.to_array(), g.to_array()]),
-                      None, cfg)
+    _check_vectors((f, g), P.domain_dim)
+    return _check_row(CLAIM_TABLE["CROSS_TERMS"], P, np.stack([f._data, g._data]), None, cfg)
 
 
 # -- the claims on array blocks of trials ---------------------------------------
@@ -580,6 +590,13 @@ def falsify(
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _typed(P, HomogeneousPolynomial, "P")
+    claim = CLAIM_TABLE[claim_id]
+    cp = partition
+    if claim.takes_partition:
+        cp = CompletePartition((1,) * P.degree, P.degree) if cp is None else cp
+        _typed(cp, CompletePartition, "partition")
+        _partition_requires(P.degree, len(cp.parts), cp)
     if not P.has_mixed_terms:
         raise PreconditionError(
             "polynomial is positively orthogonally additive; nothing to falsify")
@@ -587,13 +604,6 @@ def falsify(
             P, trials=2 ** P.domain_dim, seed=seed, exhaustive=True, tolerances=cfg).passed:
         raise PreconditionError(
             "polynomial passed the exhaustive additivity check; nothing to falsify")
-    claim = CLAIM_TABLE[claim_id]
-    cp = partition
-    if claim.takes_partition:
-        if cp is None:
-            cp = CompletePartition((1,) * P.degree, P.degree)
-        if cp.target != P.degree:
-            raise PreconditionError("partition target must equal the polynomial degree")
 
     n, count = P.domain_dim, claim.size(P.degree, cp)
     structured = min(n * (n - 1) * (count - 1), budget)
@@ -653,7 +663,9 @@ def verify_claim(
     Trial t's inputs are row t of ``default_rng(seed)``'s stream, one row of
     `sampling.trial_width` uniforms per trial (see `sampling.draw_trials`),
     so they do not depend on how the trials are split into blocks. Trials
-    run in array blocks of up to `BLOCK_TRIALS`: each block draws its rows
+    run in array blocks of up to `BLOCK_TRIALS`, and of at most
+    `STACK_BYTES` of uniforms (a trial whose row alone takes more raises
+    ValueError naming n, and d where it counts): each block draws its rows
     with one generator call, then runs the claim's block kernel on its
     (T, k, n) stack, the kernel that the claim's check_* function runs on
     one input. Reports are the same as checking each trial with its check_*
@@ -677,6 +689,7 @@ def verify_claim(
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     if claim.takes_partition and partition is not None:  # GEOS's trials take no degree
+        _typed(partition, CompletePartition, "partition")
         _partition_requires(s, len(partition.parts), partition)
     pool = enumerate_complete(s) if claim.takes_partition else None
 
@@ -684,6 +697,8 @@ def verify_claim(
         return (partition or CompletePartition(pool[pick], s)) if claim.takes_partition else None
 
     if claim.takes_poly:
+        if poly is not None:
+            _typed(poly, HomogeneousPolynomial, "poly")
         # what the claim's check_* raises on the first trial
         cp = partition_of(0)
         claim.requires(s if poly is None else poly.degree, claim.size(s, cp), cp)
@@ -702,14 +717,20 @@ def verify_claim(
         return claim.kernel(claim, X, P, partition_of(pick), cfg)
 
     spec = dict(claim.draw(s, pool, partition), d=d if random_poly else None)
+    width = sampling.trial_width(n, **spec)
+    if 8 * width > STACK_BYTES:
+        sizes = f"n = {n}, d = {d}" if random_poly else f"n = {n}"
+        raise ValueError(f"one trial at {sizes} draws {width} uniforms, {8 * width} bytes, "
+                         f"beyond {STACK_BYTES}")
+    block = min(BLOCK_TRIALS, STACK_BYTES // (8 * width))
     rng = np.random.default_rng(seed)
     first, count = 0, trials
     if trial is not None:
-        rng.bit_generator.advance(trial * sampling.trial_width(n, **spec))
+        rng.bit_generator.advance(trial * width)
         first, count = trial, 1
     worst, passed, counterexample = 0.0, True, None
-    for start in range(0, count, BLOCK_TRIALS):
-        size = min(BLOCK_TRIALS, count - start)
+    for start in range(0, count, block):
+        size = min(block, count - start)
         draws = sampling.draw_trials(rng, size, n, **spec)
         P = TermStack.diagonal(draws.coeffs, s) if random_poly else shared
         res, ok, payload = _grouped(draws, P, group)

@@ -421,6 +421,16 @@ class TestPoly:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "479001600" in err
 
+    def test_form_too_large_to_build_is_usage_error(self, capsys, tmp_path):
+        poly, vs = tmp_path / "p.json", tmp_path / "vs.json"
+        poly.write_text(json.dumps({"s": 64, "n": 4, "d": 1,
+                                    "terms": _terms(([0] * 61 + [1, 2, 3], [1.0]))}))
+        vs.write_text(json.dumps([[1.0] * 4] * 64))
+        code, out, err = run_cli(capsys, "poly", "multilinear", "--poly", str(poly),
+                                 "--inputs", str(vs))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "249984" in err
+
     def test_finite_bytes_unchanged(self, capsys, poly_file, tmp_path):
         vpath = tmp_path / "v.json"
         vpath.write_text(json.dumps([3.0, 0.5]))
@@ -569,6 +579,12 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert len(payload["reports"]) == 8
+
+    @pytest.mark.parametrize("flag, named", [("--n", "n = 100000000"), ("--d", "d = 100000000")])
+    def test_trial_beyond_the_stack_bound_is_usage_error(self, capsys, flag, named):
+        code, out, err = run_cli(capsys, "verify", "hm", flag, "100000000", "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: one trial at ") and err.count("\n") == 1 and named in err
 
     def test_all_csv(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all", "--s", "2", "--n", "3",

@@ -8,15 +8,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oapoly import (
+    CompletePartition,
     DimensionMismatchError,
+    InfimumSpec,
     LatticeVector,
     PositiveVector,
     apply_homogeneous,
+    check_cross_terms,
+    check_eta_disjoint,
+    check_geos_lemma,
+    check_gm,
+    check_hm_identity,
+    check_rmp,
+    check_schur_bounds,
+    check_wgm_identity,
+    geometric_mean,
+    harmonic_mean,
+    harmonic_mean_via_infimum,
     inf,
     is_disjoint,
+    make_diagonal,
+    polarize_blackbox,
+    root_mean_power,
     sup,
     vector_from_json,
     vector_to_json,
+    weighted_geometric_mean,
+    weights,
+    wgm_via_infimum,
 )
 from oapoly.lattice import EXACT_DIGITS, json_row
 
@@ -244,3 +263,55 @@ class TestJson:
         assert json_row([math.inf, 1.0], "f")[0] == math.inf
         with pytest.raises(ValueError, match="must be finite"):
             vector_from_json([math.inf, 1.0])
+
+
+# -- one check of vector arguments ---------------------------------------------
+
+P2 = make_diagonal([1.0, 2.0], 2)
+CP2 = CompletePartition((1, 1), 2)
+W2 = weights(CP2)
+
+# every public function that takes vectors, as (call(fs), k): call takes a
+# list of its k vector arguments, in order
+VECTOR_CALLS = {
+    "root_mean_power": (lambda fs: root_mean_power(2, fs), 2),
+    "geometric_mean": (geometric_mean, 2),
+    "harmonic_mean": (harmonic_mean, 2),
+    "weighted_geometric_mean": (lambda fs: weighted_geometric_mean(W2, fs), 2),
+    **{f"harmonic_mean_via_infimum {method}": (
+        lambda fs, method=method: harmonic_mean_via_infimum(
+            fs, InfimumSpec("harmonic", arity=2, resolution=8), method), 2)
+       for method in ("lagrange", "grid")},
+    **{f"wgm_via_infimum {method}": (
+        lambda fs, method=method: wgm_via_infimum(
+            W2, fs, InfimumSpec("weighted_geometric", weights=W2, resolution=8), method), 2)
+       for method in ("lagrange", "grid")},
+    "sup": (lambda fs: sup(*fs), 2),
+    "inf": (lambda fs: inf(*fs), 2),
+    "is_disjoint": (lambda fs: is_disjoint(*fs), 2),
+    "apply_homogeneous": (lambda fs: apply_homogeneous(min, fs), 2),
+    "P(f)": (lambda fs: P2(*fs), 1),
+    "P.multilinear": (lambda fs: P2.multilinear(*fs), 2),
+    "polarize_blackbox compiled": (lambda fs: polarize_blackbox(P2, fs), 2),
+    "polarize_blackbox black box": (lambda fs: polarize_blackbox(lambda f: [f[0] ** 2], fs), 2),
+    "check_rmp": (lambda fs: check_rmp(P2, fs), 2),
+    "check_gm": (lambda fs: check_gm(P2, fs), 2),
+    "check_schur_bounds": (check_schur_bounds, 2),
+    "check_eta_disjoint": (check_eta_disjoint, 2),
+    "check_hm_identity": (lambda fs: check_hm_identity(P2, fs), 2),
+    "check_geos_lemma": (lambda fs: check_geos_lemma(CP2, fs), 2),
+    "check_wgm_identity": (lambda fs: check_wgm_identity(P2, CP2, fs), 2),
+    "check_cross_terms": (lambda fs: check_cross_terms(P2, *fs), 2),
+}
+
+
+@pytest.mark.parametrize("name, position", [
+    (name, position) for name, (_, k) in VECTOR_CALLS.items() for position in sorted({0, k - 1})])
+def test_a_list_is_not_a_vector(name, position):
+    # the other arguments are a disjoint positive pair, valid for every call
+    call, k = VECTOR_CALLS[name]
+    fs = [PositiveVector([1.0, 0.0]), PositiveVector([0.0, 1.0])][:k]
+    fs[position] = [1.0, 0.0]
+    with pytest.raises(TypeError) as info:
+        call(fs)
+    assert type(info.value) is TypeError and str(info.value) == "expected a LatticeVector, got list"

@@ -411,9 +411,9 @@ class TestInvalidCalls:
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("args, error, message", [
         pytest.param(lambda k: [[1.0, 2.0]] + [pv(1.0, 2.0)] * (k - 1), TypeError,
-                     "expected LatticeVector arguments, got list", id="list-first"),
+                     "expected a LatticeVector, got list", id="list-first"),
         pytest.param(lambda k: [pv(1.0, 2.0)] * (k - 1) + [[1.0, 2.0]], TypeError,
-                     "expected LatticeVector arguments, got list", id="list-last"),
+                     "expected a LatticeVector, got list", id="list-last"),
         pytest.param(lambda k: [], ValueError, "a mean needs at least one argument", id="empty"),
         pytest.param(lambda k: [pv(1.0, 2.0)] * (k - 1) + [pv(1.0)], DimensionMismatchError,
                      "dimension mismatch: 2 vs 1", id="dimensions"),

@@ -6,6 +6,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
@@ -477,8 +478,7 @@ class TestPolarization:
         ([vec(1, 2), [1.0, 2.0]], True, TypeError, "expected a LatticeVector, got list"),
         ([vec(1, 2), np.array([1.0, 2.0])], False, TypeError,
          "expected a LatticeVector, got ndarray"),
-        ([[1.0, 2.0], vec(1, 2)], True, TypeError,
-         'can only concatenate list (not "LatticeVector") to list'),
+        ([[1.0, 2.0], vec(1, 2)], True, TypeError, "expected a LatticeVector, got list"),
         ([[1.0, 2.0]], True, TypeError, "expected a LatticeVector, got list"),
         ([vec(1, 2, 3)], True, DimensionMismatchError, "vector dimension 3 does not match domain 2"),
         ([vec(1, 2, 3)], False, DimensionMismatchError,
@@ -506,6 +506,55 @@ class TestPolarization:
         with pytest.raises(ValueError, match="homogeneity spot check at scale 2.0"):
             polarize_blackbox(fraud, [vec(1, 2), vec(3, 4)])
         assert calls == [(4.0, 6.0), (8.0, 12.0)]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_compiled_polynomial_evaluates_the_signed_rows_in_one_call(self, s):
+        rng = np.random.default_rng(s)
+        P = random_polynomial(rng, s, 3, 2)
+        fs = [vec(*rng.uniform(-2, 2, 3)) for _ in range(s)]
+        shapes, evaluate = [], TermStack.__call__
+
+        def recording(stack, X):
+            shapes.append(X.shape)
+            return evaluate(stack, X)
+
+        with patch.object(TermStack, "__call__", recording):
+            polarize_blackbox(P, fs)
+        assert shapes == [(2**s, 3)]
+
+    def test_compiled_polynomial_of_another_degree_raises(self):
+        # x_0^2 - x_1^2 vanishes at the sum of the three vectors, so a
+        # numeric probe at that sum cannot see the wrong degree
+        P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (1, 1): [-1.0]})
+        fs = [vec(1, 2), vec(2, 1), vec(0.5, 0.5)]
+        with pytest.raises(ValueError) as info:
+            polarize_blackbox(P, fs)
+        assert str(info.value) == (
+            "polarization of 3 vectors needs degree 3, but the polynomial has degree 2")
+        # unchecked, P is polarized as the black box it equals
+        Q = Recording(P.degree, P.domain_dim, P.codomain_dim, P.terms)
+        Q.calls = []
+        assert exact_bytes(polarize_blackbox(P, fs, check_homogeneity=False)) == \
+            exact_bytes(polarize_blackbox(Q, fs, check_homogeneity=False))
+
+    def test_sum_beyond_the_float_range_is_inf_without_a_warning(self):
+        # x^2 on R^1 at 0.6e154 twice: the form is 3.6e307, but the signed
+        # sum 2 * (1.2e154)^2 is beyond the float range
+        P = make_diagonal([1.0], 2)
+        Q = Recording(P.degree, P.domain_dim, P.codomain_dim, P.terms)
+        Q.calls = []
+        fs = [vec(0.6e154)] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert polarize_blackbox(P, fs).tolist() == [math.inf]
+            assert polarize_blackbox(Q, fs, check_homogeneity=False).tolist() == [math.inf]
+            # and where the signed arguments themselves leave the range
+            assert polarize_blackbox(P, [vec(1e308)] * 2).tolist() == [math.inf]
+            assert polarize_blackbox(Q, [vec(1e308)] * 2,
+                                     check_homogeneity=False).tolist() == [math.inf]
+            # the black box's probe at scale 2 is inf, as is its expected value
+            with pytest.raises(ValueError, match="homogeneity spot check at scale 2.0"):
+                polarize_blackbox(Q, fs)
 
 
 class TestAdditivityCheck:
@@ -776,6 +825,43 @@ class TestTermStack:
         with pytest.raises(ValueError, match="479001600 arrangements"):
             P.multilinear(*[ones] * 12)
         assert P(ones).tolist() == [479001600.0]
+
+    def test_form_table_build_is_refused_at_once(self):
+        # the key (0^61, 1, 2, 3) has 64 * 63 * 62 = 249984 arrangements:
+        # 4 MB of buffers for one row, within the bound, but its table of 64
+        # slots would take hundreds of MB to build
+        P = HomogeneousPolynomial(64, 4, 1, {(0,) * 61 + (1, 2, 3): [1.0]})
+        ones = PositiveVector(np.ones(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="249984 arrangements .* bytes to build it"):
+                P.multilinear(*[ones] * 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("terms", [
+        pytest.param(lambda: {k: [1.0] for k in itertools.combinations_with_replacement(range(100), 2)},
+                     id="dense (2, 100)"),
+        pytest.param(lambda: {k: [1.0] for k in itertools.combinations_with_replacement(range(8), 4)},
+                     id="dense (4, 8)"),
+        pytest.param(lambda: {(i,) * 7: [1.0] for i in range(4000)}, id="diagonal (7, 4000)"),
+        pytest.param(lambda: {tuple(range(7)): [1.0]}, id="distinct (7)"),
+        pytest.param(lambda: {(0,) * 40 + (1, 2): [1.0]}, id="long run (0^40, 1, 2)"),
+    ])
+    def test_form_table_build_keeps_to_its_count(self, terms):
+        terms = terms()
+        s, n = len(next(iter(terms))), 1 + max(max(key) for key in terms)
+        stack = TermStack.of(HomogeneousPolynomial(s, n, 1, terms))
+        rows = int(stack._multinomials.sum())
+        tracemalloc.start()
+        try:
+            stack._arrangement_layout()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= polynomials._table_bytes(rows, len(terms), s)
 
     def test_long_run_key_form_takes_its_arrangements_only(self):
         # the key (0^11, 1) has 12 arrangements, not 12! orderings: its form

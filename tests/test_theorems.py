@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest.mock import patch
@@ -324,6 +325,49 @@ class TestFalsify:
         with pytest.raises(ValueError):
             falsify(square_of_sum(), "SCHUR", budget=10, seed=0)
 
+    @pytest.mark.parametrize("P", [
+        pytest.param(HomogeneousPolynomial(4, 2, 1, {(0, 0, 0, 0): [1.0], (0, 0, 1, 1): [1.0]}),
+                     id="mixed"),
+        pytest.param(make_diagonal([1.0, 2.0], 4), id="additive"),
+    ])
+    def test_partition_is_checked_first(self, P):
+        # the message of check_wgm_identity and verify_claim, before the
+        # additivity preconditions
+        with pytest.raises(PreconditionError) as info:
+            falsify(P, "WGM", budget=10, partition=CompletePartition((2, 1), 3))
+        assert str(info.value) == "partition target 3 does not match polynomial degree 4"
+
+
+class TestArgumentTypes:
+    """A partition or a polynomial of another type is a TypeError naming the
+    argument, not an AttributeError from inside the check."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: check_geos_lemma((1, 1), [pv(1, 2), pv(3, 4)]),
+         "cp must be a CompletePartition, got tuple"),
+        (lambda: check_wgm_identity(make_diagonal([1.0, 2.0], 2), (1, 1), [pv(1, 2), pv(3, 4)]),
+         "cp must be a CompletePartition, got tuple"),
+        (lambda: check_wgm_identity({}, CompletePartition((1, 1), 2), [pv(1, 2), pv(3, 4)]),
+         "P must be a HomogeneousPolynomial, got dict"),
+        (lambda: check_hm_identity({}, [pv(1, 2), pv(3, 4)]),
+         "P must be a HomogeneousPolynomial, got dict"),
+        (lambda: check_cross_terms({}, pv(1, 0), pv(0, 1)),
+         "P must be a HomogeneousPolynomial, got dict"),
+        (lambda: verify_claim("WGM", s=2, trials=2, partition=(1, 1)),
+         "partition must be a CompletePartition, got tuple"),
+        (lambda: verify_claim("GEOS", s=2, trials=2, partition=(1, 1)),
+         "partition must be a CompletePartition, got tuple"),
+        (lambda: verify_claim("HM", s=2, trials=2, poly={}),
+         "poly must be a HomogeneousPolynomial, got dict"),
+        (lambda: falsify({}, "HM", budget=10), "P must be a HomogeneousPolynomial, got dict"),
+        (lambda: falsify(square_of_sum(), "WGM", budget=10, partition=(1, 1)),
+         "partition must be a CompletePartition, got tuple"),
+    ])
+    def test_type_errors_name_the_argument(self, call, message):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert type(info.value) is TypeError and str(info.value) == message
+
 
 class TestSweeps:
     def test_equivalence_triangle_gm_vs_all_ones_wgm(self):
@@ -353,6 +397,39 @@ class TestSweeps:
     def test_user_poly_failure_detected(self):
         rep = verify_claim("HM", s=2, n=2, trials=10, seed=3, poly=square_of_sum())
         assert not rep.passed and rep.counterexample is not None
+
+    @pytest.mark.parametrize("kwargs, sizes", [
+        (dict(claim_id="HM", n=100_000_000), "n = 100000000, d = 1"),
+        (dict(claim_id="HM", d=100_000_000), "n = 4, d = 100000000"),
+        (dict(claim_id="SCHUR", n=100_000_000), "n = 100000000 draws"),
+    ])
+    def test_trial_beyond_the_stack_bound_is_refused_before_it_is_drawn(self, kwargs, sizes):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"one trial at {sizes}"):
+                verify_claim(trials=2, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("claim_id", theorems.CLAIM_IDS)
+    def test_blocks_keep_to_the_stack_bound(self, claim_id):
+        # blocks of 3 trials give the report of blocks of BLOCK_TRIALS
+        draw, blocks = sampling.draw_trials, []
+
+        def recording(rng, trials, n, **spec):
+            blocks.append((trials, sampling.trial_width(n, **spec)))
+            return draw(rng, trials, n, **spec)
+
+        with patch.object(sampling, "draw_trials", recording):
+            whole = verify_claim(claim_id, s=3, n=4, d=2, trials=50, seed=9)
+            (_, width), = set(blocks)
+            blocks.clear()
+            with patch.object(theorems, "STACK_BYTES", 8 * width * 3 + 7):
+                split = verify_claim(claim_id, s=3, n=4, d=2, trials=50, seed=9)
+        assert [trials for trials, _ in blocks] == [3] * 16 + [2]
+        assert split.to_dict() == whole.to_dict()
 
 
 class TestExactReplication:
@@ -847,9 +924,9 @@ class TestCheckEdges:
         ("hm exact negative", ValueError, "means are defined on nonnegative vectors only"),
         ("geos negative", ValueError, "means are defined on nonnegative vectors only"),
         ("wgm negative", ValueError, "means are defined on nonnegative vectors only"),
-        ("schur list", TypeError, "expected LatticeVector arguments, got list"),
+        ("schur list", TypeError, "expected a LatticeVector, got list"),
         ("ortho list", TypeError, "expected a LatticeVector, got list"),
-        ("rmp list", TypeError, "expected LatticeVector arguments, got list"),
+        ("rmp list", TypeError, "expected a LatticeVector, got list"),
         ("cross list", TypeError, "expected a LatticeVector, got list"),
         ("ortho not disjoint", PreconditionError, "no disjoint pair among the arguments"),
         ("cross not disjoint", PreconditionError, "cross-term check needs a disjoint pair"),
@@ -1300,17 +1377,18 @@ def reference_falsify(P, claim_id, budget=10_000, seed=0, *, partition=None,
                          f"(choose from {theorems.FALSIFIABLE_CLAIMS})")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    cp = partition
+    if claim_id == "WGM":
+        cp = cp or CompletePartition((1,) * P.degree, P.degree)
+        if cp.target != P.degree:
+            raise PreconditionError(
+                f"partition target {cp.target} does not match polynomial degree {P.degree}")
     if not P.has_mixed_terms:
         raise PreconditionError("polynomial is positively orthogonally additive; nothing to falsify")
     if P.domain_dim <= 6 and reference_additivity(
             P, trials=2**P.domain_dim, seed=seed, exhaustive=True, tolerances=cfg).passed:
         raise PreconditionError(
             "polynomial passed the exhaustive additivity check; nothing to falsify")
-    cp = partition
-    if claim_id == "WGM":
-        cp = cp or CompletePartition((1,) * P.degree, P.degree)
-        if cp.target != P.degree:
-            raise PreconditionError("partition target must equal the polynomial degree")
     s, n = P.degree, P.domain_dim
     count = {"WGM": len(cp.parts) if cp else 0, "RMP": max(2, s), "CROSS_TERMS": 2}.get(claim_id, s)
     rng = np.random.default_rng(seed)
