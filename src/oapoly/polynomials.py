@@ -36,6 +36,7 @@ from .reports import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     VerificationReport,
+    _finite_entries,
     row_residuals,
 )
 
@@ -58,29 +59,24 @@ BLOCK_TRIALS = 1024
 """Trials drawn and evaluated together; bounds memory whatever the trial count."""
 
 STACK_BYTES = 32 << 20
-"""Bytes that the buffers of one `TermStack` evaluation may hold at once. Its
-rows go in chunks that keep to it, counting a row's 8-byte entries (an object
-array counts its references) for an index table of r rows (the keys, or the
-form's arrangements), m keys and d codomain entries as 2 r + m d: the slot
-products of two levels of the table's `_prefix_plan`, or of one level and
-the slot entries gathered into them, hold at most 2 r; then the sums over
-each key's arrangements and the weighted products hold at most r + 2 m
-(r >= m), and the terms over keys and codomain m d beside m. A form whose
-arrangements would take more than this for one row, or whose arrangement
-table of r rows and s slots would take more to build, is refused before its
-table is built: see `_table_bytes`."""
+"""The refusal bound: bytes that one row of a `TermStack` evaluation, or
+one block of drawn trials, may take. A form whose buffers for one row would
+take more, counting a row's 8-byte entries (an object array counts its
+references) for an index table of r rows (the keys, or the form's
+arrangements), m keys and d codomain entries as 2 r + m d (see
+`_row_bytes`), or whose arrangement table of r rows and s slots would take
+more to build (see `_table_bytes`), is refused before its table is built.
+`verify_claim` and `is_positively_orthogonally_additive` draw their trials
+in blocks that keep to it."""
 
-
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """((0 + t_0) + t_1) + ... over axis 1 of (T, m, d) terms, float or exact:
-    the order of accumulating key by key from zero. The terms are accumulated
-    in place, and the sums copied out, so that no (T, m, d) buffer outlives
-    the call."""
-    if terms.shape[1] == 0:
-        return np.full((terms.shape[0], terms.shape[2]),
-                       Fraction(0) if terms.dtype == object else 0.0)
-    terms[:, 0] += 0
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+CHUNK_BYTES = 512 << 10
+"""Bytes of buffers that one chunk of a `TermStack` evaluation may hold,
+counting a row as 8 (2 r + m d + n k) bytes: `_row_bytes` and its k slot
+arrays of n entries, gathered key-major. A chunk this size stays in a
+core's cache from its gathers to its sum over keys, and its arrays are
+small enough that the allocator hands their memory back chunk after chunk
+rather than mapping fresh pages; a row that alone takes more is a chunk of
+its own."""
 
 
 class TermStack:
@@ -89,20 +85,26 @@ class TermStack:
     The keys are one table (m, s) of sorted index rows, in sorted order, and
     ``coeffs`` has shape (T, m, d), or (1, m, d) for one polynomial shared by
     every row: floats, or objects holding exact Fractions. Evaluation takes
-    stacked rows, float or object, and computes row by row in one fixed order
-    (sequential products over slots, then sequential accumulation over keys
-    from zero), so each row's value is bit-identical to evaluating that row's
-    polynomial at that row alone, and exact coefficients at exact rows give
-    exact values. So rows go in chunks when a block's buffers would exceed
-    `STACK_BYTES`. Exact coefficients at float rows multiply as floats, as
-    `Fraction * float` does. Overflow, also of an exact coefficient beyond
-    the float range, gives inf without a warning: the residual policy reports
-    non-finite sides. Each key's multinomial is an exact integer; float rows
-    multiply by its float and exact rows by the integer. Every index table,
-    the keys' and the form's arrangement tables (built on the form's first
-    use), is held as its `_prefix_plan`, so that rows sharing a prefix of
-    slots share that prefix's product. Each plan column is one contiguous
-    vector for ``ndarray.take``, which gathers faster than fancy indexing.
+    V variants of stacked rows (T, n), float or object, against the same T
+    polynomials (`values`, `forms`; P(X) and ``form(slots)`` are the one-
+    variant case), and computes row by row in one fixed order: sequential
+    products over slots, then sequential accumulation over keys from zero,
+    ((0 + t_0) + t_1) + ..., so each row's value is bit-identical to
+    evaluating that row's polynomial at that row alone, and exact
+    coefficients at exact rows give exact values. The V T rows go in chunks
+    of at most `CHUNK_BYTES` of buffers (`_in_chunks`), and each chunk runs
+    key-major: its slot entries are gathered into (n, rows) arrays, so each
+    gather and product moves a rows-wide vector, and the sum over keys adds
+    (rows, d) arrays in key order. Exact coefficients at float rows multiply
+    as floats, as `Fraction * float` does. Overflow, also of an exact
+    coefficient beyond the float range, gives inf without a warning: the
+    residual policy reports non-finite sides. Each key's multinomial is an
+    exact integer; float rows multiply by its float and exact rows by the
+    integer. Every index table, the keys' and the form's arrangement tables
+    (built on the form's first use), is held as its `_prefix_plan`, so that
+    rows sharing a prefix of slots share that prefix's product. Each plan
+    column is one contiguous vector for ``ndarray.take``, which gathers
+    faster than fancy indexing.
     """
 
     def __init__(self, table: np.ndarray, coeffs: np.ndarray, plan: list,
@@ -157,24 +159,30 @@ class TermStack:
         out.coeffs = self.coeffs[rows]
         return out
 
-    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """P at each row of X (T, n); returns (T, d)."""
-        if len(X) > 1 and len(X) * self._row_bytes > STACK_BYTES:
-            return self._in_chunks(lambda stack, lo, hi: stack(X[lo:hi]), len(X), self._row_bytes)
-        monomial = _planned_products([X] * self.degree, self._plan)
-        # integer weights keep exact monomials exact; float ones spare float
-        # monomials a cast per call
-        weights = self._multinomials if X.dtype == object else self._weights
-        return _sum_terms(_coefficients_at(self.coeffs, (X,)) * (weights * monomial)[:, :, None])
+        return self._evaluate([[X]], self._plan, None, self._row_bytes)[0]
 
-    def _in_chunks(self, evaluate, T: int, row_bytes: int) -> np.ndarray:
-        """evaluate(stack, lo, hi) for chunks of the T rows that keep to
-        `STACK_BYTES`, each on the stack of its rows' polynomials; rows are
-        independent, so the values are those of one call."""
-        step = max(1, STACK_BYTES // row_bytes)
-        return np.concatenate([evaluate(self.take(slice(lo, lo + step)), lo, lo + step)
-                               for lo in range(0, T, step)])
+    def values(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """P at each row of each of V stacked row arrays (T, n), all float
+        or all exact, row t of every variant against polynomial t, in one
+        evaluation; (V, T, d)."""
+        return self._evaluate([[X] for X in rows], self._plan, None, self._row_bytes)
+
+    def form(self, slots: Sequence[np.ndarray]) -> np.ndarray:
+        """The symmetric form at stacked arguments: slots[k] (T, n) fills slot k."""
+        return self.forms([slots])[0]
+
+    def forms(self, variants: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+        """The symmetric form at each of V variants of stacked arguments,
+        variant v's slots[k] (T, n) filling slot k, all float or all exact,
+        row t of every variant against polynomial t, in one evaluation;
+        (V, T, d)."""
+        for slots in variants:
+            if len(slots) != self.degree:
+                raise ValueError(f"the form takes exactly {self.degree} vectors, got {len(slots)}")
+        plan, groups = self._arrangement_layout()
+        return self._evaluate(variants, plan, groups, self._form_row_bytes)
 
     def _arrangement_layout(self):
         """The `_prefix_plan` of the form's arrangement table, and its groups.
@@ -208,17 +216,78 @@ class TermStack:
         return self._layout
 
     @np.errstate(over="ignore", invalid="ignore")
-    def form(self, slots: Sequence[np.ndarray]) -> np.ndarray:
-        """The symmetric form at stacked arguments: slots[k] (T, n) fills slot k."""
-        if len(slots) != self.degree:
-            raise ValueError(f"the form takes exactly {self.degree} vectors, got {len(slots)}")
-        plan, groups = self._arrangement_layout()
-        T = len(slots[0])
-        if T > 1 and T * self._form_row_bytes > STACK_BYTES:
-            return self._in_chunks(lambda stack, lo, hi: stack.form([x[lo:hi] for x in slots]),
-                                   T, self._form_row_bytes)
-        totals = _arrangement_sums(_planned_products(slots, plan), groups, len(self._table))
-        return _sum_terms(_coefficients_at(self.coeffs, slots) * totals[:, :, None])
+    def _evaluate(self, variants, plan, groups, row_bytes: int) -> np.ndarray:
+        """The V variants' sums over keys of coefficient times planned
+        product (weighted for P, summed over each key's arrangements for the
+        form when ``groups`` are given), (V, T, d), evaluated chunk by chunk
+        (`_in_chunks`). A variant is its slot arrays, or for P its one array,
+        which fills every slot; each is gathered key-major once a chunk."""
+        V, filled, (T, n) = len(variants), len(variants[0]), variants[0][0].shape
+        m, d = self.coeffs.shape[1:]
+        coeffs = _coefficients_at(self.coeffs, variants)
+        shared = len(coeffs) == 1
+        coeffs = coeffs.transpose(1, 0, 2)  # key-major: (m, T or 1, d)
+        sums = []
+        for lo, hi, segments in _in_chunks(V, T, max(1, CHUNK_BYTES // (row_bytes + 8 * n * filled))):
+            # each slot's rows of the chunk, key-major and C-contiguous (n, rows)
+            if len(segments) == 1:
+                (v, t0, t1), = segments
+                slots = [np.ascontiguousarray(x[t0:t1].T) for x in variants[v]]
+            else:
+                slots = [np.concatenate([variants[v][k][t0:t1].T for v, t0, t1 in segments], axis=1)
+                         for k in range(filled)]
+            products = _planned_products(slots * (len(plan) // filled), plan)
+            if groups is None:
+                # integer weights keep exact monomials exact; float ones
+                # spare float monomials a cast
+                products *= (self._multinomials if products.dtype == object
+                             else self._weights)[:, None]
+            else:
+                products = _arrangement_sums(products, groups, m)
+            if shared:
+                terms = coeffs * products[:, :, None]
+            else:
+                terms = np.empty((m, hi - lo, d), np.result_type(coeffs, products))
+                for v, t0, t1 in segments:
+                    o = v * T + t0 - lo
+                    np.multiply(coeffs[:, t0:t1], products[:, o:o + t1 - t0, None],
+                                out=terms[:, o:o + t1 - t0])
+            sums.append(_sum_terms(terms))
+        return (sums[0] if len(sums) == 1 else np.concatenate(sums)).reshape(V, T, d)
+
+
+def _in_chunks(V: int, T: int, step: int):
+    """The chunks of at most ``step`` rows of V stacked variants of T rows,
+    row v T + t being row t of variant v, as few as that allows and of
+    equal sizes, give or take a row: for each chunk, its rows lo..hi and
+    its segments (v, t0, t1), the rows t0..t1 of variant v that it holds.
+    Rows are independent, so the values are those of one chunk. The chunks
+    are made one at a time, so that a call of many holds few."""
+    total = V * T
+    if total <= step:
+        yield 0, total, [(v, 0, T) for v in range(V)]
+        return
+    step = -(-total // -(-total // step))
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        yield lo, hi, [(v, max(lo - v * T, 0), min(hi - v * T, T))
+                       for v in range(lo // T, (hi - 1) // T + 1)]
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """((0 + t_0) + t_1) + ... over axis 0 of key-major (m, R, d) terms,
+    float or exact: the order of accumulating key by key from zero; (R, d).
+    Reducing axis 0 adds the (R, d) rows in order, but numpy would sum a
+    lone entry (R d == 1) pairwise, so that one is accumulated in place and
+    the zero added last: 0 + t_0 is t_0 but for -0.0, which becomes 0.0 and
+    changes no later partial sum but a zero's sign, so the sum is the same."""
+    m, R, d = terms.shape
+    if m == 0:
+        return np.full((R, d), Fraction(0) if terms.dtype == object else 0.0)
+    if R * d != 1:
+        return np.add.reduce(terms, axis=0, initial=0)
+    column = terms.reshape(m, 1)
+    return np.add.accumulate(column, axis=0, out=column)[-1:] + 0
 
 
 def _row_bytes(rows: int, m: int, d: int) -> int:
@@ -275,12 +344,12 @@ def _arrangement_table(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coefficients_at(coeffs: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
-    """coeffs as they multiply the given rows: exact coefficients at float
-    rows as the floats that `Fraction * float` multiplies by, held as
-    objects, and ±inf beyond the float range, where `Fraction.__float__`
+def _coefficients_at(coeffs: np.ndarray, variants) -> np.ndarray:
+    """coeffs as they multiply the variants' slot arrays: exact coefficients
+    at float rows as the floats that `Fraction * float` multiplies by, held
+    as objects, and ±inf beyond the float range, where `Fraction.__float__`
     raises OverflowError."""
-    if coeffs.dtype == object and np.result_type(*rows) != object:
+    if coeffs.dtype == object and all(x.dtype != object for slots in variants for x in slots):
         return _float_coefficients(coeffs)
     return coeffs
 
@@ -333,39 +402,39 @@ def _prefix_plan(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]
 
 
 def _planned_products(slots: Sequence[np.ndarray], plan) -> np.ndarray:
-    """For each row of slots (T, n) and each row r of the plan's table, the
-    product ((x_0[t_0] * x_1[t_1]) * x_2[t_2]) * ... of the slots at r;
-    (T, rows). Each level's products extend their parents' in place, so a
-    row's product takes the operations of the left-to-right product."""
+    """For each row r of the plan's table and each column of the key-major
+    slots (n, R), the product ((x_0[t_0] * x_1[t_1]) * x_2[t_2]) * ... of
+    the slots at r; (rows, R). Each level's products extend their parents'
+    in place, so a row's product takes the operations of the left-to-right
+    product, and each gather copies R-wide rows."""
     (column, _), *levels = plan
-    products = slots[0].take(column, axis=1)
+    products = slots[0].take(column, axis=0)
     for slot, (column, parent) in zip(slots[1:], levels):
         if parent is not None:
-            products = products.take(parent, axis=1)
+            products = products.take(parent, axis=0)
         if slot.dtype != products.dtype:  # float and exact slots: objects
             products = products.astype(np.result_type(products, slot), copy=False)
-        products *= slot.take(column, axis=1)
+        products *= slot.take(column, axis=0)
     return products
 
 
 def _arrangement_sums(products: np.ndarray, groups, keys: int) -> np.ndarray:
-    """For each row and each key, the sum over the key's arrangements of
-    their slot products (T, rows of the arrangement table); (T, keys)."""
-    if len(groups) == 1:  # every key, in key order
-        (_, count, _), = groups
-        return _group_sums(products, count)
-    totals = np.empty((len(products), keys), dtype=products.dtype)
-    for positions, count, rows in groups:
-        totals[:, positions] = _group_sums(products[:, rows], count)
-    return totals
-
-
-def _group_sums(products: np.ndarray, count: int) -> np.ndarray:
-    if count == 1:
+    """For each key and each column, the sum over the key's arrangements of
+    their slot products, key-major (rows of the arrangement table, R);
+    (keys, R). Each sum is numpy's pairwise sum of the key's contiguous
+    products, as in the scalar form, so a group of count > 1 is laid out
+    key, column, arrangement before it is summed."""
+    if len(groups) == 1 and groups[0][1] == 1:  # every key once, in key order
         return products
-    # each row's sum over a key's arrangements is numpy's pairwise sum of a
-    # contiguous vector, as in the scalar form
-    return products.reshape(len(products), -1, count).sum(axis=2)
+    R = products.shape[1]
+    totals = np.empty((keys, R), dtype=products.dtype)
+    for positions, count, rows in groups:
+        block = products[rows]
+        if count > 1:  # one column's products of a key are contiguous already
+            block = (block.reshape(len(positions), 1, count) if R == 1 else np.ascontiguousarray(
+                block.reshape(len(positions), count, R).transpose(0, 2, 1))).sum(axis=2)
+        totals[positions] = block
+    return totals
 
 
 def _coerce_coeff(value, d: int) -> np.ndarray:
@@ -521,7 +590,9 @@ def polarize_blackbox(
     arguments in one call on its `TermStack`. Any other evaluator is a black
     box, called once per argument: first at the summed arguments and at two
     scalings of them, each checked for degree-s scaling (a residual above
-    1e-6) before the next call; then at the signed arguments, in order.
+    1e-6) before the next call; then at the signed arguments, in order. A
+    black box whose probe leaves the float range cannot be checked: that
+    raises its own ValueError ("cannot verify ... within the float range").
     Either way the values are summed in sign-row order, with the same bytes;
     a sum beyond the float range is ±inf, without a warning.
     """
@@ -570,7 +641,10 @@ def _blackbox_values(evaluator: Callable, fs: Sequence[LatticeVector], rows: np.
     """The evaluator's values at the signed rows, one call per row, after
     its homogeneity probes when ``check_homogeneity`` is set. The probes and
     the all-plus row are PositiveVectors when every f is one; each other
-    row, holding a negated f, is a LatticeVector."""
+    row, holding a negated f, is a LatticeVector. A probe that the float
+    range cannot check, because the summed arguments or the value expected
+    at a scaling of them are not finite, raises ValueError saying so, apart
+    from the spot check's failure."""
     s, exact = len(fs), fs[0].is_exact
     cone = PositiveVector if all(isinstance(f, PositiveVector) for f in fs) else LatticeVector
 
@@ -578,11 +652,18 @@ def _blackbox_values(evaluator: Callable, fs: Sequence[LatticeVector], rows: np.
         return np.atleast_1d(np.asarray(evaluator(cls._from_data(row, exact))))
 
     if check_homogeneity:
-        probe = reduce(lambda a, b: a + b, fs)
+        with np.errstate(over="ignore"):
+            probe = reduce(lambda a, b: a + b, fs)
+        beyond = f"cannot verify the degree-{s} homogeneity within the float range"
+        if not _finite_entries(probe._data).all():
+            raise ValueError(f"{beyond}: the summed arguments are not finite")
         base = value(type(probe), probe._data)
         for lam in (2, Fraction(1, 2)) if exact else (2.0, 0.5):
             with np.errstate(over="ignore", invalid="ignore"):
                 expect = base * lam**s
+            if not _finite_entries(expect).all():
+                raise ValueError(f"{beyond}: the value at the summed arguments times "
+                                 f"{lam}**{s} is not finite")
             if float(row_residuals(value(cone, probe._data * lam)[None], expect[None])[0]) > 1e-6:
                 raise ValueError(
                     f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
@@ -593,8 +674,9 @@ def _blackbox_values(evaluator: Callable, fs: Sequence[LatticeVector], rows: np.
 
 def _additivity_sides(P: TermStack, f: np.ndarray, g: np.ndarray):
     """P(f + g) and P(f) + P(g) for each row of the stacked disjoint pairs f, g
-    (T, n); both (T, d), object for exact coefficients."""
-    return P(f + g), P(f) + P(g)
+    (T, n), from one evaluation; both (T, d), object for exact coefficients."""
+    total, at_f, at_g = P.values([f + g, f, g])
+    return total, at_f + at_g
 
 
 def is_positively_orthogonally_additive(
@@ -615,7 +697,10 @@ def is_positively_orthogonally_additive(
 
     Trials run in blocks of up to `BLOCK_TRIALS`, drawn with the generator
     calls of a loop over single trials and evaluated together on P's
-    `TermStack`, so reports do not depend on the block size.
+    `TermStack`, so reports do not depend on the block size. A block's masks
+    are one generator call; its entries are drawn and evaluated in
+    sub-blocks that keep to `STACK_BYTES`, counting 6 n floats a trial: the
+    2 n uniforms, f, g and f + g, and n of headroom for the evaluation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -646,25 +731,29 @@ def is_positively_orthogonally_additive(
     stack = TermStack.of(P)
     worst = 0.0
     counterexample = None
+    sub = max(1, min(BLOCK_TRIALS, STACK_BYTES // (8 * 6 * n)))
     for start in range(0, total, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, total)
         mask = masks(start, stop)
-        entries = np.exp(rng.uniform(low, high, (stop - start, 2, n)))
-        f = np.where(mask, entries[:, 0], 0.0)
-        g = np.where(mask, 0.0, entries[:, 1])
-        lhs, rhs = _additivity_sides(stack, f, g)
-        res = row_residuals(lhs, rhs, switch=tolerances.relative_switch)
-        worst = max(worst, float(res.max()))
-        failing = np.flatnonzero(res > tolerances.identity_rel)
-        if counterexample is None and failing.size:
-            i = failing[0]
-            counterexample = {
-                "f": f[i].tolist(),
-                "g": g[i].tolist(),
-                "lhs": lhs[i],
-                "rhs": rhs[i],
-                "residual": float(res[i]),
-            }
+        for lo in range(0, stop - start, sub):
+            hi = min(lo + sub, stop - start)
+            entries = rng.uniform(low, high, (hi - lo, 2, n))
+            np.exp(entries, out=entries)
+            f = np.where(mask[lo:hi], entries[:, 0], 0.0)
+            g = np.where(mask[lo:hi], 0.0, entries[:, 1])
+            lhs, rhs = _additivity_sides(stack, f, g)
+            res = row_residuals(lhs, rhs, switch=tolerances.relative_switch)
+            worst = max(worst, float(res.max()))
+            failing = np.flatnonzero(res > tolerances.identity_rel)
+            if counterexample is None and failing.size:
+                i = failing[0]
+                counterexample = {
+                    "f": f[i].tolist(),
+                    "g": g[i].tolist(),
+                    "lhs": lhs[i],
+                    "rhs": rhs[i],
+                    "residual": float(res[i]),
+                }
     return VerificationReport(
         claim_id="POA",
         trials=total,

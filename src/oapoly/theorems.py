@@ -123,7 +123,10 @@ def _partition_requires(degree, count, cp) -> None:
 
 
 def _rmp_sides(P, X, cp):
-    return P(root_mean_power_stack(P.degree, X)), sum(P(X[:, i]) for i in range(X.shape[1]))
+    # one evaluation of P at the root mean power and at each vector; the
+    # vectors' values summed from 0 in order
+    values = P.values([root_mean_power_stack(P.degree, X)] + [X[:, i] for i in range(X.shape[1])])
+    return values[0], sum(values[1:])
 
 
 def _gm_sides(P, X, cp):
@@ -131,15 +134,16 @@ def _gm_sides(P, X, cp):
 
 
 def _hm_sides(P, X, cp):
+    # one evaluation of the form at the tuple and at its s substitutions;
+    # the substitutions' values summed term_0 + term_1 + ... in order
     s = X.shape[1]
     slots = [X[:, i] for i in range(s)]
     eta = harmonic_mean_stack(X)
-    lhs = P.form(slots) * s
-    rhs = None
-    for j in range(s):
-        term = P.form(slots[:j] + [eta] + slots[j + 1:])
-        rhs = term if rhs is None else rhs + term
-    return lhs, rhs
+    values = P.forms([slots] + [slots[:j] + [eta] + slots[j + 1:] for j in range(s)])
+    rhs = values[1]
+    for term in values[2:]:
+        rhs = rhs + term
+    return values[0] * s, rhs
 
 
 def _repeats(cp: CompletePartition) -> np.ndarray:
@@ -396,11 +400,9 @@ def _cross_rows(claim, X, P, cp, cfg):
     mixed_tol, recon_tol = (cfg.exact_slack,) * 2 if exact else (cfg.mixed_abs, cfg.identity_rel)
     mixed_worst = np.zeros(len(f))
     witness = np.full(len(f), -1)
-    values = []
+    values = P.forms([[f] * k + [g] * (s - k) for k in range(s + 1)])
     recon = None
-    for k in range(0, s + 1):
-        val = P.form([f] * k + [g] * (s - k))
-        values.append(val)
+    for k, val in enumerate(values):
         term = val * math.comb(s, k)
         recon = term if recon is None else recon + term
         if 1 <= k <= s - 1:

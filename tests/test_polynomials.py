@@ -552,9 +552,25 @@ class TestPolarization:
             assert polarize_blackbox(P, [vec(1e308)] * 2).tolist() == [math.inf]
             assert polarize_blackbox(Q, [vec(1e308)] * 2,
                                      check_homogeneity=False).tolist() == [math.inf]
-            # the black box's probe at scale 2 is inf, as is its expected value
-            with pytest.raises(ValueError, match="homogeneity spot check at scale 2.0"):
+            # the black box's value expected at scale 2 is beyond the float
+            # range, and where the summed arguments are, the probe cannot be
+            # checked: a distinct error, before any call there
+            Q.calls = []
+            with pytest.raises(ValueError, match="cannot verify the degree-2 homogeneity within "
+                               r"the float range: the value at the summed arguments times 2.0\*\*2"):
                 polarize_blackbox(Q, fs)
+            assert [c[2] for c in Q.calls] == [(1.2e154,)]
+            Q.calls = []
+            with pytest.raises(ValueError, match="cannot verify the degree-2 homogeneity within "
+                               "the float range: the summed arguments are not finite"):
+                polarize_blackbox(Q, [vec(1e308)] * 2)
+            assert Q.calls == []
+
+    def test_a_fraud_fails_the_spot_check_near_the_float_range(self):
+        # x^2 + 1e150 x at 0.6e153 twice: its probe, scaled by 2 and 1/2,
+        # stays in range, so it fails the spot check itself
+        with pytest.raises(ValueError, match="homogeneity spot check at scale 2.0"):
+            polarize_blackbox(lambda f: [f[0] ** 2 + f[0] * 1e150], [vec(0.6e153)] * 2)
 
 
 class TestAdditivityCheck:
@@ -719,7 +735,7 @@ class TestTermStack:
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.integers(2, 9),
            st.integers(1, 24 * 40 * 3), st.integers(0, 2**32 - 1))
     def test_chunked_rows_are_bit_identical(self, s, n, d, T, budget, seed):
-        # a small budget splits the rows into chunks of one row and more
+        # a small chunk budget splits the rows into chunks of one row and more
         rng = np.random.default_rng(seed)
         P = random_polynomial(rng, s, n, d)
         X = np.exp(rng.uniform(-5, 5, (T, s, n)))
@@ -729,7 +745,7 @@ class TestTermStack:
         for stack, Y in cases:
             slots = [Y[:, k] for k in range(s)]
             whole = stack(Y[:, 0]), stack.form(slots)
-            with patch.object(polynomials, "STACK_BYTES", budget):
+            with patch.object(polynomials, "CHUNK_BYTES", budget):
                 chunked = stack(Y[:, 0]), stack.form(slots)
             for a, b in zip(whole, chunked):
                 assert a.shape == b.shape
@@ -762,9 +778,11 @@ class TestTermStack:
                 if k:  # slot 0 is gathered at level 1's entries
                     assert len(plan[k][0]) == (prefixes if shared else len(table))
             for slots in (list(X.transpose(1, 0, 2)), list(rational(X).transpose(1, 0, 2))):
-                planned = polynomials._planned_products(slots, plan)
+                # the helper takes key-major slots (n, T) and gives (rows, T)
+                planned = polynomials._planned_products([x.T.copy() for x in slots], plan).T
                 plain = plain_products(slots, table)
                 assert planned.shape == plain.shape == (T, len(table))
+                assert planned.dtype == plain.dtype
                 assert [exact_bytes(row) for row in planned] == [exact_bytes(row) for row in plain]
         P = HomogeneousPolynomial(s, n, d, dict(zip(keys, rng.uniform(-2, 2, (len(keys), d)))))
         for Q, Y in [(P, X), *exact_cases(P, X)]:
@@ -773,6 +791,28 @@ class TestTermStack:
             for t in range(T):
                 assert exact_bytes(values[t]) == exact_bytes(reference_eval(Q, Y[t, 0]))
                 assert exact_bytes(forms[t]) == exact_bytes(reference_form(Q, list(Y[t])))
+
+    @pytest.mark.parametrize("terms", [
+        [-0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1e16, 1.0, 1.0, -1e16],
+        [1.0, -1.0, -0.0], [math.inf, -0.0], [-0.0, math.nan], list(np.linspace(-1, 1, 17)),
+    ])
+    def test_sum_terms_is_the_sum_from_zero(self, terms):
+        # one entry (R d == 1) and rows of entries (R d > 1) alike: ((0 + t_0)
+        # + t_1) + ..., -0.0 terms and cancellations included
+        def from_zero(column):
+            total = 0.0
+            for t in column:
+                total = total + t
+            return total
+
+        for R, d in ((1, 1), (3, 1), (1, 2)):
+            key_major = np.repeat(np.array(terms)[:, None, None], R * d, axis=1).reshape(-1, R, d)
+            key_major[:, 1:] *= 3.0  # a row or entry of its own
+            sums = polynomials._sum_terms(key_major.copy())
+            expect = np.array([[from_zero(key_major[:, r, e]) for e in range(d)] for r in range(R)])
+            assert sums.shape == (R, d) and sums.tobytes() == expect.tobytes()
+        for empty in (np.empty((0, 2, 1)), np.empty((3, 0, 1))):
+            assert polynomials._sum_terms(empty).shape == empty.shape[1:]
 
     @pytest.mark.parametrize("s", [1, 2, 4])
     def test_keys_without_a_shared_prefix_take_no_parent_gathers(self, s):

@@ -1,6 +1,7 @@
 """Identity checks and falsification, including exact-rational replication."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -41,7 +42,15 @@ from oapoly import (
 )
 from oapoly import polynomials, sampling, theorems
 from oapoly.lattice import DimensionMismatchError, is_disjoint
-from oapoly.reports import DEFAULT_TOLERANCES, ToleranceConfig, VerificationReport, row_residuals
+from oapoly.means import harmonic_mean_stack, root_mean_power_stack
+from oapoly.polynomials import TermStack
+from oapoly.reports import (
+    DEFAULT_TOLERANCES,
+    ToleranceConfig,
+    VerificationReport,
+    cross_payload,
+    row_residuals,
+)
 from oapoly.sampling import (
     diagonal_polynomial,
     disjoint_pair,
@@ -1630,6 +1639,40 @@ class TestAdditivityBlocks:
             got = outcome(is_positively_orthogonally_additive, P, **kwargs)
         assert got == outcome(reference_additivity, P, **kwargs)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6),
+           st.sampled_from(["strong", "weak", "exact", "additive"]),
+           st.sampled_from([1, 3, 40, 130]), st.booleans(), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
+    def test_sub_blocks_match_per_trial_reference(self, s, n, kind, trials, exhaustive, rows,
+                                                  seed):
+        # a STACK_BYTES of ``rows`` trials splits each block of 7 into
+        # sub-blocks, which need not divide it; the masks stay one call a block
+        rng = np.random.default_rng(seed)
+        P = falsify_polynomial(kind, rng, s, n, 1)
+        kwargs = dict(trials=trials, seed=seed, exhaustive=exhaustive)
+        with patch.object(polynomials, "STACK_BYTES", 8 * 6 * n * rows), \
+                patch.object(polynomials, "BLOCK_TRIALS", 7):
+            got = outcome(is_positively_orthogonally_additive, P, **kwargs)
+        assert got == outcome(reference_additivity, P, **kwargs)
+
+    def test_memory_keeps_to_the_stack_bound(self):
+        # n = 4096: the parent drew 1024 trials' entries at once, 196 MiB
+        # (tracemalloc); now the sub-blocks keep to STACK_BYTES. Slack: the
+        # block's masks as booleans, which its one draw of int64 masks (as
+        # large as STACK_BYTES here) is converted into
+        n = 4096
+        P = make_diagonal(np.linspace(0.5, 2.0, n), 2)
+        is_positively_orthogonally_additive(P, trials=2, seed=1)  # compiles P
+        tracemalloc.start()
+        try:
+            rep = is_positively_orthogonally_additive(P, trials=1024, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.trials == 1024
+        assert peak <= polynomials.STACK_BYTES + polynomials.BLOCK_TRIALS * n + (1 << 20)
+
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_blocks_bound_the_rows_in_memory(self, exhaustive):
         P = HomogeneousPolynomial(2, 3, 1, {(0, 0): [1.0], (0, 1): [1.0]})
@@ -1646,3 +1689,174 @@ class TestAdditivityBlocks:
         assert max(seen) == 7 and sum(seen) == rep.trials == (32 if exhaustive else 30)
         assert rep.to_dict() == reference_additivity(
             P, trials=30, seed=2, exhaustive=exhaustive).to_dict()
+
+
+def bits(value):
+    """A value's bytes for floats, each entry's type and repr for objects
+    (repr keeps the sign of a zero), recursively through payloads."""
+    if isinstance(value, np.ndarray):
+        if value.dtype == object:
+            return "objects", [(type(v), repr(v)) for v in value.ravel().tolist()], value.shape
+        return str(value.dtype), value.tobytes(), value.shape
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return type(value), repr(value)
+
+
+def loop_hm_sides(P, X):
+    """The HM sides as s + 1 single-variant form calls."""
+    s = X.shape[1]
+    slots = [X[:, i] for i in range(s)]
+    eta = harmonic_mean_stack(X)
+    lhs = P.form(slots) * s
+    rhs = None
+    for j in range(s):
+        term = P.form(slots[:j] + [eta] + slots[j + 1:])
+        rhs = term if rhs is None else rhs + term
+    return lhs, rhs
+
+
+def loop_rmp_sides(P, X):
+    """The RMP sides as k + 1 single-variant calls of P."""
+    return P(root_mean_power_stack(P.degree, X)), sum(P(X[:, i]) for i in range(X.shape[1]))
+
+
+def loop_additivity_sides(P, f, g):
+    return P(f + g), P(f) + P(g)
+
+
+def loop_cross_rows(claim, X, P, cp, cfg):
+    """The CROSS_TERMS kernel with one form call per split of s slots."""
+    f, g = X[:, 0], X[:, 1]
+    s = P.degree
+    exact = theorems._exact(X, P)
+    mixed_tol, recon_tol = (cfg.exact_slack,) * 2 if exact else (cfg.mixed_abs, cfg.identity_rel)
+    mixed_worst = np.zeros(len(f))
+    witness = np.full(len(f), -1)
+    values, recon = [], None
+    for k in range(0, s + 1):
+        val = P.form([f] * k + [g] * (s - k))
+        values.append(val)
+        term = val * math.comb(s, k)
+        recon = term if recon is None else recon + term
+        if 1 <= k <= s - 1:
+            mag = np.max(np.abs(val), axis=1)
+            if not exact:
+                mag = mag.astype(float, copy=False)
+                mag[np.isnan(mag)] = np.inf
+            better = mag > mixed_worst
+            mixed_worst = np.where(better, mag, mixed_worst)
+            witness[better & (mag > mixed_tol)] = k
+    total = P(f + g)
+    recon_res = row_residuals(total, recon, switch=cfg.relative_switch)
+    passed = (mixed_worst <= mixed_tol) & (recon_res <= recon_tol)
+
+    def payload(i):
+        k = int(witness[i])
+        mixed_witness = {"copies_of_f": k, "value": values[k][i]} if k >= 0 else None
+        return cross_payload([f[i].tolist(), g[i].tolist()], float(mixed_worst[i]),
+                              float(recon_res[i]), mixed_witness, total[i], recon[i])
+
+    return mixed_worst.astype(float, copy=False), passed, payload
+
+
+def side_stacks(kind, rng, s, n, d, T, exact):
+    """The polynomials of T rows: one shared P, its exact copy, per-row
+    diagonal ones, or per-row ones taken from a larger stack in another
+    order. Coefficients are signed, so zero entries give -0.0 terms."""
+    if kind == "shared":
+        P = sparse_polynomial(rng, s, n, d, mixed_terms=3, mixed_mass=0.5) if n > 1 else \
+            make_diagonal(rng.uniform(-2, 2, (n, d)), s)
+        if exact:
+            P = HomogeneousPolynomial(s, n, d, {
+                key: [Fraction(float(c)).limit_denominator(64) for c in coeff]
+                for key, coeff in P.terms.items()})
+        return TermStack.of(P)
+    coeffs = rng.uniform(-2, 2, (2 * T if kind == "taken" else T, n, d))
+    if exact:
+        coeffs = np.array([Fraction(float(c)).limit_denominator(64) for c in coeffs.ravel()],
+                          dtype=object).reshape(coeffs.shape)
+    stack = TermStack.diagonal(coeffs, s)
+    return stack.take(rng.permutation(2 * T)[:T]) if kind == "taken" else stack
+
+
+class TestStackedSides:
+    """Each claim side is one stacked evaluation; it repeats the loop of
+    single-variant calls bit for bit, whatever the chunk size."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 5), st.sampled_from([1, 2]), st.integers(1, 6),
+           st.sampled_from(["shared", "diagonal", "taken"]), st.booleans(),
+           st.integers(1, 4000), st.integers(0, 2**32 - 1))
+    def test_sides_equal_the_loop_of_single_calls(self, s, n, d, T, kind, exact, budget, seed):
+        rng = np.random.default_rng(seed)
+        P = side_stacks(kind, rng, s, n, d, T, exact)
+        X = np.exp(rng.uniform(-3, 3, (T, s, n)))
+        X[rng.random(X.shape) < 0.3] = 0.0
+        pair = X[:, :2] * (np.arange(n) % 2 == np.arange(2)[:, None])  # disjoint f, g
+        inputs = [X, pair]
+        if exact:
+            inputs = [np.array([Fraction(float(v)).limit_denominator(64) for v in A.ravel()],
+                               dtype=object).reshape(A.shape) for A in inputs]
+        X, pair = inputs
+        claim, cfg = theorems.CLAIM_TABLE["CROSS_TERMS"], DEFAULT_TOLERANCES
+        cases = [
+            (lambda: theorems._hm_sides(P, X, None), lambda: loop_hm_sides(P, X)),
+            (lambda: polynomials._additivity_sides(P, pair[:, 0], pair[:, 1]),
+             lambda: loop_additivity_sides(P, pair[:, 0], pair[:, 1])),
+            (lambda: theorems._cross_rows(claim, pair, P, None, cfg),
+             lambda: loop_cross_rows(claim, pair, P, None, cfg)),
+        ]
+        if not exact:  # the root mean power takes roots
+            cases.append((lambda: theorems._rmp_sides(P, X, None), lambda: loop_rmp_sides(P, X)))
+        for stacked, loop in cases:
+            expect = loop()
+            with patch.object(polynomials, "CHUNK_BYTES", budget):
+                got = stacked()
+            if len(got) == 3:  # a kernel: residuals, flags and each row's payload
+                got = got[0], got[1], [got[2](t) for t in range(T)]
+                expect = expect[0], expect[1], [expect[2](t) for t in range(T)]
+            assert bits(list(got)) == bits(list(expect))
+
+    def test_one_evaluation_per_side(self):
+        # HM's s + 1 form variants, RMP's k + 1 rows of P, the additivity
+        # sides' three and CROSS_TERMS' s + 1 splits each go in one call
+        rng = np.random.default_rng(3)
+        P = TermStack.of(sparse_polynomial(rng, 3, 4, 2, mixed_terms=2, mixed_mass=0.5))
+        X = np.exp(rng.uniform(-1, 1, (5, 3, 4)))
+        calls = []
+        real = TermStack._evaluate
+
+        def spy(stack, variants, *args):
+            calls.append(len(variants))
+            return real(stack, variants, *args)
+
+        with patch.object(TermStack, "_evaluate", spy):
+            theorems._hm_sides(P, X, None)
+            theorems._rmp_sides(P, X, None)
+            polynomials._additivity_sides(P, X[:, 0], X[:, 1])
+            theorems._cross_rows(theorems.CLAIM_TABLE["CROSS_TERMS"], X[:, :2], P, None,
+                                 DEFAULT_TOLERANCES)
+        assert calls == [4, 4, 3, 4, 1]
+
+    @pytest.mark.parametrize("s, n, T", [(4, 5, 1024), (5, 6, 256)])
+    def test_sides_keep_to_the_chunk_budget(self, s, n, T):
+        # the dense polynomial's (s + 1) T rows would take 26 and 96 MB of
+        # slot products at once; each chunk's buffers keep to CHUNK_BYTES
+        rng = np.random.default_rng(s)
+        keys = list(itertools.combinations_with_replacement(range(n), s))
+        P = TermStack.of(HomogeneousPolynomial(s, n, 1, dict(zip(keys, rng.uniform(-2, 2, (len(keys), 1))))))
+        X = np.exp(rng.uniform(-1, 1, (T, s, n)))
+        P.form([X[:1, k] for k in range(s)])  # builds the arrangement tables
+        tracemalloc.start()
+        try:
+            theorems._hm_sides(P, X, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the chunk's buffers, a few times over as the products' levels, the
+        # index casts and the group sums overlap, beside the (s + 1, T)
+        # values and the harmonic mean
+        assert peak <= 6 * polynomials.CHUNK_BYTES
