@@ -79,6 +79,14 @@ rather than mapping fresh pages; a row that alone takes more is a chunk of
 its own."""
 
 
+PAIRWISE_TERMS = 8
+"""numpy's sum adds fewer terms than this in order, ((0 + a_0) + a_1) + ...
+for floats and from the first for objects, and more pairwise. A form sums
+each key's arrangements as numpy's sum does; a key of fewer arrangements
+than this is summed together with the other keys of its count (see
+`_arrangement_sums`)."""
+
+
 class TermStack:
     """A stack of T polynomials of one degree that share one key set.
 
@@ -104,7 +112,12 @@ class TermStack:
     (built on the form's first use), is held as its `_prefix_plan`, so that
     rows sharing a prefix of slots share that prefix's product. Each plan
     column is one contiguous vector for ``ndarray.take``, which gathers
-    faster than fancy indexing.
+    faster than fancy indexing. The form sums each key's arrangement
+    products as numpy's sum of them would: the keys are grouped by their
+    number A of arrangements, and a group of A below `PAIRWISE_TERMS` is
+    held arrangement-major and summed slab by slab across its keys in one
+    call, a larger one key by key, pairwise (`_arrangement_layout`,
+    `_arrangement_sums`).
     """
 
     def __init__(self, table: np.ndarray, coeffs: np.ndarray, plan: list,
@@ -187,11 +200,14 @@ class TermStack:
     def _arrangement_layout(self):
         """The `_prefix_plan` of the form's arrangement table, and its groups.
         The keys are ordered by their multinomial, the number A of their
-        arrangements, stably, and the table holds each key's A arrangements
-        together, from `_arrangement_table`; a group is its keys' positions,
-        A, and its slice of the table's rows. A table so large that one
-        row's buffers, or its build, would exceed `STACK_BYTES` raises
-        ValueError before it is built."""
+        arrangements, stably; a group is its keys' positions, A, and its
+        slice of the table's rows, which holds the A arrangements of each of
+        its keys from `_arrangement_table`. A group of A below
+        `PAIRWISE_TERMS` holds them arrangement-major, arrangement j of each
+        key in turn, then arrangement j + 1, and a larger one key-major, each
+        key's A arrangements together (see `_arrangement_sums`). A table so
+        large that one row's buffers, or its build, would exceed
+        `STACK_BYTES` raises ValueError before it is built."""
         if self._layout is None:
             m, d = self.coeffs.shape[1:]
             rows = int(self._multinomials.sum())
@@ -211,7 +227,12 @@ class TermStack:
             groups = [(order[lo:hi], int(counts[lo]),
                        slice(int(ends[lo] - counts[lo]), int(ends[hi - 1])))
                       for lo, hi in zip(edges, edges[1:])]
-            self._layout = _prefix_plan(_arrangement_table(self._table[order])), groups
+            table = _arrangement_table(self._table[order])
+            for positions, count, span in groups:
+                if 1 < count < PAIRWISE_TERMS:
+                    table[span] = table[span].reshape(len(positions), count, -1).transpose(
+                        1, 0, 2).reshape(-1, self.degree)
+            self._layout = _prefix_plan(table), groups
             self._form_row_bytes = row_bytes
         return self._layout
 
@@ -420,19 +441,26 @@ def _planned_products(slots: Sequence[np.ndarray], plan) -> np.ndarray:
 
 def _arrangement_sums(products: np.ndarray, groups, keys: int) -> np.ndarray:
     """For each key and each column, the sum over the key's arrangements of
-    their slot products, key-major (rows of the arrangement table, R);
-    (keys, R). Each sum is numpy's pairwise sum of the key's contiguous
-    products, as in the scalar form, so a group of count > 1 is laid out
-    key, column, arrangement before it is summed."""
+    their slot products, key-major (rows of the arrangement table, R), laid
+    out as `TermStack._arrangement_layout` groups them; (keys, R). Each sum
+    is numpy's sum of the key's products, as in the scalar form. numpy adds
+    fewer than `PAIRWISE_TERMS` terms in order, so a group of count A below
+    it, held arrangement-major, is reduced over its A (keys, R) slabs, one
+    numpy call that adds slab after slab in place, as np.sum adds the
+    terms; a larger group, held key-major, takes numpy's pairwise sum of
+    each key's products, laid out key, column, arrangement. A key of one
+    arrangement keeps its product."""
     if len(groups) == 1 and groups[0][1] == 1:  # every key once, in key order
         return products
     R = products.shape[1]
     totals = np.empty((keys, R), dtype=products.dtype)
     for positions, count, rows in groups:
         block = products[rows]
-        if count > 1:  # one column's products of a key are contiguous already
+        if count >= PAIRWISE_TERMS:  # one column's products of a key are contiguous already
             block = (block.reshape(len(positions), 1, count) if R == 1 else np.ascontiguousarray(
                 block.reshape(len(positions), count, R).transpose(0, 2, 1))).sum(axis=2)
+        elif count > 1:
+            block = np.add.reduce(block.reshape(count, len(positions), R), axis=0)
         totals[positions] = block
     return totals
 
@@ -586,8 +614,10 @@ def polarize_blackbox(
 
     With ``check_homogeneity`` set, a wrong degree raises ValueError rather
     than returning a silently wrong value. A `HomogeneousPolynomial` (its
-    class exactly) states its degree, and is evaluated at the 2^s signed
-    arguments in one call on its `TermStack`. Any other evaluator is a black
+    class exactly) states its degree, and is evaluated in one call on its
+    `TermStack` at the 2^(s-1) signed arguments whose first sign is +1; the
+    others are their negations, where P takes (-1)^degree times its value,
+    bit for bit (`_with_negated_rows`). Any other evaluator is a black
     box, called once per argument: first at the summed arguments and at two
     scalings of them, each checked for degree-s scaling (a residual above
     1e-6) before the next call; then at the signed arguments, in order. A
@@ -607,6 +637,8 @@ def polarize_blackbox(
         raise ValueError(f"polarization of {s} vectors needs degree {s}, "
                          f"but the polynomial has degree {evaluator.degree}")
     signs, parities = _sign_table(s)
+    if compiled:  # the rows whose first sign is +1; the others are their negations
+        signs = signs[:len(signs) // 2]
     # sum_k e_k f_k for each sign row e, slot by slot (integer signs keep
     # exact entries exact); a row beyond the float range is ±inf
     with np.errstate(over="ignore"):
@@ -614,7 +646,7 @@ def polarize_blackbox(
         for k in range(1, s):
             rows = rows + fs[k]._data * signs[:, k:k + 1]
     if compiled:
-        values = TermStack.of(evaluator)(rows)
+        values = _with_negated_rows(TermStack.of(evaluator)(rows), evaluator.degree)
     else:
         values = _blackbox_values(evaluator, fs, rows, check_homogeneity)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -624,6 +656,25 @@ def polarize_blackbox(
         if total.dtype == object:
             return total * Fraction(1, denom)
         return total / denom
+
+
+def _with_negated_rows(head: np.ndarray, degree: int) -> np.ndarray:
+    """The values at all 2^s sign rows from ``head``, those at the first
+    2^(s-1), whose first sign is +1: row 2^s - 1 - i negates row i's signs,
+    so its argument is row i's negated, up to the signs of zeros, and a
+    homogeneous P of the given degree takes the value (-1)^degree P there,
+    bit for bit. P's sums start from +0, so its values are never -0.0, and
+    a NaN among them is the same NaN at x and -x: the negated value is
+    0 - value, which keeps a +0.0 and a NaN as they are (negation would flip
+    their sign bits)."""
+    values = np.empty((2 * len(head), *head.shape[1:]), dtype=head.dtype)
+    values[:len(head)] = head
+    mirror = values[::-1][:len(head)]  # rows 2^s - 1 down to 2^(s-1)
+    if degree % 2:
+        np.subtract(0, head, out=mirror)
+    else:
+        mirror[...] = head
+    return values
 
 
 @lru_cache(maxsize=POLARIZATION_DEGREE_CAP)

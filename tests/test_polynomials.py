@@ -94,6 +94,39 @@ def reference_polarize(evaluator, fs):
     return total * Fraction(1, denom) if total.dtype == object else total / denom
 
 
+def signed_rows(fs):
+    """Every signed argument sum_k e_k f_k, the sign rows e in
+    itertools.product((1, -1)) order, built slot by slot as
+    polarize_blackbox builds them, and each row's parity."""
+    signs = np.array(list(itertools.product((1, -1), repeat=len(fs))))
+    with np.errstate(over="ignore"):
+        rows = fs[0]._data * signs[:, :1]
+        for k in range(1, len(fs)):
+            rows = rows + fs[k]._data * signs[:, k:k + 1]
+    return rows, signs.prod(axis=1, dtype=np.int8)[:, None]
+
+
+def all_rows_polarize(P, fs):
+    """polarize_blackbox's value for a compiled P, with P evaluated at each
+    of the 2^s signed rows, in one TermStack call."""
+    rows, parities = signed_rows(fs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.accumulate(TermStack.of(P)(rows) * parities, axis=0)[-1]
+        denom = 2**len(fs) * math.factorial(len(fs))
+        return total * Fraction(1, denom) if total.dtype == object else total / denom
+
+
+def layout_table(stack, n):
+    """The form's arrangement table in the order of its layout's rows, read
+    back from its plan: slot k holds 2 ** (i n^k) at index i, so each row's
+    product is 2 to the power whose base-n digits are the row's indices."""
+    plan, _ = stack._arrangement_layout()
+    s = stack.degree
+    slots = [np.array([[2 ** (i * n**k)] for i in range(n)], dtype=object) for k in range(s)]
+    powers = [p.bit_length() - 1 for p in polynomials._planned_products(slots, plan)[:, 0]]
+    return np.array([[p // n**k % n for k in range(s)] for p in powers]).reshape(-1, s)
+
+
 def plain_products(slots, table):
     """The slot products at each row of an index table, left to right, with
     no prefix shared: ((x_0[t_0] * x_1[t_1]) * ...) for each row; (T, rows)."""
@@ -520,7 +553,51 @@ class TestPolarization:
 
         with patch.object(TermStack, "__call__", recording):
             polarize_blackbox(P, fs)
-        assert shapes == [(2**s, 3)]
+        # the rows whose first sign is +1; the others are their negations
+        assert shapes == [(2**(s - 1), 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(["float", "exact", "exact-at-float", "float-at-exact"]),
+           st.booleans(), st.booleans(), st.sampled_from([0, 0, 100, 160, 250]),
+           st.integers(0, 2**32 - 1))
+    def test_compiled_polarization_matches_every_row_evaluated(self, s, kind, check, difference,
+                                                               scale, seed):
+        # half the signed rows evaluated and the other half mirrored give the
+        # bytes of all 2^s rows evaluated: signed zeros, cancelling vectors,
+        # overflow to ±inf, and NaN (x_0^t - x_1^t where both terms overflow);
+        # unchecked, at a degree t of the other parity than the 2^s rows
+        rng = np.random.default_rng(seed)
+        t = s if check else s + 1 if s == 1 or rng.random() < 0.5 else s - 1
+        exact_vectors = kind in ("exact", "float-at-exact")
+        n, d = (2, 1) if difference else (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        if difference:
+            P = HomogeneousPolynomial(t, 2, 1, {(0,) * t: [1.0], (1,) * t: [-1.0]})
+        else:
+            P = random_polynomial(rng, t, n, d)
+        if kind in ("exact", "exact-at-float"):
+            P = rational_polynomial(P)
+        X = rng.uniform(-2, 2, (s, n)) * (1.0 if exact_vectors else 10.0 ** scale)
+        X[rng.random((s, n)) < 0.25] = 0.0
+        if difference:
+            X[:, 1] = X[:, 0]  # x_0 = x_1 in every row: P is 0, or inf - inf
+        for k in range(1, s):  # a vector repeated or zero: rows that cancel
+            if rng.random() < 0.2:
+                X[k] = X[0] if rng.random() < 0.5 else 0.0
+        if exact_vectors:
+            fs = [LatticeVector.exact([Fraction(int(v * 16), 16) for v in x]) for x in X]
+        else:
+            fs = [signed_zeros(x) if rng.random() < 0.5 else LatticeVector(x) for x in X]
+        out = polarize_blackbox(P, fs, check_homogeneity=check)
+        ref = all_rows_polarize(P, fs)
+        assert out.dtype == ref.dtype and exact_bytes(out) == exact_bytes(ref)
+        # and row by row: the mirrored values are those evaluated, a +0.0
+        # and a NaN included
+        rows, _ = signed_rows(fs)
+        stack = TermStack.of(P)
+        evaluated = stack(rows)
+        mirrored = polynomials._with_negated_rows(stack(rows[:len(rows) // 2]), P.degree)
+        assert mirrored.dtype == evaluated.dtype
+        assert [exact_bytes(v) for v in mirrored] == [exact_bytes(v) for v in evaluated]
 
     def test_compiled_polynomial_of_another_degree_raises(self):
         # x_0^2 - x_1^2 vanishes at the sum of the three vectors, so a
@@ -856,6 +933,68 @@ class TestTermStack:
             assert span == slice(rows, rows + count * len(positions))
             rows = span.stop
         assert rows == len(arrangements)
+
+    # dense key sets whose groups have 1 to 7 arrangements a key, and 8
+    # (the key (0^7, 1)) and more
+    ARRANGEMENT_CASES = [(2, 3), (3, 3), (4, 3), (5, 2), (6, 3), (7, 2), (8, 3)]
+
+    def test_arrangement_layout_is_the_key_tables_rows_reordered(self):
+        # a group of fewer than 8 arrangements a key holds them
+        # arrangement-major, a larger one key-major; either way every
+        # distinct arrangement of every key comes once
+        counts = set()
+        for s, n in self.ARRANGEMENT_CASES:
+            keys = list(itertools.combinations_with_replacement(range(n), s))
+            stack = TermStack.of(HomogeneousPolynomial(s, n, 1, {k: [1.0] for k in keys}))
+            _, groups = stack._arrangement_layout()
+            table = layout_table(stack, n)
+            for positions, count, span in groups:
+                arrangements = np.stack([reference_arrangements(keys[i]) for i in positions],
+                                        axis=1 if count < polynomials.PAIRWISE_TERMS else 0)
+                assert table[span].tolist() == arrangements.reshape(-1, s).tolist()
+                counts.add(count)
+            key_major = np.concatenate([reference_arrangements(k) for k in keys])
+            assert sorted(map(tuple, table.tolist())) == sorted(map(tuple, key_major.tolist()))
+        assert set(range(1, 9)) <= counts and max(counts) > 8
+
+    @pytest.mark.parametrize("s, n", ARRANGEMENT_CASES)
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("kind", ["float", "exact"])
+    def test_arrangement_sums_are_numpys_sums_of_each_keys_products(self, s, n, R, kind):
+        # each key's sum is np.sum of its products in arrangement order (a
+        # key of one arrangement keeps its product), byte for byte: products
+        # of far apart magnitudes, whose sum depends on the order, and -0.0,
+        # ±inf and NaN among them
+        keys = list(itertools.combinations_with_replacement(range(n), s))
+        stack = TermStack.of(HomogeneousPolynomial(s, n, 1, {k: [1.0] for k in keys}))
+        _, groups = stack._arrangement_layout()
+        rows = groups[-1][2].stop
+        rng = np.random.default_rng(s * n * R)
+        products = rng.standard_normal((rows, R)) * 10.0 ** rng.integers(-3, 4, (rows, R))
+        if kind == "float":
+            special = rng.random((rows, R))
+            products[special < 0.15] = -0.0
+            products[(special > 0.95) & (special < 0.97)] = math.inf
+            products[special > 0.99] = -math.inf
+            with np.errstate(invalid="ignore"):  # the NaN that inf * 0 gives
+                products[(special > 0.97) & (special < 0.99)] = np.array(math.inf) * 0.0
+        else:
+            products = rational(products)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = polynomials._arrangement_sums(products.copy(), groups, len(keys))
+        assert sums.shape == (len(keys), R) and sums.dtype == products.dtype
+        for positions, count, span in groups:
+            for i, key in enumerate(positions):
+                if count < polynomials.PAIRWISE_TERMS:  # arrangement-major
+                    key_rows = span.start + i + len(positions) * np.arange(count)
+                else:
+                    key_rows = span.start + i * count + np.arange(count)
+                for r in range(R):
+                    column = np.array(products[key_rows, r])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        total = column[0] if count == 1 else np.sum(column)
+                    expect = np.array([total], column.dtype)
+                    assert exact_bytes(sums[key, r:r + 1]) == exact_bytes(expect)
 
     def test_form_table_is_bounded_before_it_is_built(self):
         # a key over 12 distinct indices has 12! arrangements: the form
