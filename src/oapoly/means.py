@@ -37,6 +37,7 @@ import numpy as np
 
 from .lattice import LatticeVector, PositiveVector, _check_vectors
 from .partitions import WeightVector
+from .polynomials import PAIRWISE_TERMS
 
 __all__ = [
     "InfimumSpec",
@@ -77,40 +78,73 @@ def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False,
 # objects) stacked along axis -2, shape (..., k, n): one tuple (k, n) or a
 # block of tuples (T, k, n), and returns shape (..., n). The single-tuple
 # means below call them on their (k, n) stack, so a block row equals the
-# mean of that row's tuple bit for bit.
+# mean of that row's tuple bit for bit. The root mean power and the
+# harmonic mean also take a ragged float block, whose rows hold tuples of
+# different sizes: with ``counts`` (T,), row t's arguments are its first
+# counts[t] slots, and the slots past them enter none of its arithmetic, so
+# the row still equals the mean of its own tuple bit for bit (`_ragged`).
 
 
-def _within_range(direct, scaled, X: np.ndarray) -> np.ndarray:
+def _ragged(mean, X: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each row of a ragged block X (T, k, n) over its first
+    counts[t] slots, as ``mean(X, used)``, which sets the terms of the slots
+    outside ``used``, a (T, k, 1) mask, to 0 in its sums. Zeros change no
+    sum that numpy adds in order, which it does for fewer than
+    `PAIRWISE_TERMS` terms. From k = `PAIRWISE_TERMS` on numpy may add a
+    row's terms pairwise (along a lone column, or along the last axis),
+    where zeros change the tree, so such a block is taken count by count,
+    as ``mean(A, None)`` of each count's rows A cut to their own slots.
+    Below that the masked call is kept for speed: it is one call a block,
+    where cutting makes one a count and copies each count's rows."""
+    k = X.shape[-2]
+    if k < PAIRWISE_TERMS:
+        return mean(X, np.arange(k)[:, None] < counts[:, None, None])
+    out = np.empty((len(X), X.shape[-1]))
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        out[rows] = mean(X[rows, :count], None)
+    return out
+
+
+def _within_range(direct, scaled, X: np.ndarray, used: np.ndarray | None = None) -> np.ndarray:
     """The mean ``direct(X)``, computed quietly. Only when some operation in
     it overflowed or underflowed, each entry that left the float range on
     the way (non-finite although every argument is finite, or 0 although
     every argument is positive) is replaced by ``scaled(A)``, the mean
     computed again from those entries' arguments A, shape (m, k); values in
-    range keep their bytes."""
+    range keep their bytes. With ``used``, the mask of a ragged block's
+    slots (see `_ragged`), "every argument" means every slot in use."""
     flagged = []
     with np.errstate(over="call", under="call", call=lambda err, flag: flagged.append(err)):
         out = direct(X)
         if flagged:
+            unused = False if used is None else ~used
             bad = out == 0
             if bad.any():
-                bad &= np.all(X > 0, axis=-2)
+                bad &= np.all((X > 0) | unused, axis=-2)
             nonfinite = ~np.isfinite(out)
             if nonfinite.any():
-                bad |= nonfinite & np.all(np.isfinite(X), axis=-2)
+                bad |= nonfinite & np.all(np.isfinite(X) | unused, axis=-2)
             if bad.any():
                 out[bad] = scaled(np.moveaxis(X, -2, -1)[bad])
     return out
 
 
-def root_mean_power_stack(s: int, X: np.ndarray) -> np.ndarray:
-    """Coordinatewise (sum_k x_k^s)^(1/s). Where a power or the sum leaves
-    the float range, the mean is taken of the arguments scaled by their
-    maximum m: m (sum_k (x_k/m)^s)^(1/s)."""
+def root_mean_power_stack(s: int, X: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """Coordinatewise (sum_k x_k^s)^(1/s), of each row's first counts[t]
+    arguments when ``counts`` is given. Where a power or the sum leaves the
+    float range, the mean is taken of the arguments scaled by their maximum
+    m: m (sum_k (x_k/m)^s)^(1/s)."""
     def scaled(A):
         m = A.max(axis=-1)
         return m * np.sum((A / m[:, None]) ** s, axis=-1) ** (1.0 / s)
 
-    return _within_range(lambda X: np.sum(X**s, axis=-2) ** (1.0 / s), scaled, X)
+    def mean(X, used):
+        if used is not None:
+            X = np.where(used, X, 0.0)  # an unused slot's power is 0
+        return _within_range(lambda X: np.sum(X**s, axis=-2) ** (1.0 / s), scaled, X, used)
+
+    return mean(X, None) if counts is None else _ragged(mean, X, counts)
 
 
 def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
@@ -128,24 +162,35 @@ def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
     return _within_range(lambda X: np.prod(X, axis=-2) ** (1.0 / k), scaled, X)
 
 
-def harmonic_mean_stack(X: np.ndarray) -> np.ndarray:
+def harmonic_mean_stack(X: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """Coordinatewise k / sum_k (1/x_k), accumulated in extended precision,
     or exactly in Fractions for an object stack; 0 where some argument
-    vanishes."""
+    vanishes. With ``counts``, of a float block, row t's k is counts[t] and
+    its unused slots add reciprocals of 0."""
     if X.dtype == object:
         vanished = X == 0
         out = Fraction(X.shape[-2]) / np.sum(Fraction(1) / np.where(vanished, 1, X), axis=-2)
         out[vanished.any(axis=-2)] = Fraction(0)
         return out
-    with np.errstate(divide="ignore"):
-        recip = 1.0 / X.astype(np.longdouble)
-    # vanished coordinates propagate as inf -> k/inf -> 0, exactly the 0 branch
-    return (np.longdouble(X.shape[-2]) / np.sum(recip, axis=-2)).astype(float)
+
+    def mean(X, used):
+        with np.errstate(divide="ignore"):
+            recip = 1.0 / X.astype(np.longdouble)
+        k = np.longdouble(X.shape[-2])
+        if used is not None:
+            np.copyto(recip, 0, where=~used)
+            k = counts[:, None].astype(np.longdouble)
+        # vanished coordinates propagate as inf -> k/inf -> 0, exactly the 0 branch
+        return (k / np.sum(recip, axis=-2)).astype(float)
+
+    return mean(X, None) if counts is None else _ragged(mean, X, counts)
 
 
 def weighted_geometric_mean_stack(t: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Coordinatewise prod_k x_k^(t_k) for float weights t of shape (k,)."""
-    return np.prod(X ** t[:, None], axis=-2)
+    """Coordinatewise prod_k x_k^(t_k) for float weights t of shape (k,), or
+    (T, k) for a block of T rows with weights of their own. A weight of 0
+    leaves its slot out of the product: x ** 0 is exactly 1."""
+    return np.prod(X ** t[..., None], axis=-2)
 
 
 def root_mean_power(s: int, fs: Sequence[PositiveVector]) -> PositiveVector:

@@ -4,6 +4,8 @@ A tuple of positive integers ``(r_1, ..., r_p)`` is a complete partition of
 ``s`` when the parts sum to ``s`` and every ``q`` in ``{1, ..., s}`` is a
 subset sum of the parts. Dividing the parts by ``s`` yields the exact
 rational weight vector of a completely partitioned weighted geometric mean.
+`partition_table` holds all complete partitions of one target as arrays,
+for blocks of trials that take one of them per row.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_ENUMERATION_BOUND",
@@ -20,6 +24,8 @@ __all__ = [
     "is_complete",
     "enumerate_complete",
     "weights",
+    "PartitionTable",
+    "partition_table",
 ]
 
 DEFAULT_ENUMERATION_BOUND = 30
@@ -146,3 +152,31 @@ def weights(cp: CompletePartition) -> WeightVector:
     """The exact weight vector (r_1/s, ..., r_p/s) of a complete partition,
     built once per partition: both are immutable."""
     return WeightVector(tuple(Fraction(r, cp.target) for r in cp.parts))
+
+
+class PartitionTable(NamedTuple):
+    """The complete partitions of one target s as arrays.
+
+    parts    the partitions, in `enumerate_complete` order
+    weights  (p, k) float: row i holds the weights of parts[i] as floats,
+             then zeros up to k, the most parts of any of them
+    repeats  (p, s) int: slot j of the repeated-argument form of parts[i]
+             holds argument repeats[i, j], argument q repeated r_q times
+    """
+
+    parts: tuple[tuple[int, ...], ...]
+    weights: np.ndarray
+    repeats: np.ndarray
+
+
+@lru_cache(maxsize=DEFAULT_ENUMERATION_BOUND)
+def partition_table(s: int) -> PartitionTable:
+    """Every complete partition of ``s`` as a `PartitionTable`, built once
+    per target: its arrays are read-only."""
+    pool = tuple(enumerate_complete(s))
+    table = np.zeros((len(pool), max(map(len, pool))))
+    for row, parts in zip(table, pool):
+        row[:len(parts)] = weights(CompletePartition(parts, s)).floats
+    repeats = np.array([np.repeat(np.arange(len(parts)), parts) for parts in pool])
+    table.flags.writeable = repeats.flags.writeable = False
+    return PartitionTable(pool, table, repeats)

@@ -104,12 +104,14 @@ class TermStack:
     key-major: its slot entries are gathered into (n, rows) arrays, so each
     gather and product moves a rows-wide vector, and the sum over keys adds
     (rows, d) arrays in key order. Exact coefficients at float rows multiply
-    as floats, as `Fraction * float` does. Overflow, also of an exact
-    coefficient beyond the float range, gives inf without a warning: the
-    residual policy reports non-finite sides. Each key's multinomial is an
-    exact integer; float rows multiply by its float and exact rows by the
-    integer. Every index table, the keys' and the form's arrangement tables
-    (built on the form's first use), is held as its `_prefix_plan`, so that
+    as floats, as `Fraction * float` does, and float coefficients take exact
+    rows' terms as floats, as `float * Fraction` does. Overflow, also of an
+    exact coefficient or term beyond the float range, gives inf without a
+    warning: the residual policy reports non-finite sides. Each key's
+    multinomial is an exact integer; float rows multiply by its float and
+    exact rows by the integer. Every index table, the keys' and the form's
+    arrangement tables (built on the form's first use), is held as its
+    `_prefix_plan`, so that
     rows sharing a prefix of slots share that prefix's product. Each plan
     column is one contiguous vector for ``ndarray.take``, which gathers
     faster than fancy indexing. The form sums each key's arrangement
@@ -265,6 +267,10 @@ class TermStack:
                              else self._weights)[:, None]
             else:
                 products = _arrangement_sums(products, groups, m)
+            if products.dtype == object and coeffs.dtype != object:
+                # exact terms at float coefficients: each term rounded once,
+                # as `float * Fraction` rounds it, ±inf beyond the float range
+                products = _as_floats(products)
             if shared:
                 terms = coeffs * products[:, :, None]
             else:
@@ -371,7 +377,7 @@ def _coefficients_at(coeffs: np.ndarray, variants) -> np.ndarray:
     as objects, and ±inf beyond the float range, where `Fraction.__float__`
     raises OverflowError."""
     if coeffs.dtype == object and all(x.dtype != object for slots in variants for x in slots):
-        return _float_coefficients(coeffs)
+        return _as_floats(coeffs)
     return coeffs
 
 
@@ -382,7 +388,9 @@ def _as_float(c) -> float:
         return inf if c > 0 else -inf
 
 
-_float_coefficients = np.frompyfunc(_as_float, 1, 1)
+_as_floats = np.frompyfunc(_as_float, 1, 1)
+"""Exact values as the floats that `Fraction.__float__` gives, or ±inf
+beyond the float range, held as objects."""
 
 
 def _prefix_plan(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
@@ -639,23 +647,30 @@ def polarize_blackbox(
     signs, parities = _sign_table(s)
     if compiled:  # the rows whose first sign is +1; the others are their negations
         signs = signs[:len(signs) // 2]
-    # sum_k e_k f_k for each sign row e, slot by slot (integer signs keep
-    # exact entries exact); a row beyond the float range is ±inf
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sum_k e_k f_k for each sign row e, slot by slot (integer signs keep
+        # exact entries exact); a row beyond the float range is ±inf
         rows = fs[0]._data * signs[:, :1]
         for k in range(1, s):
             rows = rows + fs[k]._data * signs[:, k:k + 1]
-    if compiled:
-        values = _with_negated_rows(TermStack.of(evaluator)(rows), evaluator.degree)
-    else:
-        values = _blackbox_values(evaluator, fs, rows, check_homogeneity)
+        if compiled:
+            values = _with_negated_rows(TermStack.of(evaluator)(rows), evaluator.degree)
+            return _parity_sum(values, parities, s)
+    # a black box runs under its caller's error state
+    values = _blackbox_values(evaluator, fs, rows, check_homogeneity)
     with np.errstate(over="ignore", invalid="ignore"):
-        # total = val, then total + val, in sign-row order
-        total = np.add.accumulate(values * parities, axis=0)[-1]
-        denom = (2**s) * factorial(s)
-        if total.dtype == object:
-            return total * Fraction(1, denom)
-        return total / denom
+        return _parity_sum(values, parities, s)
+
+
+def _parity_sum(values: np.ndarray, parities: np.ndarray, s: int) -> np.ndarray:
+    """The polarization sum of the values at the 2^s sign rows: total = val,
+    then total + val, with each value times its row's parity, in sign-row
+    order, over 2^s s!."""
+    total = np.add.accumulate(values * parities, axis=0)[-1]
+    denom = (2**s) * factorial(s)
+    if total.dtype == object:
+        return total * Fraction(1, denom)
+    return total / denom
 
 
 def _with_negated_rows(head: np.ndarray, degree: int) -> np.ndarray:

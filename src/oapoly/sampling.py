@@ -143,7 +143,10 @@ class TrialDraws(NamedTuple):
     counts
         (T,) number of vectors in each trial's tuple.
     vectors
-        (T, k_max, n) the tuples; rows at and past ``counts[t]`` are unused.
+        (T, k_max, n) the tuples; trial t's slots at and past ``counts[t]``
+        hold entries that are no input of the trial (every trial draws all
+        k_max slots, so that W is fixed): a kernel leaves them out of trial
+        t's arithmetic.
     """
 
     coeffs: np.ndarray | None

@@ -23,10 +23,11 @@ Claim identifiers:
 Each claim is one `Claim` record of the table `CLAIMS`, which the checks,
 the sweeps, the searches and the CLI look up. A claim's mathematics is here
 once, on array blocks of trials: (T, k, n) stacks of tuples, with
-polynomials held as a `TermStack`. The sweeps run a claim's block kernel on
-blocks of drawn trials; a check_* function validates its one input and runs
-the same kernel on a block of one row; both phases of a search evaluate the
-claim's sides on blocks of inputs.
+polynomials held as a `TermStack`. The sweeps run a claim's block kernel
+once on each block of drawn trials, whose rows may hold tuples of different
+sizes and partitions of their own (see `Rows`); a check_* function validates
+its one input and runs the same kernel on a block of one row; both phases
+of a search evaluate the claim's sides on blocks of inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .means import (
     root_mean_power_stack,
     weighted_geometric_mean_stack,
 )
-from .partitions import CompletePartition, enumerate_complete, weights
+from .partitions import CompletePartition, partition_table, weights
 from .polynomials import (
     BLOCK_TRIALS,
     STACK_BYTES,
@@ -92,8 +93,53 @@ class PreconditionError(ValueError):
 #
 # A precondition takes (degree, count, cp): the polynomial's degree (None for
 # a claim without one), the number of vectors and the partition. Sides take
-# (P, X, cp), stacked tuples X (T, k, n) with their polynomials P as a
-# `TermStack`, and return the two values the identity equates for each row.
+# (P, X, rows), stacked tuples X (T, k, n) with their polynomials P as a
+# `TermStack` and the `Rows` that say how the rows use their slots (None:
+# every slot, no partition), and return the two values the identity equates
+# for each row.
+
+
+class Rows(NamedTuple):
+    """How the rows of a block use their k slots, and the partition each
+    row takes.
+
+    counts   (T,) each row's number of arguments, its first slots; None
+             when every row uses every slot. A row's unused slots enter
+             none of its arithmetic, so its values have the bytes of its own
+             tuple.
+    weights  the weighted geometric mean's float weights, (k,) for every
+             row or (T, k) per row, 0 at a row's unused slots
+    repeats  the repeated-argument form's slot j holds argument repeats[j],
+             (s,) for every row or (T, s) per row
+    parts    parts(t), row t's partition, which its counterexample names
+    """
+
+    counts: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    repeats: np.ndarray | None = None
+    parts: Callable | None = None
+
+
+def _partition_rows(cp: CompletePartition) -> Rows:
+    """The rows of a block that all take the partition cp."""
+    return Rows(None, np.array(weights(cp).floats),
+                np.repeat(np.arange(len(cp.parts)), cp.parts), lambda t: cp.parts)
+
+
+def _drawn_rows(draws: sampling.TrialDraws, table) -> Rows | None:
+    """The rows of a block of drawn trials: each draw's tuple size, or its
+    partition, index ``draws.picks`` into ``table``, a `PartitionTable`."""
+    picks = draws.picks
+    if picks is None:
+        return None
+    if table is None:
+        return Rows(draws.counts)
+    return Rows(draws.counts, table.weights[picks], table.repeats[picks],
+                lambda t: table.parts[picks[t]])
+
+
+def _counts(rows: Rows | None) -> np.ndarray | None:
+    return None if rows is None else rows.counts
 
 
 def _rmp_requires(degree, count, cp) -> None:
@@ -122,18 +168,25 @@ def _partition_requires(degree, count, cp) -> None:
         raise PreconditionError(f"partition has {len(cp.parts)} parts, got {count} vectors")
 
 
-def _rmp_sides(P, X, cp):
-    # one evaluation of P at the root mean power and at each vector; the
-    # vectors' values summed from 0 in order
-    values = P.values([root_mean_power_stack(P.degree, X)] + [X[:, i] for i in range(X.shape[1])])
-    return values[0], sum(values[1:])
+def _rmp_sides(P, X, rows):
+    # one evaluation of P at the root mean power and at each slot, the
+    # values at a row's slots summed from 0 in order, quietly: values beyond
+    # the float range make a non-finite side, which the residual reports. A
+    # row's unused slots add 0, which changes no such sum: it is never -0.0
+    counts = _counts(rows)
+    values = P.values([root_mean_power_stack(P.degree, X, counts)]
+                      + [X[:, i] for i in range(X.shape[1])])
+    if counts is not None:
+        values[1:][np.arange(X.shape[1])[:, None] >= counts] = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values[0], sum(values[1:])
 
 
-def _gm_sides(P, X, cp):
+def _gm_sides(P, X, rows):
     return P(geometric_mean_stack(X)), P.form([X[:, i] for i in range(X.shape[1])])
 
 
-def _hm_sides(P, X, cp):
+def _hm_sides(P, X, rows):
     # one evaluation of the form at the tuple and at its s substitutions;
     # the substitutions' values summed term_0 + term_1 + ... in order
     s = X.shape[1]
@@ -146,19 +199,23 @@ def _hm_sides(P, X, cp):
     return values[0] * s, rhs
 
 
-def _repeats(cp: CompletePartition) -> np.ndarray:
-    """Slot k of the repeated-argument form holds argument _repeats(cp)[k]."""
-    return np.repeat(np.arange(len(cp.parts)), cp.parts)
+def _repeated(X, repeats):
+    """The arguments of the repeated-argument form, (T, s, n): slot j of row
+    t holds argument repeats[j], or repeats[t, j] for per-row repeats."""
+    if repeats.ndim == 1:
+        return X[:, repeats]
+    return X[np.arange(len(X))[:, None], repeats]
 
 
-def _geos_sides(P, X, cp):
-    lhs = weighted_geometric_mean_stack(np.array(weights(cp).floats), X)
-    return lhs, geometric_mean_stack(X[:, _repeats(cp)])
+def _geos_sides(P, X, rows):
+    lhs = weighted_geometric_mean_stack(rows.weights, X)
+    return lhs, geometric_mean_stack(_repeated(X, rows.repeats))
 
 
-def _wgm_sides(P, X, cp):
-    lhs = P(weighted_geometric_mean_stack(np.array(weights(cp).floats), X))
-    return lhs, P.form([X[:, i] for i in _repeats(cp)])
+def _wgm_sides(P, X, rows):
+    slots = _repeated(X, rows.repeats)
+    return (P(weighted_geometric_mean_stack(rows.weights, X)),
+            P.form([slots[:, j] for j in range(slots.shape[1])]))
 
 
 # -- forward checks ------------------------------------------------------------
@@ -180,14 +237,14 @@ def _check(claim, P, fs, cp, cfg) -> VerificationReport:
         _typed(cp, CompletePartition, "cp")
     claim.requires(None if P is None else P.degree, len(fs), cp)
     X, _ = _stack(fs, allow_exact=claim.exact, dim=None if P is None else P.domain_dim)
-    return _check_row(claim, P, X, cp, cfg)
+    return _check_row(claim, P, X, None if cp is None else _partition_rows(cp), cfg)
 
 
-def _check_row(claim, P, X, cp, cfg) -> VerificationReport:
+def _check_row(claim, P, X, rows, cfg) -> VerificationReport:
     """The report of one validated input X (k, n), run through the claim's
     kernel as a block of one row."""
     stack = None if P is None else TermStack.of(P)
-    res, ok, payload = claim.kernel(claim, X[None], stack, cp, cfg)
+    res, ok, payload = claim.kernel(claim, X[None], stack, rows, cfg)
     return VerificationReport(
         claim_id=claim.id,
         trials=1,
@@ -307,14 +364,16 @@ def check_cross_terms(
 
 # -- the claims on array blocks of trials ---------------------------------------
 #
-# A kernel takes (claim, X, P, cp, cfg): the claim's record, the tuples X
-# (T, k, n) of one group of a block's rows, float or exact, their polynomials
-# (a `TermStack`, None for a claim without one), the group's partition and
-# the tolerances. It returns (residuals, passed, payload): per-row residuals
+# A kernel takes (claim, X, P, rows, cfg): the claim's record, the tuples X
+# (T, k, n) of a whole block, float or exact, their polynomials (a
+# `TermStack`, None for a claim without one), the `Rows` that give each
+# row's tuple size and partition (None: every slot, no partition) and the
+# tolerances. It returns (residuals, passed, payload): per-row residuals
 # as the floats that reports hold, the pass flags that compare them, and
-# payload(t), row t's counterexample. Inputs are assumed to meet the claim's
-# preconditions; verify_claim and the check_* functions check them first.
-# Exact sides compare exactly: see `_tolerance`.
+# payload(t), row t's counterexample, which names the row's own inputs and
+# partition. Inputs are assumed to meet the claim's preconditions;
+# verify_claim and the check_* functions check them first. Exact sides
+# compare exactly: see `_tolerance`.
 
 
 def _exact(X, P) -> bool:
@@ -329,47 +388,36 @@ def _tolerance(claim, X, P, cfg) -> float:
     return cfg.exact_slack if _exact(X, P) else claim.tolerance(cfg)
 
 
-def _grouped(draws: sampling.TrialDraws, P, run):
-    """Run ``run(X, P, pick)`` on the rows of each pick (the tuple size, or
-    the partition), with X their tuples and P their polynomials, and merge
-    the (residuals, passed, payload) results back into trial order. A block
-    without picks is one group, run on its own arrays."""
-    if draws.picks is None:
-        return run(draws.vectors, P, None)
-    keys = draws.picks
-    residuals = np.empty(len(keys))
-    passed = np.empty(len(keys), dtype=bool)
-    group_of = np.empty(len(keys), dtype=np.intp)
-    local_of = np.empty(len(keys), dtype=np.intp)
-    payloads = []
-    for key in np.flatnonzero(np.bincount(keys)):
-        rows = np.flatnonzero(keys == key)
-        X = draws.vectors[rows, :draws.counts[rows[0]]]
-        res, ok, payload = run(X, None if P is None else P.take(rows), int(key))
-        residuals[rows], passed[rows] = res, ok
-        group_of[rows], local_of[rows] = len(payloads), np.arange(len(rows))
-        payloads.append(payload)
-    return residuals, passed, lambda t: payloads[group_of[t]](local_of[t])
+def _inputs(X, rows, t):
+    """Row t's own inputs, as lists."""
+    counts = _counts(rows)
+    return (X[t] if counts is None else X[t, :counts[t]]).tolist()
 
 
-def _identity_rows(claim, X, P, cp, cfg):
+def _identity_rows(claim, X, P, rows, cfg):
     """RMP, GM, HM, GEOS and WGM: the residuals of the claim's two sides."""
-    lhs, rhs = claim.sides(P, X, cp)
+    lhs, rhs = claim.sides(P, X, rows)
     res = row_residuals(lhs, rhs, switch=cfg.relative_switch)
-    extra = None if cp is None else {"partition": list(cp.parts)}
+    named = rows is not None and rows.parts is not None
     return res.astype(float, copy=False), res <= _tolerance(claim, X, P, cfg), lambda i: (
-        identity_payload(X[i].tolist(), lhs[i], rhs[i], extra))
+        identity_payload(_inputs(X, rows, i), lhs[i], rhs[i],
+                         {"partition": list(rows.parts(i))} if named else None))
 
 
-def _schur_rows(claim, X, P, cp, cfg):
+def _schur_rows(claim, X, P, rows, cfg):
     """The violations of min <= harmonic mean <= s * min: for floats in
     units in the last place of the violated bound, for exact inputs as
-    exact differences."""
-    e = harmonic_mean_stack(X)
-    lo = X[:, 0]
+    exact differences. A row of k arguments takes s = k."""
+    counts = _counts(rows)
+    e = harmonic_mean_stack(X, counts)
+    k, args = X.shape[1], X
+    if counts is not None:  # a float block: an unused slot is never the min
+        k = counts[:, None]
+        args = np.where(np.arange(X.shape[1])[:, None] < k[:, None], X, np.inf)
+    lo = args[:, 0]
     for i in range(1, X.shape[1]):
-        lo = np.minimum(lo, X[:, i])
-    hi = lo * X.shape[1]
+        lo = np.minimum(lo, args[:, i])
+    hi = lo * k
     if X.dtype == object:
         worst = np.maximum(np.max(np.maximum(lo - e, e - hi), axis=1), 0)
     else:
@@ -382,18 +430,18 @@ def _schur_rows(claim, X, P, cp, cfg):
             )
         worst = np.max(ulps, axis=1)
     return worst.astype(float, copy=False), worst <= _tolerance(claim, X, P, cfg), lambda i: {
-        "inputs": X[i].tolist(), "harmonic": e[i], "min": lo[i],
+        "inputs": _inputs(X, rows, i), "harmonic": e[i], "min": lo[i],
     }
 
 
-def _ortho_rows(claim, X, P, cp, cfg):
-    e = harmonic_mean_stack(X)
+def _ortho_rows(claim, X, P, rows, cfg):
+    e = harmonic_mean_stack(X, _counts(rows))
     worst = np.max(np.abs(e), axis=1)
     return worst.astype(float, copy=False), worst <= _tolerance(claim, X, P, cfg), lambda i: {
-        "inputs": X[i].tolist(), "harmonic": e[i]}
+        "inputs": _inputs(X, rows, i), "harmonic": e[i]}
 
 
-def _cross_rows(claim, X, P, cp, cfg):
+def _cross_rows(claim, X, P, rows, cfg):
     f, g = X[:, 0], X[:, 1]
     s = P.degree
     exact = _exact(X, P)
@@ -435,9 +483,12 @@ class Claim(NamedTuple):
     id, flag         report identifier and ``oapoly verify`` flag
     kernel, requires, sides
                      see above; the sides of CROSS_TERMS are the ones that
-                     `falsify` compares, P(f + g) and P(f) + P(g)
-    draw             draw(s, pool, partition): `sampling.draw_trials` keywords
-                     of a sweep's trial at degree s (pool: partitions of s)
+                     `falsify` compares, P(f + g) and P(f) + P(g). A sweep
+                     runs the kernel once a block, on all its rows, whatever
+                     tuple size or partition each drew
+    draw             draw(s, table, partition): `sampling.draw_trials` keywords
+                     of a sweep's trial at degree s (table: the
+                     `PartitionTable` of s)
     tolerance        tolerance(cfg): the report's tolerance, read from a
                      `ToleranceConfig`, for float sides (exact sides compare
                      with ``exact_slack``, see `_tolerance`)
@@ -468,9 +519,9 @@ class Claim(NamedTuple):
         return self.size is not None
 
 
-def _partition_draw(s, pool, partition):
+def _partition_draw(s, table, partition):
     if partition is None:
-        return {"pick": (0, len(pool)), "counts": [len(p) for p in pool]}
+        return {"pick": (0, len(table.parts)), "counts": [len(p) for p in table.parts]}
     return {"counts": len(partition.parts)}
 
 
@@ -612,6 +663,7 @@ def falsify(
     amplitudes = sampling.log_uniform(np.random.default_rng(seed),
                                       (-(-structured // (count - 1)), 2), 1.0, 10.0)
     stack, rng = TermStack.of(P), None
+    rows = _partition_rows(cp) if claim.takes_partition else None
     used, best, witness = 0, 0.0, None
     for lo, hi in _schedule((0, structured, count - 1),
                             (structured, budget, _FIRST_RANDOM_BLOCK)):
@@ -620,7 +672,7 @@ def falsify(
         else:
             rng = rng or np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
             source, X = "random", _random_rows(claim, P, cp, rng, hi - lo)
-        lhs, rhs = claim.sides(stack, X, cp)
+        lhs, rhs = claim.sides(stack, X, rows)
         res = row_residuals(lhs, rhs, switch=cfg.relative_switch).astype(float, copy=False)
         hits = np.flatnonzero(res > cfg.falsify_threshold)
         stop = hits[0] + 1 if hits.size else len(res)
@@ -668,11 +720,14 @@ def verify_claim(
     run in array blocks of up to `BLOCK_TRIALS`, and of at most
     `STACK_BYTES` of uniforms (a trial whose row alone takes more raises
     ValueError naming n, and d where it counts): each block draws its rows
-    with one generator call, then runs the claim's block kernel on its
+    with one generator call, then runs the claim's block kernel once on its
     (T, k, n) stack, the kernel that the claim's check_* function runs on
-    one input. Reports are the same as checking each trial with its check_*
-    function; an exact-rational ``poly`` runs on the same kernels, held as a
-    `TermStack` of Fractions. A claim without a polynomial ignores ``poly``.
+    one input. Trials that draw their tuple size or partition share the
+    call: each row's slots past its own count take no part in its values
+    (see `Rows`). Reports are the same as checking each trial with its
+    check_* function; an exact-rational ``poly`` runs on the same kernels,
+    held as a `TermStack` of Fractions. A claim without a polynomial ignores
+    ``poly``.
 
     ``trial`` = k, 0 <= k < ``trials``, replays trial k alone: the generator
     is advanced by k rows, and the report is that of the one trial.
@@ -693,16 +748,15 @@ def verify_claim(
     if claim.takes_partition and partition is not None:  # GEOS's trials take no degree
         _typed(partition, CompletePartition, "partition")
         _partition_requires(s, len(partition.parts), partition)
-    pool = enumerate_complete(s) if claim.takes_partition else None
-
-    def partition_of(pick):
-        return (partition or CompletePartition(pool[pick], s)) if claim.takes_partition else None
-
+    table = fixed = cp = None  # cp: the first trial's partition
+    if claim.takes_partition:
+        table = partition_table(s)
+        cp = partition if partition is not None else CompletePartition(table.parts[0], s)
+        fixed = None if partition is None else _partition_rows(partition)
     if claim.takes_poly:
         if poly is not None:
             _typed(poly, HomogeneousPolynomial, "poly")
         # what the claim's check_* raises on the first trial
-        cp = partition_of(0)
         claim.requires(s if poly is None else poly.degree, claim.size(s, cp), cp)
         if poly is None and d < 1:
             raise ValueError(f"codomain dimension d must be >= 1, got {d}")
@@ -714,11 +768,7 @@ def verify_claim(
         poly = None
     random_poly = claim.takes_poly and poly is None
     shared = None if poly is None else TermStack.of(poly)
-
-    def group(X, P, pick):
-        return claim.kernel(claim, X, P, partition_of(pick), cfg)
-
-    spec = dict(claim.draw(s, pool, partition), d=d if random_poly else None)
+    spec = dict(claim.draw(s, table, partition), d=d if random_poly else None)
     width = sampling.trial_width(n, **spec)
     if 8 * width > STACK_BYTES:
         sizes = f"n = {n}, d = {d}" if random_poly else f"n = {n}"
@@ -735,7 +785,8 @@ def verify_claim(
         size = min(block, count - start)
         draws = sampling.draw_trials(rng, size, n, **spec)
         P = TermStack.diagonal(draws.coeffs, s) if random_poly else shared
-        res, ok, payload = _grouped(draws, P, group)
+        res, ok, payload = claim.kernel(claim, draws.vectors, P,
+                                        fixed or _drawn_rows(draws, table), cfg)
         worst = max(worst, float(res.max()))
         if passed and not ok.all():
             passed = False

@@ -401,6 +401,16 @@ class TestPoly:
         assert (code, err) == (0, "")
         assert strict_json(out) == {"value": ["inf"]}
 
+    def test_float_polynomial_at_exact_vectors_beyond_float_range(self, capsys, tmp_path):
+        poly, v, vs = tmp_path / "p.json", tmp_path / "v.json", tmp_path / "vs.json"
+        poly.write_text(json.dumps({"s": 2, "n": 1, "d": 1, "diagonal": [[1.5]]}))
+        v.write_text(json.dumps(["1e400"]))
+        vs.write_text(json.dumps([["1e400"], ["1"]]))
+        for argv in (["eval", "--input", str(v)], ["multilinear", "--inputs", str(vs)]):
+            code, out, err = run_cli(capsys, "poly", *argv, "--poly", str(poly))
+            assert (code, err) == (0, "")
+            assert strict_json(out) == {"value": ["inf"]}
+
     def test_exact_multinomial_beyond_int64(self, capsys, tmp_path):
         # the key over 21 distinct indices has 21! arrangements, beyond int64
         poly, v = tmp_path / "p.json", tmp_path / "v.json"

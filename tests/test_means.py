@@ -33,6 +33,7 @@ from oapoly.means import (
     geometric_mean_stack,
     harmonic_mean_stack,
     root_mean_power_stack,
+    weighted_geometric_mean_stack,
 )
 
 
@@ -585,3 +586,34 @@ def test_geos_identity_all_partitions():
             repeated = [f for r, f in zip(cp.parts, fs) for _ in range(r)]
             rhs = geometric_mean(repeated).to_array()
             assert np.allclose(lhs, rhs, rtol=1e-12)
+
+
+class TestRaggedStacks:
+    """A ragged block's row t, of counts[t] arguments, is the mean of its own
+    tuple bit for bit, whatever its unused slots hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([3, 9]), st.sampled_from([1, 3]),
+           st.sampled_from([1, 2, 120]), st.integers(0, 2**32 - 1))
+    def test_rows_equal_their_own_tuples(self, T, k, n, s, seed):
+        # k = 9 takes the count-by-count route, where numpy would sum a lone
+        # column (n = 1) pairwise; s = 120 sends x^s beyond the float range,
+        # both ways
+        rng = np.random.default_rng(seed)
+        X = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (T, k, n)))
+        counts = rng.integers(1, k + 1, T)
+        used = np.arange(k) < counts[:, None]
+        zeros = X.copy()
+        zeros[(rng.random((T, k, n)) < 0.2) & used[..., None]] = 0.0  # vanished arguments
+        W = np.where(used, rng.uniform(0.1, 1.0, (T, k)), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rmp = root_mean_power_stack(s, X, counts)
+            hm = harmonic_mean_stack(zeros, counts)
+        wgm = weighted_geometric_mean_stack(W, X)
+        for t, c in enumerate(counts):
+            own = X[t:t + 1, :c]
+            assert rmp[t].tobytes() == root_mean_power_stack(s, own)[0].tobytes()
+            assert hm[t].tobytes() == harmonic_mean_stack(zeros[t:t + 1, :c])[0].tobytes()
+            assert wgm[t].tobytes() == weighted_geometric_mean_stack(W[t, :c], own[0]).tobytes()
+        assert np.isfinite(rmp).all() and (rmp > 0).all()

@@ -270,6 +270,23 @@ class TestEval:
                 f = LatticeVector(y, exact=y.dtype == object)
                 assert exact_bytes(Q(f)) == exact_bytes(reference_eval(Q, y))
 
+    @pytest.mark.parametrize("c", [1.5, -1.5])
+    def test_float_polynomial_at_exact_vectors_beyond_the_float_range(self, c):
+        # c x^2 at x = 10^400: each exact term is rounded, to ±inf, before its
+        # float coefficient multiplies it, as float * Fraction rounds in range
+        P = make_diagonal([[c]], 2)
+        v, one = LatticeVector.exact([Fraction(10) ** 400]), LatticeVector.exact([1])
+        inf = math.copysign(math.inf, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert P(v).tolist() == [inf]
+            assert P.multilinear(v, one).tolist() == [inf]
+            assert polarize_blackbox(P, [v, v]).tolist() == [inf]
+            # in range, the bytes of float * Fraction
+            x = Fraction(10) ** 100 / 3
+            assert exact_bytes(P(LatticeVector.exact([x]))) == exact_bytes(
+                np.array([c * (x * x)], dtype=object))
+
     def test_exact_input_keeps_exact_evaluation(self):
         P = square_of_sum()
         assert P(LatticeVector.exact([1, Fraction(1, 2)]))[0] == Fraction(9, 4)

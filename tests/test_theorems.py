@@ -1,5 +1,6 @@
 """Identity checks and falsification, including exact-rational replication."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -1860,3 +1861,105 @@ class TestStackedSides:
         # index casts and the group sums overlap, beside the (s + 1, T)
         # values and the harmonic mean
         assert peak <= 6 * polynomials.CHUNK_BYTES
+
+
+def grouped(kernel, claim, X, P, rows, cfg):
+    """The kernel run as a block's rows were run before one call took them
+    all: once per drawn tuple size or partition, on the rows that drew it,
+    each on its own slots and with its own polynomials, the results merged
+    back in row order."""
+    if rows is None or rows.counts is None:
+        return kernel(claim, X, P, rows, cfg)
+    keys = [rows.parts(t) if rows.parts else int(rows.counts[t]) for t in range(len(X))]
+    residuals, passed, payloads = np.empty(len(X)), np.empty(len(X), dtype=bool), {}
+    for key in dict.fromkeys(keys):
+        idx = np.array([t for t, other in enumerate(keys) if other == key])
+        own = None if rows.parts is None else theorems._partition_rows(
+            CompletePartition(key, sum(key)))
+        res, ok, payload = kernel(claim, X[idx, :rows.counts[idx[0]]],
+                                  None if P is None else P.take(idx), own, cfg)
+        residuals[idx], passed[idx] = res, ok
+        payloads.update({t: functools.partial(payload, i) for i, t in enumerate(idx)})
+    return residuals, passed, lambda t: payloads[t]()
+
+
+def compared_kernels(calls):
+    """Claims whose kernels are also run grouped, on every block, with each
+    row's residual bytes, pass flag and counterexample compared; ``calls``
+    gets each call's claim and row count."""
+    def checked(kernel):
+        def run(claim, X, P, rows, cfg):
+            res, ok, payload = kernel(claim, X, P, rows, cfg)
+            ref_res, ref_ok, ref_payload = grouped(kernel, claim, X, P, rows, cfg)
+            assert res.tobytes() == ref_res.tobytes()
+            np.testing.assert_array_equal(ok, ref_ok)
+            for t in np.flatnonzero(~ok):
+                assert bits(payload(t)) == bits(ref_payload(t))
+            calls.append((claim.id, len(X)))
+            return res, ok, payload
+        return run
+
+    return {cid: claim._replace(kernel=checked(claim.kernel))
+            for cid, claim in theorems.CLAIM_TABLE.items()}
+
+
+class TestOneKernelCall:
+    """A block is one kernel call, whatever tuple size or partition each of
+    its rows drew; each row gets the bytes of its own group's call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["RMP", "SCHUR", "ORTHO", "GEOS", "WGM"]),
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, "shared", "exact", "sparse"]),
+        st.sampled_from([7, theorems.BLOCK_TRIALS]),
+    )
+    def test_one_call_matches_the_groups(self, claim_id, s, n, d, trials, seed, kind, block):
+        if claim_id in theorems.POLY_CLAIMS:
+            s = max(s, 2)
+        rng = np.random.default_rng(seed)
+        poly = None
+        if kind == "sparse" and min(s, n) > 1:  # non-additive: failing rows, with payloads
+            poly = sparse_polynomial(rng, s, n, d, mixed_terms=3, mixed_mass=0.3)
+        elif kind is not None:
+            poly = make_diagonal(rng.uniform(-2, 2, (n, d)), s)
+            if kind == "exact":
+                poly = HomogeneousPolynomial(s, n, d, {
+                    key: [Fraction(float(c)).limit_denominator(64) for c in coeff]
+                    for key, coeff in poly.terms.items()})
+        calls = []
+        with patch.dict(theorems.CLAIM_TABLE, compared_kernels(calls)), \
+                patch.object(theorems, "BLOCK_TRIALS", block):
+            verify_claim(claim_id, s=s, n=n, d=d, trials=trials, seed=seed, poly=poly)
+        assert [rows for _, rows in calls] == [
+            min(block, trials - start) for start in range(0, trials, block)]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_powers_beyond_the_float_range(self, n):
+        # x^120 leaves the float range both ways for entries in [1e-3, 1e3],
+        # so the root mean power's rescue runs on rows of 2, 3 and 4 vectors
+        calls = []
+        with patch.dict(theorems.CLAIM_TABLE, compared_kernels(calls)), \
+                patch.object(theorems, "BLOCK_TRIALS", 7):
+            verify_claim("RMP", s=120, n=n, d=2, trials=40, seed=n)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("claim_id", CLAIMS)
+    def test_one_call_per_block(self, claim_id):
+        calls = []
+
+        def counted(kernel):
+            def run(claim, X, P, rows, cfg):
+                calls.append(len(X))
+                return kernel(claim, X, P, rows, cfg)
+            return run
+
+        table = {cid: claim._replace(kernel=counted(claim.kernel))
+                 for cid, claim in theorems.CLAIM_TABLE.items()}
+        with patch.dict(theorems.CLAIM_TABLE, table), patch.object(theorems, "BLOCK_TRIALS", 7):
+            verify_claim(claim_id, s=4, n=3, d=2, trials=30, seed=2)
+        assert calls == [7, 7, 7, 7, 2]
