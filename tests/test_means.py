@@ -24,10 +24,12 @@ from oapoly import (
     weights,
     wgm_via_infimum,
 )
+from oapoly import sampling
 from oapoly.lattice import DimensionMismatchError, LatticeVector
 from oapoly.means import (
     _log_coefficients,
     _log_grid,
+    _ragged,
     _simplex_grid,
     _squared_simplex,
     geometric_mean_stack,
@@ -617,3 +619,99 @@ class TestRaggedStacks:
             assert hm[t].tobytes() == harmonic_mean_stack(zeros[t:t + 1, :c])[0].tobytes()
             assert wgm[t].tobytes() == weighted_geometric_mean_stack(W[t, :c], own[0]).tobytes()
         assert np.isfinite(rmp).all() and (rmp > 0).all()
+
+
+def harmonic_via_infinities(X, counts=None):
+    """Reference: the harmonic mean with its zero branch reached through
+    infinities, a vanished argument's reciprocal +inf making k / inf = +0.
+    It does the arithmetic of `harmonic_mean_stack` on every entry, so the
+    two must agree byte for byte."""
+    if X.dtype == object:
+        vanished = X == 0
+        out = Fraction(X.shape[-2]) / np.sum(Fraction(1) / np.where(vanished, 1, X), axis=-2)
+        out[vanished.any(axis=-2)] = Fraction(0)
+        return out
+
+    def mean(X, used):
+        with np.errstate(divide="ignore"):
+            recip = 1.0 / X.astype(np.longdouble)
+        k = np.longdouble(X.shape[-2])
+        if used is not None:
+            np.copyto(recip, 0, where=~used)
+            k = counts[:, None].astype(np.longdouble)
+        return (k / np.sum(recip, axis=-2)).astype(float)
+
+    return mean(X, None) if counts is None else _ragged(mean, X, counts)
+
+
+class TestHarmonicZeroBranch:
+    """The zero branch is taken by mask: no arithmetic touches a vanished
+    argument, and every value keeps the bytes of the formula through
+    infinities."""
+
+    @staticmethod
+    def entries(rng, scale, shape):
+        unit = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), shape))
+        subnormal = rng.integers(1, 2**52, shape) * 5e-324
+        huge = rng.uniform(1e306, np.finfo(float).max, shape)
+        if scale == "mixed":
+            return np.choose(rng.integers(0, 3, shape), [unit, subnormal, huge])
+        return {"unit": unit, "subnormal": subnormal, "huge": huge}[scale]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([2, 3, 9]), st.sampled_from([1, 3]),
+           st.sampled_from(["none", "some", "every"]),
+           st.sampled_from(["unit", "subnormal", "huge", "mixed"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bytes_of_the_formula_through_infinities(self, T, k, n, zeros, scale, ragged, seed):
+        # k = 9 takes the ragged block count by count, and numpy sums a lone
+        # column (n = 1) of 9 terms pairwise; "every" gives about half the
+        # rows a vanished argument in use in every coordinate
+        rng = np.random.default_rng(seed)
+        X = self.entries(rng, scale, (T, k, n))
+        counts = rng.integers(1, k + 1, T) if ragged else None
+        if zeros != "none":
+            X[rng.random((T, k, n)) < 0.25] = 0.0  # in used and unused slots
+        if zeros == "every":
+            dead = np.flatnonzero(rng.random(T) < 0.5)
+            used = k if counts is None else counts[dead, None]
+            slots = (rng.random((len(dead), n)) * used).astype(np.intp)
+            X[dead[:, None], slots, np.arange(n)] = 0.0
+        expect = harmonic_via_infinities(X, counts)
+        got = harmonic_mean_stack(X, counts)
+        assert got.tobytes() == expect.tobytes()
+        assert harmonic_mean_stack(X[0]).tobytes() == harmonic_via_infinities(X[0]).tobytes()
+        if counts is not None:
+            # a row's unused zeros leave it to its own tuple
+            for t, c in enumerate(counts):
+                assert got[t].tobytes() == harmonic_mean_stack(X[t, :c]).tobytes()
+        if scale == "unit" and counts is None:
+            exact = np.empty(X.shape, dtype=object)
+            exact[...] = [[[Fraction(v) for v in row] for row in block] for block in X]
+            out = harmonic_mean_stack(exact)
+            assert all(type(v) is Fraction for v in out.ravel())
+            assert (out == harmonic_via_infinities(exact)).all()
+
+    def test_no_division_by_a_vanished_argument(self):
+        rng = np.random.default_rng(19)
+        # ORTHO's block: a disjoint pair in every row, so every coordinate vanishes
+        ortho = sampling.draw_trials(rng, 40, 8, pick=(2, 6), counts=range(6), pair="slots")
+        # a ragged block with zeros in used and unused slots, and one whose
+        # lone column numpy sums pairwise (k >= 8)
+        X = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (30, 4, 3)))
+        X[rng.random(X.shape) < 0.2] = 0.0
+        counts = rng.integers(1, 5, 30)
+        column = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (30, 9, 1)))
+        column[rng.random(column.shape) < 0.05] = 0.0
+        cases = [(ortho.vectors, ortho.counts), (X, counts), (column, None),
+                 (column, rng.integers(1, 10, 30))]
+        for A, c in cases:
+            with np.errstate(all="raise"):
+                got = harmonic_mean_stack(A, c)
+            assert got.tobytes() == harmonic_via_infinities(A, c).tobytes()
+        eta = harmonic_mean_stack(ortho.vectors, ortho.counts)
+        assert (eta == 0).all() and not np.signbit(eta).any()  # +0.0, never -0.0
+        unused = np.arange(4) >= counts[:, None]
+        kept = (X > 0).all(axis=2) | unused  # rows whose zeros all sit in unused slots
+        rows = kept.all(axis=1) & (X == 0).any(axis=2).any(axis=1)
+        assert rows.any() and (harmonic_mean_stack(X, counts)[rows] > 0).all()
