@@ -375,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # numpy's own message for a negative seed names no flag
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "partitions":
             return _cmd_partitions(args)
         if args.command == "means":

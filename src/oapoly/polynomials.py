@@ -134,6 +134,7 @@ class TermStack:
         self._row_bytes = _row_bytes(m, m, d)
         # a layout given here is of a table of one arrangement per key
         self._layout = layout  # see _arrangement_layout
+        self._arrangements = None  # see arrangements
         self._form_row_bytes = None if layout is None else self._row_bytes
 
     @classmethod
@@ -165,6 +166,15 @@ class TermStack:
     @property
     def degree(self) -> int:
         return len(self._plan)
+
+    @property
+    def arrangements(self) -> int:
+        """A, the number of rows of the form's arrangement table: the sum of
+        the keys' multinomials, computed on first use and kept, so that a
+        stack built per block (`diagonal`) never pays for it."""
+        if self._arrangements is None:
+            self._arrangements = sum(self._multinomials.tolist())
+        return self._arrangements
 
     def take(self, rows: np.ndarray | slice) -> "TermStack":
         """The stack of the given rows' polynomials (itself when one is shared)."""
@@ -212,7 +222,7 @@ class TermStack:
         `STACK_BYTES` raises ValueError before it is built."""
         if self._layout is None:
             m, d = self.coeffs.shape[1:]
-            rows = int(self._multinomials.sum())
+            rows = self.arrangements
             row_bytes = _row_bytes(rows, m, d)
             for need, what in ((row_bytes, "of buffers for one row"),
                                (_table_bytes(rows, m, self.degree), "to build it")):

@@ -54,6 +54,7 @@ from .polynomials import (
     HomogeneousPolynomial,
     TermStack,
     _additivity_sides,
+    _row_bytes,
     is_positively_orthogonally_additive,
 )
 from .reports import (
@@ -584,18 +585,42 @@ def _structured_rows(count, n, amplitudes, lo, hi):
 _FIRST_RANDOM_BLOCK = 16
 """Size of the random phase's first block."""
 
+BLOCK_OVERHEAD_ENTRIES = 1 << 14
+"""A search block's fixed cost, in entries of row buffers. Drawing a
+block, evaluating its sides and reducing its residuals cost about 60 µs
+whatever its size, and each row about 0.4 µs more: on a 2-CPU Xeon
+(Python 3.11, numpy 2.4), blocks of 1, 16, 64, 256 and 1024 CROSS_TERMS
+rows of a degree-4 polynomial of 7 keys on 6 coordinates, 134 entries a
+row, took 60, 72, 89, 156 and 462 µs. The fixed cost is that of about 150
+such rows, 20 000 entries; this bound stays below it."""
 
-def _schedule(*phases):
+
+def _overhead_rows(stack, count):
+    """R, the rows of inputs of ``count`` vectors whose work costs about as
+    much as a block's fixed cost: `BLOCK_OVERHEAD_ENTRIES` over the entries
+    of a row's buffers, k (2 A + m d) for A arrangements of m keys into d
+    entries (see `_row_bytes`). Exact coefficients make rows far dearer: R
+    is 0 for them."""
+    if stack.coeffs.dtype == object:
+        return 0
+    m, d = stack.coeffs.shape[1:]
+    return 8 * BLOCK_OVERHEAD_ENTRIES // (count * _row_bytes(stack.arrangements, m, d))
+
+
+def _schedule(extra, *phases):
     """(lo, hi) blocks of the candidate stream, over each phase (lo, hi, size)
-    in turn: ``size`` rows first, then twice as many each time, each block
-    capped by `BLOCK_TRIALS` and by the phase's rows left, so a witness
-    found early pays for few rows."""
+    in turn: a first block of ``size`` rows, and after a block of T rows one
+    of 2 T + ``extra``, each capped by `BLOCK_TRIALS` and by the phase's rows
+    left. A block of T rows costs about c0 + c1 T; with ``extra`` about
+    c0 / c1 (`_overhead_rows`), each block costs about twice the one before,
+    so a witness found early pays for few rows and a long search for few
+    blocks."""
     for lo, hi, size in phases:
         while lo < hi:
             size = min(size, BLOCK_TRIALS, hi - lo)
             yield lo, lo + size
             lo += size
-            size *= 2
+            size = 2 * size + extra
 
 
 def _random_rows(claim, P, cp, rng, size):
@@ -635,12 +660,21 @@ def falsify(
     of ``SeedSequence(seed)``, made when that phase is reached, one row per
     input (see `sampling.draw_trials`): random input k is the same whatever
     the block schedule and whatever the structured phase tried. Each
-    phase's blocks start small (one pair; 16 random inputs) and double up
-    to `BLOCK_TRIALS` (`_schedule`). Reports are those of trying one input
-    at a time, for float and exact-rational coefficients alike.
+    phase's blocks start small (one pair; 16 random inputs), so that an
+    early witness costs one small block, and grow by cost, not by rows: a
+    block of T rows is followed by one of min(2 T + R, `BLOCK_TRIALS`, rows
+    left) (`_schedule`). A block pays a fixed cost (drawing, evaluating and
+    reducing it) as well as one per row, and R rows cost about as much as
+    that fixed cost for P's stack (`_overhead_rows`), so a light polynomial
+    that spends its budget does so in a few blocks where doubling rows
+    alone would take many small ones. Reports are those of trying one input
+    at a time, for float and exact-rational coefficients alike, so they do
+    not depend on the schedule.
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     _typed(P, HomogeneousPolynomial, "P")
@@ -665,7 +699,7 @@ def falsify(
     stack, rng = TermStack.of(P), None
     rows = _partition_rows(cp) if claim.takes_partition else None
     used, best, witness = 0, 0.0, None
-    for lo, hi in _schedule((0, structured, count - 1),
+    for lo, hi in _schedule(_overhead_rows(stack, count), (0, structured, count - 1),
                             (structured, budget, _FIRST_RANDOM_BLOCK)):
         if lo < structured:
             source, X = "structured", _structured_rows(count, n, amplitudes, lo, hi)

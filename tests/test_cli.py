@@ -729,6 +729,18 @@ class TestVerify:
                                  "--poly", str(path), "--budget", budget)
         assert code == 2 and out == "" and "--budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        "verify hm --s 2 --n 2 --trials 3",
+        "verify all --s 2 --n 2 --trials 3",
+        "verify falsify --claim hm --poly SQ",
+        "poly oa-check --poly SQ",
+    ])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps(SQUARE_OF_SUM))
+        code, out, err = run_cli(capsys, *argv.replace("SQ", str(path)).split(), "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
+
     # sha256 of `verify falsify` and `poly oa-check` stdout: random-phase
     # witnesses early and late, inconclusive searches, exhaustive, random and
     # multi-block checks. The falsify cases were re-recorded when the random

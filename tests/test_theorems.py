@@ -1471,16 +1471,18 @@ class TestFalsifyBlocks:
         st.integers(0, 2**32 - 1),
         st.booleans(),
         st.sampled_from([7, theorems.BLOCK_TRIALS]),
+        st.sampled_from([0, 5, 128]),
     )
     def test_blocks_match_per_input_reference(self, claim_id, s, n, d, kind, budget, seed,
-                                              use_partition, block):
+                                              use_partition, block, extra):
         rng = np.random.default_rng(seed)
         P = falsify_polynomial(kind, rng, s, n, d)
         kwargs = dict(budget=budget, seed=seed)
         if use_partition and claim_id == "WGM":
             pool = enumerate_complete(s)
             kwargs["partition"] = CompletePartition(pool[int(rng.integers(len(pool)))], s)
-        with patch.object(theorems, "BLOCK_TRIALS", block):
+        with patch.object(theorems, "BLOCK_TRIALS", block), \
+                patch.object(theorems, "_overhead_rows", lambda stack, count: extra):
             got = outcome(falsify, P, claim_id, **kwargs)
         assert got == outcome(reference_falsify, P, claim_id, **kwargs)
 
@@ -1492,16 +1494,93 @@ class TestFalsifyBlocks:
         assert rep.counterexample["source"] == "random" and rep.trials == 13
         assert rep.to_dict() == reference_falsify(P, "HM", budget=5000, seed=1).to_dict()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 40)), min_size=1, max_size=3),
+        st.sampled_from([0, 1, 5, 122, 744]),
+        st.integers(1, 1100),
+    )
+    def test_schedule_tiles_each_phase_growing_by_cost(self, phases, extra, cap):
+        # phases of the given rows and first sizes, laid end to end
+        bounds, end = [], 0
+        for rows, first in phases:
+            bounds.append((end, end + rows, first))
+            end += rows
+        with patch.object(theorems, "BLOCK_TRIALS", cap):
+            blocks = list(theorems._schedule(extra, *bounds))
+        at = 0
+        for lo, hi, first in bounds:
+            mine = []
+            while at < len(blocks) and blocks[at][0] < hi:
+                mine.append(blocks[at])
+                at += 1
+            ends = [b for _, b in mine]
+            assert [a for a, _ in mine] == ([lo] + ends)[:len(mine)]
+            assert ([lo] + ends)[-1] == hi
+            sizes = [b - a for a, b in mine]
+            assert sizes[:1] == ([min(first, cap, hi - lo)] if hi > lo else [])
+            for prev, size, (a, _) in zip(sizes, sizes[1:], mine[1:]):
+                assert size == min(2 * prev + extra, cap, hi - a)
+        assert at == len(blocks)
+
+    @staticmethod
+    def sided_blocks(P, claim_id, **kwargs):
+        """falsify(P, claim_id, **kwargs), with the rows of each block whose
+        sides it evaluated."""
+        rows = []
+        claim = theorems.CLAIM_TABLE[claim_id]
+
+        def sides(stack, X, cp):
+            rows.append(len(X))
+            return claim.sides(stack, X, cp)
+
+        with patch.dict(theorems.CLAIM_TABLE, {claim_id: claim._replace(sides=sides)}):
+            rep = falsify(P, claim_id, **kwargs)
+        return rep, rows
+
+    def test_weak_search_takes_few_blocks(self):
+        # as in the falsify benchmark's weak band: a mixed key over 4 of 6
+        # indices, of mass 2e-8, which no structured pair sees. Its m = 7 keys
+        # have A = 6 + 4! arrangements, so a pair counts 2 (2 A + m d) = 134
+        # entries and R = 2^14 // 134 = 122: structured blocks of 1 and 29
+        # rows, random ones of 16, 154 and 400, where doubling rows alone
+        # took 11
+        terms = {(i,) * 4: [1.0 + i / 4] for i in range(6)}
+        terms[(0, 2, 3, 5)] = [2e-8 * sum(c[0] for c in terms.values())]
+        P = HomogeneousPolynomial(4, 6, 1, terms)
+        rep, rows = self.sided_blocks(P, "CROSS_TERMS", budget=600, seed=0)
+        assert rep.inconclusive and rep.trials == 600
+        assert len(rows) == 5 and sum(rows) == 600
+
+    def test_exact_and_dense_searches_double_their_rows(self):
+        # exact coefficients make R 0, and so does a dense (4, 12) polynomial:
+        # its 1365 keys have A = 12^4 arrangements, 2 A + m d > 2^14
+        cfg = ToleranceConfig(falsify_threshold=1e300)
+        exact = {(i,) * 4: [Fraction(i + 1)] for i in range(6)}
+        exact[(0, 2, 3, 5)] = [Fraction(1, 3)]
+        rep, rows = self.sided_blocks(HomogeneousPolynomial(4, 6, 1, exact), "CROSS_TERMS",
+                                      budget=100, seed=0, cfg=cfg)
+        assert rep.inconclusive and rows == [1, 2, 4, 8, 15, 16, 32, 22]
+        coeffs = np.random.default_rng(1).uniform(0.5, 2.0, 1365)
+        dense = dict(zip(itertools.combinations_with_replacement(range(12), 4),
+                         ([c] for c in coeffs)))
+        rep, rows = self.sided_blocks(HomogeneousPolynomial(4, 12, 1, dense), "CROSS_TERMS",
+                                      budget=300, seed=0, cfg=cfg)
+        assert rep.inconclusive and rows == [1, 2, 4, 8, 16, 32, 64, 5, 16, 32, 64, 56]
+
     @pytest.mark.parametrize("budget, block, sizes", [
-        (600, 1024, [16, 32, 64, 128, 256, 102]),
-        (5000, 100, [16, 32, 64, 100, 100]),
+        (600, 1024, [16, 582]),
+        (5000, 100, [16, 100, 100, 100, 100]),
         (40, 1024, [16, 22]),
     ])
     def test_block_schedule(self, budget, block, sizes):
         # a mixed coefficient of 5e-7 keeps every residual on a disjoint pair
         # under the 1e-6 witness threshold, but not under the additivity
-        # check's 1e-9; after 2 structured pairs, the random phase doubles its
-        # blocks from 16 up to BLOCK_TRIALS, capped by the budget left
+        # check's 1e-9; after 2 structured pairs, the random phase's blocks
+        # grow from 16, a block of T rows followed by 2 T + R up to
+        # BLOCK_TRIALS, capped by the budget left. P has m = 3 keys of
+        # A = 1 + 2 + 1 arrangements into d = 1 entry, so a row of its pairs
+        # (k = 2) counts 2 (2 A + m d) = 22 entries: R = 2^14 // 22 = 744
         P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (1, 1): [1.0], (0, 1): [5e-7]})
         seen = []
         real = theorems._random_rows
@@ -1538,9 +1617,12 @@ class TestFalsifyBlocks:
         return rep, structured, random
 
     @pytest.mark.parametrize("budget, block, structured, random", [
-        # one pair of 2 rows first, then twice as many rows each time, up to
-        # the family's 12 pairs; then the random phase's blocks from 16
-        (700, 1024, [(0, 2), (2, 6), (6, 14), (14, 24)], [16, 32, 64, 128, 256, 180]),
+        # one pair of 2 rows first, then 2 T + R rows after a block of T, up
+        # to the family's 12 pairs; then the random phase's blocks from 16.
+        # P has m = 5 keys of A = 4 + 6 arrangements into d = 1 entry, so a
+        # row of k = 3 vectors counts 3 (2 A + m d) = 75 entries:
+        # R = 2^14 // 75 = 218
+        (700, 1024, [(0, 2), (2, 24)], [16, 250, 410]),
         # BLOCK_TRIALS caps both phases' blocks
         (40, 3, [(0, 2), (2, 5), (5, 8), (8, 11), (11, 14), (14, 17), (17, 20), (20, 23),
                  (23, 24)], [3, 3, 3, 3, 3, 1]),
@@ -1609,10 +1691,16 @@ class TestFalsifyBlocks:
         for block, first, extra_draws in ((7, 3, 0), (100, 16, 5), (1024, 1, 40)):
             np.testing.assert_array_equal(random_inputs(block, first, extra_draws), X)
 
-    @pytest.mark.parametrize("budget", [0, -3])
-    def test_budget_below_one_rejected_before_the_precondition(self, budget):
+    @pytest.mark.parametrize("budget, error, message", [
+        (0, ValueError, r"budget must be >= 1"),
+        (-3, ValueError, r"budget must be >= 1"),
+        (2.5, TypeError, r"budget must be an int, got float"),
+        (True, TypeError, r"budget must be an int, got bool"),
+        ("600", TypeError, r"budget must be an int, got str"),
+    ])
+    def test_budget_below_one_rejected_before_the_precondition(self, budget, error, message):
         with patch.object(theorems, "is_positively_orthogonally_additive") as check:
-            with pytest.raises(ValueError, match=r"budget must be >= 1"):
+            with pytest.raises(error, match=message):
                 falsify(square_of_sum(), "HM", budget=budget)
         check.assert_not_called()
 
