@@ -37,7 +37,7 @@ import numpy as np
 
 from .lattice import LatticeVector, PositiveVector, _check_vectors
 from .partitions import WeightVector
-from .polynomials import PAIRWISE_TERMS
+from .polynomials import ordered_sum
 
 __all__ = [
     "InfimumSpec",
@@ -81,29 +81,15 @@ def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False,
 # mean of that row's tuple bit for bit. The root mean power and the
 # harmonic mean also take a ragged float block, whose rows hold tuples of
 # different sizes: with ``counts`` (T,), row t's arguments are its first
-# counts[t] slots, and the slots past them enter none of its arithmetic, so
-# the row still equals the mean of its own tuple bit for bit (`_ragged`).
+# counts[t] slots, and the slots past them add +0 to its sums, which
+# `ordered_sum` adds in slot order, so the row still equals the mean of its
+# own tuple bit for bit.
 
 
-def _ragged(mean, X: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The mean of each row of a ragged block X (T, k, n) over its first
-    counts[t] slots, as ``mean(X, used)``, which sets the terms of the slots
-    outside ``used``, a (T, k, 1) mask, to 0 in its sums. Zeros change no
-    sum that numpy adds in order, which it does for fewer than
-    `PAIRWISE_TERMS` terms. From k = `PAIRWISE_TERMS` on numpy may add a
-    row's terms pairwise (along a lone column, or along the last axis),
-    where zeros change the tree, so such a block is taken count by count,
-    as ``mean(A, None)`` of each count's rows A cut to their own slots.
-    Below that the masked call is kept for speed: it is one call a block,
-    where cutting makes one a count and copies each count's rows."""
-    k = X.shape[-2]
-    if k < PAIRWISE_TERMS:
-        return mean(X, np.arange(k)[:, None] < counts[:, None, None])
-    out = np.empty((len(X), X.shape[-1]))
-    for count in np.unique(counts):
-        rows = np.flatnonzero(counts == count)
-        out[rows] = mean(X[rows, :count], None)
-    return out
+def _used(X: np.ndarray, counts: np.ndarray | None) -> np.ndarray | None:
+    """The (T, k, 1) mask of the slots in use in a ragged block X (T, k, n),
+    or None for every slot."""
+    return None if counts is None else np.arange(X.shape[-2])[:, None] < counts[:, None, None]
 
 
 def _within_range(direct, scaled, X: np.ndarray, used: np.ndarray | None = None) -> np.ndarray:
@@ -113,7 +99,7 @@ def _within_range(direct, scaled, X: np.ndarray, used: np.ndarray | None = None)
     every argument is positive) is replaced by ``scaled(A)``, the mean
     computed again from those entries' arguments A, shape (m, k); values in
     range keep their bytes. With ``used``, the mask of a ragged block's
-    slots (see `_ragged`), "every argument" means every slot in use."""
+    slots (see `_used`), "every argument" means every slot in use."""
     flagged = []
     with np.errstate(over="call", under="call", call=lambda err, flag: flagged.append(err)):
         out = direct(X)
@@ -134,17 +120,15 @@ def root_mean_power_stack(s: int, X: np.ndarray, counts: np.ndarray | None = Non
     """Coordinatewise (sum_k x_k^s)^(1/s), of each row's first counts[t]
     arguments when ``counts`` is given. Where a power or the sum leaves the
     float range, the mean is taken of the arguments scaled by their maximum
-    m: m (sum_k (x_k/m)^s)^(1/s)."""
+    m: m (sum_k (x_k/m)^s)^(1/s). The sums are `ordered_sum`'s."""
     def scaled(A):
         m = A.max(axis=-1)
-        return m * np.sum((A / m[:, None]) ** s, axis=-1) ** (1.0 / s)
+        return m * ordered_sum((A / m[:, None]) ** s, axis=-1) ** (1.0 / s)
 
-    def mean(X, used):
-        if used is not None:
-            X = np.where(used, X, 0.0)  # an unused slot's power is 0
-        return _within_range(lambda X: np.sum(X**s, axis=-2) ** (1.0 / s), scaled, X, used)
-
-    return mean(X, None) if counts is None else _ragged(mean, X, counts)
+    used = _used(X, counts)
+    if used is not None:
+        X = np.where(used, X, 0.0)  # an unused slot's power is 0
+    return _within_range(lambda X: ordered_sum(X**s, axis=-2) ** (1.0 / s), scaled, X, used)
 
 
 def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
@@ -163,8 +147,9 @@ def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
 
 
 def harmonic_mean_stack(X: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
-    """Coordinatewise k / sum_k (1/x_k), accumulated in extended precision,
-    or exactly in Fractions for an object stack; +0 where some argument
+    """Coordinatewise k / sum_k (1/x_k), summed in slot order
+    (`ordered_sum`) in extended precision, or exactly in Fractions for an
+    object stack; +0 where some argument
     vanishes. With ``counts``, of a float block, row t's k is counts[t] and
     its unused slots add 0 to the sum in place of their reciprocals.
 
@@ -179,7 +164,7 @@ def harmonic_mean_stack(X: np.ndarray, counts: np.ndarray | None = None) -> np.n
     bytes that the arithmetic through infinities, k / (1/0) = +0, gives."""
     if X.dtype == object:
         vanished = X == 0
-        out = Fraction(X.shape[-2]) / np.sum(Fraction(1) / np.where(vanished, 1, X), axis=-2)
+        out = Fraction(X.shape[-2]) / ordered_sum(Fraction(1) / np.where(vanished, 1, X), axis=-2)
         out[vanished.any(axis=-2)] = Fraction(0)
         return out
 
@@ -187,28 +172,26 @@ def harmonic_mean_stack(X: np.ndarray, counts: np.ndarray | None = None) -> np.n
         recip = 1.0 / X.astype(np.longdouble)
         if used is not None:
             np.copyto(recip, 0, where=~used)
-        return (k / np.sum(recip, axis=-2)).astype(float)
+        return (k / ordered_sum(recip, axis=-2)).astype(float)
 
-    def mean(X, used):
-        k = np.longdouble(X.shape[-2]) if used is None else counts[:, None].astype(np.longdouble)
-        if X.all():
-            return reciprocal_mean(X, k, used)
-        # rows of one (..., k, n) block: a lone tuple (k, n) is a block of one
-        block = X.reshape(-1, *X.shape[-2:])
-        vanished = block == 0
-        zero = (vanished if used is None else vanished & used).any(axis=-2)
-        out = np.zeros(zero.shape)
-        live = ~zero.all(axis=-1)
-        if live.any():
-            rows = np.where(vanished[live], 1.0, block[live])
-            if used is not None:
-                k, used = k[live], used[live]
-            values = reciprocal_mean(rows, k, used)
-            values[zero[live]] = 0.0
-            out[live] = values
-        return out.reshape(X.shape[:-2] + X.shape[-1:])
-
-    return mean(X, None) if counts is None else _ragged(mean, X, counts)
+    used = _used(X, counts)
+    k = np.longdouble(X.shape[-2]) if used is None else counts[:, None].astype(np.longdouble)
+    if X.all():
+        return reciprocal_mean(X, k, used)
+    # rows of one (..., k, n) block: a lone tuple (k, n) is a block of one
+    block = X.reshape(-1, *X.shape[-2:])
+    vanished = block == 0
+    zero = (vanished if used is None else vanished & used).any(axis=-2)
+    out = np.zeros(zero.shape)
+    live = ~zero.all(axis=-1)
+    if live.any():
+        rows = np.where(vanished[live], 1.0, block[live])
+        if used is not None:
+            k, used = k[live], used[live]
+        values = reciprocal_mean(rows, k, used)
+        values[zero[live]] = 0.0
+        out[live] = values
+    return out.reshape(X.shape[:-2] + X.shape[-1:])
 
 
 def weighted_geometric_mean_stack(t: np.ndarray, X: np.ndarray) -> np.ndarray:

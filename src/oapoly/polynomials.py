@@ -79,14 +79,6 @@ rather than mapping fresh pages; a row that alone takes more is a chunk of
 its own."""
 
 
-PAIRWISE_TERMS = 8
-"""numpy's sum adds fewer terms than this in order, ((0 + a_0) + a_1) + ...
-for floats and from the first for objects, and more pairwise. A form sums
-each key's arrangements as numpy's sum does; a key of fewer arrangements
-than this is summed together with the other keys of its count (see
-`_arrangement_sums`)."""
-
-
 class TermStack:
     """A stack of T polynomials of one degree that share one key set.
 
@@ -95,9 +87,10 @@ class TermStack:
     every row: floats, or objects holding exact Fractions. Evaluation takes
     V variants of stacked rows (T, n), float or object, against the same T
     polynomials (`values`, `forms`; P(X) and ``form(slots)`` are the one-
-    variant case), and computes row by row in one fixed order: sequential
-    products over slots, then sequential accumulation over keys from zero,
-    ((0 + t_0) + t_1) + ..., so each row's value is bit-identical to
+    variant case), and computes row by row in the one order that
+    `ordered_sum` declares: products left to right over slots, the form's
+    products summed over each key's arrangements in order, and the terms
+    over keys in key order from +0, so each row's value is bit-identical to
     evaluating that row's polynomial at that row alone, and exact
     coefficients at exact rows give exact values. The V T rows go in chunks
     of at most `CHUNK_BYTES` of buffers (`_in_chunks`), and each chunk runs
@@ -114,12 +107,10 @@ class TermStack:
     `_prefix_plan`, so that
     rows sharing a prefix of slots share that prefix's product. Each plan
     column is one contiguous vector for ``ndarray.take``, which gathers
-    faster than fancy indexing. The form sums each key's arrangement
-    products as numpy's sum of them would: the keys are grouped by their
-    number A of arrangements, and a group of A below `PAIRWISE_TERMS` is
-    held arrangement-major and summed slab by slab across its keys in one
-    call, a larger one key by key, pairwise (`_arrangement_layout`,
-    `_arrangement_sums`).
+    faster than fancy indexing. The form's keys are grouped by their number
+    A of arrangements, and each group is held arrangement-major, so that
+    one reduction sums the arrangements of all its keys
+    (`_arrangement_layout`, `_arrangement_sums`).
     """
 
     def __init__(self, table: np.ndarray, coeffs: np.ndarray, plan: list,
@@ -214,10 +205,9 @@ class TermStack:
         The keys are ordered by their multinomial, the number A of their
         arrangements, stably; a group is its keys' positions, A, and its
         slice of the table's rows, which holds the A arrangements of each of
-        its keys from `_arrangement_table`. A group of A below
-        `PAIRWISE_TERMS` holds them arrangement-major, arrangement j of each
-        key in turn, then arrangement j + 1, and a larger one key-major, each
-        key's A arrangements together (see `_arrangement_sums`). A table so
+        its keys from `_arrangement_table`, arrangement-major: arrangement j
+        of each key in turn, then arrangement j + 1 (see `_arrangement_sums`).
+        A table so
         large that one row's buffers, or its build, would exceed
         `STACK_BYTES` raises ValueError before it is built."""
         if self._layout is None:
@@ -241,9 +231,8 @@ class TermStack:
                       for lo, hi in zip(edges, edges[1:])]
             table = _arrangement_table(self._table[order])
             for positions, count, span in groups:
-                if 1 < count < PAIRWISE_TERMS:
-                    table[span] = table[span].reshape(len(positions), count, -1).transpose(
-                        1, 0, 2).reshape(-1, self.degree)
+                table[span] = table[span].reshape(len(positions), count, -1).transpose(
+                    1, 0, 2).reshape(-1, self.degree)
             self._layout = _prefix_plan(table), groups
             self._form_row_bytes = row_bytes
         return self._layout
@@ -289,7 +278,7 @@ class TermStack:
                     o = v * T + t0 - lo
                     np.multiply(coeffs[:, t0:t1], products[:, o:o + t1 - t0, None],
                                 out=terms[:, o:o + t1 - t0])
-            sums.append(_sum_terms(terms))
+            sums.append(ordered_sum(terms))
         return (sums[0] if len(sums) == 1 else np.concatenate(sums)).reshape(V, T, d)
 
 
@@ -311,20 +300,36 @@ def _in_chunks(V: int, T: int, step: int):
                        for v in range(lo // T, (hi - 1) // T + 1)]
 
 
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """((0 + t_0) + t_1) + ... over axis 0 of key-major (m, R, d) terms,
-    float or exact: the order of accumulating key by key from zero; (R, d).
-    Reducing axis 0 adds the (R, d) rows in order, but numpy would sum a
-    lone entry (R d == 1) pairwise, so that one is accumulated in place and
-    the zero added last: 0 + t_0 is t_0 but for -0.0, which becomes 0.0 and
-    changes no later partial sum but a zero's sign, so the sum is the same."""
-    m, R, d = terms.shape
-    if m == 0:
-        return np.full((R, d), Fraction(0) if terms.dtype == object else 0.0)
-    if R * d != 1:
-        return np.add.reduce(terms, axis=0, initial=0)
-    column = terms.reshape(m, 1)
-    return np.add.accumulate(column, axis=0, out=column)[-1:] + 0
+def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The sum of ``terms`` over ``axis``, term after term from +0,
+    ((0 + t_0) + t_1) + ..., float, extended or exact; an empty sum is +0,
+    Fraction(0) for objects.
+
+    This is the package's one arithmetic order, for every sum of a claim's
+    sides and of the closed-form means: products are taken left to right
+    over slots, and sums in slot, arrangement and key order. P and the
+    form add their terms in key order and the form each key's products in
+    arrangement order (`TermStack`); the root mean power and the harmonic
+    mean add their slots' terms in slot order, RMP, HM and CROSS_TERMS
+    their sides' variants and the polarization its sign rows in order,
+    each through this function. The order is the package's own, not
+    numpy's: numpy's sum adds a contiguous run of 8 or more terms
+    pairwise. A reduction over an outer axis of a C-contiguous array adds
+    its slabs elementwise, slab after slab, so the terms are reduced so;
+    only where every axis after the summed one has length 1, so that numpy
+    would add the run pairwise, are they accumulated in order instead, the
+    +0 added last: 0 + t_0 is t_0 but for -0.0, which becomes +0.0 and
+    changes no later partial sum but a zero's sign. A masked term of +0
+    therefore changes no sum, and a row's sum does not depend on the rows
+    beside it. The error of A terms is at most (A - 1) u sum |t| for the
+    unit roundoff u (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4)."""
+    terms = np.ascontiguousarray(terms)
+    # in a C-contiguous array the summed axis steps one item exactly where
+    # every axis after it has length 1 (or its own length is 1)
+    if terms.shape[axis] and terms.strides[axis] == terms.itemsize:
+        return np.add.accumulate(terms, axis=axis).take(-1, axis=axis) + 0
+    return np.add.reduce(terms, axis=axis, initial=Fraction(0) if terms.dtype == object else 0)
 
 
 def _row_bytes(rows: int, m: int, d: int) -> int:
@@ -458,28 +463,21 @@ def _planned_products(slots: Sequence[np.ndarray], plan) -> np.ndarray:
 
 
 def _arrangement_sums(products: np.ndarray, groups, keys: int) -> np.ndarray:
-    """For each key and each column, the sum over the key's arrangements of
-    their slot products, key-major (rows of the arrangement table, R), laid
-    out as `TermStack._arrangement_layout` groups them; (keys, R). Each sum
-    is numpy's sum of the key's products, as in the scalar form. numpy adds
-    fewer than `PAIRWISE_TERMS` terms in order, so a group of count A below
-    it, held arrangement-major, is reduced over its A (keys, R) slabs, one
-    numpy call that adds slab after slab in place, as np.sum adds the
-    terms; a larger group, held key-major, takes numpy's pairwise sum of
-    each key's products, laid out key, column, arrangement. A key of one
-    arrangement keeps its product."""
+    """For each key and each column, the `ordered_sum` over the key's
+    arrangements of their slot products, key-major (rows of the arrangement
+    table, R), laid out as `TermStack._arrangement_layout` groups them;
+    (keys, R). A group of count A, arrangement-major, is one sum over its A
+    (keys, R) slabs; a key of one arrangement keeps its product, as 0 + t is
+    t but for a -0.0, whose sign the sum over keys from +0 drops all the
+    same."""
     if len(groups) == 1 and groups[0][1] == 1:  # every key once, in key order
         return products
     R = products.shape[1]
     totals = np.empty((keys, R), dtype=products.dtype)
     for positions, count, rows in groups:
         block = products[rows]
-        if count >= PAIRWISE_TERMS:  # one column's products of a key are contiguous already
-            block = (block.reshape(len(positions), 1, count) if R == 1 else np.ascontiguousarray(
-                block.reshape(len(positions), count, R).transpose(0, 2, 1))).sum(axis=2)
-        elif count > 1:
-            block = np.add.reduce(block.reshape(count, len(positions), R), axis=0)
-        totals[positions] = block
+        totals[positions] = block if count == 1 else ordered_sum(
+            block.reshape(count, len(positions), R))
     return totals
 
 
@@ -498,10 +496,13 @@ class HomogeneousPolynomial:
     """Degree-s homogeneous polynomial R^n -> R^d with sparse coefficients.
 
     ``terms`` is a read-only mapping from canonical keys to read-only
-    coefficient arrays: a polynomial cannot change after construction.
+    coefficient arrays, and ``degree``, ``domain_dim``, ``codomain_dim`` and
+    ``terms`` cannot be set again: a polynomial cannot change after
+    construction.
     """
 
-    __slots__ = ("degree", "domain_dim", "codomain_dim", "terms", "_exact", "_stack")
+    _fixed = ("degree", "domain_dim", "codomain_dim", "terms", "_exact")
+    __slots__ = (*_fixed, "_stack")
 
     def __init__(
         self,
@@ -533,6 +534,20 @@ class HomogeneousPolynomial:
         )
         self._exact = any(c.dtype == object for c in self.terms.values())
         self._stack = None  # the compiled form, see TermStack.of
+
+    def __setattr__(self, name, value):
+        # the fixed slots are set once, by __init__ (or copy.copy), and never
+        # again; the compiled form is filled in on first use
+        if name in self._fixed and hasattr(self, name):
+            raise AttributeError(
+                f"cannot set {name!r}: a polynomial cannot change after construction")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in self._fixed:
+            raise AttributeError(
+                f"cannot delete {name!r}: a polynomial cannot change after construction")
+        object.__delattr__(self, name)
 
     @classmethod
     def diagonal(cls, coeffs: Sequence, degree: int) -> "HomogeneousPolynomial":
@@ -673,10 +688,9 @@ def polarize_blackbox(
 
 
 def _parity_sum(values: np.ndarray, parities: np.ndarray, s: int) -> np.ndarray:
-    """The polarization sum of the values at the 2^s sign rows: total = val,
-    then total + val, with each value times its row's parity, in sign-row
-    order, over 2^s s!."""
-    total = np.add.accumulate(values * parities, axis=0)[-1]
+    """The polarization sum of the values at the 2^s sign rows, each times
+    its row's parity, summed in sign-row order (`ordered_sum`), over 2^s s!."""
+    total = ordered_sum(values * parities)
     denom = (2**s) * factorial(s)
     if total.dtype == object:
         return total * Fraction(1, denom)

@@ -56,6 +56,7 @@ from .polynomials import (
     _additivity_sides,
     _row_bytes,
     is_positively_orthogonally_additive,
+    ordered_sum,
 )
 from .reports import (
     DEFAULT_TOLERANCES,
@@ -171,16 +172,16 @@ def _partition_requires(degree, count, cp) -> None:
 
 def _rmp_sides(P, X, rows):
     # one evaluation of P at the root mean power and at each slot, the
-    # values at a row's slots summed from 0 in order, quietly: values beyond
-    # the float range make a non-finite side, which the residual reports. A
-    # row's unused slots add 0, which changes no such sum: it is never -0.0
+    # values at a row's slots summed in slot order (`ordered_sum`), quietly:
+    # values beyond the float range make a non-finite side, which the
+    # residual reports. A row's unused slots add +0, which changes no sum
     counts = _counts(rows)
     values = P.values([root_mean_power_stack(P.degree, X, counts)]
                       + [X[:, i] for i in range(X.shape[1])])
     if counts is not None:
         values[1:][np.arange(X.shape[1])[:, None] >= counts] = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        return values[0], sum(values[1:])
+        return values[0], ordered_sum(values[1:])
 
 
 def _gm_sides(P, X, rows):
@@ -189,15 +190,12 @@ def _gm_sides(P, X, rows):
 
 def _hm_sides(P, X, rows):
     # one evaluation of the form at the tuple and at its s substitutions;
-    # the substitutions' values summed term_0 + term_1 + ... in order
+    # the substitutions' values summed in slot order (`ordered_sum`)
     s = X.shape[1]
     slots = [X[:, i] for i in range(s)]
     eta = harmonic_mean_stack(X)
     values = P.forms([slots] + [slots[:j] + [eta] + slots[j + 1:] for j in range(s)])
-    rhs = values[1]
-    for term in values[2:]:
-        rhs = rhs + term
-    return values[0] * s, rhs
+    return values[0] * s, ordered_sum(values[1:])
 
 
 def _repeated(X, repeats):
@@ -450,18 +448,15 @@ def _cross_rows(claim, X, P, rows, cfg):
     mixed_worst = np.zeros(len(f))
     witness = np.full(len(f), -1)
     values = P.forms([[f] * k + [g] * (s - k) for k in range(s + 1)])
-    recon = None
-    for k, val in enumerate(values):
-        term = val * math.comb(s, k)
-        recon = term if recon is None else recon + term
-        if 1 <= k <= s - 1:
-            mag = np.max(np.abs(val), axis=1)
-            if not exact:
-                mag = mag.astype(float, copy=False)
-                mag[np.isnan(mag)] = np.inf
-            better = mag > mixed_worst
-            mixed_worst = np.where(better, mag, mixed_worst)
-            witness[better & (mag > mixed_tol)] = k
+    recon = ordered_sum(np.stack([val * math.comb(s, k) for k, val in enumerate(values)]))
+    for k in range(1, s):
+        mag = np.max(np.abs(values[k]), axis=1)
+        if not exact:
+            mag = mag.astype(float, copy=False)
+            mag[np.isnan(mag)] = np.inf
+        better = mag > mixed_worst
+        mixed_worst = np.where(better, mag, mixed_worst)
+        witness[better & (mag > mixed_tol)] = k
     total = P(f + g)
     recon_res = row_residuals(total, recon, switch=cfg.relative_switch)
     passed = (mixed_worst <= mixed_tol) & (recon_res <= recon_tol)

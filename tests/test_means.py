@@ -29,7 +29,6 @@ from oapoly.lattice import DimensionMismatchError, LatticeVector
 from oapoly.means import (
     _log_coefficients,
     _log_grid,
-    _ragged,
     _simplex_grid,
     _squared_simplex,
     geometric_mean_stack,
@@ -598,9 +597,8 @@ class TestRaggedStacks:
     @given(st.integers(1, 40), st.sampled_from([3, 9]), st.sampled_from([1, 3]),
            st.sampled_from([1, 2, 120]), st.integers(0, 2**32 - 1))
     def test_rows_equal_their_own_tuples(self, T, k, n, s, seed):
-        # k = 9 takes the count-by-count route, where numpy would sum a lone
-        # column (n = 1) pairwise; s = 120 sends x^s beyond the float range,
-        # both ways
+        # k = 9 is a sum that numpy would add pairwise along a lone column
+        # (n = 1); s = 120 sends x^s beyond the float range, both ways
         rng = np.random.default_rng(seed)
         X = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (T, k, n)))
         counts = rng.integers(1, k + 1, T)
@@ -624,24 +622,24 @@ class TestRaggedStacks:
 def harmonic_via_infinities(X, counts=None):
     """Reference: the harmonic mean with its zero branch reached through
     infinities, a vanished argument's reciprocal +inf making k / inf = +0.
-    It does the arithmetic of `harmonic_mean_stack` on every entry, so the
-    two must agree byte for byte."""
+    It does the arithmetic of `harmonic_mean_stack` on every entry, a row's
+    unused slots adding 0 in place of their reciprocals, and adds the
+    reciprocals slot by slot from +0, so the two must agree byte for byte."""
     if X.dtype == object:
         vanished = X == 0
         out = Fraction(X.shape[-2]) / np.sum(Fraction(1) / np.where(vanished, 1, X), axis=-2)
         out[vanished.any(axis=-2)] = Fraction(0)
         return out
-
-    def mean(X, used):
-        with np.errstate(divide="ignore"):
-            recip = 1.0 / X.astype(np.longdouble)
-        k = np.longdouble(X.shape[-2])
-        if used is not None:
-            np.copyto(recip, 0, where=~used)
-            k = counts[:, None].astype(np.longdouble)
-        return (k / np.sum(recip, axis=-2)).astype(float)
-
-    return mean(X, None) if counts is None else _ragged(mean, X, counts)
+    with np.errstate(divide="ignore"):
+        recip = 1.0 / X.astype(np.longdouble)
+    k = np.longdouble(X.shape[-2])
+    if counts is not None:
+        recip[np.arange(X.shape[-2]) >= counts[:, None]] = 0
+        k = counts[:, None].astype(np.longdouble)
+    total = np.zeros(recip.shape[:-2] + recip.shape[-1:], np.longdouble)
+    for j in range(X.shape[-2]):
+        total = total + recip[..., j, :]
+    return (k / total).astype(float)
 
 
 class TestHarmonicZeroBranch:
@@ -664,9 +662,9 @@ class TestHarmonicZeroBranch:
            st.sampled_from(["unit", "subnormal", "huge", "mixed"]),
            st.booleans(), st.integers(0, 2**32 - 1))
     def test_bytes_of_the_formula_through_infinities(self, T, k, n, zeros, scale, ragged, seed):
-        # k = 9 takes the ragged block count by count, and numpy sums a lone
-        # column (n = 1) of 9 terms pairwise; "every" gives about half the
-        # rows a vanished argument in use in every coordinate
+        # k = 9 is a sum that numpy would add pairwise along a lone column
+        # (n = 1); "every" gives about half the rows a vanished argument in
+        # use in every coordinate
         rng = np.random.default_rng(seed)
         X = self.entries(rng, scale, (T, k, n))
         counts = rng.integers(1, k + 1, T) if ragged else None
@@ -697,7 +695,7 @@ class TestHarmonicZeroBranch:
         # ORTHO's block: a disjoint pair in every row, so every coordinate vanishes
         ortho = sampling.draw_trials(rng, 40, 8, pick=(2, 6), counts=range(6), pair="slots")
         # a ragged block with zeros in used and unused slots, and one whose
-        # lone column numpy sums pairwise (k >= 8)
+        # lone column numpy would sum pairwise (k >= 8)
         X = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (30, 4, 3)))
         X[rng.random(X.shape) < 0.2] = 0.0
         counts = rng.integers(1, 5, 30)

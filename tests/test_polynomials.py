@@ -1,5 +1,6 @@
 """Polynomials: evaluation conventions, polarization, additivity structure."""
 
+import copy
 import functools
 import hashlib
 import itertools
@@ -54,16 +55,25 @@ def reference_eval(P, x):
     return out
 
 
+def in_order(terms):
+    """((0 + t_0) + t_1) + ...: the terms added one after another from zero."""
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
 def reference_form(P, xs):
     """The symmetric form at the arrays xs key by key: np.prod over the slots
-    of each distinct arrangement, numpy's sum over the key's arrangements,
-    accumulated over keys from a zero of the matching dtype."""
+    of each distinct arrangement, summed over the key's arrangements in
+    lexicographic order from zero, accumulated over keys from a zero of the
+    matching dtype."""
     X = np.stack(xs)
     rows = np.arange(P.degree)[None, :]
     out = zero_like(P, X)
     for key, coeff in P.terms.items():
         arrangements = np.array(sorted(set(itertools.permutations(key))), dtype=np.intp)
-        out = out + coeff * X[rows, arrangements].prod(axis=1).sum()
+        out = out + coeff * in_order(X[rows, arrangements].prod(axis=1))
     return out
 
 
@@ -787,6 +797,25 @@ class TestImmutability:
         coeff[0] = 5.0  # the caller's array is not shared
         assert Q(vec(1.0, 0.0))[0] == 1.0
 
+    def test_attributes_cannot_change(self):
+        # a degree-2 P set to degree 3 passed polarize_blackbox's degree check
+        # with three vectors and answered from its compiled degree-2 form
+        P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (0, 1): [1.0]})
+        f = vec(1.0, 2.0)
+        value = P(f)  # compiles P's TermStack and keeps it on P
+        for name in ("degree", "domain_dim", "codomain_dim", "terms"):
+            with pytest.raises(AttributeError, match="cannot change after construction"):
+                setattr(P, name, 3)
+            with pytest.raises(AttributeError, match="cannot change after construction"):
+                delattr(P, name)
+        assert (P.degree, P.domain_dim, P.codomain_dim, list(P.terms)) == (2, 2, 1, [(0, 0), (0, 1)])
+        with pytest.raises(ValueError, match="needs degree 3"):
+            polarize_blackbox(P, [f, f, f])
+        Q = copy.copy(P)
+        assert Q.degree == 2 and Q.terms == P.terms and Q(f).tobytes() == value.tobytes()
+        with pytest.raises(AttributeError, match="cannot change after construction"):
+            Q.degree = 3
+
     def test_coefficient_returns_a_writable_copy(self):
         Q = make_diagonal([1.0, 2.0], 2)
         c = Q.coefficient((1, 1))
@@ -890,23 +919,17 @@ class TestTermStack:
         [-0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 1e16, 1.0, 1.0, -1e16],
         [1.0, -1.0, -0.0], [math.inf, -0.0], [-0.0, math.nan], list(np.linspace(-1, 1, 17)),
     ])
-    def test_sum_terms_is_the_sum_from_zero(self, terms):
+    def test_ordered_sum_is_the_sum_from_zero(self, terms):
         # one entry (R d == 1) and rows of entries (R d > 1) alike: ((0 + t_0)
         # + t_1) + ..., -0.0 terms and cancellations included
-        def from_zero(column):
-            total = 0.0
-            for t in column:
-                total = total + t
-            return total
-
         for R, d in ((1, 1), (3, 1), (1, 2)):
             key_major = np.repeat(np.array(terms)[:, None, None], R * d, axis=1).reshape(-1, R, d)
             key_major[:, 1:] *= 3.0  # a row or entry of its own
-            sums = polynomials._sum_terms(key_major.copy())
-            expect = np.array([[from_zero(key_major[:, r, e]) for e in range(d)] for r in range(R)])
+            sums = polynomials.ordered_sum(key_major.copy())
+            expect = np.array([[in_order(key_major[:, r, e]) for e in range(d)] for r in range(R)])
             assert sums.shape == (R, d) and sums.tobytes() == expect.tobytes()
         for empty in (np.empty((0, 2, 1)), np.empty((3, 0, 1))):
-            assert polynomials._sum_terms(empty).shape == empty.shape[1:]
+            assert polynomials.ordered_sum(empty).shape == empty.shape[1:]
 
     @pytest.mark.parametrize("s", [1, 2, 4])
     def test_keys_without_a_shared_prefix_take_no_parent_gathers(self, s):
@@ -956,9 +979,8 @@ class TestTermStack:
     ARRANGEMENT_CASES = [(2, 3), (3, 3), (4, 3), (5, 2), (6, 3), (7, 2), (8, 3)]
 
     def test_arrangement_layout_is_the_key_tables_rows_reordered(self):
-        # a group of fewer than 8 arrangements a key holds them
-        # arrangement-major, a larger one key-major; either way every
-        # distinct arrangement of every key comes once
+        # every group holds its keys' arrangements arrangement-major, and
+        # every distinct arrangement of every key comes once
         counts = set()
         for s, n in self.ARRANGEMENT_CASES:
             keys = list(itertools.combinations_with_replacement(range(n), s))
@@ -967,7 +989,7 @@ class TestTermStack:
             table = layout_table(stack, n)
             for positions, count, span in groups:
                 arrangements = np.stack([reference_arrangements(keys[i]) for i in positions],
-                                        axis=1 if count < polynomials.PAIRWISE_TERMS else 0)
+                                        axis=1)
                 assert table[span].tolist() == arrangements.reshape(-1, s).tolist()
                 counts.add(count)
             key_major = np.concatenate([reference_arrangements(k) for k in keys])
@@ -977,8 +999,8 @@ class TestTermStack:
     @pytest.mark.parametrize("s, n", ARRANGEMENT_CASES)
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("kind", ["float", "exact"])
-    def test_arrangement_sums_are_numpys_sums_of_each_keys_products(self, s, n, R, kind):
-        # each key's sum is np.sum of its products in arrangement order (a
+    def test_arrangement_sums_are_ordered_sums_of_each_keys_products(self, s, n, R, kind):
+        # each key's sum adds its products in arrangement order from zero (a
         # key of one arrangement keeps its product), byte for byte: products
         # of far apart magnitudes, whose sum depends on the order, and -0.0,
         # ±inf and NaN among them
@@ -1002,14 +1024,11 @@ class TestTermStack:
         assert sums.shape == (len(keys), R) and sums.dtype == products.dtype
         for positions, count, span in groups:
             for i, key in enumerate(positions):
-                if count < polynomials.PAIRWISE_TERMS:  # arrangement-major
-                    key_rows = span.start + i + len(positions) * np.arange(count)
-                else:
-                    key_rows = span.start + i * count + np.arange(count)
+                key_rows = span.start + i + len(positions) * np.arange(count)  # arrangement-major
                 for r in range(R):
                     column = np.array(products[key_rows, r])
                     with np.errstate(over="ignore", invalid="ignore"):
-                        total = column[0] if count == 1 else np.sum(column)
+                        total = column[0] if count == 1 else in_order(column)
                     expect = np.array([total], column.dtype)
                     assert exact_bytes(sums[key, r:r + 1]) == exact_bytes(expect)
 
