@@ -13,11 +13,15 @@ Two scalar modes are supported:
   cross-checks where identities must hold with zero residual.
 
 Vectors are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+values can be shared freely across threads. Each vector's entries are
+checked once, when it is built: by the constructor, or by `_from_data` for
+a vector built from an operation's data. So every float entry is finite,
+and every PositiveVector entry >= 0, however the vector was built.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -81,14 +85,34 @@ class LatticeVector:
 
     @classmethod
     def _from_data(cls, data: np.ndarray, exact: bool):
+        """The vector of ``data``, a fresh one-dimensional array that the
+        caller hands over: an operation's result on vectors' data (computed
+        without numpy warnings), or a mean's. This is the one check of a
+        vector built from data: each float entry is tested once to be
+        finite, and a PositiveVector's to be >= 0, and a PositiveVector's
+        -0.0 entries become +0.0 in place. A failed test raises the
+        constructor's error. The array is frozen without a copy."""
+        positive = issubclass(cls, PositiveVector)
+        if exact:
+            ok = not positive or (data >= 0).all()
+        else:
+            low, high = np.minimum.reduce(data), np.maximum.reduce(data)
+            # both comparisons are False at a NaN
+            ok = (low >= 0 if positive else -math.inf < low) and high < math.inf
+            if positive and low == 0:
+                np.add(data, 0.0, out=data)  # -0.0 + 0.0 is +0.0
+        if not ok:
+            return cls(data, exact=exact)  # raises the constructor's error
+        return cls._wrap(data, exact)
+
+    @classmethod
+    def _wrap(cls, data: np.ndarray, exact: bool):
+        """The vector of ``data`` as it is, frozen in place and unchecked;
+        see `_from_data` for the checked way."""
         vec = object.__new__(cls)
-        if not data.flags.writeable:
-            data = data.copy()
-        data.flags.writeable = False
+        data.setflags(write=False)
         vec._data = data
         vec._exact = exact
-        if isinstance(vec, PositiveVector):
-            vec._check_nonnegative()
         return vec
 
     # -- basic introspection -------------------------------------------------
@@ -143,13 +167,20 @@ class LatticeVector:
         if self._exact and isinstance(scalar, float):
             raise ValueError("scaling an exact vector needs an int or Fraction scalar")
 
+    # a float result beyond the range is refused by `_from_data`, so the
+    # operations that can leave it compute without numpy's warnings
+
     def __add__(self, other):
         _check_vectors((self, other))
-        return _pair_class(self, other)._from_data(self._data + other._data, self._exact)
+        with np.errstate(over="ignore"):
+            data = self._data + other._data
+        return _pair_class(self, other)._from_data(data, self._exact)
 
     def __sub__(self, other):
         _check_vectors((self, other))
-        return LatticeVector._from_data(self._data - other._data, self._exact)
+        with np.errstate(over="ignore"):
+            data = self._data - other._data
+        return LatticeVector._from_data(data, self._exact)
 
     def __neg__(self):
         return LatticeVector._from_data(-self._data, self._exact)
@@ -158,7 +189,9 @@ class LatticeVector:
         self._check_scalar(scalar)
         nonneg = scalar >= 0 and isinstance(self, PositiveVector)
         cls = PositiveVector if nonneg else LatticeVector
-        return cls._from_data(self._data * scalar, self._exact)
+        with np.errstate(over="ignore", invalid="ignore"):  # invalid: 0 * inf
+            data = self._data * scalar
+        return cls._from_data(data, self._exact)
 
     __rmul__ = __mul__
 
@@ -173,9 +206,6 @@ class PositiveVector(LatticeVector):
 
     def __init__(self, entries: Iterable, *, exact: bool = False):
         super().__init__(entries, exact=exact)
-        self._check_nonnegative()
-
-    def _check_nonnegative(self) -> None:
         if not (self._data >= 0).all():
             raise ValueError("positive vector entries must be >= 0")
 

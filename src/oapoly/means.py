@@ -16,13 +16,17 @@ remaining gap.
 Conventions:
 
 * every mean accepts nonnegative vectors only; negative entries are rejected
-  rather than silently absolute-valued;
+  rather than silently absolute-valued (a PositiveVector was checked when it
+  was built, so only other vectors are tested);
 * the harmonic mean is 0 in every coordinate where some argument vanishes;
 * the weighted geometric infimum evaluates to 0 on vanishing coordinates, an
   infimum that is approached (as the corresponding parameter grows) but not
   attained inside the open constraint set;
 * only the harmonic mean supports exact-rational vectors, because the other
-  closed forms involve roots.
+  closed forms involve roots;
+* every result is a PositiveVector built by `LatticeVector._from_data`,
+  which checks the fresh array once; a value beyond the float range raises
+  the route's own ValueError instead, saying so.
 """
 
 from __future__ import annotations
@@ -60,14 +64,16 @@ _GRID_POINT_LIMIT = 5_000_000
 def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False,
            dim: int | None = None) -> tuple[np.ndarray, bool]:
     """Validate a tuple of nonnegative vectors (of dimension ``dim`` when
-    given, see `_check_vectors`) and stack their data into shape (k, n)."""
+    given, see `_check_vectors`) and stack their data into shape (k, n). A
+    PositiveVector's entries were checked when it was built, so the entries
+    are tested for sign only when another vector is among them."""
     if not fs:
         raise ValueError("a mean needs at least one argument")
     exact = _check_vectors(fs, dim)
     if exact and not allow_exact:
         raise ValueError("exact-rational vectors are only supported by harmonic_mean")
     X = np.array([f._data for f in fs])
-    if not (X >= 0).all():
+    if not all(isinstance(f, PositiveVector) for f in fs) and not (X >= 0).all():
         raise ValueError("means are defined on nonnegative vectors only")
     return X, exact
 
@@ -94,14 +100,15 @@ def _used(X: np.ndarray, counts: np.ndarray | None) -> np.ndarray | None:
 
 def _within_range(direct, scaled, X: np.ndarray, used: np.ndarray | None = None) -> np.ndarray:
     """The mean ``direct(X)``, computed quietly. Only when some operation in
-    it overflowed or underflowed, each entry that left the float range on
-    the way (non-finite although every argument is finite, or 0 although
-    every argument is positive) is replaced by ``scaled(A)``, the mean
-    computed again from those entries' arguments A, shape (m, k); values in
-    range keep their bytes. With ``used``, the mask of a ragged block's
-    slots (see `_used`), "every argument" means every slot in use."""
+    it overflowed, underflowed or made a NaN, each entry that left the float
+    range on the way (non-finite although every argument is finite, or 0
+    although every argument is positive) is replaced by ``scaled(A)``, the
+    mean computed again from those entries' arguments A, shape (m, k);
+    values in range keep their bytes. With ``used``, the mask of a ragged
+    block's slots (see `_used`), "every argument" means every slot in use."""
     flagged = []
-    with np.errstate(over="call", under="call", call=lambda err, flag: flagged.append(err)):
+    with np.errstate(over="call", under="call", invalid="call",
+                     call=lambda err, flag: flagged.append(err)):
         out = direct(X)
         if flagged:
             unused = False if used is None else ~used
@@ -140,10 +147,10 @@ def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
 
     def scaled(A):
         mantissas, exponents = np.frexp(A)
-        q, r = np.divmod(exponents.sum(axis=-1), k)
-        return np.ldexp(np.ldexp(np.prod(mantissas, axis=-1), r) ** (1.0 / k), q)
+        q, r = np.divmod(np.add.reduce(exponents, axis=-1), k)
+        return np.ldexp(np.ldexp(np.multiply.reduce(mantissas, axis=-1), r) ** (1.0 / k), q)
 
-    return _within_range(lambda X: np.prod(X, axis=-2) ** (1.0 / k), scaled, X)
+    return _within_range(lambda X: np.multiply.reduce(X, axis=-2) ** (1.0 / k), scaled, X)
 
 
 def harmonic_mean_stack(X: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
@@ -176,7 +183,7 @@ def harmonic_mean_stack(X: np.ndarray, counts: np.ndarray | None = None) -> np.n
 
     used = _used(X, counts)
     k = np.longdouble(X.shape[-2]) if used is None else counts[:, None].astype(np.longdouble)
-    if X.all():
+    if np.logical_and.reduce(X, axis=None):
         return reciprocal_mean(X, k, used)
     # rows of one (..., k, n) block: a lone tuple (k, n) is a block of one
     block = X.reshape(-1, *X.shape[-2:])
@@ -197,25 +204,46 @@ def harmonic_mean_stack(X: np.ndarray, counts: np.ndarray | None = None) -> np.n
 def weighted_geometric_mean_stack(t: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Coordinatewise prod_k x_k^(t_k) for float weights t of shape (k,), or
     (T, k) for a block of T rows with weights of their own. A weight of 0
-    leaves its slot out of the product: x ** 0 is exactly 1."""
-    return np.prod(X ** t[..., None], axis=-2)
+    leaves its slot out of the product: x ** 0 is exactly 1. Each factor
+    lies between min(x, 1) and max(x, 1); where their product leaves the
+    float range, it is taken of the factors' mantissas and binary exponents,
+    prod_k m_k 2^(sum_k e_k)."""
+    def scaled(F):
+        mantissas, exponents = np.frexp(F)
+        return np.ldexp(np.multiply.reduce(mantissas, axis=-1), np.add.reduce(exponents, axis=-1))
+
+    return _within_range(lambda F: np.multiply.reduce(F, axis=-2), scaled, X ** t[..., None])
+
+
+def _mean_vector(value: np.ndarray, name: str, exact: bool = False) -> PositiveVector:
+    """The PositiveVector of a closed form's fresh values, checked once by
+    `LatticeVector._from_data`. The one value of a mean that the check
+    refuses is an infinite one, rounded past the largest float (only the
+    root mean power exceeds every argument): that raises ValueError naming
+    the mean."""
+    try:
+        return PositiveVector._from_data(value, exact)
+    except ValueError:
+        raise ValueError(f"the {name} is beyond the float range") from None
 
 
 def root_mean_power(s: int, fs: Sequence[PositiveVector]) -> PositiveVector:
     """The s-th root mean power: coordinatewise (sum_k x_k^s)^(1/s).
 
-    The number of arguments is independent of the power s.
+    The number of arguments is independent of the power s. The value is at
+    least the largest argument, so it can lie beyond the float range: that
+    raises ValueError.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"power must be a positive integer, got {s!r}")
     X, _ = _stack(fs)
-    return PositiveVector(root_mean_power_stack(s, X))
+    return _mean_vector(root_mean_power_stack(s, X), "root mean power")
 
 
 def geometric_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
     """The s-th geometric mean of s vectors: coordinatewise (prod_k x_k)^(1/s)."""
     X, _ = _stack(fs)
-    return PositiveVector(geometric_mean_stack(X))
+    return _mean_vector(geometric_mean_stack(X), "geometric mean")
 
 
 def harmonic_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
@@ -234,7 +262,7 @@ def harmonic_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
     result.
     """
     X, exact = _stack(fs, allow_exact=True)
-    return PositiveVector(harmonic_mean_stack(X), exact=exact)
+    return _mean_vector(harmonic_mean_stack(X), "harmonic mean", exact)
 
 
 def _weight_floats(weights: WeightVector | Sequence) -> np.ndarray:
@@ -264,7 +292,7 @@ def weighted_geometric_mean(
     X, _ = _stack(fs)
     if X.shape[0] != t.size:
         raise ValueError(f"got {X.shape[0]} vectors for {t.size} weights")
-    return PositiveVector(weighted_geometric_mean_stack(t, X))
+    return _mean_vector(weighted_geometric_mean_stack(t, X), "weighted geometric mean")
 
 
 # -- infimum-of-tangents evaluators -------------------------------------------
@@ -405,6 +433,28 @@ def _log_coefficients(
     return _frozen(coeffs if rows else np.ascontiguousarray(coeffs.T)), _frozen(edge)
 
 
+def _positive_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The columns of the stack X (k, n) where every argument is positive,
+    Fortran-ordered as ``X[:, positive]`` is, and the mask ``positive`` (n,)
+    of those columns, or None when it holds every column: then X is not
+    gathered. The layout keeps the bytes of the BLAS products that round by
+    it (see `_grid_values`)."""
+    if np.logical_and.reduce(X, axis=None):
+        return np.asfortranarray(X), None
+    positive = np.logical_and.reduce(X > 0, axis=0)
+    return X[:, positive], positive
+
+
+def _scattered(values: np.ndarray, positive: np.ndarray | None) -> np.ndarray:
+    """The route's values at the positive columns of `_positive_columns`,
+    and +0 at the others."""
+    if positive is None:
+        return values
+    out = np.zeros(positive.shape)
+    out[positive] = values
+    return out
+
+
 def _grid_values(table: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The objective ``coefficients @ X`` at every grid point, one row per
     column of X: shape (n, N). ``table`` holds the coefficients as (k, N),
@@ -433,7 +483,9 @@ def harmonic_mean_via_infimum(
         Interior stationary point u_k proportional to 1/x_k, accepted as the
         global minimum by convexity. Coordinates with a vanishing argument
         short-circuit to 0, the boundary minimum (all weight on the vanished
-        argument).
+        argument). A coordinate whose reciprocals or their sum leave the
+        float range (a subnormal argument) is computed again from the
+        reciprocals times its smallest argument (`_within_range`).
     grid
         Exhaustive minimum over the simplex lattice {c/m : c a composition of
         m into s parts}. Feasible-only search, so the value can only
@@ -449,14 +501,18 @@ def harmonic_mean_via_infimum(
         raise ValueError(f"spec arity {spec.arity} does not match {s} arguments")
 
     if method == "lagrange":
-        value = np.zeros(X.shape[1])
-        positive = (X > 0).all(axis=0)
-        if positive.any():
-            Xp = X[:, positive]
-            r = 1.0 / Xp
-            u = r / r.sum(axis=0)
-            value[positive] = s * (u * u * Xp).sum(axis=0)
-        return MeanResult(PositiveVector(value), "lagrange")
+        def objective(r, X, axis):
+            # s * sum_k u_k^2 x_k at u = r / sum(r), for r proportional to 1/x
+            u = r / np.add.reduce(r, axis=axis, keepdims=True)
+            return s * np.add.reduce(u * u * X, axis=axis)
+
+        def scaled(A):  # the reciprocals times each column's smallest argument
+            return objective(np.minimum.reduce(A, axis=-1, keepdims=True) / A, A, -1)
+
+        Xp, positive = _positive_columns(X)
+        value = _within_range(lambda X: objective(1.0 / X, X, 0), scaled, Xp)
+        return MeanResult(PositiveVector._from_data(_scattered(value, positive), False),
+                          "lagrange")
 
     if method == "grid":
         m = spec.resolution
@@ -465,19 +521,20 @@ def harmonic_mean_via_infimum(
             raise ValueError(
                 f"simplex grid too large: {count} points for arity {s} at resolution {m}"
             )
-        values = _grid_values(_squared_simplex(m, s, X.shape[1] == 1), X)
-        # s * min(v) == min(s * v): rounding a product by s > 0 is monotone
-        with np.errstate(over="ignore"):
-            value = s * values.min(axis=1)
-        if value.max() == math.inf:  # a coarse grid overshoots: s * min_k x_k at m = 1
+        lows = np.minimum.reduce(_grid_values(_squared_simplex(m, s, X.shape[1] == 1), X), axis=1)
+        # s * min(v) == min(s * v): rounding a product by s > 0 is monotone,
+        # and so is the float product that tests the largest for overflow
+        if float(np.maximum.reduce(lows)) * s == math.inf:
+            # a coarse grid overshoots: s * min_k x_k at m = 1
             raise ValueError(f"the grid value at resolution {m} is beyond the float range")
 
         def scaled(A):
-            top = A.max(axis=-1)
-            return top * (s * np.sum(A / top[:, None], axis=-1) / (m * m))
+            top = np.maximum.reduce(A, axis=-1)
+            return top * (s * np.add.reduce(A / top[:, None], axis=-1) / (m * m))
 
-        gaps = _within_range(lambda X: s * np.sum(X, axis=-2) / (m * m), scaled, X)
-        return MeanResult(PositiveVector(value), "grid", float(gaps.max()))
+        gaps = _within_range(lambda X: s * np.add.reduce(X, axis=-2) / (m * m), scaled, X)
+        return MeanResult(PositiveVector._from_data(s * lows, False), "grid",
+                          float(np.maximum.reduce(gaps)))
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -497,7 +554,9 @@ def wgm_via_infimum(
     lagrange
         Stationary point theta_k = G / x_k with G = prod_j x_j^(t_j), i.e.
         theta_k = lambda / (s x_k) for the multiplier lambda = s * G; the
-        objective is then re-evaluated numerically at that point.
+        objective is then re-evaluated numerically at that point. Where G,
+        theta or the value overflows, or theta = G / x underflows, which
+        would drop its term from the objective, it raises ValueError.
     grid
         The constraint is a hyperplane in log space. All but one coordinate
         range over the nested uniform grid on [-log_width, +log_width] (the
@@ -506,7 +565,8 @@ def wgm_via_infimum(
         constraint, so every grid point is feasible. Coordinates with a
         vanishing argument return 0 directly: the infimum there is 0,
         approached as the matching theta grows without bound, so no finite
-        box can realize it.
+        box can realize it. A minimum beyond the float range raises
+        ValueError naming the resolution.
     """
     if spec.kind != "weighted_geometric":
         raise ValueError(f"spec kind {spec.kind!r} does not match wgm_via_infimum")
@@ -514,39 +574,46 @@ def wgm_via_infimum(
         raise TypeError("wgm_via_infimum needs an exact WeightVector")
     if spec.weights != weights:
         raise ValueError("weight vector does not match InfimumSpec.weights")
-    t = np.array(weights.floats)
-    p = t.size
+    p = len(weights.floats)
     X, _ = _stack(fs)
     if X.shape[0] != p:
         raise ValueError(f"got {X.shape[0]} vectors for {p} weights")
 
-    positive = (X > 0).all(axis=0)
-    value = np.zeros(X.shape[1])
-    Xp = X[:, positive]  # Fortran-ordered: BLAS rounds `t @ log(Xp)` by layout
+    Xp, positive = _positive_columns(X)  # BLAS rounds `t @ log(Xp)` by layout
 
     if method == "lagrange":
-        if Xp.size:
-            G = np.exp(t @ np.log(Xp))
-            theta = G[None, :] / Xp
-            value[positive] = (t[:, None] * theta * Xp).sum(axis=0)
-        return MeanResult(PositiveVector(value), "lagrange")
+        t = np.array(weights.floats)
+        try:
+            with np.errstate(over="raise"):
+                G = np.exp(t @ np.log(Xp))
+                with np.errstate(under="raise"):  # a theta lost to underflow drops its term
+                    theta = G[None, :] / Xp
+                value = np.add.reduce(t[:, None] * theta * Xp, axis=0)
+        except FloatingPointError:
+            raise ValueError(
+                "the Lagrange point G / x or its value is beyond the float range") from None
+        return MeanResult(PositiveVector._from_data(_scattered(value, positive), False),
+                          "lagrange")
 
     if method == "grid":
         m, Y = spec.resolution, spec.log_width
         if p == 1:
             # single weight 1: the mean is the identity, the constraint pins theta = 1
-            return MeanResult(PositiveVector(X[0]), "grid", 0.0)
+            return MeanResult(PositiveVector._from_data(X[0], False), "grid", 0.0)
         if (m + 1) ** (p - 1) > _GRID_POINT_LIMIT:
             raise ValueError(
                 f"log grid too large: {(m + 1) ** (p - 1)} points for {p} weights"
             )
-        bound = 0.0
+        best, bound = np.empty(0), 0.0
         if Xp.size:
             coeffs, edge = _log_coefficients(m, weights.floats, Y, Xp.shape[1] == 1)
-            vals = _grid_values(coeffs, Xp)
+            with np.errstate(over="ignore"):  # a point's value beyond the float range is inf
+                vals = _grid_values(coeffs, Xp)
             argmin = vals.argmin(axis=1)
             best = vals[np.arange(argmin.size), argmin]
-            value[positive] = best
+            top = float(np.maximum.reduce(best))
+            if top == math.inf:
+                raise ValueError(f"the grid value at resolution {m} is beyond the float range")
             # gap bound: a half-spacing move of the free coordinates rescales the
             # objective by at most exp(c*h/2) with c = max(1, (1-t_dep)/t_dep),
             # unless the minimizer sits on the box boundary
@@ -554,7 +621,8 @@ def wgm_via_infimum(
             t_dep = max(weights.floats)
             c = max(1.0, (1.0 - t_dep) / t_dep)
             factor = 1.0 - math.exp(-c * h / 2.0)
-            bound = math.inf if edge[argmin].any() else float(best.max()) * factor
-        return MeanResult(PositiveVector(value), "grid", bound)
+            bound = math.inf if np.logical_or.reduce(edge[argmin]) else top * factor
+        return MeanResult(PositiveVector._from_data(_scattered(best, positive), False),
+                          "grid", bound)
 
     raise ValueError(f"unknown method {method!r}")

@@ -535,9 +535,14 @@ class HomogeneousPolynomial:
         self._exact = any(c.dtype == object for c in self.terms.values())
         self._stack = None  # the compiled form, see TermStack.of
 
+    def __reduce__(self):
+        # a copy or an unpickled polynomial is built again by __init__, which
+        # checks its terms; it compiles its own form on first use
+        return type(self), (self.degree, self.domain_dim, self.codomain_dim, dict(self.terms))
+
     def __setattr__(self, name, value):
-        # the fixed slots are set once, by __init__ (or copy.copy), and never
-        # again; the compiled form is filled in on first use
+        # the fixed slots are set once, by __init__, and never again; the
+        # compiled form is filled in on first use
         if name in self._fixed and hasattr(self, name):
             raise AttributeError(
                 f"cannot set {name!r}: a polynomial cannot change after construction")
@@ -731,30 +736,39 @@ def _blackbox_values(evaluator: Callable, fs: Sequence[LatticeVector], rows: np.
     """The evaluator's values at the signed rows, one call per row, after
     its homogeneity probes when ``check_homogeneity`` is set. The probes and
     the all-plus row are PositiveVectors when every f is one; each other
-    row, holding a negated f, is a LatticeVector. A probe that the float
-    range cannot check, because the summed arguments or the value expected
-    at a scaling of them are not finite, raises ValueError saying so, apart
-    from the spot check's failure."""
+    row, holding a negated f, is a LatticeVector. A signed row beyond the
+    float range reaches the evaluator as the unchecked LatticeVector of its
+    ±inf entries, the one kind of vector that holds them. A probe that the
+    float range cannot check, because the summed arguments, a scaling of
+    them or the value expected there are not finite, raises ValueError
+    saying so, apart from the spot check's failure."""
     s, exact = len(fs), fs[0].is_exact
     cone = PositiveVector if all(isinstance(f, PositiveVector) for f in fs) else LatticeVector
 
     def value(cls, row):
-        return np.atleast_1d(np.asarray(evaluator(cls._from_data(row, exact))))
+        if _finite_entries(row).all():
+            f = cls._from_data(row, exact)
+        else:  # a signed argument beyond the float range, handed over as it is
+            f = LatticeVector._wrap(row, exact)
+        return np.atleast_1d(np.asarray(evaluator(f)))
 
     if check_homogeneity:
-        with np.errstate(over="ignore"):
-            probe = reduce(lambda a, b: a + b, fs)
         beyond = f"cannot verify the degree-{s} homogeneity within the float range"
-        if not _finite_entries(probe._data).all():
+        with np.errstate(over="ignore"):
+            probe = reduce(lambda a, b: a + b, [f._data for f in fs])
+        if not _finite_entries(probe).all():
             raise ValueError(f"{beyond}: the summed arguments are not finite")
-        base = value(type(probe), probe._data)
+        base = value(cone, probe.copy())  # a lone f's sum is its own data
         for lam in (2, Fraction(1, 2)) if exact else (2.0, 0.5):
             with np.errstate(over="ignore", invalid="ignore"):
                 expect = base * lam**s
+                scaled = probe * lam
             if not _finite_entries(expect).all():
                 raise ValueError(f"{beyond}: the value at the summed arguments times "
                                  f"{lam}**{s} is not finite")
-            if float(row_residuals(value(cone, probe._data * lam)[None], expect[None])[0]) > 1e-6:
+            if not _finite_entries(scaled).all():
+                raise ValueError(f"{beyond}: the summed arguments times {lam} are not finite")
+            if float(row_residuals(value(cone, scaled)[None], expect[None])[0]) > 1e-6:
                 raise ValueError(
                     f"evaluator failed the degree-{s} homogeneity spot check at scale {lam}"
                 )

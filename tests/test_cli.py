@@ -576,6 +576,21 @@ class TestMalformedInput:
         assert code == 0 and strict_json(out)["value"] == [1.2e308]
 
 
+    def test_lagrange_routes_at_the_ends_of_the_float_range(self, capsys, tmp_path):
+        hm, wgm = tmp_path / "hm.json", tmp_path / "wgm.json"
+        hm.write_text(json.dumps([[5e-324, 1.0], [1.0, 1.0]]))
+        wgm.write_text(json.dumps([[5e-324, 1.0], [1e308, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "means", "eval", "--mean", "hm", "--method",
+                                     "lagrange", "--inputs", str(hm))
+            assert (code, err) == (0, "") and strict_json(out)["value"] == [1e-323, 1.0]
+            code, out, err = run_cli(capsys, "means", "eval", "--mean", "wgm", "--weights", "1,1",
+                                     "--method", "lagrange", "--inputs", str(wgm))
+        assert (code, out) == (2, "")
+        assert err == "error: the Lagrange point G / x or its value is beyond the float range\n"
+
+
 class TestVerify:
     def test_single_claim(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "schur", "--s", "3", "--n", "3",

@@ -1,6 +1,7 @@
 """Lattice operations: frozen examples plus algebraic laws."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LatticeVector.exact([1]) * 0.5
 
+    def test_arithmetic_beyond_the_float_range_is_refused(self):
+        # as the constructor refuses the vector it would hold, and quietly
+        big = PositiveVector([1e308, 1.0])
+        results = [lambda: big + big, lambda: big * 10.0, lambda: 10.0 * big,
+                   lambda: vec(1e308) - vec(-1e308), lambda: big * math.inf,
+                   lambda: vec(0.0, 1.0) * math.inf, lambda: big * math.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for result in results:
+                with pytest.raises(ValueError, match="^lattice vector entries must be finite$"):
+                    result()
+            assert (big + PositiveVector([7e307, 1.0])).entries == (1.7e308, 2.0)
+
+    def test_positive_results_hold_no_negative_zero(self):
+        for f in (PositiveVector([0.0, 2.0]) * -0.0, abs(-vec(0.0, 1.0)),
+                  sup(PositiveVector([0.0]), PositiveVector([0.0]))):
+            assert isinstance(f, PositiveVector) and not np.signbit(f.to_array()).any()
+        assert np.signbit((-vec(0.0)).to_array()).all()  # a LatticeVector keeps its sign
+
 
 class TestJson:
     def test_float_round_trip(self):
@@ -315,3 +335,23 @@ def test_a_list_is_not_a_vector(name, position):
     with pytest.raises(TypeError) as info:
         call(fs)
     assert type(info.value) is TypeError and str(info.value) == "expected a LatticeVector, got list"
+
+
+MEANS = ("root_mean_power", "geometric_mean", "harmonic_mean", "weighted_geometric_mean",
+         "harmonic_mean_via_infimum", "wgm_via_infimum")
+
+
+@pytest.mark.parametrize("name, position", [
+    (name, position) for name, (_, k) in VECTOR_CALLS.items() if name.split()[0] in MEANS
+    for position in sorted({0, k - 1})])
+def test_a_negative_lattice_vector_is_refused_by_every_mean(name, position):
+    # a PositiveVector's sign was checked when it was built; a plain
+    # LatticeVector's is checked by the mean, in every route
+    call, k = VECTOR_CALLS[name]
+    fs = [PositiveVector([1.0, 2.0]), PositiveVector([3.0, 1.0])][:k]
+    fs[position] = LatticeVector([1.0, -0.5])
+    with pytest.raises(ValueError, match="^means are defined on nonnegative vectors only$"):
+        call(fs)
+    fs[position] = LatticeVector([1.0, 0.5])
+    out = call(fs)
+    assert isinstance(getattr(out, "value", out), PositiveVector)

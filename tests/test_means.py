@@ -1,6 +1,7 @@
 """Means: closed forms against scalar oracles, two-route agreement, grids."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -15,6 +16,7 @@ from oapoly import (
     InfimumSpec,
     MeanResult,
     PositiveVector,
+    WeightVector,
     enumerate_complete,
     geometric_mean,
     harmonic_mean,
@@ -713,3 +715,195 @@ class TestHarmonicZeroBranch:
         kept = (X > 0).all(axis=2) | unused  # rows whose zeros all sit in unused slots
         rows = kept.all(axis=1) & (X == 0).any(axis=2).any(axis=1)
         assert rows.any() and (harmonic_mean_stack(X, counts)[rows] > 0).all()
+
+
+# -- every route's output, pinned byte for byte ------------------------------------
+
+ROUTE_WEIGHTS = {
+    1: [(1,)],
+    2: [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))],
+    3: [(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+        (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))],
+    4: [(Fraction(1, 4),) * 4, (Fraction(1, 8), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))],
+}
+
+
+def route_tuples():
+    """Seeded tuples of k = 1..4 arguments in 1, 3 and 6 coordinates, as
+    (label, vectors): unit magnitudes, the same with vanished arguments,
+    magnitudes exp(±20), 10^(±150) and 1e306 to 1e307, and small exact
+    rationals."""
+    rng = np.random.default_rng(2207)
+    for k in range(1, 5):
+        for n in (1, 3, 6):
+            unit = rng.uniform(0.5, 2.0, (k, n))
+            zero = unit.copy()
+            zero[rng.random((k, n)) < 0.3] = 0.0
+            zero[rng.integers(k), rng.integers(n)] = 0.0
+            wide = np.exp(rng.uniform(-20.0, 20.0, (k, n)))
+            extreme = 10.0 ** rng.uniform(-150.0, 150.0, (k, n))
+            huge = rng.uniform(1e306, 1e307, (k, n))
+            for label, X in (("unit", unit), ("zero", zero), ("wide", wide),
+                             ("extreme", extreme), ("huge", huge)):
+                yield f"{label} k={k} n={n}", [PositiveVector(row) for row in X]
+            ints = rng.integers(0, 6, (k, n))
+            yield f"exact k={k} n={n}", [PositiveVector.exact(row.tolist()) for row in ints]
+
+
+def route_outputs(fs):
+    """Each public mean route on fs, as (route, thunk)."""
+    k = len(fs)
+    for s in (1, 2, 3):
+        yield f"rmp s={s}", lambda s=s: root_mean_power(s, fs)
+    yield "gm", lambda: geometric_mean(fs)
+    yield "hm", lambda: harmonic_mean(fs)
+    yield "hm lagrange", lambda: harmonic_mean_via_infimum(fs, InfimumSpec("harmonic", arity=k))
+    for m in (1, 3, 16):
+        spec = InfimumSpec("harmonic", arity=k, resolution=m)
+        yield f"hm grid m={m}", lambda spec=spec: harmonic_mean_via_infimum(fs, spec, "grid")
+    for ws in ROUTE_WEIGHTS[k]:
+        w = WeightVector(ws)
+        yield f"wgm {ws}", lambda w=w: weighted_geometric_mean(w, fs)
+        spec = InfimumSpec("weighted_geometric", weights=w)
+        yield f"wgm lagrange {ws}", lambda w=w, spec=spec: wgm_via_infimum(w, fs, spec)
+        for m, width in ((1, 1.0), (4, 0.5), (16, 1.0)):
+            spec = InfimumSpec("weighted_geometric", weights=w, resolution=m, log_width=width)
+            yield f"wgm grid m={m} width={width} {ws}", \
+                lambda w=w, spec=spec: wgm_via_infimum(w, fs, spec, "grid")
+
+
+def route_record(out) -> str:
+    """A route's output as text: the value's bytes (each entry's repr, for
+    exact entries), and the grid's bound."""
+    result = out if isinstance(out, MeanResult) else None
+    value = out.value if result else out
+    data = value.to_array()
+    text = repr(data.tolist()) if value.is_exact else data.tobytes().hex()
+    return f"{text} {result.residual_bound!r}" if result else text
+
+
+def test_every_route_output_golden_digest():
+    # sha256 over each route's value bytes and grid bound, or its error, on
+    # every tuple of `route_tuples`
+    lines = []
+    for label, fs in route_tuples():
+        for route, call in route_outputs(fs):
+            try:
+                text = route_record(call())
+            except ValueError as exc:
+                text = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{label} {route}: {text}")
+    assert len(lines) == 1278
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "7807c11a0e3dcc21e7b4c4c0a4efd2d534108cad51d8a1cfc25db0401b2406e3"
+
+
+def test_route_results_are_frozen_and_never_negative_zero():
+    # all-positive tuples take the routes' unmasked branch, tuples with a
+    # vanished argument the masked one; a plain LatticeVector can hold -0.0
+    # (the negation of a zero), which no result keeps
+    negative_zero = -LatticeVector([0.0, 0.0, 0.0])
+    tuples = [
+        [pv(1.0, 2.0, 0.5), pv(0.7, 1.1, 3.0)],
+        [pv(1.0, 0.0, 0.5), pv(0.0, 1.1, 3.0), pv(2.0, 0.4, 0.0)],
+        [negative_zero],
+        [negative_zero, pv(1.0, 2.0, 0.5)],
+        [LatticeVector([1.0, -0.0, 2.0]), pv(0.7, 1.1, 3.0)],
+    ]
+    for fs in tuples:
+        for route, call in route_outputs(fs):
+            out = call()
+            value = out.value if isinstance(out, MeanResult) else out
+            assert type(value) is PositiveVector, route
+            assert not value._data.flags.writeable, route
+            assert not np.signbit(value.to_array()).any(), route
+            assert all(value._data is not f._data for f in fs), route
+
+
+class TestLagrangeRange:
+    """The Lagrange routes on valid arguments at the ends of the float range:
+    a value, or the route's own error, without a warning."""
+
+    def test_hm_at_a_subnormal_argument(self):
+        # 1 / 5e-324 overflows: the column is taken again from reciprocals
+        # scaled by its smallest argument
+        fs = [pv(5e-324, 1.0, 0.75), pv(1.0, 1.0, 1.25)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lag = harmonic_mean_via_infimum(fs, InfimumSpec("harmonic", arity=2))
+            assert lag.value.entries[:2] == harmonic_mean(fs).entries[:2] == (1e-323, 1.0)
+            # an in-range column keeps its bytes
+            alone = harmonic_mean_via_infimum([pv(1.0, 0.75), pv(1.0, 1.25)],
+                                              InfimumSpec("harmonic", arity=2))
+        assert lag.value.to_array()[1:].tobytes() == alone.value.to_array().tobytes()
+
+    @pytest.mark.parametrize("xs", [(1e-308, 1e-308), (2e-310, 1.7e308, 3e-320)])
+    def test_hm_where_the_reciprocals_leave_the_range(self, xs):
+        fs = [pv(x) for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lag = harmonic_mean_via_infimum(fs, InfimumSpec("harmonic", arity=len(xs)))
+            closed = harmonic_mean(fs)
+        assert lag.value.entries[0] == pytest.approx(closed.entries[0], rel=1e-12)
+
+    def test_wgm_lagrange_point_beyond_the_float_range(self):
+        # theta = G / x = sqrt(1e308 / 5e-324) is beyond the float range
+        w = weights(CompletePartition((1, 1), 2))
+        fs = [pv(5e-324, 1.0), pv(1e308, 1.0)]
+        spec = InfimumSpec("weighted_geometric", weights=w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_geometric_mean(w, fs).entries == (2.2227587494850776e-08, 1.0)
+            with pytest.raises(ValueError, match="^the Lagrange point G / x or its value is "
+                               "beyond the float range$"):
+                wgm_via_infimum(w, fs, spec)
+
+    def test_wgm_lagrange_point_below_the_normal_range(self):
+        # theta_2 = (1e-300 / 1e300)^(2/3) = 1e-400 underflows, which would
+        # drop its term from the objective
+        w = WeightVector((Fraction(2, 3), Fraction(1, 3)))
+        fs = [pv(1e-300), pv(1e300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Lagrange point G / x or its value is beyond"):
+                wgm_via_infimum(w, fs, InfimumSpec("weighted_geometric", weights=w))
+
+
+# magnitudes over the whole float range, subnormals and 0 among them
+FLOAT_RANGE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 3e-320, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+                     1e308, np.finfo(float).max]),
+    st.floats(min_value=5e-324, max_value=np.finfo(float).max),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(FLOAT_RANGE, min_size=2, max_size=2), min_size=k, max_size=k)))
+def test_every_route_over_the_float_range(rows):
+    assert_routes_in_range([PositiveVector(row) for row in rows])
+
+
+def test_every_route_at_the_ends_of_the_float_range():
+    top, tiny = np.finfo(float).max, 5e-324
+    for k in range(1, 5):
+        for column in ([top] * k, [top, top * (1 - 1e-15), 1e308, top][:k],
+                       [tiny] * k, [tiny, 1e-310, 3e-320, 1.0][:k], [tiny, top, 1.0, 1e-300][:k]):
+            assert_routes_in_range([PositiveVector([x, 1.0]) for x in column])
+
+
+def assert_routes_in_range(fs):
+    # each public mean route gives a finite nonnegative value, or its own
+    # ValueError saying the value is beyond the float range, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route, call in route_outputs(fs):
+            try:
+                out = call()
+            except ValueError as exc:
+                assert str(exc).endswith("is beyond the float range"), (route, str(exc))
+                continue
+            value = (out.value if isinstance(out, MeanResult) else out).to_array()
+            assert np.isfinite(value).all() and (value >= 0).all(), route
+            assert not isinstance(out, MeanResult) or out.residual_bound is None \
+                or out.residual_bound >= 0, route

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import math
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -670,6 +671,38 @@ class TestPolarization:
                 polarize_blackbox(Q, [vec(1e308)] * 2)
             assert Q.calls == []
 
+    def test_a_scaled_probe_beyond_the_float_range(self):
+        # the summed arguments are finite, and so is the value expected at
+        # twice them, but twice them is not: the probe cannot be made
+        seen = []
+
+        def box(f):
+            seen.append(f.entries)
+            return [1e-10 * f[0]]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cannot verify the degree-1 homogeneity within "
+                               r"the float range: the summed arguments times 2.0 are not finite"):
+                polarize_blackbox(box, [vec(1e308)])
+        assert seen == [(1e308,)]
+
+    def test_signed_arguments_beyond_the_float_range_are_lattice_vectors(self):
+        # every PositiveVector is finite: the all-plus row beyond the range
+        # reaches the black box as a LatticeVector holding inf
+        seen = []
+
+        def box(f):
+            seen.append((type(f), f.entries))
+            return [f[0] ** 2]
+
+        fs = [PositiveVector([1e308])] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert polarize_blackbox(box, fs, check_homogeneity=False).tolist() == [math.inf]
+        assert seen == [(LatticeVector, (math.inf,)), (LatticeVector, (0.0,)),
+                        (LatticeVector, (0.0,)), (LatticeVector, (-math.inf,))]
+
     def test_a_fraud_fails_the_spot_check_near_the_float_range(self):
         # x^2 + 1e150 x at 0.6e153 twice: its probe, scaled by 2 and 1/2,
         # stays in range, so it fails the spot check itself
@@ -815,6 +848,26 @@ class TestImmutability:
         assert Q.degree == 2 and Q.terms == P.terms and Q(f).tobytes() == value.tobytes()
         with pytest.raises(AttributeError, match="cannot change after construction"):
             Q.degree = 3
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_pickle_and_deepcopy_rebuild_the_polynomial(self, exact):
+        c = Fraction if exact else (lambda p, q=1: p / q)
+        P = HomogeneousPolynomial(2, 3, 2, {(0, 0): [c(3, 2), c(-2)], (2, 0): [c(1, 3), c(3)],
+                                            (1, 2): [c(0), c(5, 4)]})
+        f, g = vec(1.1, 0.9, -0.3), vec(0.25, 2.0, 1.5)
+        value, form = P(f), P.multilinear(f, g)
+        for Q in (copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+            assert type(Q) is HomogeneousPolynomial and Q.is_exact == P.is_exact == exact
+            assert (Q.degree, Q.domain_dim, Q.codomain_dim) == (2, 3, 2)
+            assert list(Q.terms) == list(P.terms) == [(0, 0), (0, 2), (1, 2)]
+            for key, coeff in Q.terms.items():
+                assert exact_bytes(coeff) == exact_bytes(P.terms[key])
+                assert not coeff.flags.writeable and coeff is not P.terms[key]
+            assert exact_bytes(Q(f)) == exact_bytes(value)
+            assert exact_bytes(Q.multilinear(f, g)) == exact_bytes(form)
+            for name in ("degree", "terms"):
+                with pytest.raises(AttributeError, match="cannot change after construction"):
+                    setattr(Q, name, 3)
 
     def test_coefficient_returns_a_writable_copy(self):
         Q = make_diagonal([1.0, 2.0], 2)
