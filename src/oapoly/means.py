@@ -98,14 +98,18 @@ def _used(X: np.ndarray, counts: np.ndarray | None) -> np.ndarray | None:
     return None if counts is None else np.arange(X.shape[-2])[:, None] < counts[:, None, None]
 
 
-def _within_range(direct, scaled, X: np.ndarray, used: np.ndarray | None = None) -> np.ndarray:
+def _within_range(direct, scaled, X: np.ndarray, used: np.ndarray | None = None, *,
+                  summed: bool = False) -> np.ndarray:
     """The mean ``direct(X)``, computed quietly. Only when some operation in
     it overflowed, underflowed or made a NaN, each entry that left the float
-    range on the way (non-finite although every argument is finite, or 0
-    although every argument is positive) is replaced by ``scaled(A)``, the
-    mean computed again from those entries' arguments A, shape (m, k);
-    values in range keep their bytes. With ``used``, the mask of a ragged
-    block's slots (see `_used`), "every argument" means every slot in use."""
+    range on the way is replaced by ``scaled(A)``, the mean computed again
+    from those entries' arguments A, shape (m, k); values in range keep
+    their bytes. An entry left the range when it is non-finite although
+    every argument is finite, or 0 although every argument is positive: a
+    vanished factor makes a product's 0. A ``summed`` mean, a sum of
+    nonnegative terms, left it at a 0 although some argument is positive.
+    With ``used``, the mask of a ragged block's slots (see `_used`), only
+    the slots in use count as arguments."""
     flagged = []
     with np.errstate(over="call", under="call", invalid="call",
                      call=lambda err, flag: flagged.append(err)):
@@ -114,7 +118,11 @@ def _within_range(direct, scaled, X: np.ndarray, used: np.ndarray | None = None)
             unused = False if used is None else ~used
             bad = out == 0
             if bad.any():
-                bad &= np.all((X > 0) | unused, axis=-2)
+                positive = X > 0
+                if summed:
+                    bad &= np.any(positive if used is None else positive & used, axis=-2)
+                else:
+                    bad &= np.all(positive | unused, axis=-2)
             nonfinite = ~np.isfinite(out)
             if nonfinite.any():
                 bad |= nonfinite & np.all(np.isfinite(X) | unused, axis=-2)
@@ -135,7 +143,8 @@ def root_mean_power_stack(s: int, X: np.ndarray, counts: np.ndarray | None = Non
     used = _used(X, counts)
     if used is not None:
         X = np.where(used, X, 0.0)  # an unused slot's power is 0
-    return _within_range(lambda X: ordered_sum(X**s, axis=-2) ** (1.0 / s), scaled, X, used)
+    return _within_range(lambda X: ordered_sum(X**s, axis=-2) ** (1.0 / s), scaled, X, used,
+                         summed=True)
 
 
 def geometric_mean_stack(X: np.ndarray) -> np.ndarray:
@@ -532,7 +541,8 @@ def harmonic_mean_via_infimum(
             top = np.maximum.reduce(A, axis=-1)
             return top * (s * np.add.reduce(A / top[:, None], axis=-1) / (m * m))
 
-        gaps = _within_range(lambda X: s * np.add.reduce(X, axis=-2) / (m * m), scaled, X)
+        gaps = _within_range(lambda X: s * np.add.reduce(X, axis=-2) / (m * m), scaled, X,
+                             summed=True)
         return MeanResult(PositiveVector._from_data(s * lows, False), "grid",
                           float(np.maximum.reduce(gaps)))
 

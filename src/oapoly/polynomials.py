@@ -127,6 +127,9 @@ class TermStack:
         self._layout = layout  # see _arrangement_layout
         self._arrangements = None  # see arrangements
         self._form_row_bytes = None if layout is None else self._row_bytes
+        # falsify's exhaustive additivity verdict, ((seed, cfg), passed):
+        # one entry, replaced when the key changes
+        self.additivity_verdict = None
 
     @classmethod
     def of(cls, P: "HomogeneousPolynomial") -> "TermStack":
@@ -783,6 +786,21 @@ def _additivity_sides(P: TermStack, f: np.ndarray, g: np.ndarray):
     return total, at_f + at_g
 
 
+def _check_int(value, name: str) -> None:
+    """TypeError naming the argument ``name`` unless ``value`` is an int
+    (numpy's included); a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_seed(seed) -> None:
+    """A seed is a nonnegative int: numpy's own errors for a float or a
+    negative seed name no argument, and it would take True as 1."""
+    _check_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def is_positively_orthogonally_additive(
     P: HomogeneousPolynomial,
     trials: int = 200,
@@ -805,9 +823,14 @@ def is_positively_orthogonally_additive(
     are one generator call; its entries are drawn and evaluated in
     sub-blocks that keep to `STACK_BYTES`, counting 6 n floats a trial: the
     2 n uniforms, f, g and f + g, and n of headroom for the evaluation.
+
+    ``seed`` must be a nonnegative int (TypeError, ValueError). Every call
+    runs the check and returns a fresh report; only `falsify` keeps the
+    verdict of its exhaustive precondition (see there).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_seed(seed)
     n = P.domain_dim
     rng = np.random.default_rng(seed)
     if exhaustive:

@@ -54,6 +54,8 @@ from .polynomials import (
     HomogeneousPolynomial,
     TermStack,
     _additivity_sides,
+    _check_int,
+    _check_seed,
     _row_bytes,
     is_positively_orthogonally_additive,
     ordered_sum,
@@ -639,6 +641,16 @@ def falsify(
     Precondition: P must fail positive orthogonal additivity on exhaustive
     support bipartitions (exact structural fact for the sparse
     representation; cross-checked by sampling when the dimension is small).
+    For n <= 6 the exhaustive check (`is_positively_orthogonally_additive`
+    with 2^n trials under ``seed`` and ``cfg``) runs once per polynomial
+    and key: its verdict is kept on P's `TermStack` as one entry keyed by
+    (``seed``, ``cfg``), so the searches of several claims on one P under
+    one seed run it once, and a call with another key runs it again and
+    replaces the entry. A kept verdict raises, or lets the search go on,
+    exactly as the check would; the public check itself keeps nothing.
+    ``budget`` must be a positive int and ``seed`` a nonnegative one
+    (TypeError, ValueError), checked before the precondition.
+
     A structured family of disjoint two-coordinate inputs, taken from the
     converse proofs, is tried first; random positive tuples follow until the
     budget is spent. ``passed`` means a witness was found; exhausting the
@@ -668,10 +680,10 @@ def falsify(
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-        raise TypeError(f"budget must be an int, got {type(budget).__name__}")
+    _check_int(budget, "budget")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _check_seed(seed)
     _typed(P, HomogeneousPolynomial, "P")
     claim = CLAIM_TABLE[claim_id]
     cp = partition
@@ -682,16 +694,22 @@ def falsify(
     if not P.has_mixed_terms:
         raise PreconditionError(
             "polynomial is positively orthogonally additive; nothing to falsify")
-    if P.domain_dim <= 6 and is_positively_orthogonally_additive(
-            P, trials=2 ** P.domain_dim, seed=seed, exhaustive=True, tolerances=cfg).passed:
-        raise PreconditionError(
-            "polynomial passed the exhaustive additivity check; nothing to falsify")
-
     n, count = P.domain_dim, claim.size(P.degree, cp)
+    stack = TermStack.of(P)
+    if n <= 6:
+        # read once: another thread's search may replace the entry meanwhile
+        key, kept = (seed, cfg), stack.additivity_verdict
+        if kept is None or kept[0] != key:
+            kept = stack.additivity_verdict = key, is_positively_orthogonally_additive(
+                P, trials=2**n, seed=seed, exhaustive=True, tolerances=cfg).passed
+        if kept[1]:
+            raise PreconditionError(
+                "polynomial passed the exhaustive additivity check; nothing to falsify")
+
     structured = min(n * (n - 1) * (count - 1), budget)
     amplitudes = sampling.log_uniform(np.random.default_rng(seed),
                                       (-(-structured // (count - 1)), 2), 1.0, 10.0)
-    stack, rng = TermStack.of(P), None
+    rng = None
     rows = _partition_rows(cp) if claim.takes_partition else None
     used, best, witness = 0, 0.0, None
     for lo, hi in _schedule(_overhead_rows(stack, count), (0, structured, count - 1),
@@ -760,9 +778,11 @@ def verify_claim(
 
     ``trial`` = k, 0 <= k < ``trials``, replays trial k alone: the generator
     is advanced by k rows, and the report is that of the one trial.
+    ``seed`` must be a nonnegative int (TypeError, ValueError).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_seed(seed)
     if trial is not None and not 0 <= trial < trials:
         raise ValueError(f"trial must lie in [0, {trials}), got {trial}")
     if claim_id not in CLAIM_TABLE:
@@ -841,6 +861,7 @@ def verify_all(
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> list[VerificationReport]:
     """Run every claim with a deterministic per-claim seed derived from ``seed``."""
+    _check_seed(seed)
     return [
         verify_claim(claim.id, s=s, n=n, d=d, trials=trials, seed=seed + offset, cfg=cfg)
         for offset, claim in enumerate(CLAIMS)

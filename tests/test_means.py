@@ -33,6 +33,7 @@ from oapoly.means import (
     _log_grid,
     _simplex_grid,
     _squared_simplex,
+    _within_range,
     geometric_mean_stack,
     harmonic_mean_stack,
     root_mean_power_stack,
@@ -77,6 +78,37 @@ class TestRootMeanPower:
             out = root_mean_power(s, [pv(x, 3.0), pv(x, 4.0)]).entries
         assert out[0] == pytest.approx(2 ** (1 / s) * x, rel=1e-15)
         assert out[1] == root_mean_power(s, [pv(3.0), pv(4.0)]).entries[0]
+
+    @pytest.mark.parametrize("s, fs, expect", [
+        (2, [[1e-200], [0.0]], [1e-200]),
+        (2, [[0.0], [1e-200]], [1e-200]),
+        (3, [[1e-150, 2.0], [0.0, 1.0]], [1e-150, 9.0 ** (1 / 3)]),
+        (2, [[1e-200, 0.0], [0.0, 0.0], [1e-200, 0.0]], [2 ** 0.5 * 1e-200, 0.0]),
+    ])
+    def test_a_vanished_argument_does_not_stop_the_rescue(self, s, fs, expect):
+        # a sum is 0 only when every argument is: a power that underflows
+        # beside a zero is rescued as it is beside a positive argument
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = root_mean_power(s, [PositiveVector(f) for f in fs]).entries
+        assert out == pytest.approx(expect, rel=1e-15, abs=0)
+
+    def test_a_ragged_row_counts_its_slots_in_use(self):
+        X = np.array([[[1e-200], [0.0], [7.0]], [[0.0], [0.0], [7.0]]])
+        out = root_mean_power_stack(2, X, np.array([2, 2]))
+        np.testing.assert_array_equal(out, [[1e-200], [0.0]])
+
+    def test_zero_rule_of_sums_and_products(self):
+        # the rescue marks the entries it is handed with 1
+        X = np.array([[1e-200, 1e-200, 0.0], [0.0, 1e-200, 0.0]])
+
+        def rescued(direct, summed):
+            return _within_range(direct, lambda A: np.ones(len(A)), X, summed=summed)
+
+        square_sum = lambda X: np.add.reduce(X * X, axis=-2)  # noqa: E731
+        product = lambda X: np.multiply.reduce(X, axis=-2)  # noqa: E731
+        np.testing.assert_array_equal(rescued(square_sum, True), [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(rescued(product, False), [0.0, 1.0, 0.0])
 
     def test_in_range_bytes_unchanged(self):
         X = np.random.default_rng(3).uniform(1e-3, 1e3, (50, 4, 6))

@@ -1,5 +1,6 @@
 """Identity checks and falsification, including exact-rational replication."""
 
+import copy
 import functools
 import hashlib
 import itertools
@@ -346,6 +347,151 @@ class TestFalsify:
         with pytest.raises(PreconditionError) as info:
             falsify(P, "WGM", budget=10, partition=CompletePartition((2, 1), 3))
         assert str(info.value) == "partition target 3 does not match polynomial degree 4"
+
+
+def seed_dependent():
+    """x0^2 + 3e-9 x0 x1 + x1^2: its 4-trial exhaustive check fails under
+    seed 0 (residual 1.7e-9) and passes under seed 1 (1.3e-10), and under
+    seed 0 it passes at ``identity_rel`` 1e-8."""
+    return HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (0, 1): [3e-9], (1, 1): [1.0]})
+
+
+LOOSE = ToleranceConfig(identity_rel=1e-8)
+
+
+class TestPreconditionVerdict:
+    """falsify keeps its exhaustive precondition's verdict on P's TermStack,
+    one entry keyed by (seed, cfg); every report and error is the one a
+    fresh copy of P gives."""
+
+    @staticmethod
+    def counted():
+        return patch.object(theorems, "is_positively_orthogonally_additive",
+                            wraps=is_positively_orthogonally_additive)
+
+    @staticmethod
+    def cold(P, claim_id, **kwargs):
+        return outcome(falsify, copy.deepcopy(P), claim_id, **kwargs)
+
+    @pytest.mark.parametrize("P", [
+        pytest.param(sparse_polynomial(np.random.default_rng(3), 3, 4, 2, mixed_terms=2,
+                                       mixed_mass=0.3), id="strong"),
+        pytest.param(HomogeneousPolynomial(3, 3, 1, {(0, 1, 2): [1.0], (0, 0, 0): [1.0]}),
+                     id="random-phase"),
+        pytest.param(HomogeneousPolynomial(3, 3, 1, {(0, 1, 2): [Fraction(1, 3)],
+                                                     (0, 0, 0): [Fraction(2)]}), id="exact"),
+    ])
+    def test_reports_are_the_same_cold_and_warm(self, P):
+        cold = [json.dumps(self.cold(P, c, budget=200, seed=4)) for c in theorems.FALSIFIABLE_CLAIMS]
+        with self.counted() as check:
+            warm = [json.dumps(outcome(falsify, P, c, budget=200, seed=4))
+                    for c in theorems.FALSIFIABLE_CLAIMS]
+        assert warm == cold
+        assert check.call_count == 1
+
+    def test_each_key_keeps_its_own_verdict(self):
+        P = seed_dependent()
+        assert not is_positively_orthogonally_additive(P, trials=4, seed=0, exhaustive=True).passed
+        assert is_positively_orthogonally_additive(P, trials=4, seed=1, exhaustive=True).passed
+        keys = [(0, DEFAULT_TOLERANCES), (1, DEFAULT_TOLERANCES), (0, LOOSE),
+                (0, DEFAULT_TOLERANCES), (1, DEFAULT_TOLERANCES), (0, LOOSE), (0, LOOSE)]
+        with self.counted() as check:
+            got = [outcome(falsify, P, "HM", budget=40, seed=seed, cfg=cfg) for seed, cfg in keys]
+        assert got == [self.cold(P, "HM", budget=40, seed=seed, cfg=cfg) for seed, cfg in keys]
+        assert [type(g) for g in got] == [dict, tuple, tuple, dict, tuple, tuple, tuple]
+        assert check.call_count == 6  # the last call's key is the kept one's
+        assert TermStack.of(P).additivity_verdict == ((0, LOOSE), True)
+
+    def test_an_equal_config_is_the_same_key(self):
+        P = seed_dependent()
+        with self.counted() as check:
+            falsify(P, "HM", budget=5, seed=0, cfg=ToleranceConfig())
+            falsify(P, "GM", budget=5, seed=0)
+        assert check.call_count == 1
+
+    @pytest.mark.parametrize("P", [
+        pytest.param(HomogeneousPolynomial(2, 3, 1, {(0, 0): [1.0], (1, 2): [1e-30]}), id="float"),
+        pytest.param(HomogeneousPolynomial(2, 3, 1, {(0, 0): [Fraction(1)],
+                                                     (1, 2): [Fraction(1, 10**30)]}), id="exact"),
+    ])
+    def test_a_passing_polynomial_raises_on_every_call(self, P):
+        assert P.has_mixed_terms
+        with self.counted() as check:
+            for _ in range(2):
+                for claim_id in theorems.FALSIFIABLE_CLAIMS:
+                    with pytest.raises(PreconditionError, match="passed the exhaustive"):
+                        falsify(P, claim_id, budget=10, seed=2)
+        assert check.call_count == 1
+
+    @pytest.mark.parametrize("P", [
+        pytest.param(square_of_sum(), id="float"),
+        pytest.param(HomogeneousPolynomial(2, 2, 1, {(0, 0): [Fraction(1)], (0, 1): [Fraction(2)],
+                                                     (1, 1): [Fraction(1)]}), id="exact"),
+    ])
+    def test_a_failing_polynomial_never_raises(self, P):
+        with self.counted() as check:
+            for seed in (5, 5, 6, 6, 5):
+                for claim_id in theorems.FALSIFIABLE_CLAIMS:
+                    assert falsify(P, claim_id, budget=10, seed=seed).passed
+        assert check.call_count == 3
+
+    def test_the_verdict_is_one_entry(self):
+        P = square_of_sum()
+        assert TermStack.of(P).additivity_verdict is None
+        for seed in range(4):
+            falsify(P, "HM", budget=10, seed=seed)
+            key, verdict = TermStack.of(P).additivity_verdict
+            assert key == (seed, DEFAULT_TOLERANCES) and verdict is False
+
+    def test_the_public_check_keeps_nothing(self):
+        P = square_of_sum()
+        first = is_positively_orthogonally_additive(P, trials=4, seed=1, exhaustive=True)
+        first.counterexample["f"] = "edited"
+        again = is_positively_orthogonally_additive(P, trials=4, seed=1, exhaustive=True)
+        assert again.counterexample["f"] != "edited"
+        assert TermStack.of(P).additivity_verdict is None
+
+    def test_a_wide_polynomial_runs_no_check(self):
+        P = HomogeneousPolynomial(2, 7, 1, {(0, 0): [1.0], (0, 1): [1.0]})
+        with self.counted() as check:
+            falsify(P, "HM", budget=10, seed=0)
+        check.assert_not_called()
+        assert TermStack.of(P).additivity_verdict is None
+
+
+class TestSeeds:
+    """A seed is a nonnegative int wherever it enters, checked before any
+    draw and before falsify's precondition."""
+
+    CALLS = {
+        "falsify": lambda seed: falsify(square_of_sum(), "HM", budget=10, seed=seed),
+        "verify_claim": lambda seed: verify_claim("HM", s=2, n=2, trials=2, seed=seed),
+        "verify_all": lambda seed: verify_all(s=2, n=2, trials=2, seed=seed),
+        "additivity": lambda seed: is_positively_orthogonally_additive(
+            square_of_sum(), trials=4, seed=seed, exhaustive=True),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("seed, error, message", [
+        (1.0, TypeError, "seed must be an int, got float"),
+        (True, TypeError, "seed must be an int, got bool"),
+        ("1", TypeError, "seed must be an int, got str"),
+        (None, TypeError, "seed must be an int, got NoneType"),
+        (-1, ValueError, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_seeds_are_refused(self, call, seed, error, message):
+        with patch.object(theorems, "is_positively_orthogonally_additive") as check:
+            with pytest.raises(error) as info:
+                self.CALLS[call](seed)
+        assert type(info.value) is error and str(info.value) == message
+        check.assert_not_called()  # falsify refuses the seed before its precondition
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integers_are_seeds(self, call):
+        def dump(got):
+            return json.dumps([r.to_dict() for r in got] if isinstance(got, list) else got.to_dict())
+
+        assert dump(self.CALLS[call](np.int64(3))) == dump(self.CALLS[call](3))
 
 
 class TestArgumentTypes:
