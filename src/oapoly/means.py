@@ -515,8 +515,12 @@ def harmonic_mean_via_infimum(
             u = r / np.add.reduce(r, axis=axis, keepdims=True)
             return s * np.add.reduce(u * u * X, axis=axis)
 
-        def scaled(A):  # the reciprocals times each column's smallest argument
-            return objective(np.minimum.reduce(A, axis=-1, keepdims=True) / A, A, -1)
+        def scaled(A):
+            # the reciprocals times each column's smallest argument, in
+            # extended precision, whose range holds the terms u_k^2 x_k
+            # that a subnormal argument makes
+            A = A.astype(np.longdouble)
+            return objective(np.minimum.reduce(A, axis=-1, keepdims=True) / A, A, -1).astype(float)
 
         Xp, positive = _positive_columns(X)
         value = _within_range(lambda X: objective(1.0 / X, X, 0), scaled, Xp)

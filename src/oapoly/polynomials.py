@@ -60,14 +60,13 @@ BLOCK_TRIALS = 1024
 
 STACK_BYTES = 32 << 20
 """The refusal bound: bytes that one row of a `TermStack` evaluation, or
-one block of drawn trials, may take. A form whose buffers for one row would
+one block of trials, may take. A form whose buffers for one row would
 take more, counting a row's 8-byte entries (an object array counts its
 references) for an index table of r rows (the keys, or the form's
 arrangements), m keys and d codomain entries as 2 r + m d (see
 `_row_bytes`), or whose arrangement table of r rows and s slots would take
 more to build (see `_table_bytes`), is refused before its table is built.
-`verify_claim` and `is_positively_orthogonally_additive` draw their trials
-in blocks that keep to it."""
+Every trial loop keeps its blocks to it (see `_schedule`)."""
 
 CHUNK_BYTES = 512 << 10
 """Bytes of buffers that one chunk of a `TermStack` evaluation may hold,
@@ -301,6 +300,41 @@ def _in_chunks(V: int, T: int, step: int):
         hi = min(lo + step, total)
         yield lo, hi, [(v, max(lo - v * T, 0), min(hi - v * T, T))
                        for v in range(lo // T, (hi - 1) // T + 1)]
+
+
+def _schedule(cap: int, extra: int, *phases):
+    """The block rule of every trial loop: (lo, hi) blocks of a stream of
+    rows, over each phase (lo, hi, first) in turn. A phase's first block
+    holds ``first`` rows, and after a block of T rows comes one of
+    2 T + ``extra``, each capped by ``cap`` and by the phase's rows left.
+
+    A caller whose row takes b bytes passes cap = min(`BLOCK_TRIALS`,
+    `STACK_BYTES` // b), both read from its own module, so that a block
+    keeps to both bounds; a row that alone takes more than `STACK_BYTES` is
+    a block of its own. With first = cap every block has cap rows. With
+    ``extra`` about c0 / c1, for blocks of T rows that cost about c0 + c1 T,
+    each block costs about twice the one before, so a search that stops
+    early pays for few rows and a long one for few blocks. The loops:
+
+    verify_claim   blocks of cap rows; b = 8 W, a trial's W uniforms
+                   (`sampling.trial_width`)
+    falsify        growing blocks over its structured and random phases,
+                   ``extra`` = `theorems._overhead_rows`; b = 16 k n, about
+                   2 k n floats for an input of k vectors of n entries
+    is_positively_orthogonally_additive
+                   blocks of cap rows; b = 48 n: the 2 n uniforms, f, g and
+                   f + g, and n of headroom for the evaluation
+
+    Rows are independent, so no report depends on the blocks. (One
+    `TermStack` evaluation splits its rows further, into chunks of
+    `CHUNK_BYTES`: see `_in_chunks`.)"""
+    cap = max(1, cap)
+    for lo, hi, size in phases:
+        while lo < hi:
+            size = min(size, cap, hi - lo)
+            yield lo, lo + size
+            lo += size
+            size = 2 * size + extra
 
 
 def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -786,11 +820,12 @@ def _additivity_sides(P: TermStack, f: np.ndarray, g: np.ndarray):
     return total, at_f + at_g
 
 
-def _check_int(value, name: str) -> None:
-    """TypeError naming the argument ``name`` unless ``value`` is an int
-    (numpy's included); a bool is not one."""
+def _check_int(value, name: str) -> int:
+    """``value`` as a Python int, or TypeError naming the argument ``name``
+    unless it is an int (numpy's included); a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return int(value)
 
 
 def _check_seed(seed) -> None:
@@ -817,17 +852,19 @@ def is_positively_orthogonally_additive(
     entries, and compares P(f+g) against P(f) + P(g). Failure is a report
     outcome carrying the first counterexample, not an exception.
 
-    Trials run in blocks of up to `BLOCK_TRIALS`, drawn with the generator
-    calls of a loop over single trials and evaluated together on P's
-    `TermStack`, so reports do not depend on the block size. A block's masks
-    are one generator call; its entries are drawn and evaluated in
-    sub-blocks that keep to `STACK_BYTES`, counting 6 n floats a trial: the
-    2 n uniforms, f, g and f + g, and n of headroom for the evaluation.
+    Trials run in blocks (`_schedule`), drawn with the generator calls of a
+    loop over single trials and evaluated together on P's `TermStack`, so
+    reports do not depend on the blocks. Each bit of a random mask is one
+    32-bit output of ``default_rng(seed)``: the entries' generator skips
+    past all of them at once, and a second generator of the seed draws each
+    block's masks.
 
-    ``seed`` must be a nonnegative int (TypeError, ValueError). Every call
-    runs the check and returns a fresh report; only `falsify` keeps the
-    verdict of its exhaustive precondition (see there).
+    ``trials`` must be a positive int and ``seed`` a nonnegative one
+    (TypeError, ValueError). Every call runs the check and returns a fresh
+    report; only `falsify` keeps the verdict of its exhaustive precondition
+    (see there).
     """
+    trials = _check_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_seed(seed)
@@ -845,11 +882,10 @@ def is_positively_orthogonally_additive(
             return (np.arange(start, stop)[:, None] // draws >> bits) & 1 == 1
     else:
         total = trials
-        # every mask is drawn before any entry: skip past them here and
-        # replay them block by block from a second generator
         replay = np.random.default_rng(seed)
-        for start in range(0, total, BLOCK_TRIALS):
-            rng.integers(0, 2, (min(BLOCK_TRIALS, total - start), n))
+        # the masks come first, one 32-bit output a bit, and PCG64 makes two
+        # such outputs of each 64-bit step
+        rng.bit_generator.advance(-(-total * n // 2))
 
         def masks(start, stop):
             return replay.integers(0, 2, (stop - start, n)).astype(bool)
@@ -858,29 +894,26 @@ def is_positively_orthogonally_additive(
     stack = TermStack.of(P)
     worst = 0.0
     counterexample = None
-    sub = max(1, min(BLOCK_TRIALS, STACK_BYTES // (8 * 6 * n)))
-    for start in range(0, total, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, total)
-        mask = masks(start, stop)
-        for lo in range(0, stop - start, sub):
-            hi = min(lo + sub, stop - start)
-            entries = rng.uniform(low, high, (hi - lo, 2, n))
-            np.exp(entries, out=entries)
-            f = np.where(mask[lo:hi], entries[:, 0], 0.0)
-            g = np.where(mask[lo:hi], 0.0, entries[:, 1])
-            lhs, rhs = _additivity_sides(stack, f, g)
-            res = row_residuals(lhs, rhs, switch=tolerances.relative_switch)
-            worst = max(worst, float(res.max()))
-            failing = np.flatnonzero(res > tolerances.identity_rel)
-            if counterexample is None and failing.size:
-                i = failing[0]
-                counterexample = {
-                    "f": f[i].tolist(),
-                    "g": g[i].tolist(),
-                    "lhs": lhs[i],
-                    "rhs": rhs[i],
-                    "residual": float(res[i]),
-                }
+    cap = min(BLOCK_TRIALS, STACK_BYTES // (8 * 6 * n))
+    for lo, hi in _schedule(cap, 0, (0, total, cap)):
+        mask = masks(lo, hi)
+        entries = rng.uniform(low, high, (hi - lo, 2, n))
+        np.exp(entries, out=entries)
+        f = np.where(mask, entries[:, 0], 0.0)
+        g = np.where(mask, 0.0, entries[:, 1])
+        lhs, rhs = _additivity_sides(stack, f, g)
+        res = row_residuals(lhs, rhs, switch=tolerances.relative_switch)
+        worst = max(worst, float(res.max()))
+        failing = np.flatnonzero(res > tolerances.identity_rel)
+        if counterexample is None and failing.size:
+            i = failing[0]
+            counterexample = {
+                "f": f[i].tolist(),
+                "g": g[i].tolist(),
+                "lhs": lhs[i],
+                "rhs": rhs[i],
+                "residual": float(res[i]),
+            }
     return VerificationReport(
         claim_id="POA",
         trials=total,

@@ -57,6 +57,7 @@ from .polynomials import (
     _check_int,
     _check_seed,
     _row_bytes,
+    _schedule,
     is_positively_orthogonally_additive,
     ordered_sum,
 )
@@ -497,6 +498,8 @@ class Claim(NamedTuple):
     size             size(degree, cp): vectors in one input of `falsify`
                      (None: the claim is not searched)
     pairs            inputs are disjoint positive pairs, not tuples
+    form             the sides that `falsify` compares evaluate the
+                     symmetric form, not P alone
     """
 
     id: str
@@ -511,6 +514,7 @@ class Claim(NamedTuple):
     exact: bool = False
     size: Callable | None = None
     pairs: bool = False
+    form: bool = False
 
     @property
     def falsifiable(self) -> bool:
@@ -528,7 +532,8 @@ CLAIMS = (
           takes_poly=True, requires=_rmp_requires, sides=_rmp_sides,
           size=lambda s, cp: max(2, s)),
     Claim("GM", "gm", _identity_rows, lambda s, pool, cp: {"counts": s},
-          takes_poly=True, requires=_gm_requires, sides=_gm_sides, size=lambda s, cp: s),
+          takes_poly=True, requires=_gm_requires, sides=_gm_sides, size=lambda s, cp: s,
+          form=True),
     Claim("SCHUR", "schur", _schur_rows,
           lambda s, pool, cp: {"pick": (1, s + 1), "counts": range(s + 1)},
           tolerance=lambda cfg: float(cfg.ulp_slack),
@@ -539,13 +544,13 @@ CLAIMS = (
           tolerance=lambda cfg: 0.0, exact=True),
     Claim("HM", "hm", _identity_rows, lambda s, pool, cp: {"counts": s},
           takes_poly=True, requires=_hm_requires, sides=_hm_sides, exact=True,
-          size=lambda s, cp: s),
+          size=lambda s, cp: s, form=True),
     Claim("GEOS", "geos", _identity_rows, _partition_draw,
           tolerance=lambda cfg: cfg.geos_rel, takes_partition=True,
           requires=_partition_requires, sides=_geos_sides),
     Claim("WGM", "wgm", _identity_rows, _partition_draw, takes_poly=True,
           takes_partition=True, requires=_partition_requires, sides=_wgm_sides,
-          size=lambda s, cp: len(cp.parts)),
+          size=lambda s, cp: len(cp.parts), form=True),
     Claim("CROSS_TERMS", "cross", _cross_rows, lambda s, pool, cp: {"pair": "only"},
           tolerance=lambda cfg: cfg.mixed_abs, takes_poly=True,
           sides=lambda P, X, cp: _additivity_sides(P, X[:, 0], X[:, 1]),
@@ -592,32 +597,14 @@ row, took 60, 72, 89, 156 and 462 µs. The fixed cost is that of about 150
 such rows, 20 000 entries; this bound stays below it."""
 
 
-def _overhead_rows(stack, count):
-    """R, the rows of inputs of ``count`` vectors whose work costs about as
-    much as a block's fixed cost: `BLOCK_OVERHEAD_ENTRIES` over the entries
-    of a row's buffers, k (2 A + m d) for A arrangements of m keys into d
-    entries (see `_row_bytes`). Exact coefficients make rows far dearer: R
-    is 0 for them."""
+def _overhead_rows(stack, row_bytes):
+    """R, the rows whose work costs about as much as a block's fixed cost:
+    `BLOCK_OVERHEAD_ENTRIES` over the entries of a row's buffers,
+    ``row_bytes`` / 8. Exact coefficients make rows far dearer: R is 0 for
+    them."""
     if stack.coeffs.dtype == object:
         return 0
-    m, d = stack.coeffs.shape[1:]
-    return 8 * BLOCK_OVERHEAD_ENTRIES // (count * _row_bytes(stack.arrangements, m, d))
-
-
-def _schedule(extra, *phases):
-    """(lo, hi) blocks of the candidate stream, over each phase (lo, hi, size)
-    in turn: a first block of ``size`` rows, and after a block of T rows one
-    of 2 T + ``extra``, each capped by `BLOCK_TRIALS` and by the phase's rows
-    left. A block of T rows costs about c0 + c1 T; with ``extra`` about
-    c0 / c1 (`_overhead_rows`), each block costs about twice the one before,
-    so a witness found early pays for few rows and a long search for few
-    blocks."""
-    for lo, hi, size in phases:
-        while lo < hi:
-            size = min(size, BLOCK_TRIALS, hi - lo)
-            yield lo, lo + size
-            lo += size
-            size = 2 * size + extra
+    return 8 * BLOCK_OVERHEAD_ENTRIES // row_bytes
 
 
 def _random_rows(claim, P, cp, rng, size):
@@ -658,7 +645,7 @@ def falsify(
     ``max_residual`` count the inputs up to and including the witness.
 
     The search walks one candidate stream of ``budget`` inputs and evaluates
-    the claim's sides on each of its blocks; the first row over
+    the claim's sides on each of its blocks (`_schedule`); the first row over
     ``falsify_threshold`` is the witness. Rows 0..S are the structured
     family, S = min(n (n - 1) (k - 1), budget) for inputs of k vectors: the
     ordered coordinate pairs' k - 1 splits in turn (`_structured_rows`), with
@@ -668,15 +655,14 @@ def falsify(
     input (see `sampling.draw_trials`): random input k is the same whatever
     the block schedule and whatever the structured phase tried. Each
     phase's blocks start small (one pair; 16 random inputs), so that an
-    early witness costs one small block, and grow by cost, not by rows: a
-    block of T rows is followed by one of min(2 T + R, `BLOCK_TRIALS`, rows
-    left) (`_schedule`). A block pays a fixed cost (drawing, evaluating and
-    reducing it) as well as one per row, and R rows cost about as much as
-    that fixed cost for P's stack (`_overhead_rows`), so a light polynomial
-    that spends its budget does so in a few blocks where doubling rows
-    alone would take many small ones. Reports are those of trying one input
-    at a time, for float and exact-rational coefficients alike, so they do
-    not depend on the schedule.
+    early witness costs one small block, and grow by cost, not by rows: R
+    rows of the table that the claim's sides evaluate (P's keys for RMP and
+    CROSS_TERMS, the form's arrangements for the others) cost about as much
+    as a block's fixed cost (`_overhead_rows`), so a light polynomial that
+    spends its budget does so in a few blocks where doubling rows alone
+    would take many small ones. Reports are those of trying one input at a
+    time, for float and exact-rational coefficients alike, so they do not
+    depend on the schedule.
     """
     if claim_id not in FALSIFIABLE_CLAIMS:
         raise ValueError(f"claim {claim_id!r} is not falsifiable (choose from {FALSIFIABLE_CLAIMS})")
@@ -711,8 +697,12 @@ def falsify(
                                       (-(-structured // (count - 1)), 2), 1.0, 10.0)
     rng = None
     rows = _partition_rows(cp) if claim.takes_partition else None
+    m, d = stack.coeffs.shape[1:]
+    table_rows = stack.arrangements if claim.form else m  # of the table the sides evaluate
+    extra = _overhead_rows(stack, count * _row_bytes(table_rows, m, d))
+    cap = min(BLOCK_TRIALS, STACK_BYTES // (16 * count * n))
     used, best, witness = 0, 0.0, None
-    for lo, hi in _schedule(_overhead_rows(stack, count), (0, structured, count - 1),
+    for lo, hi in _schedule(cap, extra, (0, structured, count - 1),
                             (structured, budget, _FIRST_RANDOM_BLOCK)):
         if lo < structured:
             source, X = "structured", _structured_rows(count, n, amplitudes, lo, hi)
@@ -764,22 +754,26 @@ def verify_claim(
     Trial t's inputs are row t of ``default_rng(seed)``'s stream, one row of
     `sampling.trial_width` uniforms per trial (see `sampling.draw_trials`),
     so they do not depend on how the trials are split into blocks. Trials
-    run in array blocks of up to `BLOCK_TRIALS`, and of at most
-    `STACK_BYTES` of uniforms (a trial whose row alone takes more raises
-    ValueError naming n, and d where it counts): each block draws its rows
-    with one generator call, then runs the claim's block kernel once on its
-    (T, k, n) stack, the kernel that the claim's check_* function runs on
-    one input. Trials that draw their tuple size or partition share the
-    call: each row's slots past its own count take no part in its values
-    (see `Rows`). Reports are the same as checking each trial with its
-    check_* function; an exact-rational ``poly`` runs on the same kernels,
-    held as a `TermStack` of Fractions. A claim without a polynomial ignores
-    ``poly``.
+    run in array blocks (`_schedule`) that keep to `STACK_BYTES` of
+    uniforms (a trial whose row alone takes more raises ValueError naming
+    n, and d where it counts): each block draws its rows with one generator
+    call, then runs the claim's block kernel once on its (T, k, n) stack,
+    the kernel that the claim's check_* function runs on one input. Trials
+    that draw their tuple size or partition share the call: each row's
+    slots past its own count take no part in its values (see `Rows`).
+    Reports are the same as checking each trial with its check_* function;
+    an exact-rational ``poly`` runs on the same kernels, held as a
+    `TermStack` of Fractions. A claim without a polynomial ignores ``poly``.
 
     ``trial`` = k, 0 <= k < ``trials``, replays trial k alone: the generator
     is advanced by k rows, and the report is that of the one trial.
-    ``seed`` must be a nonnegative int (TypeError, ValueError).
+    ``trials``, ``trial``, ``s``, ``n`` and ``d`` must be ints and ``seed``
+    a nonnegative one (TypeError naming the argument, ValueError).
     """
+    trials, s, n, d = (_check_int(trials, "trials"), _check_int(s, "s"), _check_int(n, "n"),
+                       _check_int(d, "d"))
+    if trial is not None:
+        trial = _check_int(trial, "trial")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_seed(seed)
@@ -823,16 +817,15 @@ def verify_claim(
         sizes = f"n = {n}, d = {d}" if random_poly else f"n = {n}"
         raise ValueError(f"one trial at {sizes} draws {width} uniforms, {8 * width} bytes, "
                          f"beyond {STACK_BYTES}")
-    block = min(BLOCK_TRIALS, STACK_BYTES // (8 * width))
+    cap = min(BLOCK_TRIALS, STACK_BYTES // (8 * width))
     rng = np.random.default_rng(seed)
-    first, count = 0, trials
+    first, stop = 0, trials
     if trial is not None:
         rng.bit_generator.advance(trial * width)
-        first, count = trial, 1
+        first, stop = trial, trial + 1
     worst, passed, counterexample = 0.0, True, None
-    for start in range(0, count, block):
-        size = min(block, count - start)
-        draws = sampling.draw_trials(rng, size, n, **spec)
+    for lo, hi in _schedule(cap, 0, (first, stop, cap)):
+        draws = sampling.draw_trials(rng, hi - lo, n, **spec)
         P = TermStack.diagonal(draws.coeffs, s) if random_poly else shared
         res, ok, payload = claim.kernel(claim, draws.vectors, P,
                                         fixed or _drawn_rows(draws, table), cfg)
@@ -840,10 +833,10 @@ def verify_claim(
         if passed and not ok.all():
             passed = False
             row = int(np.argmin(ok))
-            counterexample = {**payload(row), "trial": first + start + row}
+            counterexample = {**payload(row), "trial": lo + row}
     return VerificationReport(
         claim_id=claim_id,
-        trials=count,
+        trials=stop - first,
         max_residual=worst,
         tolerance=claim.tolerance(cfg),
         passed=passed,

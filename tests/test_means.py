@@ -869,6 +869,15 @@ class TestLagrangeRange:
                                               InfimumSpec("harmonic", arity=2))
         assert lag.value.to_array()[1:].tobytes() == alone.value.to_array().tobytes()
 
+    def test_hm_at_the_smallest_subnormal(self):
+        # the rescued column's terms u_k^2 x_k = 5e-324 / 4 are below the
+        # smallest subnormal: in doubles they vanish and the mean is 0
+        fs = [pv(5e-324, 1e-320), pv(5e-324, 3e-320)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lag = harmonic_mean_via_infimum(fs, InfimumSpec("harmonic", arity=2))
+            assert lag.value.entries == harmonic_mean(fs).entries == (5e-324, 1.5e-320)
+
     @pytest.mark.parametrize("xs", [(1e-308, 1e-308), (2e-310, 1.7e308, 3e-320)])
     def test_hm_where_the_reciprocals_leave_the_range(self, xs):
         fs = [pv(x) for x in xs]

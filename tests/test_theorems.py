@@ -494,6 +494,44 @@ class TestSeeds:
         assert dump(self.CALLS[call](np.int64(3))) == dump(self.CALLS[call](3))
 
 
+class TestSweepSizes:
+    """A sweep size is an int wherever it enters, numpy's included, checked
+    first: a bool, a float or None is a TypeError naming the argument."""
+
+    CALLS = {
+        "verify_claim-trials": lambda v: verify_claim("HM", s=2, n=2, trials=v),
+        "verify_claim-trial": lambda v: verify_claim("HM", s=2, n=2, trials=4, trial=v),
+        "verify_claim-s": lambda v: verify_claim("HM", s=v, n=2, trials=4),
+        "verify_claim-n": lambda v: verify_claim("HM", s=2, n=v, trials=4),
+        "verify_claim-d": lambda v: verify_claim("HM", s=2, n=2, d=v, trials=4),
+        "verify_all-trials": lambda v: verify_all(s=2, n=2, trials=v),
+        "verify_all-s": lambda v: verify_all(s=v, n=2, trials=4),
+        "verify_all-n": lambda v: verify_all(s=2, n=v, trials=4),
+        "verify_all-d": lambda v: verify_all(s=2, n=2, d=v, trials=4),
+        "additivity-trials": lambda v: is_positively_orthogonally_additive(
+            square_of_sum(), trials=v, seed=1),
+    }
+
+    @pytest.mark.parametrize("call, value, kind", [
+        (call, value, kind) for call in CALLS
+        for value, kind in ((True, "bool"), (2.0, "float"), (2.5, "float"), (None, "NoneType"))
+        if not (value is None and call == "verify_claim-trial")])  # None: the whole run
+    def test_sizes_that_are_not_ints_are_refused(self, call, value, kind):
+        name = call.split("-")[1]
+        with patch.object(sampling, "draw_trials") as draw:
+            with pytest.raises(TypeError) as info:
+                self.CALLS[call](value)
+        assert str(info.value) == f"{name} must be an int, got {kind}"
+        draw.assert_not_called()
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integers_are_sizes(self, call):
+        def dump(got):
+            return json.dumps([r.to_dict() for r in got] if isinstance(got, list) else got.to_dict())
+
+        assert dump(self.CALLS[call](np.int64(3))) == dump(self.CALLS[call](3))
+
+
 class TestArgumentTypes:
     """A partition or a polynomial of another type is a TypeError naming the
     argument, not an AttributeError from inside the check."""
@@ -1642,18 +1680,19 @@ class TestFalsifyBlocks:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 40)), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 40) | st.none()),
+                 min_size=1, max_size=3),
         st.sampled_from([0, 1, 5, 122, 744]),
         st.integers(1, 1100),
     )
     def test_schedule_tiles_each_phase_growing_by_cost(self, phases, extra, cap):
-        # phases of the given rows and first sizes, laid end to end
+        # phases of the given rows and first sizes (None: first = cap, the
+        # fixed blocks of the sweeps), laid end to end
         bounds, end = [], 0
         for rows, first in phases:
-            bounds.append((end, end + rows, first))
+            bounds.append((end, end + rows, cap if first is None else first))
             end += rows
-        with patch.object(theorems, "BLOCK_TRIALS", cap):
-            blocks = list(theorems._schedule(extra, *bounds))
+        blocks = list(polynomials._schedule(cap, extra, *bounds))
         at = 0
         for lo, hi, first in bounds:
             mine = []
@@ -1686,11 +1725,11 @@ class TestFalsifyBlocks:
 
     def test_weak_search_takes_few_blocks(self):
         # as in the falsify benchmark's weak band: a mixed key over 4 of 6
-        # indices, of mass 2e-8, which no structured pair sees. Its m = 7 keys
-        # have A = 6 + 4! arrangements, so a pair counts 2 (2 A + m d) = 134
-        # entries and R = 2^14 // 134 = 122: structured blocks of 1 and 29
-        # rows, random ones of 16, 154 and 400, where doubling rows alone
-        # took 11
+        # indices, of mass 2e-8, which no structured pair sees. CROSS_TERMS
+        # evaluates P alone, at its m = 7 keys, so a pair counts
+        # 2 (2 m + m d) = 42 entries and R = 2^14 // 42 = 390: structured
+        # blocks of 1 and 29 rows, random ones of 16, 422 and 132, where
+        # doubling rows alone took 11
         terms = {(i,) * 4: [1.0 + i / 4] for i in range(6)}
         terms[(0, 2, 3, 5)] = [2e-8 * sum(c[0] for c in terms.values())]
         P = HomogeneousPolynomial(4, 6, 1, terms)
@@ -1698,9 +1737,23 @@ class TestFalsifyBlocks:
         assert rep.inconclusive and rep.trials == 600
         assert len(rows) == 5 and sum(rows) == 600
 
+    def test_a_search_that_evaluates_p_counts_its_keys(self):
+        # an (8, 10) polynomial: 10 diagonal keys and the key (0, .., 7) of
+        # 8! arrangements, A = 40 330. CROSS_TERMS evaluates P alone, at its
+        # m = 11 keys, so a pair counts 2 (2 m + m d) = 66 entries and
+        # R = 2^14 // 66 = 248: blocks of 1 and 89 structured rows and 16,
+        # 280 and 214 random ones, where counting A made R = 0 and 13 blocks
+        terms = {(i,) * 8: [1.0 + i / 8] for i in range(10)}
+        terms[tuple(range(8))] = [1e-9]
+        P = HomogeneousPolynomial(8, 10, 1, terms)
+        rep, rows = self.sided_blocks(P, "CROSS_TERMS", budget=600, seed=0)
+        assert rows == [1, 89, 16, 280, 214]
+        assert rep.to_dict() == reference_falsify(P, "CROSS_TERMS", budget=600, seed=0).to_dict()
+
     def test_exact_and_dense_searches_double_their_rows(self):
-        # exact coefficients make R 0, and so does a dense (4, 12) polynomial:
-        # its 1365 keys have A = 12^4 arrangements, 2 A + m d > 2^14
+        # exact coefficients make R 0, and so does a dense (4, 12) polynomial
+        # under a claim that evaluates its form: its 1365 keys have
+        # A = 12^4 arrangements, 4 (2 A + m d) > 2^14
         cfg = ToleranceConfig(falsify_threshold=1e300)
         exact = {(i,) * 4: [Fraction(i + 1)] for i in range(6)}
         exact[(0, 2, 3, 5)] = [Fraction(1, 3)]
@@ -1710,9 +1763,9 @@ class TestFalsifyBlocks:
         coeffs = np.random.default_rng(1).uniform(0.5, 2.0, 1365)
         dense = dict(zip(itertools.combinations_with_replacement(range(12), 4),
                          ([c] for c in coeffs)))
-        rep, rows = self.sided_blocks(HomogeneousPolynomial(4, 12, 1, dense), "CROSS_TERMS",
+        rep, rows = self.sided_blocks(HomogeneousPolynomial(4, 12, 1, dense), "GM",
                                       budget=300, seed=0, cfg=cfg)
-        assert rep.inconclusive and rows == [1, 2, 4, 8, 16, 32, 64, 5, 16, 32, 64, 56]
+        assert rep.inconclusive and rows == [3, 6, 12, 24, 48, 96, 111]
 
     @pytest.mark.parametrize("budget, block, sizes", [
         (600, 1024, [16, 582]),
@@ -1724,9 +1777,9 @@ class TestFalsifyBlocks:
         # under the 1e-6 witness threshold, but not under the additivity
         # check's 1e-9; after 2 structured pairs, the random phase's blocks
         # grow from 16, a block of T rows followed by 2 T + R up to
-        # BLOCK_TRIALS, capped by the budget left. P has m = 3 keys of
-        # A = 1 + 2 + 1 arrangements into d = 1 entry, so a row of its pairs
-        # (k = 2) counts 2 (2 A + m d) = 22 entries: R = 2^14 // 22 = 744
+        # BLOCK_TRIALS, capped by the budget left. CROSS_TERMS evaluates P
+        # alone, at its m = 3 keys into d = 1 entry, so a row of its pairs
+        # (k = 2) counts 2 (2 m + m d) = 18 entries: R = 2^14 // 18 = 910
         P = HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (1, 1): [1.0], (0, 1): [5e-7]})
         seen = []
         real = theorems._random_rows
@@ -1837,6 +1890,25 @@ class TestFalsifyBlocks:
         for block, first, extra_draws in ((7, 3, 0), (100, 16, 5), (1024, 1, 40)):
             np.testing.assert_array_equal(random_inputs(block, first, extra_draws), X)
 
+    def test_memory_keeps_to_the_stack_bound(self):
+        # n = 4096: P = sum x_i^2 plus the key (n - 2, n - 1), which none of
+        # the budget's structured pairs reaches. Blocks of BLOCK_TRIALS
+        # pairs peaked at 124 MiB (tracemalloc); a block of pairs now keeps
+        # to STACK_BYTES at 16 k n bytes a row. Slack: the evaluation's
+        # chunks and bookkeeping
+        n = 4096
+        P = HomogeneousPolynomial(2, n, 1, {**{(i, i): [1.0] for i in range(n)},
+                                            (n - 2, n - 1): [1.0]})
+        falsify(P, "CROSS_TERMS", budget=2)  # compiles P
+        tracemalloc.start()
+        try:
+            rep = falsify(P, "CROSS_TERMS", budget=3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.inconclusive and rep.trials == 3000 and rep.max_residual == 0.0
+        assert peak <= polynomials.STACK_BYTES + (2 << 20)
+
     @pytest.mark.parametrize("budget, error, message", [
         (0, ValueError, r"budget must be >= 1"),
         (-3, ValueError, r"budget must be >= 1"),
@@ -1892,10 +1964,10 @@ class TestAdditivityBlocks:
         assert got == outcome(reference_additivity, P, **kwargs)
 
     def test_memory_keeps_to_the_stack_bound(self):
-        # n = 4096: the parent drew 1024 trials' entries at once, 196 MiB
-        # (tracemalloc); now the sub-blocks keep to STACK_BYTES. Slack: the
-        # block's masks as booleans, which its one draw of int64 masks (as
-        # large as STACK_BYTES here) is converted into
+        # n = 4096: 1024 trials' entries at once took 196 MiB (tracemalloc),
+        # and one draw of 1024 trials' int64 masks 36 MiB; now each block's
+        # masks, entries and sides keep to STACK_BYTES at 48 n bytes a
+        # trial. Slack: the evaluation's chunks and bookkeeping
         n = 4096
         P = make_diagonal(np.linspace(0.5, 2.0, n), 2)
         is_positively_orthogonally_additive(P, trials=2, seed=1)  # compiles P
@@ -1906,7 +1978,7 @@ class TestAdditivityBlocks:
         finally:
             tracemalloc.stop()
         assert rep.passed and rep.trials == 1024
-        assert peak <= polynomials.STACK_BYTES + polynomials.BLOCK_TRIALS * n + (1 << 20)
+        assert peak <= polynomials.STACK_BYTES + (2 << 20)
 
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_blocks_bound_the_rows_in_memory(self, exhaustive):
