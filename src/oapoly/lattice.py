@@ -292,7 +292,15 @@ without bound (``"1e3000000"`` builds a three-million-digit integer)."""
 
 def json_row(row, field: str) -> np.ndarray:
     """A nonempty JSON array of numbers as an array: objects holding exact
-    Fractions when any entry is a string (``"3/4"``, ``"2"``), else float64.
+    Fractions when any entry is a string (``"3/4"``, ``"2"``), else float64;
+    see `json_entries` for what raises."""
+    entries = json_entries(row, field)
+    return np.array(entries, dtype=object if isinstance(entries[0], Fraction) else float)
+
+
+def json_entries(row, field: str) -> list:
+    """A nonempty JSON array of numbers as a list: all Fractions when any
+    entry is a string (``"3/4"``, ``"2"``), else all floats.
 
     Anything else raises ValueError naming ``field``: a row that is not a
     nonempty array; an entry that is a boolean, null, an array or an object;
@@ -303,12 +311,11 @@ def json_row(row, field: str) -> np.ndarray:
     if not isinstance(row, (list, tuple)) or not row:
         raise ValueError(f"{field} must be a nonempty array of numbers, got {row!r}")
     exact = any(isinstance(v, str) for v in row)
-    return np.array([_json_number(v, exact, field) for v in row],
-                    dtype=object if exact else float)
+    return [_json_number(v, exact, field) for v in row]
 
 
 def _json_number(v, exact: bool, field: str):
-    """One entry of a `json_row`: a Fraction in an exact row, else a float."""
+    """One entry of a `json_entries` row: a Fraction in an exact row, else a float."""
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f'{field} must hold numbers or "p/q" strings, got {v!r}')
     if exact and _beyond_exact_digits(v):

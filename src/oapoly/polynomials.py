@@ -1,10 +1,10 @@
 """Homogeneous polynomials on R^n with their symmetric multilinear forms.
 
-A degree-s polynomial P: R^n -> R^d is stored as a sparse map from index
-multisets (sorted s-tuples over 0..n-1) to codomain coefficient vectors. The
-stored coefficient is the value of the symmetric tensor at any ordered
-arrangement of the key, which pins the one convention everything else relies
-on:
+A degree-s polynomial P: R^n -> R^d is stored sparsely, as a table of index
+multisets (sorted s-tuples over 0..n-1) and a matrix of their codomain
+coefficient vectors (see `_canonical_terms`). The stored coefficient is the
+value of the symmetric tensor at any ordered arrangement of the key, which
+pins the one convention everything else relies on:
 
     P(f)          = sum_key coeff(key) * multinomial(key) * prod_{i in key} f_i
     P_sym(f_1..f_s) = sum_key coeff(key) * sum over distinct arrangements
@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import LatticeVector, PositiveVector, _check_vectors, json_row
+from .lattice import LatticeVector, PositiveVector, _check_vectors, json_entries
 from .reports import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -133,15 +133,11 @@ class TermStack:
     @classmethod
     def of(cls, P: "HomogeneousPolynomial") -> "TermStack":
         """One polynomial, shared by every row: P's compiled form, built on
-        first use and kept on P. Exact coefficients are held as objects."""
+        first use and kept on P, on P's key table and coefficient matrix as
+        they are. Exact coefficients are held as objects."""
         if P._stack is None:
-            coeffs = np.empty((1, len(P.terms), P.codomain_dim),
-                              dtype=object if P.is_exact else float)
-            for i, coeff in enumerate(P.terms.values()):
-                coeffs[0, i] = coeff
-            coeffs.flags.writeable = False
-            table = np.array(list(P.terms), dtype=np.intp).reshape(len(P.terms), P.degree)
-            P._stack = cls(table, coeffs, _prefix_plan(table), _multinomials(table))
+            table = P._table
+            P._stack = cls(table, P._coeffs[None], _prefix_plan(table), _multinomials(table))
         return P._stack
 
     @classmethod
@@ -518,27 +514,147 @@ def _arrangement_sums(products: np.ndarray, groups, keys: int) -> np.ndarray:
     return totals
 
 
-def _coerce_coeff(value, d: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value))
-    if any(isinstance(v, Fraction) for v in arr.ravel().tolist()):
-        arr = np.array([Fraction(v) if not isinstance(v, Fraction) else v for v in arr], dtype=object)
-    else:
-        arr = arr.astype(float)
-    if arr.shape != (d,):
-        raise ValueError(f"coefficient must have shape ({d},), got {arr.shape}")
-    return arr
+_INDEX_TYPES = (int, np.integer, float, np.floating)
+_REAL_TYPES = (int, np.integer, float, np.floating, Fraction)
+_FLOAT_BOUND = 2**1024 - 2**970  # the least int whose float overflows
+
+
+def _first(keys, flags) -> tuple:
+    """The first key whose flag is set, as a tuple, for an error message."""
+    return tuple(keys[int(np.flatnonzero(flags)[0])])
+
+
+def _key_table(keys: Sequence, degree: int, n: int) -> np.ndarray:
+    """The keys, tuples of ints or integral floats, as one (m, degree) intp
+    table with each row sorted. A key that is not a tuple, of another
+    length, with an entry that is a bool, a non-integral float or not a
+    number, or with an index outside 0..n-1 raises TypeError or ValueError
+    naming the first such key."""
+    m = len(keys)
+    if not all(issubclass(t, tuple) for t in set(map(type, keys))):
+        key = next(k for k in keys if not isinstance(k, tuple))
+        raise TypeError(f"key {key!r} must be a tuple of ints")
+    if m and set(map(len, keys)) != {degree}:
+        raise ValueError(f"key {_first(keys, [len(k) != degree for k in keys])} "
+                         f"does not have degree {degree}")
+    flat = list(itertools.chain.from_iterable(keys))
+    kinds = set(map(type, flat))
+    if not all(issubclass(t, _INDEX_TYPES) and not issubclass(t, bool) for t in kinds):
+        bad = [not isinstance(i, _INDEX_TYPES) or isinstance(i, bool) for i in flat]
+        raise TypeError(f"key {_first(keys, np.reshape(bad, (m, degree)).any(axis=1))} "
+                        "must hold ints")
+    integral = all(issubclass(t, (int, np.integer)) for t in kinds)
+    try:
+        table = np.array(flat, dtype=np.intp if integral else float).reshape(m, degree)
+    except OverflowError:  # an index beyond the machine's integers
+        huge = [isinstance(i, int) and not 0 <= i < n for i in flat]
+        key = _first(keys, np.reshape(huge, (m, degree)).any(axis=1))
+        raise ValueError(f"key {tuple(sorted(key))} has indices outside 0..{n - 1}") from None
+    if not integral:
+        fractional = ~np.isfinite(table) | (table != np.floor(table))
+        if fractional.any():
+            raise ValueError(f"key {_first(keys, fractional.any(axis=1))} must hold integers")
+    table.sort(axis=1)
+    outside = (table[:, 0] < 0) | (table[:, -1] >= n)
+    if outside.any():
+        key = table[np.flatnonzero(outside)[0]]
+        raise ValueError(f"key {tuple(int(i) for i in key)} has indices outside 0..{n - 1}")
+    return table.astype(np.intp, copy=False)
+
+
+def _coefficient_matrix(keys: Sequence, rows: Sequence, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient rows as one (m, d) matrix, and which rows are exact.
+    A row is a sequence of d real numbers, or for d = 1 a bare number; a
+    row holding a Fraction is exact and becomes all Fractions, and the
+    others are floats, Python floats in an object matrix when any row is
+    exact. A row of another length, or an entry that is a bool, a string,
+    None, complex or no real number, raises ValueError or TypeError naming
+    its key."""
+    m = len(rows)
+    if not set(map(type, rows)) <= {list, tuple}:
+        rows = [r.tolist() if isinstance(r, np.ndarray) else r for r in rows]
+        rows = [r if isinstance(r, (list, tuple)) else [r] for r in rows]
+    if m and set(map(len, rows)) != {d}:
+        i = next(i for i, r in enumerate(rows) if len(r) != d)
+        raise ValueError(f"the coefficient of key {tuple(keys[i])} must have shape ({d},), "
+                         f"got {np.shape(rows[i])}")
+    flat = list(itertools.chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    if not all(issubclass(t, _REAL_TYPES) and not issubclass(t, bool) for t in kinds):
+        i, v = next((i // d, v) for i, v in enumerate(flat)
+                    if not isinstance(v, _REAL_TYPES) or isinstance(v, bool))
+        if isinstance(v, (list, tuple)):
+            raise ValueError(f"the coefficient of key {tuple(keys[i])} must have shape "
+                             f"({d},), got {np.shape(rows[i])}")
+        raise TypeError(f"the coefficient of key {tuple(keys[i])} must hold real numbers, "
+                        f"got {v!r}")
+    exact = np.zeros(m, dtype=bool)
+    if any(issubclass(t, Fraction) for t in kinds):
+        exact = np.reshape([isinstance(v, Fraction) for v in flat], (m, d)).any(axis=1)
+    try:
+        floats = np.array([r for r, e in zip(rows, exact) if not e] if exact.any() else flat,
+                          dtype=float).reshape(-1, d)
+    except OverflowError:  # an int that rounds beyond the largest float
+        i = next(i for i, v in enumerate(flat) if isinstance(v, int) and abs(v) >= _FLOAT_BOUND)
+        raise ValueError(f"the coefficient of key {tuple(keys[i // d])} holds an integer "
+                         "beyond the float range") from None
+    if not exact.any():
+        return floats, exact
+    matrix = np.empty((m, d), dtype=object)
+    matrix[~exact] = floats
+    for i in np.flatnonzero(exact).tolist():
+        try:
+            matrix[i] = [v if isinstance(v, Fraction) else
+                         Fraction(v.item() if isinstance(v, np.generic) else v) for v in rows[i]]
+        except (ValueError, OverflowError):
+            raise ValueError(f"the coefficient of key {tuple(keys[i])} holds a Fraction "
+                             "beside a number that is not finite") from None
+    return matrix, exact
+
+
+def _canonical_terms(degree: int, n: int, d: int, keys: Sequence,
+                     rows: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical key table (m, degree), its rows sorted and in
+    lexicographic order, and coefficient matrix (m, d), both read-only,
+    of the terms (keys[i], rows[i]): the coefficients of keys that are
+    equal once sorted summed in the order given, from the first, and rows
+    whose entries are all 0 dropped. The matrix is float64, or objects when
+    a kept row is exact (see `_coefficient_matrix`); a repeat of an exact
+    row is exact."""
+    table = _key_table(keys, degree, n)
+    coeffs, exact = _coefficient_matrix(keys, rows, d)
+    order = np.lexsort(table.T[::-1])  # stable: repeats stay in the order given
+    table, coeffs, exact = table[order], coeffs[order], exact[order]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = (table[1:] != table[:-1]).any(axis=1)
+    if not first.all():
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=len(table))
+        sums = coeffs[starts]
+        for j in range(1, int(counts.max())):
+            more = counts > j
+            sums[more] = sums[more] + coeffs[starts[more] + j]
+        table, coeffs, exact = table[starts], sums, np.logical_or.reduceat(exact, starts)
+    kept = (coeffs != 0).any(axis=1)
+    if not kept.all():
+        table, coeffs, exact = table[kept], coeffs[kept], exact[kept]
+    if coeffs.dtype == object and not exact.any():
+        coeffs = coeffs.astype(float)
+    table.flags.writeable = coeffs.flags.writeable = False
+    return table, coeffs
 
 
 class HomogeneousPolynomial:
     """Degree-s homogeneous polynomial R^n -> R^d with sparse coefficients.
 
-    ``terms`` is a read-only mapping from canonical keys to read-only
-    coefficient arrays, and ``degree``, ``domain_dim``, ``codomain_dim`` and
-    ``terms`` cannot be set again: a polynomial cannot change after
-    construction.
+    ``terms`` is a read-only mapping from canonical keys to read-only row
+    views of the coefficient matrix that `_canonical_terms` builds, beside
+    the key table, in one pass; ``degree``, ``domain_dim``,
+    ``codomain_dim`` and ``terms`` cannot be set again: a polynomial cannot
+    change after construction.
     """
 
-    _fixed = ("degree", "domain_dim", "codomain_dim", "terms", "_exact")
+    _fixed = ("degree", "domain_dim", "codomain_dim", "terms", "_table", "_coeffs")
     __slots__ = (*_fixed, "_stack")
 
     def __init__(
@@ -548,28 +664,27 @@ class HomogeneousPolynomial:
         codomain_dim: int,
         terms: Mapping[tuple[int, ...], Sequence],
     ):
-        if degree < 1 or domain_dim < 1 or codomain_dim < 1:
+        self._build(degree, domain_dim, codomain_dim, list(terms), list(terms.values()))
+
+    @classmethod
+    def _from_rows(cls, degree: int, domain_dim: int, codomain_dim: int, keys: Sequence,
+                   rows: Sequence) -> "HomogeneousPolynomial":
+        """The polynomial of the terms (keys[i], rows[i]), where keys may
+        repeat: repeats are summed in the order given, as `__init__` sums
+        keys that are equal once sorted."""
+        P = cls.__new__(cls)
+        P._build(degree, domain_dim, codomain_dim, keys, rows)
+        return P
+
+    def _build(self, degree, domain_dim, codomain_dim, keys, rows) -> None:
+        dims = [_check_int(v, name) for v, name in ((degree, "degree"), (domain_dim, "domain_dim"),
+                                                     (codomain_dim, "codomain_dim"))]
+        if min(dims) < 1:
             raise ValueError("degree and dimensions must be >= 1")
-        self.degree = degree
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
-        canon: dict[tuple[int, ...], np.ndarray] = {}
-        for key, coeff in terms.items():
-            key = tuple(sorted(int(i) for i in key))
-            if len(key) != degree:
-                raise ValueError(f"key {key} does not have degree {degree}")
-            if key and (key[0] < 0 or key[-1] >= domain_dim):
-                raise ValueError(f"key {key} has indices outside 0..{domain_dim - 1}")
-            arr = _coerce_coeff(coeff, codomain_dim)
-            if key in canon:
-                arr = canon[key] + arr
-            canon[key] = arr
-        for arr in canon.values():
-            arr.flags.writeable = False
-        self.terms = MappingProxyType(
-            {k: v for k, v in sorted(canon.items()) if np.any(v != 0)}
-        )
-        self._exact = any(c.dtype == object for c in self.terms.values())
+        self.degree, self.domain_dim, self.codomain_dim = dims
+        self._table, self._coeffs = _canonical_terms(*dims, keys, rows)
+        # iterating a read-only matrix gives read-only row views
+        self.terms = MappingProxyType(dict(zip(map(tuple, self._table.tolist()), self._coeffs)))
         self._stack = None  # the compiled form, see TermStack.of
 
     def __reduce__(self):
@@ -594,19 +709,18 @@ class HomogeneousPolynomial:
     @classmethod
     def diagonal(cls, coeffs: Sequence, degree: int) -> "HomogeneousPolynomial":
         """P(f) = sum_i c_i f_i^degree for codomain vectors c_i (scalars mean d=1)."""
-        rows = [np.atleast_1d(np.asarray(c)) for c in coeffs]
+        rows, degree = list(coeffs), _check_int(degree, "degree")
         if not rows:
             raise ValueError("diagonal construction needs at least one coefficient")
-        d = rows[0].shape[0]
-        n = len(rows)
-        terms = {(i,) * degree: rows[i] for i in range(n)}
-        return cls(degree, n, d, terms)
+        shape = np.shape(rows[0])
+        keys = [(i,) * degree for i in range(len(rows))]
+        return cls._from_rows(degree, len(rows), shape[0] if shape else 1, keys, rows)
 
     # -- evaluation ------------------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self._coeffs.dtype == object
 
     def __call__(self, f: LatticeVector) -> np.ndarray:
         """Evaluate P(f), returning a codomain vector of shape (d,)."""
@@ -624,25 +738,25 @@ class HomogeneousPolynomial:
     @property
     def has_mixed_terms(self) -> bool:
         """True iff some key touching two distinct coordinates has a nonzero
-        coefficient, which is exactly failure of positive orthogonal additivity."""
-        return any(len(set(key)) > 1 for key in self.terms)
+        coefficient, which is exactly failure of positive orthogonal additivity.
+        A sorted key touches two exactly when its first and last entries differ."""
+        return bool((self._table[:, 0] != self._table[:, -1]).any())
 
     def coefficient(self, key: Sequence[int]) -> np.ndarray:
-        key = tuple(sorted(int(i) for i in key))
+        """The coefficient of ``key``, a writable copy: zeros when P has no
+        such term. The key is checked as `__init__` checks its keys."""
+        key = tuple(_key_table([tuple(key)], self.degree, self.domain_dim)[0].tolist())
         if key in self.terms:
             return self.terms[key].copy()
         return np.full(self.codomain_dim, Fraction(0) if self.is_exact else 0.0)
 
     def coefficient_masses(self) -> tuple[float, float]:
-        """(diagonal, mixed) l1 masses of the coefficient map."""
-        diag = mixed = 0.0
-        for key, coeff in self.terms.items():
-            mass = float(sum(abs(c) for c in coeff))
-            if len(set(key)) > 1:
-                mixed += mass
-            else:
-                diag += mass
-        return diag, mixed
+        """(diagonal, mixed) l1 masses of the coefficient map: each key's
+        entries' magnitudes summed in order, as a float, then the keys'
+        masses of each kind in key order from 0."""
+        masses = ordered_sum(np.abs(self._coeffs), axis=1).astype(float)
+        mixed = self._table[:, 0] != self._table[:, -1]
+        return float(ordered_sum(masses[~mixed])), float(ordered_sum(masses[mixed]))
 
     def __repr__(self) -> str:
         return (
@@ -968,7 +1082,7 @@ def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
 
     Degrees, dimensions and key entries must be integral numbers, the degree
     at most `JSON_DEGREE_LIMIT` and the dimensions at most
-    `JSON_DIMENSION_LIMIT`, and each coefficient row a `json_row` (a bare
+    `JSON_DIMENSION_LIMIT`, and each coefficient row a `json_entries` row (a bare
     number is a row of one); anything else raises ValueError naming the
     field, never a silent truncation.
     """
@@ -992,7 +1106,7 @@ def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
     n, d = _json_int(n, "n", JSON_DIMENSION_LIMIT), _json_int(d, "d", JSON_DIMENSION_LIMIT)
     if not isinstance(raw_terms, list):
         raise ValueError(f"field 'terms' must be an array of terms, got {raw_terms!r}")
-    terms: dict[tuple[int, ...], np.ndarray] = {}
+    keys, rows = [], []
     for item in raw_terms:
         try:
             key, coeff = item["key"], item["coeff"]
@@ -1000,13 +1114,12 @@ def polynomial_from_json(payload: dict) -> HomogeneousPolynomial:
             raise ValueError("each term needs fields 'key' and 'coeff'") from None
         if not isinstance(key, list):
             raise ValueError(f"field 'key' must be an array of integers, got {key!r}")
-        # terms on one index multiset are summed in file order, whether their
-        # key lists are identical or permuted
-        key = tuple(sorted(_json_int(i, "key") for i in key))
-        coeff = _coerce_coeff(_coeff_row(coeff, "coeff"), d)
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return HomogeneousPolynomial(s, n, d, terms)
+        keys.append(tuple(_json_int(i, "key") for i in key))
+        rows.append(_coeff_row(coeff, "coeff"))
+    # terms on one index multiset are summed in file order, whether their
+    # key lists are identical or permuted
+    return HomogeneousPolynomial._from_rows(s, n, d, keys, rows)
 
 
-def _coeff_row(row, field: str) -> np.ndarray:
-    return json_row(row if isinstance(row, list) else [row], f"field {field!r}")
+def _coeff_row(row, field: str) -> list:
+    return json_entries(row if isinstance(row, list) else [row], f"field {field!r}")

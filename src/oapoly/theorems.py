@@ -448,18 +448,16 @@ def _cross_rows(claim, X, P, rows, cfg):
     s = P.degree
     exact = _exact(X, P)
     mixed_tol, recon_tol = (cfg.exact_slack,) * 2 if exact else (cfg.mixed_abs, cfg.identity_rel)
-    mixed_worst = np.zeros(len(f))
-    witness = np.full(len(f), -1)
     values = P.forms([[f] * k + [g] * (s - k) for k in range(s + 1)])
     recon = ordered_sum(np.stack([val * math.comb(s, k) for k, val in enumerate(values)]))
-    for k in range(1, s):
-        mag = np.max(np.abs(values[k]), axis=1)
-        if not exact:
-            mag = mag.astype(float, copy=False)
-            mag[np.isnan(mag)] = np.inf
-        better = mag > mixed_worst
-        mixed_worst = np.where(better, mag, mixed_worst)
-        witness[better & (mag > mixed_tol)] = k
+    # the mixed forms' magnitudes (s - 1, T), a NaN form's as inf; the
+    # witness is the first k of the largest, when that exceeds the tolerance
+    mags = np.max(np.abs(values[1:s]), axis=2)
+    if not exact:
+        mags = mags.astype(float, copy=False)
+        mags[np.isnan(mags)] = np.inf
+    mixed_worst = np.max(mags, axis=0, initial=0.0)  # 0 for s = 1, which has none
+    witness = np.where(mixed_worst > mixed_tol, np.argmax(mags, axis=0) + 1 if s > 1 else 0, -1)
     total = P(f + g)
     recon_res = row_residuals(total, recon, switch=cfg.relative_switch)
     passed = (mixed_worst <= mixed_tol) & (recon_res <= recon_tol)

@@ -240,6 +240,33 @@ def polarization_cases():
     return cases
 
 
+def reference_terms(degree, n, d, terms):
+    """The canonical terms key by key, as polynomials were once built: each
+    key sorted and checked, each row coerced (all Fractions when any entry
+    is one, else float64), repeats summed in insertion order from the
+    first, rows whose entries are all 0 dropped, keys sorted."""
+    canon = {}
+    for key, coeff in terms.items():
+        key = tuple(sorted(int(i) for i in key))
+        assert len(key) == degree and 0 <= key[0] and key[-1] < n
+        arr = np.atleast_1d(np.asarray(coeff))
+        if any(isinstance(v, Fraction) for v in arr.ravel().tolist()):
+            arr = np.array([v if isinstance(v, Fraction) else Fraction(v) for v in arr],
+                           dtype=object)
+        else:
+            arr = arr.astype(float)
+        assert arr.shape == (d,)
+        canon[key] = canon[key] + arr if key in canon else arr
+    return {k: v for k, v in sorted(canon.items()) if np.any(v != 0)}
+
+
+def term_bits(terms):
+    """Each term's key and its entries' kinds and reprs: a float, whether a
+    Python float or a float64, by its repr, which keeps a zero's sign."""
+    return [(key, [("float", repr(float(v))) if isinstance(v, float) else (type(v), repr(v))
+                   for v in coeff.tolist()]) for key, coeff in terms.items()]
+
+
 def square_of_sum():
     # (x + y)^2: tensor coefficients {0,0}: 1, {0,1}: 1, {1,1}: 1
     return HomogeneousPolynomial(2, 2, 1, {(0, 0): [1.0], (0, 1): [1.0], (1, 1): [1.0]})
@@ -874,6 +901,196 @@ class TestImmutability:
         c = Q.coefficient((1, 1))
         c[0] = 7.0
         assert Q.coefficient((1, 1))[0] == 2.0
+
+
+class TestConstruction:
+    """The canonical terms come from one array pass, equal to the term by
+    term reference in keys, order and bits."""
+
+    @staticmethod
+    def check_against_reference(degree, n, d, terms):
+        P = HomogeneousPolynomial(degree, n, d, terms)
+        expect = reference_terms(degree, n, d, terms)
+        assert term_bits(P.terms) == term_bits(expect)
+        exact = any(v.dtype == object for v in expect.values())
+        assert P.is_exact == exact
+        for coeff in P.terms.values():
+            assert coeff.dtype == (object if exact else float) and coeff.shape == (d,)
+            assert not coeff.flags.writeable
+        return P
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.integers(0, 40),
+           st.sampled_from(["float", "exact", "mixed"]), st.integers(0, 2**32 - 1))
+    def test_random_term_maps_match_the_reference(self, s, n, d, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        values = [1.0, -1.0, 0.0, -0.0, 0.5, 3.0, 1e16, math.nan]
+        terms = {}
+        for _ in range(m):
+            # few distinct multisets, so that permuted repeats are common
+            key = tuple(rng.permutation(rng.integers(0, min(n, 3), s)).tolist())
+            row = [values[i] if rng.random() < 0.5 else float(rng.normal())
+                   for i in rng.integers(0, len(values), d)]
+            if kind == "exact" or (kind == "mixed" and rng.random() < 0.5):
+                row = [Fraction(v).limit_denominator(8) if v == v else Fraction(1, 3)
+                       for v in row]
+                if kind == "mixed":
+                    row[0] = float(row[0])  # a row holding a Fraction is all Fractions
+            terms[key] = row if rng.random() < 0.5 else np.array(row, dtype=object if any(
+                isinstance(v, Fraction) for v in row) else float)
+        self.check_against_reference(s, n, d, terms)
+
+    def test_permuted_repeats_are_summed_in_insertion_order(self):
+        # 24 permutations of one key at d = 1: numpy's sum of 24 terms would
+        # add them pairwise, in 8 partial sums
+        values = [1e16] + [1.0] * 23
+        keys = list(itertools.permutations(range(4)))
+        terms = dict(zip(keys, ([v] for v in values)))
+        P = self.check_against_reference(4, 4, 1, terms)
+        assert P.terms[(0, 1, 2, 3)][0] == in_order(values) != np.add.reduce(values)
+
+    def test_repeat_that_cancels_is_dropped(self):
+        P = self.check_against_reference(2, 3, 2, {(0, 1): [1.0, 2.0], (1, 0): [-1.0, -2.0],
+                                                   (2, 2): [0.0, 1.0]})
+        assert list(P.terms) == [(2, 2)]
+        P = self.check_against_reference(2, 2, 1, {(0, 1): [Fraction(1, 3)],
+                                                   (1, 0): [Fraction(-1, 3)], (1, 1): [2.0]})
+        assert list(P.terms) == [(1, 1)] and not P.is_exact
+
+    def test_negative_zero_beside_a_nonzero_keeps_its_sign(self):
+        P = self.check_against_reference(2, 2, 2, {(1, 0): [-0.0, 1.0], (1, 1): [-0.0, -0.0]})
+        assert list(P.terms) == [(0, 1)] and repr(float(P.terms[(0, 1)][0])) == "-0.0"
+
+    def test_nan_row_is_kept(self):
+        P = self.check_against_reference(1, 2, 1, {(1,): [math.nan], (0,): [0.0]})
+        assert list(P.terms) == [(1,)] and math.isnan(P.terms[(1,)][0])
+
+    @pytest.mark.parametrize("terms", [
+        {},
+        {(2, 0, 1): [1.0, 2.0, 3.0], (0, 0, 0): [0.0, 0.0, -1.0], (1, 0, 2): [4.0, 5.0, 6.0]},
+        {(np.int64(1), np.int32(0), 1): [1.5], (np.intp(0), 0, 0): [2.5]},
+        {(0.0, 2.0, 1): [1.0]},
+        {(0, 1, 2): 7.0, (1, 1, 1): np.float64(-2.0), (2, 2, 2): np.array(3)},
+        {(0, 1, 2): [Fraction(1, 3)], (2, 1, 0): [0.5], (1, 1, 1): [np.int64(4)]},
+        {(0, 1, 2): [Fraction(1, 3), 0.25], (0, 0, 0): [1.5, np.float32(0.5)]},
+        # a float row plus an exact repeat: a row of floats, exact all the same
+        {(0, 1, 2): [1.0], (2, 1, 0): [Fraction(1, 3)], (1, 1, 1): [2.0]},
+    ], ids=["empty", "d3", "numpy-int keys", "integral float keys", "scalar rows",
+            "exact", "mixed", "exact repeat"])
+    def test_special_maps_match_the_reference(self, terms):
+        d = len(np.atleast_1d(next(iter(terms.values())))) if terms else 2
+        self.check_against_reference(3, 3, d, terms)
+
+    def test_an_exact_polynomial_holds_its_float_rows_as_python_floats(self):
+        P = HomogeneousPolynomial(2, 2, 2, {(0, 0): [Fraction(1, 3), 1], (1, 1): [0.5, -0.0]})
+        assert P.is_exact
+        assert [type(v) for v in P.terms[(0, 0)].tolist()] == [Fraction, Fraction]
+        assert [(type(v), repr(v)) for v in P.terms[(1, 1)].tolist()] == [(float, "0.5"),
+                                                                         (float, "-0.0")]
+
+    def test_terms_are_read_only_views_of_the_stack_coefficients(self):
+        P = sparse_polynomial(np.random.default_rng(4), 3, 4, 2, mixed_terms=3, mixed_mass=0.5)
+        stack = TermStack.of(P)
+        assert stack.coeffs.shape == (1, len(P.terms), 2) and stack.coeffs.dtype == float
+        for i, coeff in enumerate(P.terms.values()):
+            assert np.shares_memory(coeff, stack.coeffs)
+            assert coeff.tobytes() == stack.coeffs[0, i].tobytes()
+        assert not stack.coeffs.flags.writeable
+        Q = rational_polynomial(P)
+        assert np.shares_memory(next(iter(Q.terms.values())), TermStack.of(Q).coeffs)
+        for R in (copy.deepcopy(Q), pickle.loads(pickle.dumps(Q))):
+            assert term_bits(R.terms) == term_bits(Q.terms)
+            assert np.shares_memory(next(iter(R.terms.values())), TermStack.of(R).coeffs)
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((2, 2, 1, {(True, 1): [1.0]}), TypeError, r"key \(True, 1\) must hold ints"),
+        ((2, 2, 1, {(np.bool_(False), 1): [1.0]}), TypeError, "must hold ints"),
+        ((2, 2, 1, {(0.7, 1): [1.0]}), ValueError, r"key \(0.7, 1\) must hold integers"),
+        ((2, 2, 1, {(0, math.nan): [1.0]}), ValueError, "must hold integers"),
+        ((2, 2, 1, {(0, -math.inf): [1.0]}), ValueError, "must hold integers"),
+        ((2, 2, 1, {(0, "1"): [1.0]}), TypeError, "must hold ints"),
+        ((2.0, 2, 1, {(0, 1): [1.0]}), TypeError, "degree must be an int, got float"),
+        ((2, 2.5, 1, {(0, 1): [1.0]}), TypeError, "domain_dim must be an int, got float"),
+        ((2, 2, True, {(0, 1): [1.0]}), TypeError, "codomain_dim must be an int, got bool"),
+        ((2, 2, 1, {(0, 1): ["1.5"]}), TypeError, r"key \(0, 1\) must hold real numbers, got '1.5'"),
+        ((2, 2, 1, {(0, 1): [None]}), TypeError, "must hold real numbers, got None"),
+        ((2, 2, 1, {(0, 1): [1 + 2j]}), TypeError, r"must hold real numbers, got \(1\+2j\)"),
+        ((2, 2, 1, {(0, 1): np.array([1 + 0j])}), TypeError, "must hold real numbers"),
+        ((2, 2, 1, {(0, 0): [2.0], (1, 0): [True]}), TypeError,
+         r"key \(1, 0\) must hold real numbers, got True"),
+        ((2, 2, 2, {(0, 1): [Fraction(1), False]}), TypeError, "got False"),
+        ((2, 2, 2, {(0, 1): np.array([1, 0], dtype=bool)}), TypeError, "got True"),
+    ])
+    def test_input_is_not_coerced(self, args, error, message):
+        with pytest.raises(error, match=message):
+            HomogeneousPolynomial(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 2, 2, {(0, 1): [1.0, 2.0], (1, 1): [1.0, 2.0, 3.0]}),
+         r"coefficient of key \(1, 1\) must have shape \(2,\), got \(3,\)"),
+        ((2, 2, 2, {(0, 1): 1.0}), r"got \(1,\)"),
+        ((2, 2, 1, {(0, 1): [[1.0]]}), r"must have shape \(1,\), got \(1, 1\)"),
+        ((2, 2, 1, {(0, 1, 1): [1.0]}), r"key \(0, 1, 1\) does not have degree 2"),
+        ((2, 2, 1, {(0, 1): [10**400]}), "key \\(0, 1\\) holds an integer beyond the float range"),
+        ((2, 2, 1, {(0, 1): [1.0], (1, 2**70): [1.0]}),
+         r"key \(1, 1180591620717411303424\) has indices outside 0..1"),
+    ])
+    def test_errors_name_the_key(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            HomogeneousPolynomial(*args)
+
+    def test_coefficient_checks_its_key(self):
+        P = HomogeneousPolynomial(2, 3, 1, {(0, 2): [1.5]})
+        assert P.coefficient((2, 0)).tolist() == [1.5] and P.coefficient([1, 1]).tolist() == [0.0]
+        for key, error in [((0, 99), ValueError), ((0, -1), ValueError), ((0, 1, 2), ValueError),
+                           ((True, 2), TypeError), ((0.5, 2), ValueError)]:
+            with pytest.raises(error, match="key"):
+                P.coefficient(key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_structure_reads_the_key_table(self, s, n, d, exact, seed):
+        rng = np.random.default_rng(seed)
+        P = random_polynomial(rng, s, n, d)
+        if exact:
+            P = rational_polynomial(P)
+        mixed = [len(set(key)) > 1 for key in P.terms]
+        assert P.has_mixed_terms == any(mixed)
+        diag = mixed_mass = 0.0
+        for key, coeff in P.terms.items():  # the masses key by key
+            mass = float(sum(abs(c) for c in coeff))
+            if len(set(key)) > 1:
+                mixed_mass += mass
+            else:
+                diag += mass
+        got = P.coefficient_masses()
+        assert [(type(v), repr(v)) for v in got] == [(float, repr(diag)), (float, repr(mixed_mass))]
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1], "coeff": [None]}]}, "'coeff'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1], "coeff": ["x"]}]}, "'coeff'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1], "coeff": []}]}, "'coeff'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1], "coeff": [10**400]}]}, "'coeff'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": ["0", 1], "coeff": [1.0]}]}, "'key'"),
+        ({"s": 2, "n": 2, "d": 1, "terms": [{"key": [0, 1]}]}, "'coeff'"),
+        ({"s": 2, "diagonal": [[1.0], [None]]}, "'diagonal'"),
+    ])
+    def test_json_errors_name_their_field(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            polynomial_from_json(payload)
+
+    def test_json_terms_match_the_api(self):
+        rng = np.random.default_rng(12)
+        P = rational_polynomial(sparse_polynomial(rng, 3, 4, 2, mixed_terms=3, mixed_mass=0.5))
+        payload = polynomial_to_json(P)
+        # a repeat in another order, summed in file order
+        payload["terms"].append({"key": payload["terms"][0]["key"][::-1], "coeff": [0.5, "1/7"]})
+        Q = polynomial_from_json(payload)
+        first = tuple(payload["terms"][0]["key"])
+        assert Q.terms[first].tolist() == (P.terms[first] + [Fraction(1, 2), Fraction(1, 7)]).tolist()
+        assert term_bits({k: v for k, v in Q.terms.items() if k != first}) == \
+            term_bits({k: v for k, v in P.terms.items() if k != first})
 
 
 class TestTermStack:

@@ -2127,6 +2127,30 @@ class TestStackedSides:
                 expect = expect[0], expect[1], [expect[2](t) for t in range(T)]
             assert bits(list(got)) == bits(list(expect))
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.sampled_from([1, 2]), st.integers(1, 6),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_cross_rows_match_the_loop_at_ties_and_nan_forms(self, s, n, d, T, exact, seed):
+        # small integer entries and coefficients make equal magnitudes at
+        # several k common; an infinite entry of f beside its zeros makes
+        # NaN forms (inf * 0), which count as infinite
+        rng = np.random.default_rng(seed)
+        keys = list(itertools.combinations_with_replacement(range(n), s))
+        picked = rng.choice(len(keys), size=min(len(keys), 4), replace=False)
+        coeffs = rng.choice([-1.0, 1.0, 2.0], (len(picked), d))
+        if exact:
+            coeffs = coeffs.astype(int).astype(object) * Fraction(1)
+        P = TermStack.of(HomogeneousPolynomial(s, n, d, {keys[i]: c for i, c in zip(picked, coeffs)}))
+        X = rng.choice([0.0, 1.0, 2.0] if exact else [0.0, 1.0, 2.0, np.inf], (T, 2, n))
+        X = np.where(np.arange(n) % 2 == np.arange(2)[:, None], X, 0.0)  # disjoint f, g
+        if exact:
+            X = X.astype(int).astype(object) * Fraction(1)
+        claim, cfg = theorems.CLAIM_TABLE["CROSS_TERMS"], DEFAULT_TOLERANCES
+        got = theorems._cross_rows(claim, X, P, None, cfg)
+        expect = loop_cross_rows(claim, X, P, None, cfg)
+        assert bits([got[0], got[1], [got[2](t) for t in range(T)]]) == \
+            bits([expect[0], expect[1], [expect[2](t) for t in range(T)]])
+
     def test_one_evaluation_per_side(self):
         # HM's s + 1 form variants, RMP's k + 1 rows of P, the additivity
         # sides' three and CROSS_TERMS' s + 1 splits each go in one call
