@@ -135,12 +135,13 @@ def _reject_unused(command: str, *flags) -> None:
 
 def _cmd_means(args) -> int:
     mean, method = args.mean, args.method
-    # the grids take --log-width alike, though only the wgm grid reads it
+    # the grids take and check --log-width alike, though only the wgm grid reads it
     _reject_unused(f"means eval --mean {mean}", ("--weights", args.weights, mean == "wgm"))
     _reject_unused(f"means eval --method {method}",
                    ("--resolution", args.resolution, method == "grid"),
                    ("--log-width", args.log_width, method == "grid"))
     resolution = InfimumSpec.resolution if args.resolution is None else args.resolution
+    log_width = InfimumSpec.log_width if args.log_width is None else args.log_width
     fs = _load(args.inputs, "inputs", _vectors)
 
     weight_parts = None
@@ -159,17 +160,15 @@ def _cmd_means(args) -> int:
         if method == "closed":
             result = MeanResult(weighted_geometric_mean(w, fs), "closed_form")
         else:
-            spec = InfimumSpec(
-                "weighted_geometric", weights=w,
-                resolution=resolution,
-                log_width=InfimumSpec.log_width if args.log_width is None else args.log_width,
-            )
+            spec = InfimumSpec("weighted_geometric", weights=w, resolution=resolution,
+                               log_width=log_width)
             result = wgm_via_infimum(w, fs, spec, method=method)
     elif mean == "hm":
         if method == "closed":
             result = MeanResult(harmonic_mean(fs), "closed_form")
         else:
-            spec = InfimumSpec("harmonic", arity=len(fs), resolution=resolution)
+            spec = InfimumSpec("harmonic", arity=len(fs), resolution=resolution,
+                               log_width=log_width)
             result = harmonic_mean_via_infimum(fs, spec, method=method)
     elif mean == "gm":
         if method != "closed":

@@ -6,11 +6,11 @@ homogeneous function of k real arguments extends to positive vectors by
 pointwise application (on R^n the point evaluations are exactly the lattice
 homomorphisms, so nothing more abstract is needed).
 
-Two scalar modes are supported:
+Two scalar modes are supported, and a vector's array dtype is its only record:
 
 * float64 entries (the default), used for all randomized checking;
-* exact ``fractions.Fraction`` entries, used for small golden-value
-  cross-checks where identities must hold with zero residual.
+* exact ``fractions.Fraction`` entries in an object array, used for small
+  golden-value cross-checks where identities must hold with zero residual.
 
 Vectors are immutable after construction and all operations are pure, so
 values can be shared freely across threads. Each vector's entries are
@@ -69,11 +69,10 @@ def _coerce(entries: Iterable, exact: bool) -> np.ndarray:
 class LatticeVector:
     """Immutable element of the coordinatewise lattice R^n."""
 
-    __slots__ = ("_data", "_exact")
+    __slots__ = ("_data",)
 
     def __init__(self, entries: Iterable, *, exact: bool = False):
-        self._exact = bool(exact)
-        self._data = _coerce(entries, self._exact)
+        self._data = _coerce(entries, bool(exact))
 
     @classmethod
     def exact(cls, entries: Iterable):
@@ -84,16 +83,16 @@ class LatticeVector:
         return cls(entries, exact=True)
 
     @classmethod
-    def _from_data(cls, data: np.ndarray, exact: bool):
+    def _from_data(cls, data: np.ndarray):
         """The vector of ``data``, a fresh one-dimensional array that the
         caller hands over: an operation's result on vectors' data (computed
-        without numpy warnings), or a mean's. This is the one check of a
-        vector built from data: each float entry is tested once to be
-        finite, and a PositiveVector's to be >= 0, and a PositiveVector's
-        -0.0 entries become +0.0 in place. A failed test raises the
-        constructor's error. The array is frozen without a copy."""
+        without numpy warnings), or a mean's, exact when it holds objects.
+        This is the one check of a vector built from data: each float entry
+        is tested once to be finite, and a PositiveVector's to be >= 0, and
+        a PositiveVector's -0.0 entries become +0.0 in place. A failed test
+        raises the constructor's error. The array is frozen without a copy."""
         positive = issubclass(cls, PositiveVector)
-        if exact:
+        if data.dtype == object:
             ok = not positive or (data >= 0).all()
         else:
             low, high = np.minimum.reduce(data), np.maximum.reduce(data)
@@ -102,17 +101,16 @@ class LatticeVector:
             if positive and low == 0:
                 np.add(data, 0.0, out=data)  # -0.0 + 0.0 is +0.0
         if not ok:
-            return cls(data, exact=exact)  # raises the constructor's error
-        return cls._wrap(data, exact)
+            return cls(data, exact=data.dtype == object)  # raises the constructor's error
+        return cls._wrap(data)
 
     @classmethod
-    def _wrap(cls, data: np.ndarray, exact: bool):
-        """The vector of ``data`` as it is, frozen in place and unchecked;
-        see `_from_data` for the checked way."""
+    def _wrap(cls, data: np.ndarray):
+        """The vector of ``data`` as it is (of its kind), frozen in place and
+        unchecked; see `_from_data` for the checked way."""
         vec = object.__new__(cls)
         data.setflags(write=False)
         vec._data = data
-        vec._exact = exact
         return vec
 
     # -- basic introspection -------------------------------------------------
@@ -123,12 +121,12 @@ class LatticeVector:
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return self._data.dtype == object
 
     @property
     def entries(self) -> tuple:
         """Entries as plain Python scalars (floats, or Fractions in exact mode)."""
-        if self._exact:
+        if self.is_exact:
             return tuple(self._data)
         return tuple(float(x) for x in self._data)
 
@@ -146,26 +144,22 @@ class LatticeVector:
         return iter(self._data)
 
     def __repr__(self) -> str:
-        tag = "exact " if self._exact else ""
+        tag = "exact " if self.is_exact else ""
         return f"{type(self).__name__}({tag}{list(self._data)!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeVector):
             return NotImplemented
         return (
-            self._exact == other._exact
+            self.is_exact == other.is_exact
             and self.dim == other.dim
             and bool(np.all(self._data == other._data))
         )
 
     def __hash__(self) -> int:
-        return hash((self._exact, self.entries))
+        return hash((self.is_exact, self.entries))
 
     # -- vector space structure ----------------------------------------------
-
-    def _check_scalar(self, scalar) -> None:
-        if self._exact and isinstance(scalar, float):
-            raise ValueError("scaling an exact vector needs an int or Fraction scalar")
 
     # a float result beyond the range is refused by `_from_data`, so the
     # operations that can leave it compute without numpy's warnings
@@ -174,29 +168,32 @@ class LatticeVector:
         _check_vectors((self, other))
         with np.errstate(over="ignore"):
             data = self._data + other._data
-        return _pair_class(self, other)._from_data(data, self._exact)
+        return _pair_class(self, other)._from_data(data)
 
     def __sub__(self, other):
         _check_vectors((self, other))
         with np.errstate(over="ignore"):
             data = self._data - other._data
-        return LatticeVector._from_data(data, self._exact)
+        return LatticeVector._from_data(data)
 
     def __neg__(self):
-        return LatticeVector._from_data(-self._data, self._exact)
+        return LatticeVector._from_data(-self._data)
 
     def __mul__(self, scalar):
-        self._check_scalar(scalar)
+        if not self.is_exact:
+            scalar = float(scalar)  # the data stays float64: a Fraction makes objects
+        elif isinstance(scalar, float):
+            raise ValueError("scaling an exact vector needs an int or Fraction scalar")
         nonneg = scalar >= 0 and isinstance(self, PositiveVector)
         cls = PositiveVector if nonneg else LatticeVector
         with np.errstate(over="ignore", invalid="ignore"):  # invalid: 0 * inf
             data = self._data * scalar
-        return cls._from_data(data, self._exact)
+        return cls._from_data(data)
 
     __rmul__ = __mul__
 
     def __abs__(self):
-        return PositiveVector._from_data(np.abs(self._data), self._exact)
+        return PositiveVector._from_data(np.abs(self._data))
 
 
 class PositiveVector(LatticeVector):
@@ -210,22 +207,21 @@ class PositiveVector(LatticeVector):
             raise ValueError("positive vector entries must be >= 0")
 
 
-def _check_vectors(fs: Sequence[LatticeVector], dim: int | None = None) -> bool:
+def _check_vectors(fs: Sequence[LatticeVector], dim: int | None = None) -> None:
     """The one check of vector arguments fs (nonempty): each, in order, is a
-    LatticeVector of the first's dimension and scalar mode, and that
-    dimension is ``dim`` (a polynomial's domain) when given. Returns whether
-    they are exact."""
+    LatticeVector of the first's dimension and scalar mode (its array's
+    dtype: object or float64), and that dimension is ``dim`` (a
+    polynomial's domain) when given."""
     first = fs[0]
     for f in fs:
         if not isinstance(f, LatticeVector):
             raise TypeError(f"expected a LatticeVector, got {type(f).__name__}")
         if f.dim != first.dim:
             raise DimensionMismatchError(f"dimension mismatch: {first.dim} vs {f.dim}")
-        if f._exact != first._exact:
+        if f._data.dtype != first._data.dtype:
             raise ValueError("cannot mix exact and float vectors")
     if dim is not None and first.dim != dim:
         raise DimensionMismatchError(f"vector dimension {first.dim} does not match domain {dim}")
-    return first._exact
 
 
 def _pair_class(f: LatticeVector, g: LatticeVector) -> type:
@@ -237,13 +233,13 @@ def _pair_class(f: LatticeVector, g: LatticeVector) -> type:
 def sup(f: LatticeVector, g: LatticeVector) -> LatticeVector:
     """Coordinatewise maximum (the lattice join)."""
     _check_vectors((f, g))
-    return _pair_class(f, g)._from_data(np.maximum(f._data, g._data), f._exact)
+    return _pair_class(f, g)._from_data(np.maximum(f._data, g._data))
 
 
 def inf(f: LatticeVector, g: LatticeVector) -> LatticeVector:
     """Coordinatewise minimum (the lattice meet)."""
     _check_vectors((f, g))
-    return _pair_class(f, g)._from_data(np.minimum(f._data, g._data), f._exact)
+    return _pair_class(f, g)._from_data(np.minimum(f._data, g._data))
 
 
 def is_disjoint(f: LatticeVector, g: LatticeVector) -> bool:
@@ -267,9 +263,9 @@ def apply_homogeneous(phi: Callable, fs: Sequence[PositiveVector]) -> PositiveVe
     """
     if not fs:
         raise ValueError("apply_homogeneous needs at least one vector")
-    exact = _check_vectors(fs)
+    _check_vectors(fs)
     values = [phi(*(f._data[i] for f in fs)) for i in range(fs[0].dim)]
-    exact = exact and all(isinstance(v, (Fraction, int)) for v in values)
+    exact = fs[0].is_exact and all(isinstance(v, (Fraction, int)) for v in values)
     return PositiveVector(values, exact=exact)
 
 

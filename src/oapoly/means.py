@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import LatticeVector, PositiveVector, _check_vectors
-from .partitions import WeightVector
+from .partitions import WeightVector, _is_int
 from .polynomials import ordered_sum
 
 __all__ = [
@@ -62,20 +62,21 @@ _GRID_POINT_LIMIT = 5_000_000
 
 
 def _stack(fs: Sequence[LatticeVector], *, allow_exact: bool = False,
-           dim: int | None = None) -> tuple[np.ndarray, bool]:
+           dim: int | None = None) -> np.ndarray:
     """Validate a tuple of nonnegative vectors (of dimension ``dim`` when
-    given, see `_check_vectors`) and stack their data into shape (k, n). A
-    PositiveVector's entries were checked when it was built, so the entries
-    are tested for sign only when another vector is among them."""
+    given, see `_check_vectors`) and stack their data into shape (k, n),
+    of objects when exact, as only ``allow_exact`` admits. A PositiveVector
+    was checked when built, so the entries are tested for sign only when
+    another vector is among them."""
     if not fs:
         raise ValueError("a mean needs at least one argument")
-    exact = _check_vectors(fs, dim)
-    if exact and not allow_exact:
-        raise ValueError("exact-rational vectors are only supported by harmonic_mean")
+    _check_vectors(fs, dim)
     X = np.array([f._data for f in fs])
+    if X.dtype == object and not allow_exact:
+        raise ValueError("exact-rational vectors are only supported by harmonic_mean")
     if not all(isinstance(f, PositiveVector) for f in fs) and not (X >= 0).all():
         raise ValueError("means are defined on nonnegative vectors only")
-    return X, exact
+    return X
 
 
 # -- closed forms over stacks ----------------------------------------------------
@@ -224,14 +225,14 @@ def weighted_geometric_mean_stack(t: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _within_range(lambda F: np.multiply.reduce(F, axis=-2), scaled, X ** t[..., None])
 
 
-def _mean_vector(value: np.ndarray, name: str, exact: bool = False) -> PositiveVector:
-    """The PositiveVector of a closed form's fresh values, checked once by
-    `LatticeVector._from_data`. The one value of a mean that the check
-    refuses is an infinite one, rounded past the largest float (only the
-    root mean power exceeds every argument): that raises ValueError naming
-    the mean."""
+def _mean_vector(value: np.ndarray, name: str) -> PositiveVector:
+    """The PositiveVector of a closed form's fresh values (exact for
+    objects), checked once by `LatticeVector._from_data`. The one value of
+    a mean that the check refuses is an infinite one, rounded past the
+    largest float (only the root mean power exceeds every argument): that
+    raises ValueError naming the mean."""
     try:
-        return PositiveVector._from_data(value, exact)
+        return PositiveVector._from_data(value)
     except ValueError:
         raise ValueError(f"the {name} is beyond the float range") from None
 
@@ -243,15 +244,15 @@ def root_mean_power(s: int, fs: Sequence[PositiveVector]) -> PositiveVector:
     least the largest argument, so it can lie beyond the float range: that
     raises ValueError.
     """
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise ValueError(f"power must be a positive integer, got {s!r}")
-    X, _ = _stack(fs)
+    X = _stack(fs)
     return _mean_vector(root_mean_power_stack(s, X), "root mean power")
 
 
 def geometric_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
     """The s-th geometric mean of s vectors: coordinatewise (prod_k x_k)^(1/s)."""
-    X, _ = _stack(fs)
+    X = _stack(fs)
     return _mean_vector(geometric_mean_stack(X), "geometric mean")
 
 
@@ -270,8 +271,8 @@ def harmonic_mean(fs: Sequence[PositiveVector]) -> PositiveVector:
     arguments at 1 ulp slack. Exact-rational inputs give an exact Fraction
     result.
     """
-    X, exact = _stack(fs, allow_exact=True)
-    return _mean_vector(harmonic_mean_stack(X), "harmonic mean", exact)
+    X = _stack(fs, allow_exact=True)
+    return _mean_vector(harmonic_mean_stack(X), "harmonic mean")
 
 
 def _weight_floats(weights: WeightVector | Sequence) -> np.ndarray:
@@ -298,7 +299,7 @@ def weighted_geometric_mean(
     number of argument vectors.
     """
     t = _weight_floats(weights)
-    X, _ = _stack(fs)
+    X = _stack(fs)
     if X.shape[0] != t.size:
         raise ValueError(f"got {X.shape[0]} vectors for {t.size} weights")
     return _mean_vector(weighted_geometric_mean_stack(t, X), "weighted geometric mean")
@@ -318,11 +319,11 @@ class InfimumSpec:
         prod theta_k^(t_k) = 1} of sum_k t_k theta_k x_k, for the exact
         rational ``weights`` t_k = r_k / s.
     resolution
-        Grid resolution m for the grid route (>= 1). Grids at resolution m
+        Grid resolution m for the grid route, an int >= 1. Grids at resolution m
         are subsets of those at 2m, so grid values cannot increase under
         doubling.
     log_width
-        Half-width of the log-parameter box searched by the weighted
+        Half-width (finite, > 0) of the log-parameter box searched by the weighted
         geometric grid route. The reported gap bound assumes the minimizer
         lies strictly inside the box; a minimizer on the boundary is
         reported as an unbounded gap.
@@ -338,15 +339,16 @@ class InfimumSpec:
         if self.kind not in ("harmonic", "weighted_geometric"):
             raise ValueError(f"unknown infimum kind {self.kind!r}")
         if self.kind == "harmonic":
-            if self.arity is None or self.arity < 1:
-                raise ValueError("harmonic infimum needs arity >= 1")
+            if not _is_int(self.arity) or self.arity < 1:
+                raise ValueError(
+                    f"harmonic infimum needs an integer arity >= 1, got {self.arity!r}")
         else:
             if self.weights is None:
                 raise ValueError("weighted_geometric infimum needs a weight vector")
-        if self.resolution < 1:
-            raise ValueError("grid resolution must be >= 1")
-        if self.log_width <= 0:
-            raise ValueError("log_width must be positive")
+        if not _is_int(self.resolution) or self.resolution < 1:
+            raise ValueError(f"grid resolution must be an integer >= 1, got {self.resolution!r}")
+        if not (math.isfinite(self.log_width) and self.log_width > 0):
+            raise ValueError(f"log_width must be finite and positive, got {self.log_width!r}")
 
 
 @dataclass(frozen=True)
@@ -504,7 +506,7 @@ def harmonic_mean_via_infimum(
     """
     if spec.kind != "harmonic":
         raise ValueError(f"spec kind {spec.kind!r} does not match harmonic_mean_via_infimum")
-    X, _ = _stack(fs)
+    X = _stack(fs)
     s = X.shape[0]
     if spec.arity != s:
         raise ValueError(f"spec arity {spec.arity} does not match {s} arguments")
@@ -524,7 +526,7 @@ def harmonic_mean_via_infimum(
 
         Xp, positive = _positive_columns(X)
         value = _within_range(lambda X: objective(1.0 / X, X, 0), scaled, Xp)
-        return MeanResult(PositiveVector._from_data(_scattered(value, positive), False),
+        return MeanResult(PositiveVector._from_data(_scattered(value, positive)),
                           "lagrange")
 
     if method == "grid":
@@ -547,7 +549,7 @@ def harmonic_mean_via_infimum(
 
         gaps = _within_range(lambda X: s * np.add.reduce(X, axis=-2) / (m * m), scaled, X,
                              summed=True)
-        return MeanResult(PositiveVector._from_data(s * lows, False), "grid",
+        return MeanResult(PositiveVector._from_data(s * lows), "grid",
                           float(np.maximum.reduce(gaps)))
 
     raise ValueError(f"unknown method {method!r}")
@@ -589,7 +591,7 @@ def wgm_via_infimum(
     if spec.weights != weights:
         raise ValueError("weight vector does not match InfimumSpec.weights")
     p = len(weights.floats)
-    X, _ = _stack(fs)
+    X = _stack(fs)
     if X.shape[0] != p:
         raise ValueError(f"got {X.shape[0]} vectors for {p} weights")
 
@@ -606,14 +608,14 @@ def wgm_via_infimum(
         except FloatingPointError:
             raise ValueError(
                 "the Lagrange point G / x or its value is beyond the float range") from None
-        return MeanResult(PositiveVector._from_data(_scattered(value, positive), False),
+        return MeanResult(PositiveVector._from_data(_scattered(value, positive)),
                           "lagrange")
 
     if method == "grid":
         m, Y = spec.resolution, spec.log_width
         if p == 1:
             # single weight 1: the mean is the identity, the constraint pins theta = 1
-            return MeanResult(PositiveVector._from_data(X[0], False), "grid", 0.0)
+            return MeanResult(PositiveVector._from_data(X[0]), "grid", 0.0)
         if (m + 1) ** (p - 1) > _GRID_POINT_LIMIT:
             raise ValueError(
                 f"log grid too large: {(m + 1) ** (p - 1)} points for {p} weights"
@@ -636,7 +638,7 @@ def wgm_via_infimum(
             c = max(1.0, (1.0 - t_dep) / t_dep)
             factor = 1.0 - math.exp(-c * h / 2.0)
             bound = math.inf if np.logical_or.reduce(edge[argmin]) else top * factor
-        return MeanResult(PositiveVector._from_data(_scattered(best, positive), False),
+        return MeanResult(PositiveVector._from_data(_scattered(best, positive)),
                           "grid", bound)
 
     raise ValueError(f"unknown method {method!r}")

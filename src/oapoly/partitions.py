@@ -31,14 +31,19 @@ __all__ = [
 DEFAULT_ENUMERATION_BOUND = 30
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an int and not a bool, which Python counts as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _validate_parts(parts: Sequence[int], s: int) -> tuple[int, ...]:
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise ValueError(f"target must be a positive integer, got {s!r}")
     parts = tuple(parts)
     if not parts:
         raise ValueError("a partition needs at least one part")
     for r in parts:
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             raise ValueError(f"parts must be positive integers, got {r!r}")
     return parts
 
@@ -70,8 +75,10 @@ def enumerate_complete(s: int, *, bound: int = DEFAULT_ENUMERATION_BOUND) -> lis
     the sum so far), which characterizes completeness; `is_complete` provides
     an independent subset-sum route that the tests compare against.
     """
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise ValueError(f"target must be a positive integer, got {s!r}")
+    if not _is_int(bound):
+        raise ValueError(f"enumeration bound must be an integer, got {bound!r}")
     if s > bound:
         raise ValueError(f"enumeration bound exceeded: s={s} > {bound}")
 

@@ -489,8 +489,6 @@ def _planned_products(slots: Sequence[np.ndarray], plan) -> np.ndarray:
     for slot, (column, parent) in zip(slots[1:], levels):
         if parent is not None:
             products = products.take(parent, axis=0)
-        if slot.dtype != products.dtype:  # float and exact slots: objects
-            products = products.astype(np.result_type(products, slot), copy=False)
         products *= slot.take(column, axis=0)
     return products
 
@@ -898,9 +896,9 @@ def _blackbox_values(evaluator: Callable, fs: Sequence[LatticeVector], rows: np.
 
     def value(cls, row):
         if _finite_entries(row).all():
-            f = cls._from_data(row, exact)
+            f = cls._from_data(row)
         else:  # a signed argument beyond the float range, handed over as it is
-            f = LatticeVector._wrap(row, exact)
+            f = LatticeVector._wrap(row)
         return np.atleast_1d(np.asarray(evaluator(f)))
 
     if check_homogeneity:

@@ -238,7 +238,7 @@ def _check(claim, P, fs, cp, cfg) -> VerificationReport:
     if claim.takes_partition:
         _typed(cp, CompletePartition, "cp")
     claim.requires(None if P is None else P.degree, len(fs), cp)
-    X, _ = _stack(fs, allow_exact=claim.exact, dim=None if P is None else P.domain_dim)
+    X = _stack(fs, allow_exact=claim.exact, dim=None if P is None else P.domain_dim)
     return _check_row(claim, P, X, None if cp is None else _partition_rows(cp), cfg)
 
 

@@ -242,6 +242,16 @@ class TestMeans:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag} does not apply to 'oapoly means eval --")
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flags", [["--mean", "wgm", "--weights", "1,1"], ["--mean", "hm"]])
+    def test_non_finite_log_width_is_usage_error(self, capsys, vectors_file, flags, width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "means", "eval", *flags, "--method", "grid",
+                                     f"--log-width={width}", "--inputs", vectors_file)
+        assert (code, out) == (2, "")
+        assert err == f"error: log_width must be finite and positive, got {width}\n"
+
     def test_gm_arity_cross_check(self, capsys, vectors_file):
         code, out, err = run_cli(capsys, "means", "eval", "--mean", "gm", "--s", "3",
                                  "--inputs", vectors_file)

@@ -355,3 +355,108 @@ def test_a_negative_lattice_vector_is_refused_by_every_mean(name, position):
     fs[position] = LatticeVector([1.0, 0.5])
     out = call(fs)
     assert isinstance(getattr(out, "value", out), PositiveVector)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, k) in VECTOR_CALLS.items() if k == 2])
+def test_mixing_exact_and_float_vectors_is_refused_by_every_call(name):
+    call, _ = VECTOR_CALLS[name]
+    for fs in ([PositiveVector.exact([1, 0]), PositiveVector([0.0, 1.0])],
+               [PositiveVector([1.0, 0.0]), PositiveVector.exact([0, 1])]):
+        with pytest.raises(ValueError, match="^cannot mix exact and float vectors$"):
+            call(fs)
+
+
+# -- a vector's mode is its array's kind ------------------------------------------
+
+
+def assert_kind(f, exact):
+    """f is exact exactly when its array holds objects, and then holds Fractions."""
+    assert isinstance(f, LatticeVector)
+    assert f.is_exact is exact and (f.to_array().dtype == object) is exact
+    assert all(isinstance(e, Fraction) for e in f.entries) if exact else f.to_array().dtype == float
+
+
+class TestExactnessIsTheArrayKind:
+    """Every way a vector is made gives a vector whose `is_exact` is its
+    array's kind: objects holding Fractions, or float64."""
+
+    F, G = PositiveVector([1.0, 2.0]), PositiveVector([3.0, 0.5])
+    E, H = PositiveVector.exact(["1/2", 2]), PositiveVector.exact([3, "1/4"])
+
+    def test_construction(self):
+        assert_kind(LatticeVector([1, 2.5]), False)
+        assert_kind(LatticeVector([1, "1/2"], exact=True), True)
+        assert_kind(LatticeVector.exact([1, Fraction(1, 2), 0.25]), True)
+        assert_kind(PositiveVector.exact([3]), True)
+        assert_kind(vector_from_json([1, 2.5]), False)
+        assert_kind(vector_from_json([1, "2/3"]), True)
+        assert_kind(vector_from_json(["1", 0.5], positive=True), True)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_operations_keep_the_kind(self, exact):
+        f, g = (self.E, self.H) if exact else (self.F, self.G)
+        results = [f + g, f - g, -f, f * 3, 3 * f, f * -2, f * Fraction(1, 3),
+                   Fraction(-2, 5) * f, abs(f - g), sup(f, g), inf(f, g), sup(-f, g)]
+        if not exact:
+            results += [f * 0.5, 2.5 * f]
+        for result in results:
+            assert_kind(result, exact)
+
+    def test_a_fraction_scales_a_float_vector_by_its_float(self):
+        f = LatticeVector([1.0, -3.0, 1e-300])
+        for t in (Fraction(1, 3), Fraction(-7, 10**9)):
+            assert (f * t).to_array().tolist() == [x * t for x in f.to_array().tolist()]
+
+    def test_apply_homogeneous(self):
+        assert_kind(apply_homogeneous(min, [self.E, self.H]), True)
+        assert_kind(apply_homogeneous(min, [self.F, self.G]), False)
+        # an exact argument whose value is not rational makes a float vector
+        assert_kind(apply_homogeneous(lambda x, y: math.sqrt(x * y), [self.E, self.H]), False)
+
+    def test_means(self):
+        spec = InfimumSpec("harmonic", arity=2, resolution=8)
+        w1 = weights(CompletePartition((1,), 1))
+        values = [root_mean_power(2, [self.F, self.G]), geometric_mean([self.F, self.G]),
+                  harmonic_mean([self.F, self.G]), weighted_geometric_mean(W2, [self.F, self.G])]
+        for method in ("lagrange", "grid"):
+            values.append(harmonic_mean_via_infimum([self.F, self.G], spec, method).value)
+            for w, fs in ((W2, [self.F, self.G]), (w1, [self.F])):
+                wspec = InfimumSpec("weighted_geometric", weights=w, resolution=8)
+                values.append(wgm_via_infimum(w, fs, wspec, method).value)
+        for value in values:
+            assert_kind(value, False)
+        assert_kind(harmonic_mean([self.E, self.H]), True)
+        assert_kind(harmonic_mean([self.E, PositiveVector.exact([0, 1])]), True)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rows_handed_to_a_black_box(self, exact):
+        fs = [self.E, self.H] if exact else [self.F, self.G]
+        seen = []
+
+        def evaluator(f):
+            seen.append(f)
+            return [f[0] * f[1]]
+
+        polarize_blackbox(evaluator, fs)
+        assert len(seen) == 3 + 4  # the three probes, then the signed rows
+        for f in seen:
+            assert_kind(f, exact)
+
+    def test_rows_beyond_the_float_range_handed_to_a_black_box(self):
+        seen = []
+        polarize_blackbox(lambda f: seen.append(f) or [0.0],
+                          [PositiveVector([1e308]), PositiveVector([1e308])],
+                          check_homogeneity=False)
+        assert seen[0].entries == (math.inf,)
+        for f in seen:
+            assert_kind(f, False)
+
+    def test_equal_vectors_hash_equal(self):
+        pairs = [(LatticeVector.exact([1, 2]), vector_from_json(["1", 2])),
+                 (self.E + self.H - self.H, self.E),
+                 (PositiveVector.exact([1, 2]), LatticeVector.exact(["1", "2"])),
+                 (LatticeVector([1, 2]), vector_from_json([1.0, 2.0])),
+                 (self.F * Fraction(1, 2), LatticeVector([0.5, 1.0]))]
+        for f, g in pairs:
+            assert f == g and hash(f) == hash(g)
+        assert LatticeVector.exact([1, 2]) != LatticeVector([1, 2])

@@ -62,6 +62,12 @@ class TestRootMeanPower:
         with pytest.raises(ValueError):
             root_mean_power(0, [pv(1.0)])
 
+    def test_power_is_an_int_not_a_bool(self):
+        for s in (True, 2.0):
+            with pytest.raises(ValueError) as info:
+                root_mean_power(s, [pv(1.0), pv(3.0)])
+            assert str(info.value) == f"power must be a positive integer, got {s!r}"
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             root_mean_power(2, [PositiveVector([1.0]), pv(1.0) - pv(2.0)])
@@ -340,6 +346,26 @@ class TestHarmonicInfimum:
         wspec = InfimumSpec("weighted_geometric", weights=weights(CompletePartition((1, 1), 2)))
         with pytest.raises(ValueError):
             harmonic_mean_via_infimum([pv(1.0), pv(1.0)], wspec)
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("harmonic", {"arity": True}, "harmonic infimum needs an integer arity >= 1, got True"),
+        ("harmonic", {"arity": 2.0}, "harmonic infimum needs an integer arity >= 1, got 2.0"),
+        ("harmonic", {"resolution": 2.5}, "grid resolution must be an integer >= 1, got 2.5"),
+        ("harmonic", {"resolution": True}, "grid resolution must be an integer >= 1, got True"),
+        ("weighted_geometric", {"resolution": 8.0},
+         "grid resolution must be an integer >= 1, got 8.0"),
+        ("harmonic", {"log_width": math.nan}, "log_width must be finite and positive, got nan"),
+        ("weighted_geometric", {"log_width": math.inf},
+         "log_width must be finite and positive, got inf"),
+        ("weighted_geometric", {"log_width": -math.inf},
+         "log_width must be finite and positive, got -inf"),
+    ])
+    def test_spec_fields_are_named_when_refused(self, kind, fields, message):
+        given = {"arity": 2} if kind == "harmonic" else {
+            "weights": weights(CompletePartition((1, 1), 2))}
+        with pytest.raises(ValueError) as info:
+            InfimumSpec(kind, **{**given, **fields})
+        assert str(info.value) == message
 
 
 class TestWgmInfimum:

@@ -114,6 +114,20 @@ class TestEnumerate:
         assert enumerate_complete(6) == enumerate_complete(6)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CompletePartition((True, True), 2), "parts must be positive integers, got True"),
+    (lambda: CompletePartition((1,), True), "target must be a positive integer, got True"),
+    (lambda: is_complete([True], 1), "parts must be positive integers, got True"),
+    (lambda: enumerate_complete(True), "target must be a positive integer, got True"),
+    (lambda: enumerate_complete(3, bound=True), "enumeration bound must be an integer, got True"),
+    (lambda: enumerate_complete(3, bound=30.5), "enumeration bound must be an integer, got 30.5"),
+], ids=["parts", "target", "is_complete", "enumerate_complete", "bound", "float bound"])
+def test_a_bool_or_float_is_not_an_integer(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestWeights:
     def test_half_quarter_quarter(self):
         cp = CompletePartition((2, 1, 1), 4)
